@@ -3,9 +3,9 @@
 
 Usage: python scripts/make_inputs.py [outdir]
 
-Produces the cone over a square, the simple/ideal indicator modules, a
-rank-2 filtration module, the projective-plane fan, and a crown poset
-diagram, all in the schemas the CLI reads.
+Produces the cone over a square, the simple/ideal/codivisorial indicator
+modules, a rank-2 filtration module and a crown poset diagram, all in
+the schemas the CLI reads.
 """
 
 import json
@@ -35,8 +35,6 @@ def main() -> int:
                       "1": [{"level": 0, "basis": [[1, 0], [0, 1]]}],
                       "2": [{"level": 0, "basis": [[1, 0], [0, 1]]}],
                       "3": [{"level": 0, "basis": [[1, 0], [0, 1]]}]}}
-    fan = {"lattice_rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
-           "max_cones": [[0, 1], [1, 2], [0, 2]]}
     crown = {"elements": ["a", "b", "c", "d"],
              "leq": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]],
              "dims": {"a": 1, "b": 1, "c": 1, "d": 1},
@@ -47,7 +45,7 @@ def main() -> int:
                       ("module_ideal.json", ideal),
                       ("module_codivisorial.json", codivisorial),
                       ("module_filtration.json", filtration),
-                      ("fan_p2.json", fan), ("diagram_crown.json", crown)]:
+                      ("diagram_crown.json", crown)]:
         (outdir / name).write_text(json.dumps(obj, indent=2) + "\n")
         print(f"wrote {outdir / name}")
     return 0

@@ -24,6 +24,7 @@ from .derived import (
     indicator_sequence,
     order_complex_cohomology,
     roos_limits,
+    transitive_closure,
     truncated_lift_oracle,
 )
 from .fans import FanData, class_group
@@ -314,14 +315,7 @@ def check_roos() -> CheckReport:
             for j in range(i + 1, n):
                 if rng.random() < 0.3:
                     rel.add((i, j))
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and a != d and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
+        rel = transitive_closure(rel)
         diagram = FinitePosetDiagram(list(range(n)), rel, [1] * n,
                                      lambda i, j: Mat.identity(1))
         roos = roos_limits(diagram, 2).limit_dims

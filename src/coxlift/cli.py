@@ -8,7 +8,8 @@ Subcommands:
   assertion.
 * ``roos``        derived limit dimensions of a finite poset diagram.
 
-Exit codes: 0 success, 1 assertion failure, 2 input error.  Identical
+Exit codes: 0 success, 1 assertion failure, 2 input error, 3 internal
+error (a bug, reported on one line).  Identical
 inputs produce byte-identical output at any ``--jobs`` width: workers
 only compute per-degree components and the coordinator merges them in
 degree order.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .checks import SUITES, run_suite
@@ -32,16 +32,6 @@ from .jsonio import (
     table_tsv_lines,
 )
 from .lifting import Box, lift_table
-
-
-@dataclass
-class JobSpec:
-    command: str
-    inputs: dict[str, str]
-    box: Optional[Box]
-    out: Optional[str]
-    fmt: str
-    jobs: int
 
 
 def parse_box(text: str, width: int) -> Box:
@@ -143,9 +133,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cones import Cone, leq_sigma, minimal_common_upper_bounds, minimal_elements
 from .lattice import lattice_membership
@@ -28,6 +28,24 @@ from .linalg import Mat, rank, sparse_rank
 from .modules import GradedModule, GradedMorphism
 
 IntVector = tuple[int, ...]
+
+
+def transitive_closure(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Strict pairs ``(a, b)``, ``a != b``, of the transitive closure of a relation."""
+    succ: dict[int, set[int]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    out = set()
+    for a, direct in succ.items():
+        seen: set[int] = set()
+        stack = list(direct)
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ.get(b, ()))
+        out.update((a, b) for b in seen if b != a)
+    return out
 
 
 class FinitePosetDiagram:
@@ -39,13 +57,22 @@ class FinitePosetDiagram:
         self.elements = tuple(elements)
         n = len(self.elements)
         self.relation = frozenset(relation) | {(i, i) for i in range(n)}
+        succ: list[set[int]] = [set() for _ in range(n)]
         for i, j in self.relation:
             if (j, i) in self.relation and i != j:
                 raise ValueError("relation is not antisymmetric")
+            if i != j:
+                succ[i].add(j)
+        self._succ = [sorted(s) for s in succ]
+        for i in range(n):
+            for j in self._succ[i]:
+                missing = succ[j] - succ[i]
+                if missing:
+                    raise ValueError(f"relation is not transitive: it holds {(i, j)} and "
+                                     f"{(j, min(missing))} but not {(i, min(missing))}")
         self.dims = tuple(int(d) for d in dims)
         self._provider = map_provider
         self._cache: dict[tuple[int, int], Mat] = {}
-        self._succ: Optional[list[list[int]]] = None
 
     def le(self, i: int, j: int) -> bool:
         return (i, j) in self.relation
@@ -63,13 +90,6 @@ class FinitePosetDiagram:
         return out
 
     def strict_successors(self, i: int) -> list[int]:
-        if self._succ is None:
-            n = len(self.elements)
-            succ: list[list[int]] = [[] for _ in range(n)]
-            for (a, b) in self.relation:
-                if a != b:
-                    succ[a].append(b)
-            self._succ = [sorted(s) for s in succ]
         return self._succ[i]
 
     def covers(self) -> list[tuple[int, int]]:
@@ -102,32 +122,31 @@ class FinitePosetDiagram:
                   validate: bool = True) -> "FinitePosetDiagram":
         """Build from explicit relation pairs and matrices.
 
-        The relation is closed transitively; missing composite maps are
-        filled by composing along any path, then the whole square grid
-        of compositions is validated.
+        The relation is closed transitively.  A missing map i -> j is the
+        composite along given maps, leaving i by its lowest-numbered given
+        map that still lies below j, so it does not depend on the order in
+        which transports are asked for; then the whole square grid of
+        compositions is validated.
         """
-        n = len(elements)
-        rel = {(i, i) for i in range(n)} | {(int(i), int(j)) for i, j in pairs}
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
+        rel = transitive_closure((int(i), int(j)) for i, j in pairs)
         filled = dict(maps)
+        given: dict[int, list[int]] = {}
+        for i, k in sorted(maps):
+            if (i, k) in rel:
+                given.setdefault(i, []).append(k)
 
         def provider(i: int, j: int) -> Mat:
-            if (i, j) in filled:
-                return filled[(i, j)]
-            for k in range(n):
-                if k not in (i, j) and (i, k) in rel and (k, j) in rel:
-                    if (i, k) in filled and (k, j) in filled:
-                        out = filled[(k, j)].mul(filled[(i, k)])
-                        filled[(i, j)] = out
-                        return out
-            raise ValueError(f"no transport data for {i} -> {j}")
+            path = [i]
+            while (path[-1], j) not in filled:
+                step = next((k for k in given.get(path[-1], ()) if (k, j) in rel), None)
+                if step is None:
+                    raise ValueError(f"no transport data for {i} -> {j}")
+                path.append(step)
+            out = filled[(path[-1], j)]
+            for a, k in zip(path[-2::-1], path[:0:-1]):
+                out = out.mul(filled[(a, k)])
+                filled[(a, j)] = out
+            return out
 
         diagram = cls(elements, rel, dims, provider)
         if validate:
@@ -390,7 +409,7 @@ def ideal_sequence(cone: Cone) -> CanonicalSequence:
 
 def indicator_sequence(cone: Cone, ray: int, threshold: int = 1) -> CanonicalSequence:
     """0 -> {l_ray >= threshold} -> structure ring -> quotient slab -> 0."""
-    from .modules import (GradedMorphism, IndicatorConstraint, IndicatorModule,
+    from .modules import (IndicatorConstraint, IndicatorModule, indicator_morphism,
                           structure_module)
 
     sub = IndicatorModule(
@@ -403,19 +422,10 @@ def indicator_sequence(cone: Cone, ray: int, threshold: int = 1) -> CanonicalSeq
         tuple(IndicatorConstraint(i, ">=", 0) for i in range(cone.ray_count))
         + (IndicatorConstraint(ray, "<=", threshold - 1),))
 
-    def one_if_both(src, tgt):
-        def rule(m):
-            s = src.component(m).dim
-            t = tgt.component(m).dim
-            if s and t:
-                return Mat.identity(1)
-            return Mat.zero(t, s)
-        return rule
-
     return CanonicalSequence(
         sub=sub, mid=mid, quot=quot,
-        include=GradedMorphism(sub, mid, one_if_both(sub, mid)),
-        project=GradedMorphism(mid, quot, one_if_both(mid, quot)),
+        include=indicator_morphism(sub, mid),
+        project=indicator_morphism(mid, quot),
     )
 
 

@@ -29,8 +29,9 @@ from .lattice import (
     rational_rank,
     reduce_by_sublattice,
 )
-from .linalg import Mat, Vector, intersect_row_spaces, row_space_basis, solve
-from .klyachko import ReflexiveDescription
+from .linalg import Mat, Vector, solve
+from .klyachko import ReflexiveDescription, filtration_lift_component
+from .modules import intersect_ray_spaces
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,7 @@ def global_reflexive_lift(fan: FanData, desc: ReflexiveDescription,
     c = tuple(int(x) for x in c)
     if len(c) != fan.ray_count:
         raise ValueError("degree length differs from ray count")
-    r = desc.ambient_dim
-    current = row_space_basis(
-        [[1 if i == j else 0 for j in range(r)] for i in range(r)], r)
-    for (ray, rf), level in zip(desc.filtrations, c):
-        current = intersect_row_spaces(current, rf.space_at(level), r)
-        if not current:
-            return ()
-    return current
+    return filtration_lift_component(desc, c)
 
 
 def chart_section(fan: FanData, desc: ReflexiveDescription, cone_index: int,
@@ -187,13 +181,8 @@ def chart_section(fan: FanData, desc: ReflexiveDescription, cone_index: int,
     if not 0 <= cone_index < len(fan.max_cones):
         raise ValueError("cone index out of range")
     m = tuple(int(x) for x in m)
-    r = desc.ambient_dim
-    current = row_space_basis(
-        [[1 if i == j else 0 for j in range(r)] for i in range(r)], r)
     filt = dict(desc.filtrations)
-    for i in fan.max_cones[cone_index]:
-        level = sum(a * b for a, b in zip(fan.rays[i], m))
-        current = intersect_row_spaces(current, filt[i].space_at(level), r)
-        if not current:
-            return ()
-    return current
+    return intersect_ray_spaces(
+        ((filt[i], sum(a * b for a, b in zip(fan.rays[i], m)))
+         for i in fan.max_cones[cone_index]),
+        desc.ambient_dim)

@@ -1,7 +1,6 @@
 """JSON input and output schemas.
 
 Cone:    {"lattice_rank": d, "rays": [[...d ints...], ...]}
-Fan:     {"lattice_rank": d, "rays": [[...]], "max_cones": [[ray indices]]}
 Module:  {"type": "finitely_presented", "generators": [{"degree": [...]}],
           "relations": [{"degree": [...], "coeffs": [...]}]}
          {"type": "indicator", "style": "quotient"|"submodule",
@@ -24,7 +23,6 @@ from typing import Any
 
 from .cones import Cone
 from .derived import FinitePosetDiagram
-from .fans import FanData
 from .lifting import LiftComponent
 from .linalg import Mat
 from .modules import (
@@ -59,42 +57,36 @@ def load_cone(obj: dict) -> Cone:
         raise ValueError(f"cone JSON is missing {exc}") from exc
 
 
-def load_fan(obj: dict) -> FanData:
-    try:
-        return FanData(int(obj["lattice_rank"]),
-                       tuple(tuple(r) for r in obj["rays"]),
-                       tuple(tuple(mc) for mc in obj["max_cones"]))
-    except KeyError as exc:
-        raise ValueError(f"fan JSON is missing {exc}") from exc
-
-
 def load_module(obj: dict, cone: Cone) -> GradedModule:
-    kind = obj.get("type")
-    if kind == "finitely_presented":
-        gens = tuple(tuple(g["degree"]) for g in obj.get("generators", []))
-        rels = tuple(
-            Relation(tuple(rel["degree"]),
-                     tuple(parse_fraction(x) for x in rel["coeffs"]))
-            for rel in obj.get("relations", [])
-        )
-        return FinitelyPresentedModule(cone, gens, rels)
-    if kind == "indicator":
-        cons = tuple(
-            IndicatorConstraint(int(c["ray"]), str(c["op"]), int(c["bound"]))
-            for c in obj.get("constraints", [])
-        )
-        exclude = tuple(tuple(p) for p in obj.get("exclude", []))
-        return IndicatorModule(cone, str(obj["style"]), cons, exclude)
-    if kind == "filtration":
-        ambient = int(obj["ambient_dim"])
-        filts = []
-        for ray, jumps in obj["filtrations"].items():
-            data = [(int(j["level"]),
-                     [[parse_fraction(x) for x in v] for v in j["basis"]])
-                    for j in jumps]
-            filts.append((int(ray), ray_filtration(data, ambient)))
-        return FiltrationModule(cone, ambient, tuple(filts))
-    raise ValueError(f"unknown module type {kind!r}")
+    try:
+        kind = obj.get("type")
+        if kind == "finitely_presented":
+            gens = tuple(tuple(g["degree"]) for g in obj.get("generators", []))
+            rels = tuple(
+                Relation(tuple(rel["degree"]),
+                         tuple(parse_fraction(x) for x in rel["coeffs"]))
+                for rel in obj.get("relations", [])
+            )
+            return FinitelyPresentedModule(cone, gens, rels)
+        if kind == "indicator":
+            cons = tuple(
+                IndicatorConstraint(int(c["ray"]), str(c["op"]), int(c["bound"]))
+                for c in obj.get("constraints", [])
+            )
+            exclude = tuple(tuple(p) for p in obj.get("exclude", []))
+            return IndicatorModule(cone, str(obj["style"]), cons, exclude)
+        if kind == "filtration":
+            ambient = int(obj["ambient_dim"])
+            filts = []
+            for ray, jumps in obj["filtrations"].items():
+                data = [(int(j["level"]),
+                         [[parse_fraction(x) for x in v] for v in j["basis"]])
+                        for j in jumps]
+                filts.append((int(ray), ray_filtration(data, ambient)))
+            return FiltrationModule(cone, ambient, tuple(filts))
+        raise ValueError(f"unknown module type {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"module JSON is missing {exc}") from exc
 
 
 def load_diagram(obj: dict) -> FinitePosetDiagram:

@@ -21,12 +21,11 @@ from .linalg import (
     Mat,
     Vector,
     coords_in_basis,
-    intersect_row_spaces,
     row_space_basis,
     subspace_eq,
     subspace_le,
 )
-from .modules import FiltrationModule, RayFiltration
+from .modules import FiltrationModule, RayFiltration, intersect_ray_spaces
 
 IntVector = tuple[int, ...]
 
@@ -60,14 +59,8 @@ def filtration_lift_component(desc: ReflexiveDescription, c: Sequence[int]) -> t
     c = tuple(int(x) for x in c)
     if len(c) != len(desc.filtrations):
         raise ValueError("degree length differs from filtration count")
-    r = desc.ambient_dim
-    current = row_space_basis(
-        [[1 if i == j else 0 for j in range(r)] for i in range(r)], r)
-    for (ray, rf), level in zip(desc.filtrations, c):
-        current = intersect_row_spaces(current, rf.space_at(level), r)
-        if not current:
-            return ()
-    return current
+    return intersect_ray_spaces(zip((rf for _, rf in desc.filtrations), c),
+                                desc.ambient_dim)
 
 
 def lift_subspace_in_ambient(module: FiltrationModule,

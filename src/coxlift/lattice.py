@@ -58,10 +58,6 @@ def i_identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def i_transpose(a: IntMatrix) -> IntMatrix:
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
 def rational_rank(a: IntMatrix) -> int:
     return q_rank(Mat.from_rows(a))
 

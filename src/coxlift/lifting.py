@@ -17,14 +17,15 @@ live here.
 
 Degree computations are independent and cached per process; sweeps can
 fan out over a worker pool and are merged in degree order, so output is
-byte-identical at any pool width.
+byte-identical at any pool width.  A sweep computes only the components;
+its one-step restriction maps are built the first time they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
@@ -38,6 +39,7 @@ from .cones import (
 from .linalg import (
     Mat,
     Vector,
+    block_diagonal,
     coords_in_basis,
     is_isomorphism,
     kernel_basis,
@@ -76,18 +78,11 @@ def lift_component(cone: Cone, module: GradedModule, c: Sequence[int]) -> LiftCo
     c = tuple(int(x) for x in c)
     if len(c) != cone.ray_count:
         raise ValueError("degree length differs from ray count")
-    try:
-        return _lift_component_cached(cone, module, c)
-    except TypeError:
-        return _lift_component_impl(cone, module, c)
+    return _lift_component(cone, module, c)
 
 
 @lru_cache(maxsize=None)
-def _lift_component_cached(cone: Cone, module: GradedModule, c: IntVector) -> LiftComponent:
-    return _lift_component_impl(cone, module, c)
-
-
-def _lift_component_impl(cone: Cone, module: GradedModule, c: IntVector) -> LiftComponent:
+def _lift_component(cone: Cone, module: GradedModule, c: IntVector) -> LiftComponent:
     mins = minimal_elements(cone, c).elements
     comps = [module.component(m) for m in mins]
     dims = tuple(comp.dim for comp in comps)
@@ -232,6 +227,9 @@ class SpikeRule(CoxRule):
     ray_count: int
     degree: IntVector
 
+    def __post_init__(self):
+        object.__setattr__(self, "degree", tuple(int(x) for x in self.degree))
+
     def dim(self, c: Sequence[int]) -> int:
         return 1 if tuple(c) == self.degree else 0
 
@@ -246,6 +244,9 @@ class SpikeRule(CoxRule):
 class DirectSumRule(CoxRule):
     parts: tuple[CoxRule, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
+
     @property
     def ray_count(self) -> int:  # type: ignore[override]
         return self.parts[0].ray_count
@@ -254,16 +255,7 @@ class DirectSumRule(CoxRule):
         return sum(p.dim(c) for p in self.parts)
 
     def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
-        blocks = [p.act(c, c_prime) for p in self.parts]
-        out = Mat.zero(sum(b.nrows for b in blocks), sum(b.ncols for b in blocks))
-        r = col = 0
-        for b in blocks:
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    out.rows[r + i][col + j] = b.rows[i][j]
-            r += b.nrows
-            col += b.ncols
-        return out
+        return block_diagonal([p.act(c, c_prime) for p in self.parts])
 
 
 @dataclass(frozen=True)
@@ -431,14 +423,31 @@ def minimal_generators_in_box(cone: Cone, module: GradedModule, box: Box) -> tup
     return tuple(found)
 
 
-@dataclass
+@dataclass(eq=False)
 class LiftTable:
-    """Lift components over a degree box plus one-step restriction maps."""
+    """Lift components over a degree box; one-step restriction maps on demand.
+
+    Hashed by identity, so a table can serve as the Cox rule of a cached
+    ``SheafifiedModule``.
+    """
 
     cone: Cone
+    module: GradedModule
     box: Box
     components: dict[IntVector, LiftComponent]
-    steps: dict[tuple[IntVector, int], Mat]
+
+    @cached_property
+    def steps(self) -> dict[tuple[IntVector, int], Mat]:
+        """Restriction map from c to c + e_axis for every such pair in the box."""
+        out: dict[tuple[IntVector, int], Mat] = {}
+        for c in self.box.degrees():
+            for axis in range(self.cone.ray_count):
+                nxt = tuple(x + (1 if i == axis else 0) for i, x in enumerate(c))
+                if nxt in self.box:
+                    out[(c, axis)] = lift_action(self.cone, self.module, c, nxt,
+                                                 source=self.components[c],
+                                                 target=self.components[nxt])
+        return out
 
     def component(self, c: Sequence[int]) -> LiftComponent:
         return self.components[tuple(int(x) for x in c)]
@@ -470,7 +479,8 @@ def lift_table(cone: Cone, module: GradedModule, box: Box, jobs: int = 1) -> Lif
     """Sweep a degree box; components may be computed by a worker pool.
 
     Workers get disjoint degree chunks and the coordinator merges in
-    degree order, so output does not depend on the pool width.
+    degree order, so output does not depend on the pool width.  The
+    restriction maps are left to ``LiftTable.steps``, built on first read.
     """
     degrees = list(box.degrees())
     components: dict[IntVector, LiftComponent] = {}
@@ -484,17 +494,9 @@ def lift_table(cone: Cone, module: GradedModule, box: Box, jobs: int = 1) -> Lif
                                      [(cone, module, ch) for ch in chunks]):
                     for c, comp in part:
                         components[c] = comp
-        except (OSError, PermissionError):
+        except OSError:
             components = {}
     if not components:
         for c in degrees:
             components[c] = lift_component(cone, module, c)
-    steps: dict[tuple[IntVector, int], Mat] = {}
-    for c in degrees:
-        for axis in range(cone.ray_count):
-            nxt = tuple(x + (1 if i == axis else 0) for i, x in enumerate(c))
-            if nxt in box:
-                steps[(c, axis)] = lift_action(cone, module, c, nxt,
-                                               source=components[c],
-                                               target=components[nxt])
-    return LiftTable(cone, box, components, steps)
+    return LiftTable(cone, module, box, components)

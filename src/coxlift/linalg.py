@@ -100,6 +100,18 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}, {self.rows!r})"
 
 
+def block_diagonal(blocks: Sequence[Mat]) -> Mat:
+    """The direct sum of matrices: each block on the diagonal, zeros elsewhere."""
+    out = Mat.zero(sum(b.nrows for b in blocks), sum(b.ncols for b in blocks))
+    r = c = 0
+    for b in blocks:
+        for i in range(b.nrows):
+            out.rows[r + i][c:c + b.ncols] = b.rows[i]
+        r += b.nrows
+        c += b.ncols
+    return out
+
+
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the pivot column list."""
     rows = [row[:] for row in m.rows]
@@ -217,10 +229,6 @@ def intersect_row_spaces(a: Sequence[Vector], b: Sequence[Vector], ambient: int)
                 vec = [x + coeff * y for x, y in zip(vec, basis_vec)]
         vectors.append(vec)
     return row_space_basis(vectors, ambient)
-
-
-def sum_row_spaces(a: Sequence[Vector], b: Sequence[Vector], ambient: int) -> tuple[Vector, ...]:
-    return row_space_basis(list(a) + list(b), ambient)
 
 
 def is_injective(m: Mat) -> bool:

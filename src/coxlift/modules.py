@@ -25,14 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cones import Cone, leq_sigma
 from .linalg import (
     Mat,
     Vector,
+    block_diagonal,
     coords_in_basis,
     frac_vector,
+    intersect_row_spaces,
     rref,
     row_space_basis,
     subspace_le,
@@ -88,12 +90,12 @@ class IndicatorConstraint:
     op: str  # "<=" or ">="
     bound: int
 
+    def __post_init__(self):
+        if self.op not in ("<=", ">="):
+            raise ValueError(f"unknown op {self.op!r}")
+
     def holds(self, value: int) -> bool:
-        if self.op == "<=":
-            return value <= self.bound
-        if self.op == ">=":
-            return value >= self.bound
-        raise ValueError(f"unknown op {self.op!r}")
+        return value <= self.bound if self.op == "<=" else value >= self.bound
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,7 @@ class IndicatorModule(GradedModule):
     def __post_init__(self):
         if self.style not in ("submodule", "quotient"):
             raise ValueError("style must be 'submodule' or 'quotient'")
+        object.__setattr__(self, "constraints", tuple(self.constraints))
         for c in self.constraints:
             if not 0 <= c.ray < self.cone.ray_count:
                 raise ValueError("constraint ray index out of range")
@@ -319,6 +322,18 @@ def ray_filtration(jumps: Sequence[tuple[int, Sequence[Sequence]]], ambient: int
     return RayFiltration(tuple(out))
 
 
+def intersect_ray_spaces(levels: Iterable[tuple[RayFiltration, int]],
+                         ambient: int) -> tuple[Vector, ...]:
+    """Intersection of each filtration's space at its level, inside the ambient space."""
+    current = row_space_basis(
+        [[1 if i == j else 0 for j in range(ambient)] for i in range(ambient)], ambient)
+    for rf, level in levels:
+        current = intersect_row_spaces(current, rf.space_at(level), ambient)
+        if not current:
+            return ()
+    return current
+
+
 def full_at(level: int, ambient: int) -> RayFiltration:
     return ray_filtration([(level, [[1 if i == j else 0 for j in range(ambient)]
                                     for i in range(ambient)])], ambient)
@@ -383,20 +398,9 @@ class FiltrationModule(GradedModule):
 
 @lru_cache(maxsize=None)
 def _filtration_subspace(module: FiltrationModule, m: IntVector) -> tuple[Vector, ...]:
-    from .linalg import intersect_row_spaces
-
     values = module.cone.evaluate(m)
-    current = row_space_basis(
-        [[1 if i == j else 0 for j in range(module.ambient_dim)]
-         for i in range(module.ambient_dim)],
-        module.ambient_dim,
-    )
-    for ray, rf in module.filtrations:
-        current = intersect_row_spaces(current, rf.space_at(values[ray]),
-                                       module.ambient_dim)
-        if not current:
-            return ()
-    return current
+    return intersect_ray_spaces(((rf, values[ray]) for ray, rf in module.filtrations),
+                                module.ambient_dim)
 
 
 # --------------------------------------------------------------------------
@@ -429,6 +433,7 @@ class DirectSumModule(GradedModule):
     parts: tuple[GradedModule, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise ValueError("empty direct sum")
         cone = self.parts[0].cone
@@ -445,18 +450,7 @@ class DirectSumModule(GradedModule):
         return Component(sum(c.dim for c in comps), labels)
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        blocks = [p.action(m, m_prime) for p in self.parts]
-        nrows = sum(b.nrows for b in blocks)
-        ncols = sum(b.ncols for b in blocks)
-        out = Mat.zero(nrows, ncols)
-        r = c = 0
-        for b in blocks:
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    out.rows[r + i][c + j] = b.rows[i][j]
-            r += b.nrows
-            c += b.ncols
-        return out
+        return block_diagonal([p.action(m, m_prime) for p in self.parts])
 
 
 # --------------------------------------------------------------------------
@@ -510,31 +504,28 @@ def identity_morphism(module: GradedModule) -> GradedMorphism:
                           lambda m: Mat.identity(module.component(m).dim))
 
 
-def structure_to_simple(cone: Cone) -> GradedMorphism:
-    """Canonical quotient from the structure ring onto the simple module."""
-    src = structure_module(cone)
-    tgt = simple_module(cone)
+def indicator_morphism(source: GradedModule, target: GradedModule) -> GradedMorphism:
+    """Identity wherever both components are nonzero, zero elsewhere.
+
+    Natural between indicator modules whose supports make it so, such as
+    a submodule included into the structure ring or a quotient of it.
+    """
 
     def rule(m: IntVector) -> Mat:
-        s = src.component(m).dim
-        t = tgt.component(m).dim
+        s = source.component(m).dim
+        t = target.component(m).dim
         if s and t:
             return Mat.identity(1)
         return Mat.zero(t, s)
 
-    return GradedMorphism(src, tgt, rule)
+    return GradedMorphism(source, target, rule)
+
+
+def structure_to_simple(cone: Cone) -> GradedMorphism:
+    """Canonical quotient from the structure ring onto the simple module."""
+    return indicator_morphism(structure_module(cone), simple_module(cone))
 
 
 def ideal_to_structure(cone: Cone) -> GradedMorphism:
     """Canonical inclusion of the maximal ideal into the structure ring."""
-    src = maximal_ideal_module(cone)
-    tgt = structure_module(cone)
-
-    def rule(m: IntVector) -> Mat:
-        s = src.component(m).dim
-        t = tgt.component(m).dim
-        if s and t:
-            return Mat.identity(1)
-        return Mat.zero(t, s)
-
-    return GradedMorphism(src, tgt, rule)
+    return indicator_morphism(maximal_ideal_module(cone), structure_module(cone))

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from coxlift import cli
 from coxlift.cli import main, parse_box
 from coxlift.instances import simple_lift_law
 from coxlift.jsonio import load_cone, load_diagram, load_module, parse_fraction
@@ -128,3 +132,43 @@ def test_error_exit_codes(inputs, capsys):
     assert main(["check", "nosuchsuite"]) == 2
     assert main(["lift-table", "--cone", str(inputs / "cone.json"),
                  "--module", str(inputs / "simple.json"), "--box=0..1,0..1"]) == 2
+
+
+def test_missing_module_key_is_an_input_error(inputs, capsys):
+    module = inputs / "no_style.json"
+    module.write_text(json.dumps({"type": "indicator", "constraints": []}))
+    assert main(["lift-table", "--cone", str(inputs / "cone.json"),
+                 "--module", str(module), "--box=0..0"]) == 2
+    assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [KeyError("(0, 2)"), AssertionError("bad state")])
+def test_internal_errors_exit_3(inputs, capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "lift_table", broken)
+    assert main(["lift-table", "--cone", str(inputs / "cone.json"),
+                 "--module", str(inputs / "simple.json"), "--box=0..0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {type(exc).__name__}: ")
+    assert err.count("\n") == 1
+
+
+def test_make_inputs_feeds_the_cli(tmp_path, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_inputs.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True,
+                   capture_output=True)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    cones = [n for n in written if n.startswith("cone_")]
+    modules = [n for n in written if n.startswith("module_")]
+    diagrams = [n for n in written if n.startswith("diagram_")]
+    assert sorted(cones + modules + diagrams) == written
+    assert cones and modules and diagrams
+    for cone in cones:
+        for module in modules:
+            assert main(["lift-table", "--cone", str(tmp_path / cone),
+                         "--module", str(tmp_path / module), "--box=-1..0"]) == 0
+    for diagram in diagrams:
+        assert main(["roos", "--diagram", str(tmp_path / diagram)]) == 0
+    assert capsys.readouterr().err == ""

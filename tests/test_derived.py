@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coxlift.derived import (
     FinitePosetDiagram,
@@ -10,6 +12,7 @@ from coxlift.derived import (
     order_complex_cohomology,
     roos_limits,
     truncated_lift_oracle,
+    transitive_closure,
     truncation_points,
 )
 from coxlift.instances import TEST_CONES, random_module
@@ -86,6 +89,40 @@ def test_diagram_fills_composites():
     diag = FinitePosetDiagram.from_maps(["a", "b", "c"], [(0, 1), (1, 2)],
                                         [1, 1, 1], maps)
     assert diag.transport(0, 2).rows == [[6]]
+
+
+def test_from_maps_composes_along_covers_in_any_call_order():
+    covers = {(k, k + 1): Mat.from_rows([[k + 2]]) for k in range(4)}
+    diag = FinitePosetDiagram.from_maps(list(range(5)), list(covers), [1] * 5,
+                                        covers, validate=False)
+    assert diag.transport(0, 4).rows == [[2 * 3 * 4 * 5]]
+    assert diag.transport(1, 3).rows == [[3 * 4]]
+
+
+def test_transitivity_enforced():
+    with pytest.raises(ValueError, match=r"\(0, 2\)"):
+        FinitePosetDiagram([0, 1, 2], {(0, 1), (1, 2)}, [1, 1, 1],
+                           lambda i, j: Mat.identity(1))
+
+
+def _warshall(n, pairs):
+    reach = [[(i, j) in pairs for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    return {(i, j) for i in range(n) for j in range(n) if reach[i][j] and i != j}
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda p: p[0] < p[1])))))
+def test_transitive_closure_matches_warshall(case):
+    n, pairs = case
+    closed = transitive_closure(pairs)
+    assert closed == _warshall(n, pairs)
+    assert all(a != b for a, b in closed)
 
 
 def test_antisymmetry_enforced():

@@ -1,5 +1,6 @@
 import pytest
 
+from coxlift import lifting
 from coxlift.instances import (
     all_variant_modules,
     codivisorial_lift_law,
@@ -25,6 +26,10 @@ from coxlift.lifting import (
 )
 from coxlift.linalg import is_isomorphism, rank
 from coxlift.modules import (
+    DirectSumModule,
+    GradedModule,
+    IndicatorConstraint,
+    IndicatorModule,
     codivisorial_module,
     maximal_ideal_module,
     simple_module,
@@ -216,6 +221,49 @@ def test_lift_table_composition(csq):
     via_table = table.act(c, c2)
     direct = lift_action(csq, cod, c, c2)
     assert via_table.rows == direct.rows
+
+
+def test_lift_table_builds_restriction_maps_only_when_read(csq, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:4])
+        return lift_action(*args, **kwargs)
+
+    monkeypatch.setattr(lifting, "lift_action", counting)
+    cod = codivisorial_module(csq, (0, 0, 0, 0), (1, 3))
+    box = Box((-1, 0, -1, 0), (0, 1, 0, 1))
+    table = lift_table(csq, cod, box)
+    assert calls == []
+    edges = {(c, axis) for c in box.degrees() for axis in range(4)
+             if tuple(x + (i == axis) for i, x in enumerate(c)) in box}
+    assert set(table.steps) == edges
+    for (c, axis), mat in table.steps.items():
+        nxt = tuple(x + (i == axis) for i, x in enumerate(c))
+        assert mat == lift_action(csq, cod, c, nxt)
+
+
+def test_lift_component_caches_list_built_modules(csq):
+    cons = [IndicatorConstraint(i, ">=", 0) for i in range(4)]
+    ring = IndicatorModule(csq, "submodule", cons)
+    assert lift_component(csq, ring, (0, 0, 0, 0)) is lift_component(csq, ring, (0, 0, 0, 0))
+    both = DirectSumModule([ring, simple_module(csq)])
+    assert lift_component(csq, both, (0, 0, 0, 0)) is lift_component(csq, both, (0, 0, 0, 0))
+
+
+def test_lift_component_runs_once_when_the_module_raises_type_error(orthant):
+    calls = []
+
+    class Raising(GradedModule):
+        cone = orthant
+
+        def _component(self, m):
+            calls.append(m)
+            raise TypeError("raised inside the computation")
+
+    with pytest.raises(TypeError):
+        lift_component(orthant, Raising(), (0, 0))
+    assert len(calls) == 1
 
 
 def test_quotient_cone_lift_dims(quotient2):

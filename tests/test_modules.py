@@ -70,6 +70,11 @@ def test_indicator_style_validation(csq, orthant):
         validate_indicator_style(bad)
 
 
+def test_indicator_constraint_rejects_unknown_op():
+    with pytest.raises(ValueError):
+        IndicatorConstraint(0, "<", 0)
+
+
 def test_fp_no_relations_counts_generators(csq):
     gens = ((0, 0, 0), (1, 0, 1), (-1, 0, 0))
     mod = FinitelyPresentedModule(csq, gens)
