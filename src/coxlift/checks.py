@@ -8,6 +8,20 @@ class groups, derived limits over finite posets, and colimit ranks.
 
 A suite returns a report listing each assertion with its expected and
 actual value; any mismatch makes the report (and the CLI) fail.
+
+These suites are the only encoding of the acceptance criteria;
+``tests/test_acceptance.py`` runs each of them.  Criteria by suite:
+
+* c01 simple-module lift law: ``klifting``;
+* c02 codivisorial lift law: ``liftex``;
+* c03 ideal and structure laws: ``ideal``;
+* c04 left-exactness and cokernels: ``exactness``;
+* c05 oracle agreement and c08 derived-limit engine: ``roos``;
+* c06 filtration equivalence, c11 injective restrictions and
+  c12 intersection completion: ``klyachko``;
+* c07 smooth identity and round trips: ``roundtrip``;
+* c09 class groups: ``classgroups``;
+* c10 colimit ranks: ``colimit``.
 """
 
 from __future__ import annotations
@@ -54,6 +68,7 @@ from .lifting import (
     counit_matrix,
     lift_component,
     lift_morphism,
+    lift_table,
     unit_map,
 )
 from .linalg import Mat, is_injective, is_isomorphism, rank
@@ -120,7 +135,7 @@ def check_liftex() -> CheckReport:
     mismatches = []
     for c1 in range(-4, 3):
         for c3 in range(-4, 3):
-            if not -4 <= c1 + c3 <= 2:
+            if c1 + c3 < -4:
                 continue
             got = lift_component(CONE_OVER_SQUARE, cod, (c1, 0, c3, 0)).dim
             if got != codivisorial_lift_law(c1, c3):
@@ -231,12 +246,10 @@ def check_klyachko() -> CheckReport:
                [], failures)
 
     bad_inj = []
-    for cone in (CONE_OVER_SQUARE, QUOTIENT2):
+    for cone in (CONE_OVER_SQUARE, QUOTIENT2, ORTHANT2):
         box = Box((-2,) * cone.ray_count, (2,) * cone.ray_count)
         mods = [maximal_ideal_module(cone),
                 filtration_module(cone, random_reflexive_description(cone, rng))]
-        from .lifting import lift_table
-
         for module in mods:
             table = lift_table(cone, module, box)
             for (c, axis), mat in table.steps.items():
@@ -248,7 +261,8 @@ def check_klyachko() -> CheckReport:
     out = realized_components(CONE_OVER_SQUARE, desc3,
                               Box((-1,) * 4, (1,) * 4))
     rep.expect("generic rank-3 arrangement gains intersections under lifting",
-               True, len(out.unrealized_on_base) > 0)
+               True, len(out.unrealized_on_base) > 0
+               and set(out.base_realized) <= set(out.lift_realized))
     desc3o = generic_plane_description(2)
     out_o = realized_components(ORTHANT2, desc3o, Box((-1, -1), (1, 1)))
     rep.expect("smooth chart realizes every intersection already",
@@ -358,7 +372,7 @@ def check_colimit() -> CheckReport:
         desc = random_reflexive_description(cone, rng)
         module = filtration_module(cone, desc)
         res = colimit(cone, module)
-        if res.dim != desc.ambient_dim:
+        if not res.stabilized or res.dim != desc.ambient_dim:
             bad.append((trial, res.dim, desc.ambient_dim))
     rep.expect("filtration colimit equals the ambient dimension", [], bad)
 

@@ -193,6 +193,8 @@ def _strict_chains(diagram: FinitePosetDiagram, length: int) -> list[tuple[int, 
 
 def roos_limits(diagram: FinitePosetDiagram, imax: int) -> RoosResult:
     """Dimensions of the derived limits lim^0 .. lim^imax."""
+    if imax < 0:
+        raise ValueError(f"imax must be nonnegative, got {imax}")
     chain_levels = [_strict_chains(diagram, p + 1) for p in range(imax + 2)]
     offsets_per_level: list[dict[tuple[int, ...], int]] = []
     cochain_dims = []

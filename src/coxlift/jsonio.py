@@ -23,6 +23,7 @@ from typing import Any
 
 from .cones import Cone
 from .derived import FinitePosetDiagram
+from .lattice import int_matrix
 from .lifting import LiftComponent
 from .linalg import Mat
 from .modules import (
@@ -52,41 +53,56 @@ def fraction_out(x: Fraction):
 
 def load_cone(obj: dict) -> Cone:
     try:
-        return Cone(int(obj["lattice_rank"]), tuple(tuple(r) for r in obj["rays"]))
+        rank = int(obj["lattice_rank"])
+        rays = int_matrix(obj["rays"])
     except KeyError as exc:
         raise ValueError(f"cone JSON is missing {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"cone JSON is malformed: {exc}") from exc
+    return Cone(rank, rays)
+
+
+def _degree(values) -> tuple[int, ...]:
+    return tuple(int(x) for x in values)
 
 
 def load_module(obj: dict, cone: Cone) -> GradedModule:
     try:
         kind = obj.get("type")
         if kind == "finitely_presented":
-            gens = tuple(tuple(g["degree"]) for g in obj.get("generators", []))
+            gens = tuple(_degree(g["degree"]) for g in obj.get("generators", []))
             rels = tuple(
-                Relation(tuple(rel["degree"]),
+                Relation(_degree(rel["degree"]),
                          tuple(parse_fraction(x) for x in rel["coeffs"]))
                 for rel in obj.get("relations", [])
             )
-            return FinitelyPresentedModule(cone, gens, rels)
-        if kind == "indicator":
+        elif kind == "indicator":
             cons = tuple(
                 IndicatorConstraint(int(c["ray"]), str(c["op"]), int(c["bound"]))
                 for c in obj.get("constraints", [])
             )
-            exclude = tuple(tuple(p) for p in obj.get("exclude", []))
-            return IndicatorModule(cone, str(obj["style"]), cons, exclude)
-        if kind == "filtration":
+            exclude = tuple(_degree(p) for p in obj.get("exclude", []))
+            style = str(obj["style"])
+        elif kind == "filtration":
             ambient = int(obj["ambient_dim"])
             filts = []
             for ray, jumps in obj["filtrations"].items():
                 data = [(int(j["level"]),
                          [[parse_fraction(x) for x in v] for v in j["basis"]])
                         for j in jumps]
-                filts.append((int(ray), ray_filtration(data, ambient)))
-            return FiltrationModule(cone, ambient, tuple(filts))
-        raise ValueError(f"unknown module type {kind!r}")
+                filts.append((int(ray), data))
+        else:
+            raise ValueError(f"unknown module type {kind!r}")
     except KeyError as exc:
         raise ValueError(f"module JSON is missing {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"module JSON is malformed: {exc}") from exc
+    if kind == "finitely_presented":
+        return FinitelyPresentedModule(cone, gens, rels)
+    if kind == "indicator":
+        return IndicatorModule(cone, style, cons, exclude)
+    return FiltrationModule(cone, ambient, tuple((ray, ray_filtration(data, ambient))
+                                                 for ray, data in filts))
 
 
 def load_diagram(obj: dict) -> FinitePosetDiagram:
@@ -104,6 +120,8 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
             )
     except KeyError as exc:
         raise ValueError(f"diagram JSON is missing {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"diagram JSON is malformed: {exc}") from exc
     return FinitePosetDiagram.from_maps(elements, pairs, dims, maps)
 
 

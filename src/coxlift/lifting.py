@@ -481,15 +481,20 @@ def lift_table(cone: Cone, module: GradedModule, box: Box, jobs: int = 1) -> Lif
     Workers get disjoint degree chunks and the coordinator merges in
     degree order, so output does not depend on the pool width.  The
     restriction maps are left to ``LiftTable.steps``, built on first read.
+    The pool starts all its workers at once, so it is never wider than
+    the number of degrees.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     degrees = list(box.degrees())
+    workers = min(jobs, len(degrees))
     components: dict[IntVector, LiftComponent] = {}
-    if jobs > 1 and len(degrees) > 1:
+    if workers > 1:
         try:
             import concurrent.futures as cf
 
-            chunks = [degrees[i::jobs] for i in range(jobs)]
-            with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = [degrees[i::workers] for i in range(workers)]
+            with cf.ProcessPoolExecutor(max_workers=workers) as pool:
                 for part in pool.map(_table_chunk,
                                      [(cone, module, ch) for ch in chunks]):
                     for c, comp in part:

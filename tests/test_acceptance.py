@@ -1,248 +1,59 @@
-"""Acceptance criteria, one test per criterion, all exact.
+"""Acceptance criteria: every ``coxlift check`` suite must pass.
 
-Every test prints a single PASS line on success (visible with -s or in
-the captured output summary); any failure is a hard assertion error.
-The same families of assertions are reachable from the command line via
-``coxlift check <suite>``.
+The criteria are encoded once, in ``coxlift.checks``; its module
+docstring maps criteria c01-c12 to suites.  A failing suite shows its
+whole report, one line per assertion.
+
+The ``roos`` and ``klyachko`` suites each carry several criteria, so
+those criteria also get a test of their own that reads the assertions
+of that criterion from the suite's report.  Each suite runs once.
 """
 
-import random
+import functools
 
-from coxlift.derived import connecting_cokernel, ideal_sequence, truncated_lift_oracle
-from coxlift.fans import FanData, class_group
-from coxlift.instances import (
-    CONE_OVER_SQUARE,
-    ORTHANT2,
-    QUOTIENT2,
-    TEST_CONES,
-    all_variant_modules,
-    codivisorial_lift_law,
-    generic_plane_description,
-    ideal_lift_law,
-    random_module,
-    random_reflexive_description,
-    simple_lift_law,
-    structure_lift_law,
-)
-from coxlift.klyachko import (
-    filtration_lift_component,
-    filtration_module,
-    lift_subspace_in_ambient,
-    realized_components,
-)
-from coxlift.lifting import (
-    Box,
-    ShiftedCoxRule,
-    colimit,
-    colimit_of_lift,
-    counit_matrix,
-    lift_component,
-    lift_morphism,
-    lift_table,
-    unit_map,
-)
-from coxlift.linalg import is_injective, is_isomorphism, rank, subspace_eq
-from coxlift.modules import (
-    codivisorial_module,
-    maximal_ideal_module,
-    simple_module,
-    structure_module,
-)
+import pytest
 
-CSQ = CONE_OVER_SQUARE
+from coxlift.checks import SUITES, run_suite
+
+_report = functools.cache(run_suite)
 
 
-def _report(n, text):
-    print(f"PASS criterion {n}: {text}")
+def _assert_criterion(suite, *labels):
+    """The named assertions of ``suite`` are all present and all hold."""
+    report = _report(suite)
+    picked = [a for a in report.assertions if a.label in labels]
+    assert sorted(a.label for a in picked) == sorted(labels)
+    assert all(a.ok for a in picked), "\n".join(report.lines())
 
 
-def test_c01_simple_module_lift_law():
-    K = simple_module(CSQ)
-    checked = 0
-    for c in Box((-3,) * 4, (3,) * 4).degrees():
-        assert lift_component(CSQ, K, c).dim == simple_lift_law(c), c
-        checked += 1
-    assert checked == 2401
-    _report(1, f"simple-module lift law exact on all {checked} degrees of [-3,3]^4")
-
-
-def test_c02_codivisorial_lift_law():
-    cod = codivisorial_module(CSQ, (0, 0, 0, 0), (1, 3))
-    checked = 0
-    for c1 in range(-4, 3):
-        for c3 in range(-4, 3):
-            if c1 + c3 < -4:
-                continue
-            c = (c1, 0, c3, 0)
-            assert lift_component(CSQ, cod, c).dim == codivisorial_lift_law(c1, c3), c
-            checked += 1
-    _report(2, f"codivisorial lift dims equal 1-c1-c3 (and 0 past the wall) "
-               f"on {checked} degrees")
-
-
-def test_c03_ideal_and_structure_laws():
-    mm = maximal_ideal_module(CSQ)
-    rr = structure_module(CSQ)
-    for c in Box((-2,) * 4, (2,) * 4).degrees():
-        assert lift_component(CSQ, mm, c).dim == ideal_lift_law(c), c
-        assert lift_component(CSQ, rr, c).dim == structure_lift_law(c), c
-    _report(3, "ideal lift is the monomial ideal and structure lift is the "
-               "Cox ring over [-2,2]^4")
-
-
-def test_c04_left_exactness_and_cokernels():
-    seq = ideal_sequence(CSQ)
-    for c in Box((-2,) * 4, (2,) * 4).degrees():
-        g = lift_morphism(CSQ, seq.project, c)
-        assert lift_component(CSQ, seq.sub, c).dim == g.ncols - rank(g), c
-    for k in (1, 2, 3):
-        assert connecting_cokernel(CSQ, seq, (-k, 0, 0, 0)) == 1
-    assert connecting_cokernel(CSQ, seq, (-1, 0, 0, 0)) == 1
-    assert connecting_cokernel(CSQ, seq, (0, 0, 0, 0)) == 0
-    _report(4, "kernel dims match the ideal lift everywhere; cokernel dim 1 "
-               "at (-k,0,0,0) for k=1..3")
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite(name):
+    report = _report(name)
+    assert report.ok, "\n".join(report.lines())
 
 
 def test_c05_oracle_equivalence():
-    rng = random.Random(5)
-    count = 0
-    while count < 50:
-        cone = TEST_CONES[count % len(TEST_CONES)]
-        module = random_module(cone, rng)
-        c = tuple(rng.randint(-2, 2) for _ in range(cone.ray_count))
-        probe = truncated_lift_oracle(cone, module, c, 0, imax=0)
-        rep = truncated_lift_oracle(cone, module, c,
-                                    probe.certification_bound, imax=0)
-        assert rep.certified
-        assert rep.limit_dims[0] == lift_component(cone, module, c).dim, (count, c)
-        count += 1
-    _report(5, "truncated limit oracle agrees with the limit engine on 50 "
-               "randomized (module, degree) pairs over three cones")
+    _assert_criterion("roos", "oracle agreement on 50 randomized (module, degree) pairs")
 
 
 def test_c06_filtration_equivalence():
-    rng = random.Random(6)
-    for trial in range(20):
-        cone = CSQ if trial % 2 == 0 else (QUOTIENT2 if trial % 4 == 1 else ORTHANT2)
-        desc = random_reflexive_description(cone, rng)
-        box = Box((-2,) * cone.ray_count, (2,) * cone.ray_count)
-        module = filtration_module(cone, desc)
-        for c in box.degrees():
-            comp = lift_component(cone, module, c)
-            assert subspace_eq(lift_subspace_in_ambient(module, comp),
-                               filtration_lift_component(desc, c)), (trial, c)
-    _report(6, "lift equals the ray-space intersection as subspaces for 20 "
-               "random full filtrations over [-2,2]^n")
-
-
-def test_c07_smooth_identity_and_round_trips():
-    for module in all_variant_modules(ORTHANT2):
-        for c in Box((-2, -2), (2, 2)).degrees():
-            assert lift_component(ORTHANT2, module, c).dim == module.component(c).dim
-    rng = random.Random(7)
-    for cone in TEST_CONES:
-        for module in all_variant_modules(cone):
-            for _ in range(4):
-                m = tuple(rng.randint(-2, 2) for _ in range(cone.lattice_rank))
-                assert is_isomorphism(counit_matrix(cone, module, m))
-    for shift in [(0, 0, 0, 0), (1, 0, -1, 0), (-1, 2, 0, 1)]:
-        rule = ShiftedCoxRule(4, shift)
-        for c in Box((-2,) * 4, (2,) * 4).degrees():
-            assert is_isomorphism(unit_map(CSQ, rule, c)), (shift, c)
-    _report(7, "smooth-cone re-indexing, counit isomorphisms, and unit "
-               "isomorphisms for shifted Cox rules")
+    _assert_criterion("klyachko",
+                      "lift equals ray-space intersection for 20 random descriptions")
 
 
 def test_c08_roos_engine():
-    from coxlift.derived import (FinitePosetDiagram, order_complex_cohomology,
-                                 roos_limits, truncation_points)
-    from coxlift.linalg import Mat
-
-    rng = random.Random(8)
-    for trial in range(5):
-        cone = TEST_CONES[trial % len(TEST_CONES)]
-        module = random_module(cone, rng)
-        m0 = tuple(rng.randint(-1, 1) for _ in range(cone.lattice_rank))
-        pts = truncation_points(cone, cone.evaluate(m0), 2)
-        diag = FinitePosetDiagram.from_module(cone, module, pts)
-        assert roos_limits(diag, 2).limit_dims == (module.component(m0).dim, 0, 0)
-    crown = FinitePosetDiagram(["a", "b", "c", "d"],
-                               {(0, 2), (0, 3), (1, 2), (1, 3)},
-                               [1, 1, 1, 1], lambda i, j: Mat.identity(1))
-    assert roos_limits(crown, 1).limit_dims == (1, 1)
-    for trial in range(10):
-        n = rng.randint(3, 10)
-        rel = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.3:
-                    rel.add((i, j))
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and a != d and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
-        diag = FinitePosetDiagram(list(range(n)), rel, [1] * n,
-                                  lambda i, j: Mat.identity(1))
-        assert roos_limits(diag, 2).limit_dims == order_complex_cohomology(n, rel, 2)
-    _report(8, "initial-object vanishing, crown circle cohomology, and "
-               "simplicial agreement on 10 random posets")
-
-
-def test_c09_class_groups():
-    p2 = FanData(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
-    cg = class_group(p2)
-    assert (cg.free_rank, cg.torsion) == (1, ())
-    assert len({cg.degree(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))}) == 1
-    p1p1 = FanData(2, ((1, 0), (-1, 0), (0, 1), (0, -1)),
-                   ((0, 2), (1, 2), (1, 3), (0, 3)))
-    assert class_group(p1p1).free_rank == 2
-    one_cone = FanData(3, CSQ.rays, ((0, 1, 2, 3),))
-    assert (class_group(one_cone).free_rank, class_group(one_cone).torsion) == (1, ())
-    _report(9, "class groups Z with degree map (1,1,1), Z^2, and Z via SNF")
-
-
-def test_c10_colimit_ranks():
-    rng = random.Random(10)
-    for trial in range(4):
-        desc = random_reflexive_description(CSQ, rng)
-        module = filtration_module(CSQ, desc)
-        res = colimit(CSQ, module)
-        assert res.stabilized and res.dim == desc.ambient_dim
-    for module in (simple_module(CSQ), maximal_ideal_module(CSQ),
-                   structure_module(CSQ),
-                   filtration_module(CSQ, random_reflexive_description(CSQ, rng))):
-        a = colimit(CSQ, module)
-        b = colimit_of_lift(CSQ, module)
-        assert a.stabilized and b.stabilized and a.dim == b.dim
-    _report(10, "filtration colimits equal the ambient dimension and match "
-                "the lifted-table colimits")
+    _assert_criterion("roos",
+                      "crown constant diagram lim dims",
+                      "posets with a minimum have vanishing higher limits",
+                      "constant diagrams match simplicial cohomology on 10 random posets")
 
 
 def test_c11_torsion_free_restrictions_injective():
-    rng = random.Random(11)
-    for cone in (CSQ, QUOTIENT2, ORTHANT2):
-        box = Box((-2,) * cone.ray_count, (2,) * cone.ray_count)
-        modules = [maximal_ideal_module(cone),
-                   filtration_module(cone, random_reflexive_description(cone, rng))]
-        for module in modules:
-            table = lift_table(cone, module, box)
-            for (c, axis), mat in table.steps.items():
-                assert is_injective(mat), (type(module).__name__, c, axis)
-    _report(11, "every one-step restriction map on [-2,2]^n is injective for "
-                "filtration and submodule-indicator inputs")
+    _assert_criterion("klyachko",
+                      "all restriction maps injective for torsion-free inputs")
 
 
 def test_c12_intersection_completion():
-    desc = generic_plane_description(4)
-    out = realized_components(CSQ, desc, Box((-1,) * 4, (1,) * 4))
-    assert set(out.base_realized) <= set(out.lift_realized)
-    assert len(out.unrealized_on_base) > 0
-    desc2 = generic_plane_description(2)
-    out2 = realized_components(ORTHANT2, desc2, Box((-1, -1), (1, 1)))
-    assert out2.unrealized_on_base == ()
-    _report(12, "generic rank-3 filtrations gain intersections under lifting; "
-                "the smooth chart gains none")
+    _assert_criterion("klyachko",
+                      "generic rank-3 arrangement gains intersections under lifting",
+                      "smooth chart realizes every intersection already")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coxlift import cli
+from coxlift import checks, cli
 from coxlift.cli import main, parse_box
 from coxlift.instances import simple_lift_law
 from coxlift.jsonio import load_cone, load_diagram, load_module, parse_fraction
@@ -116,10 +117,46 @@ def test_roos_command(inputs, capsys):
     assert payload["limit_dims"] == [1, 1]
 
 
+def test_lift_table_pool_is_no_wider_than_the_box(inputs, monkeypatch):
+    widths = []
+
+    class RecordingPool:  # runs the chunks in this process, so no worker starts
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    args = ["lift-table", "--cone", str(inputs / "cone.json"),
+            "--module", str(inputs / "simple.json"), "--box=0..0,0..0,0..0,0..1"]
+    assert main(args + ["--jobs", "8"]) == 0
+    assert widths == [2]
+
+
 def test_check_command(capsys):
     assert main(["check", "classgroups"]) == 0
     out = capsys.readouterr().out
     assert "PASS suite classgroups" in out
+
+
+def test_failed_check_exits_1(monkeypatch, capsys):
+    def failing():
+        report = checks.CheckReport("classgroups")
+        report.expect("one equals two", 1, 2)
+        return report
+
+    monkeypatch.setitem(checks.SUITES, "classgroups", failing)
+    assert main(["check", "classgroups"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL ") for line in lines[:-1])
+    assert lines[-1].startswith("FAIL suite classgroups")
 
 
 def test_error_exit_codes(inputs, capsys):
@@ -132,6 +169,11 @@ def test_error_exit_codes(inputs, capsys):
     assert main(["check", "nosuchsuite"]) == 2
     assert main(["lift-table", "--cone", str(inputs / "cone.json"),
                  "--module", str(inputs / "simple.json"), "--box=0..1,0..1"]) == 2
+    for jobs in ("0", "-1"):
+        assert main(["lift-table", "--cone", str(inputs / "cone.json"),
+                     "--module", str(inputs / "simple.json"), "--box=0..0",
+                     "--jobs", jobs]) == 2
+    assert main(["roos", "--diagram", str(inputs / "crown.json"), "--imax", "-1"]) == 2
 
 
 def test_missing_module_key_is_an_input_error(inputs, capsys):
@@ -140,6 +182,28 @@ def test_missing_module_key_is_an_input_error(inputs, capsys):
     assert main(["lift-table", "--cone", str(inputs / "cone.json"),
                  "--module", str(module), "--box=0..0"]) == 2
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, payload", [
+    ("--cone", {"lattice_rank": 3, "rays": 5}),
+    ("--module", {"type": "indicator", "style": "quotient",
+                  "constraints": [{"ray": 0, "op": "<=", "bound": [1]}]}),
+    ("--cone", [1, 2]),
+    ("--module", [1, 2]),
+    ("--diagram", [1, 2]),
+])
+def test_wrongly_typed_json_is_an_input_error(inputs, capsys, flag, payload):
+    bad = inputs / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if flag == "--diagram":
+        argv = ["roos", "--diagram", str(bad)]
+    else:
+        files = {"--cone": inputs / "cone.json", "--module": inputs / "simple.json",
+                 flag: bad}
+        argv = ["lift-table", "--cone", str(files["--cone"]),
+                "--module", str(files["--module"]), "--box=0..0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("exc", [KeyError("(0, 2)"), AssertionError("bad state")])
