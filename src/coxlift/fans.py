@@ -6,20 +6,19 @@ M -> Z^rays, split via Smith normal form; the global lift of a
 reflexive description at a Cox degree is the intersection of all ray
 spaces, with per-chart sections given by the sub-intersections.
 
-Validation is deliberately shallow: strict convexity per maximal cone
-(no nonzero nonnegative relation among its rays) and a supporting
-functional for each shared ray set, searched in a bounded coefficient
-cube.  Global lifting is implemented only for reflexive descriptions,
-where the intersection formula makes chart gluing automatic.
+Validation is exact: strict convexity per maximal cone (no nonzero
+nonnegative relation among its rays) and a separating functional for
+each pair of maximal cones, decided by Motzkin's transposition theorem.
+Global lifting is implemented only for reflexive descriptions, where the
+intersection formula makes chart gluing automatic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
-from .cones import Cone, positive_relation_exists
+from .cones import Cone, minimal_nonneg_solutions, positive_relation_exists
 from .lattice import (
     IntMatrix,
     IntVector,
@@ -58,39 +57,37 @@ class FanData:
                 raise ValueError("maximal cone has an out-of-range ray index")
             if positive_relation_exists([rays[i] for i in mc]):
                 raise ValueError(f"cone {mc} is not strictly convex")
-        _check_shared_faces(self.lattice_rank, rays, cones)
+        _check_shared_faces(rays, cones)
 
     @property
     def ray_count(self) -> int:
         return len(self.rays)
 
 
-def _check_shared_faces(d: int, rays: IntMatrix, cones, radius: int = 4) -> None:
-    """Find a supporting functional for each pair of maximal cones.
+def _check_shared_faces(rays: IntMatrix, cones) -> None:
+    """Find a separating functional for each pair of maximal cones.
 
-    Looks for m with <m, ray> = 0 on the shared rays, positive on the
-    rest of one cone and negative on the rest of the other, searching
-    integer coefficients in [-radius, radius]^d.
+    Cones a and b are separated by m with <m, ray> = 0 on the shared rays,
+    positive on the rest of a and negative on the rest of b.  By Motzkin's
+    transposition theorem no such m exists exactly when a nonnegative
+    relation among the columns r_i (i only in a), -r_j (j only in b) and
+    +r_k, -r_k (k shared) puts weight on some r_i or -r_j.  Every such
+    relation is a sum of minimal ones, so the minimal relations decide.
     """
     for a in range(len(cones)):
         for b in range(a + 1, len(cones)):
-            common = set(cones[a]) & set(cones[b])
+            common = [i for i in cones[a] if i in cones[b]]
             only_a = [i for i in cones[a] if i not in common]
             only_b = [i for i in cones[b] if i not in common]
             if not only_a and not only_b:
                 raise ValueError(f"maximal cones {cones[a]} and {cones[b]} coincide")
-            found = False
-            for m in product(range(-radius, radius + 1), repeat=d):
-                if all(sum(r * x for r, x in zip(rays[i], m)) == 0 for i in common) \
-                        and all(sum(r * x for r, x in zip(rays[i], m)) > 0 for i in only_a) \
-                        and all(sum(r * x for r, x in zip(rays[i], m)) < 0 for i in only_b):
-                    found = True
-                    break
-            if not found:
+            columns = ([rays[i] for i in only_a]
+                       + [tuple(-x for x in rays[j]) for j in only_b + common]
+                       + [rays[k] for k in common])
+            strict = len(only_a) + len(only_b)
+            if any(any(sol[:strict]) for sol in minimal_nonneg_solutions(columns)):
                 raise ValueError(
-                    f"no separating functional for cones {cones[a]} and {cones[b]} "
-                    f"within radius {radius}")
-
+                    f"no separating functional for cones {cones[a]} and {cones[b]}")
 
 @dataclass(frozen=True)
 class ClassGroupData:
@@ -127,10 +124,6 @@ class ChartReduction:
 class ChartData:
     cone: Cone
     reduction: Optional[ChartReduction]
-
-    @property
-    def working_cone(self) -> Cone:
-        return self.reduction.reduced_cone if self.reduction else self.cone
 
 
 def affine_chart(fan: FanData, cone_index: int) -> ChartData:

@@ -11,8 +11,9 @@ Module:  {"type": "finitely_presented", "generators": [{"degree": [...]}],
 Diagram: {"elements": [ids], "leq": [[i, j]], "dims": {id: n},
           "maps": {"i->j": [[...]]}}
 
-Rationals are written as numbers when integral and as "p/q" strings
-otherwise.
+Integer fields accept JSON integers only; a float, boolean or string
+there is an input error, never truncated.  Rationals are written as
+numbers when integral and as "p/q" strings otherwise.
 """
 
 from __future__ import annotations
@@ -51,9 +52,16 @@ def fraction_out(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _int(x) -> int:
+    """A JSON integer; booleans, floats and strings are rejected, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def load_cone(obj: dict) -> Cone:
     try:
-        rank = int(obj["lattice_rank"])
+        rank = _int(obj["lattice_rank"])
         rays = int_matrix(obj["rays"])
     except KeyError as exc:
         raise ValueError(f"cone JSON is missing {exc}") from exc
@@ -63,7 +71,7 @@ def load_cone(obj: dict) -> Cone:
 
 
 def _degree(values) -> tuple[int, ...]:
-    return tuple(int(x) for x in values)
+    return tuple(_int(x) for x in values)
 
 
 def load_module(obj: dict, cone: Cone) -> GradedModule:
@@ -78,16 +86,16 @@ def load_module(obj: dict, cone: Cone) -> GradedModule:
             )
         elif kind == "indicator":
             cons = tuple(
-                IndicatorConstraint(int(c["ray"]), str(c["op"]), int(c["bound"]))
+                IndicatorConstraint(_int(c["ray"]), str(c["op"]), _int(c["bound"]))
                 for c in obj.get("constraints", [])
             )
             exclude = tuple(_degree(p) for p in obj.get("exclude", []))
             style = str(obj["style"])
         elif kind == "filtration":
-            ambient = int(obj["ambient_dim"])
+            ambient = _int(obj["ambient_dim"])
             filts = []
             for ray, jumps in obj["filtrations"].items():
-                data = [(int(j["level"]),
+                data = [(_int(j["level"]),
                          [[parse_fraction(x) for x in v] for v in j["basis"]])
                         for j in jumps]
                 filts.append((int(ray), data))
@@ -110,7 +118,7 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
         elements = [str(e) for e in obj["elements"]]
         index = {e: i for i, e in enumerate(elements)}
         pairs = [(index[str(i)], index[str(j)]) for i, j in obj["leq"]]
-        dims = [int(obj["dims"][e]) for e in elements]
+        dims = [_int(obj["dims"][e]) for e in elements]
         maps = {}
         for key, rows in obj.get("maps", {}).items():
             a, b = key.split("->")

@@ -12,9 +12,10 @@ All functions here are pure and safe to call from concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .linalg import Mat, rank as q_rank
+from .linalg import Mat, rank as q_rank, rref
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -179,8 +180,6 @@ def unimodular_inverse(u: IntMatrix) -> IntMatrix:
     n = len(u)
     aug = Mat.from_rows([list(row) + [1 if i == j else 0 for j in range(n)]
                          for i, row in enumerate(u)])
-    from .linalg import rref
-
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is not invertible")
@@ -222,15 +221,9 @@ def lattice_membership(b: IntMatrix, v: Sequence[int]) -> Optional[IntVector]:
     return imat_vec(snf.V, z)
 
 
-_SNF_CACHE: dict[IntMatrix, SnfResult] = {}
-
-
+@lru_cache(maxsize=None)
 def _snf_cached(a: IntMatrix) -> SnfResult:
-    res = _SNF_CACHE.get(a)
-    if res is None:
-        res = smith_normal_form(a)
-        _SNF_CACHE[a] = res
-    return res
+    return smith_normal_form(a)
 
 
 def int_kernel_basis(a: IntMatrix) -> tuple[IntVector, ...]:

@@ -64,10 +64,6 @@ class LiftComponent:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.block_dims)
-
     def block_slice(self, i: int) -> slice:
         start = sum(self.block_dims[:i])
         return slice(start, start + self.block_dims[i])
@@ -107,12 +103,7 @@ def _lift_component(cone: Cone, module: GradedModule, c: IntVector) -> LiftCompo
                         row[offsets[j] + col] -= aj.rows[r][col]
                     if any(row):
                         rows.append(row)
-    if rows:
-        kern = kernel_basis(Mat(len(rows), total, rows))
-    else:
-        kern = [tuple(Fraction(1) if k == t else Fraction(0) for k in range(total))
-                for t in range(total)]
-    basis = row_space_basis(kern, total)
+    basis = row_space_basis(kernel_basis(Mat(len(rows), total, rows)), total)
     return LiftComponent(c, mins, dims, basis)
 
 
@@ -388,12 +379,6 @@ class Box:
         ranges = [range(a, b + 1) for a, b in zip(self.lo, self.hi)]
         for c in product(*ranges):
             yield c
-
-    def size(self) -> int:
-        out = 1
-        for a, b in zip(self.lo, self.hi):
-            out *= b - a + 1
-        return out
 
 
 def minimal_generators_in_box(cone: Cone, module: GradedModule, box: Box) -> tuple[IntVector, ...]:

@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Every vector-space computation in the package runs through this module:
-reduced row echelon forms, kernels, coordinate solving, and canonical
-row-space bases, all over ``fractions.Fraction``.  Row spaces are always
-canonicalized via RREF, so two equal subspaces have identical basis
-matrices and results are reproducible bit for bit.
+ranks, reduced row echelon forms, kernels, coordinate solving, and
+canonical row-space bases, all over ``fractions.Fraction``.  There is one
+Gaussian elimination, the sparse pivot table of ``_pivot_table``; ranks
+count its pivots and reduced forms back-substitute it.  A matrix has
+exactly one RREF, so every pivot list, kernel, solution and row-space
+basis read from it is fixed by the input whatever order the elimination
+runs in: equal subspaces get identical bases, and output is reproducible
+bit for bit.
 
 Matrices carry explicit shape (``Mat``) because zero-dimensional blocks
 are everywhere in graded-module arithmetic and bare lists of rows lose
@@ -56,9 +60,6 @@ class Mat:
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Mat":
         return cls(nrows, ncols)
-
-    def copy(self) -> "Mat":
-        return Mat(self.nrows, self.ncols, [row[:] for row in self.rows])
 
     def mul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -113,34 +114,26 @@ def block_diagonal(blocks: Sequence[Mat]) -> Mat:
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    rows = [row[:] for row in m.rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.ncols):
-        piv = None
-        for i in range(r, m.nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m.nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.nrows:
-            break
+    """Reduced row echelon form and the pivot column list.
+
+    The pivot table of the rows is back-substituted, highest pivot column
+    first, so each pivot column is zero outside its own row; the pivot
+    rows come first in column order, then zero rows up to ``m.nrows``.
+    """
+    table = _pivot_table(_sparse_rows(m))
+    pivots = sorted(table)
+    for k in range(len(pivots) - 1, 0, -1):
+        for q in pivots[:k]:
+            if pivots[k] in table[q]:
+                _clear(table[q], pivots[k], table[pivots[k]])
+    rows = ([[table[p].get(c, ZERO) for c in range(m.ncols)] for p in pivots]
+            + [[ZERO] * m.ncols for _ in range(m.nrows - len(pivots))])
     return Mat(m.nrows, m.ncols, rows), pivots
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    """Number of pivots; no back-substitution."""
+    return len(_pivot_table(_sparse_rows(m)))
 
 
 def kernel_basis(m: Mat) -> list[Vector]:
@@ -186,19 +179,27 @@ def _leading_index(row: Sequence[Fraction]) -> int:
     raise ValueError("zero row has no leading index")
 
 
-def coords_in_basis(basis: Sequence[Vector], v: Sequence) -> Optional[list]:
-    """Coordinates of ``v`` in an RREF basis, or None when outside the span."""
+def reduce_by_rref(basis: Sequence[Vector], v: Sequence) -> tuple[list, list]:
+    """Reduce ``v`` by the rows of an RREF basis.
+
+    Returns the multiple of each row taken off (the entry of ``v`` at the
+    row's pivot) and the remainder, which is zero exactly when ``v`` lies
+    in the span.
+    """
     work = [Fraction(x) for x in v]
     coeffs = []
     for row in basis:
-        p = _leading_index(row)
-        c = work[p]
+        c = work[_leading_index(row)]
         coeffs.append(c)
         if c:
             work = [w - c * r for w, r in zip(work, row)]
-    if any(work):
-        return None
-    return coeffs
+    return coeffs, work
+
+
+def coords_in_basis(basis: Sequence[Vector], v: Sequence) -> Optional[list]:
+    """Coordinates of ``v`` in an RREF basis, or None when outside the span."""
+    coeffs, rest = reduce_by_rref(basis, v)
+    return None if any(rest) else coeffs
 
 
 def subspace_contains(basis: Sequence[Vector], v: Sequence) -> bool:
@@ -242,28 +243,45 @@ def is_isomorphism(m: Mat) -> bool:
 def sparse_rank(rows: Iterable[dict]) -> int:
     """Rank of a sparse rational matrix given as dicts ``col -> value``.
 
-    Forward elimination with pivot rows normalized to leading 1; intended
-    for the large, very sparse differentials of cochain complexes.
+    Counts pivots without back-substitution; built for the large, very
+    sparse differentials of cochain complexes.
+    """
+    return len(_pivot_table(rows))
+
+
+def _pivot_table(rows: Iterable[dict]) -> dict[int, dict]:
+    """Forward elimination: pivot column -> pivot row with leading 1.
+
+    Each sparse row ``col -> value`` has its leading entry cleared against
+    the stored pivots until it vanishes or leads at a new column, where it
+    is stored.  Stored rows hold nonzero entries only.
     """
     pivots: dict[int, dict] = {}
-    rk = 0
     for r in rows:
         row = {c: Fraction(v) for c, v in r.items() if v}
         while row:
             c = min(row)
             if c in pivots:
-                f = row.pop(c)
-                for cc, vv in pivots[c].items():
-                    if cc == c:
-                        continue
-                    nv = row.get(cc, ZERO) - f * vv
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
+                _clear(row, c, pivots[c])
             else:
                 f = row[c]
                 pivots[c] = {cc: vv / f for cc, vv in row.items()}
-                rk += 1
                 break
-    return rk
+    return pivots
+
+
+def _sparse_rows(m: Mat):
+    return ({c: x for c, x in enumerate(row) if x} for row in m.rows)
+
+
+def _clear(row: dict, c: int, prow: dict) -> None:
+    """Clear ``row`` at ``c`` with ``prow``, whose pivot is a 1 at ``c``."""
+    f = row.pop(c)
+    for cc, vv in prow.items():
+        if cc == c:
+            continue
+        nv = row.get(cc, ZERO) - f * vv
+        if nv:
+            row[cc] = nv
+        else:
+            row.pop(cc, None)

@@ -35,6 +35,7 @@ from .linalg import (
     coords_in_basis,
     frac_vector,
     intersect_row_spaces,
+    reduce_by_rref,
     rref,
     row_space_basis,
     subspace_le,
@@ -241,18 +242,19 @@ class FinitelyPresentedModule(GradedModule):
         return _fp_quotient_data(self, m)
 
     def _component(self, m: IntVector) -> Component:
-        active, _, pivots, free = self._data(m)
+        active, _, free = self._data(m)
         return Component(len(free), tuple(f"g{active[f]}" for f in free))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        active_s, _, _, free_s = self._data(m)
-        active_t, red_t, pivots_t, free_t = self._data(m_prime)
+        active_s, _, free_s = self._data(m)
+        active_t, red_t, free_t = self._data(m_prime)
         pos = {g: i for i, g in enumerate(active_t)}
         cols = []
         for f in free_s:
             vec = [Fraction(0)] * len(active_t)
             vec[pos[active_s[f]]] = Fraction(1)
-            cols.append(_reduce_to_free_coords(vec, red_t, pivots_t, free_t))
+            rest = reduce_by_rref(red_t, vec)[1]
+            cols.append([rest[g] for g in free_t])
         return Mat(len(free_t), len(free_s),
                    [[cols[j][i] for j in range(len(free_s))] for i in range(len(free_t))])
 
@@ -265,23 +267,11 @@ def _fp_quotient_data(module: FinitelyPresentedModule, m: IntVector):
     for rel in module.relations:
         if leq_sigma(module.cone, rel.degree, m):
             rows.append([rel.coeffs[i] for i in active])
-    if rows:
-        red, pivots = rref(Mat.from_rows(rows, ncols=len(active)))
-        red_rows = [tuple(red.rows[i]) for i in range(len(pivots))]
-    else:
-        red_rows, pivots = [], []
+    red, pivots = rref(Mat.from_rows(rows, ncols=len(active)))
+    red_rows = tuple(tuple(red.rows[i]) for i in range(len(pivots)))
     pivot_set = set(pivots)
     free = tuple(i for i in range(len(active)) if i not in pivot_set)
-    return active, tuple(red_rows), tuple(pivots), free
-
-
-def _reduce_to_free_coords(vec, red_rows, pivots, free):
-    work = list(vec)
-    for row, p in zip(red_rows, pivots):
-        c = work[p]
-        if c:
-            work = [w - c * r for w, r in zip(work, row)]
-    return [work[f] for f in free]
+    return active, red_rows, free
 
 
 # --------------------------------------------------------------------------

@@ -30,6 +30,13 @@ CROWN_JSON = {
 }
 
 
+def line_filtration(level):
+    """A rank-1 filtration module on the square cone with ray 0 jumping at ``level``."""
+    return {"type": "filtration", "ambient_dim": 1,
+            "filtrations": {str(r): [{"level": level if r == 0 else 0, "basis": [[1]]}]
+                            for r in range(4)}}
+
+
 @pytest.fixture
 def inputs(tmp_path):
     cone = tmp_path / "cone.json"
@@ -108,6 +115,30 @@ def test_lift_table_json_format(inputs):
     by_degree = {tuple(r["degree"]): r for r in rows}
     assert by_degree[(0, 0, -1, 0)]["dim"] == 1
     assert by_degree[(0, 0, -1, 0)]["minimal_elements"]
+
+
+# four lines in general position in Q^2, one per ray, each filling up at level 1
+GENERIC_LINES_JSON = {
+    "type": "filtration", "ambient_dim": 2,
+    "filtrations": {
+        str(r): [{"level": level, "basis": [line]},
+                 {"level": 1, "basis": [[1, 0], [0, 1]]}]
+        for r, (level, line) in enumerate([(0, [2, -1]), (0, [3, 1]),
+                                           (0, [1, 2]), (-1, [3, -2])])
+    },
+}
+
+
+def test_lift_table_json_bytes_are_pinned(inputs, capsys):
+    # the bases hold reduced fractions such as "1/3", "-1/2" and "-2/3"; the
+    # expected bytes come from the Gauss-Jordan engine kept as dense_rref in
+    # test_linalg.py, and must not depend on the order of elimination
+    module = inputs / "generic.json"
+    module.write_text(json.dumps(GENERIC_LINES_JSON))
+    assert main(["lift-table", "--cone", str(inputs / "cone.json"),
+                 "--module", str(module), "--format", "json", "--box=0..1"]) == 0
+    expected = Path(__file__).parent / "data" / "lift_table_generic_lines.json"
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
 def test_roos_command(inputs, capsys):
@@ -191,6 +222,13 @@ def test_missing_module_key_is_an_input_error(inputs, capsys):
     ("--cone", [1, 2]),
     ("--module", [1, 2]),
     ("--diagram", [1, 2]),
+    ("--cone", dict(CONE_JSON, lattice_rank=3.7)),
+    ("--module", {"type": "finitely_presented", "generators": [{"degree": [0.5, 0, 0]}]}),
+    ("--module", {"type": "indicator", "style": "quotient",
+                  "constraints": [{"ray": 0, "op": "<=", "bound": 0.9}]}),
+    ("--module", line_filtration(0.5)),
+    ("--module", line_filtration(True)),
+    ("--diagram", dict(CROWN_JSON, dims={"a": 1.5, "b": 1, "c": 1, "d": 1})),
 ])
 def test_wrongly_typed_json_is_an_input_error(inputs, capsys, flag, payload):
     bad = inputs / "bad.json"

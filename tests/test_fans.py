@@ -1,5 +1,10 @@
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+
+from coxlift.cones import positive_relation_exists
 from coxlift.fans import (
     FanData,
     affine_chart,
@@ -28,6 +33,48 @@ def test_fan_validation_rejects_bad_overlap():
     # cone(r0, r2) sits inside cone(r0, r1); they share no common face
     with pytest.raises(ValueError):
         FanData(2, ((1, 0), (0, 1), (1, 2)), ((0, 1), (0, 2)))
+
+
+def test_fan_validation_accepts_large_separating_functional():
+    # the shared ray (5, 1) is cut out only by m = (1, -5) and its multiples,
+    # outside any small coefficient cube
+    fan = FanData(2, ((1, 0), (5, 1), (0, 1)), ((0, 1), (1, 2)))
+    assert fan.max_cones == ((0, 1), (1, 2))
+
+
+def separated_in_cube(rays, a, b, radius):
+    """Reference oracle: search [-radius, radius]^d for a separating functional."""
+    common = set(a) & set(b)
+    for m in product(range(-radius, radius + 1), repeat=len(rays[0])):
+        signs = {i: sum(r * x for r, x in zip(rays[i], m)) for i in set(a) | set(b)}
+        if all(signs[i] == 0 for i in common) \
+                and all(signs[i] > 0 for i in a if i not in common) \
+                and all(signs[i] < 0 for i in b if i not in common):
+            return True
+    return False
+
+
+ray2 = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+
+
+@given(st.lists(ray2, min_size=2, max_size=4),
+       st.sets(st.integers(0, 3), min_size=1, max_size=2),
+       st.sets(st.integers(0, 3), min_size=1, max_size=2))
+@example(rays=[(1, 0), (2, 0)], a={0}, b={0, 1})  # only b's part of the relation is nonzero
+def test_fan_validation_matches_cube_search_in_the_plane(rays, a, b):
+    # with entries in [-2, 2] a separating functional, if any, has entries in
+    # [-4, 4]: it is +-(r2, -r1) for a shared ray r, or the sum of two such
+    # extreme directions, or r itself; so the cube search is exact here
+    a = tuple(sorted(i for i in a if i < len(rays)))
+    b = tuple(sorted(i for i in b if i < len(rays)))
+    assume(a and b and a != b)
+    assume(not any(positive_relation_exists([rays[i] for i in c]) for c in (a, b)))
+    try:
+        FanData(2, tuple(rays), (a, b))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == separated_in_cube(rays, a, b, 4)
 
 
 def test_fan_validation_rejects_duplicates():

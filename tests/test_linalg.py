@@ -18,6 +18,34 @@ from coxlift.linalg import (
     subspace_le,
 )
 
+
+def dense_rref(m: Mat) -> tuple[Mat, list[int]]:
+    """Reference oracle: dense Gauss-Jordan elimination, column by column."""
+    rows = [row[:] for row in m.rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.ncols):
+        piv = None
+        for i in range(r, m.nrows):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return Mat(m.nrows, m.ncols, rows), pivots
+
+
 small_matrix = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(
@@ -99,7 +127,50 @@ def test_intersection_of_planes():
 def test_sparse_rank_matches_dense(rows):
     m = Mat.from_rows(rows)
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    assert sparse_rank(sparse) == rank(m)
+    assert sparse_rank(sparse) == len(dense_rref(m)[1])
+
+
+# about half zeros, with some whole zero rows and zero columns, shapes 0x0 to 6x6
+entry = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@st.composite
+def sparse_rational_matrix(draw):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    zero_rows = draw(st.sets(st.integers(0, 5), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 5), max_size=2))
+    rows = [[Fraction(0) if i in zero_rows or j in zero_cols else draw(entry)
+             for j in range(ncols)] for i in range(nrows)]
+    return Mat(nrows, ncols, rows)
+
+
+@given(sparse_rational_matrix(), st.data())
+def test_reduced_forms_match_dense_oracle(m, data):
+    red, pivots = dense_rref(m)
+    assert rref(m) == (red, pivots)
+    assert rank(m) == len(pivots)
+    assert sparse_rank([{j: v for j, v in enumerate(row) if v} for row in m.rows]) \
+        == len(pivots)
+
+    kernel = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red.rows[i][f]
+        kernel.append(tuple(v))
+    assert kernel_basis(m) == kernel
+
+    b = data.draw(st.lists(entry, min_size=m.nrows, max_size=m.nrows))
+    aug, aug_pivots = dense_rref(m.hstack(Mat(m.nrows, 1, [[x] for x in b])))
+    if m.ncols in aug_pivots:
+        expected = None
+    else:
+        expected = [Fraction(0)] * m.ncols
+        for i, p in enumerate(aug_pivots):
+            expected[p] = aug.rows[i][m.ncols]
+    assert solve(m, b) == expected
 
 
 def test_zero_dimensional_shapes():
