@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Record the output of the CLI's contract commands, for byte-identity checks.
+
+Usage: python scripts/contract_bytes.py OUTDIR
+
+Runs, each through ``python -m coxlift.cli`` from this checkout's
+``src``:
+
+* ``check S`` for every suite;
+* ``lift-table --box=-2..2 --format tsv|json --jobs 1|2`` on the cone
+  over a square, for the four example modules of ``make_inputs.py`` and
+  a rank-2 module of four lines in general position;
+* ``roos --diagram diagram_crown.json --imax 0|1|2``.
+
+Each command's stdout, stderr and exit code go to
+``OUTDIR/<name>.stdout``, ``.stderr`` and ``.exit``.  Two checkouts
+give the same bytes exactly when ``diff -r`` of their OUTDIRs is empty.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SUITES = ("classgroups", "colimit", "exactness", "ideal", "klifting", "klyachko",
+          "liftex", "roos", "roundtrip")
+MODULES = ("simple", "ideal", "codivisorial", "filtration", "generic_lines")
+# four lines in general position in Q^2, one per ray, each filling up at level 1
+GENERIC_LINES = {
+    "type": "filtration", "ambient_dim": 2,
+    "filtrations": {
+        str(r): [{"level": level, "basis": [line]},
+                 {"level": 1, "basis": [[1, 0], [0, 1]]}]
+        for r, (level, line) in enumerate([(0, [2, -1]), (0, [3, 1]),
+                                           (0, [1, 2]), (-1, [3, -2])])
+    },
+}
+
+
+def commands(inputs: pathlib.Path):
+    for suite in SUITES:
+        yield f"check-{suite}", ["check", suite]
+    for module in MODULES:
+        for fmt in ("tsv", "json"):
+            for jobs in ("1", "2"):
+                yield (f"lift-table-{module}-{fmt}-jobs{jobs}",
+                       ["lift-table", "--cone", str(inputs / "cone_square.json"),
+                        "--module", str(inputs / f"module_{module}.json"),
+                        "--format", fmt, "--jobs", jobs, "--box=-2..2"])
+    for imax in ("0", "1", "2"):
+        yield (f"roos-imax{imax}",
+               ["roos", "--diagram", str(inputs / "diagram_crown.json"), "--imax", imax])
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    outdir = pathlib.Path(sys.argv[1])
+    outdir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = pathlib.Path(tmp)
+        subprocess.run([sys.executable, str(ROOT / "scripts" / "make_inputs.py"), tmp],
+                       check=True, stdout=subprocess.DEVNULL)
+        (inputs / "module_generic_lines.json").write_text(json.dumps(GENERIC_LINES))
+        for name, args in commands(inputs):
+            proc = subprocess.run([sys.executable, "-m", "coxlift.cli", *args],
+                                  env=env, capture_output=True)
+            (outdir / f"{name}.stdout").write_bytes(proc.stdout)
+            (outdir / f"{name}.stderr").write_bytes(proc.stderr)
+            (outdir / f"{name}.exit").write_text(f"{proc.returncode}\n")
+            print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,7 +24,7 @@ from typing import Any
 
 from .cones import Cone
 from .derived import FinitePosetDiagram
-from .lattice import int_matrix
+from .lattice import int_matrix, plain_int
 from .lifting import LiftComponent
 from .linalg import Mat
 from .modules import (
@@ -52,16 +52,9 @@ def fraction_out(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _int(x) -> int:
-    """A JSON integer; booleans, floats and strings are rejected, not truncated."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"expected an integer, got {x!r}")
-    return x
-
-
 def load_cone(obj: dict) -> Cone:
     try:
-        rank = _int(obj["lattice_rank"])
+        rank = plain_int(obj["lattice_rank"])
         rays = int_matrix(obj["rays"])
     except KeyError as exc:
         raise ValueError(f"cone JSON is missing {exc}") from exc
@@ -71,7 +64,7 @@ def load_cone(obj: dict) -> Cone:
 
 
 def _degree(values) -> tuple[int, ...]:
-    return tuple(_int(x) for x in values)
+    return tuple(plain_int(x) for x in values)
 
 
 def load_module(obj: dict, cone: Cone) -> GradedModule:
@@ -86,16 +79,16 @@ def load_module(obj: dict, cone: Cone) -> GradedModule:
             )
         elif kind == "indicator":
             cons = tuple(
-                IndicatorConstraint(_int(c["ray"]), str(c["op"]), _int(c["bound"]))
+                IndicatorConstraint(plain_int(c["ray"]), str(c["op"]), plain_int(c["bound"]))
                 for c in obj.get("constraints", [])
             )
             exclude = tuple(_degree(p) for p in obj.get("exclude", []))
             style = str(obj["style"])
         elif kind == "filtration":
-            ambient = _int(obj["ambient_dim"])
+            ambient = plain_int(obj["ambient_dim"])
             filts = []
             for ray, jumps in obj["filtrations"].items():
-                data = [(_int(j["level"]),
+                data = [(plain_int(j["level"]),
                          [[parse_fraction(x) for x in v] for v in j["basis"]])
                         for j in jumps]
                 filts.append((int(ray), data))
@@ -118,7 +111,7 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
         elements = [str(e) for e in obj["elements"]]
         index = {e: i for i, e in enumerate(elements)}
         pairs = [(index[str(i)], index[str(j)]) for i, j in obj["leq"]]
-        dims = [_int(obj["dims"][e]) for e in elements]
+        dims = [plain_int(obj["dims"][e]) for e in elements]
         maps = {}
         for key, rows in obj.get("maps", {}).items():
             a, b = key.split("->")

@@ -20,12 +20,12 @@ from .lifting import Box, LiftComponent, lift_component
 from .linalg import (
     Mat,
     Vector,
-    coords_in_basis,
+    matrix_in_basis,
     row_space_basis,
     subspace_eq,
     subspace_le,
 )
-from .modules import FiltrationModule, RayFiltration, intersect_ray_spaces
+from .modules import FiltrationModule, GradedMorphism, RayFiltration, intersect_ray_spaces
 
 IntVector = tuple[int, ...]
 
@@ -167,23 +167,12 @@ def induced_morphism(cone: Cone, src: ReflexiveDescription,
     """
     if not respects_filtrations(matrix, src, tgt):
         raise ValueError("the map does not respect the filtrations")
-    from .modules import GradedMorphism
-
     src_mod = filtration_module(cone, src)
     tgt_mod = filtration_module(cone, tgt)
 
     def rule(m):
-        sb = src_mod.subspace(m)
-        tb = tgt_mod.subspace(m)
-        cols = []
-        for v in sb:
-            image = matrix.vec(list(v))
-            coords = coords_in_basis(tb, image)
-            if coords is None:
-                raise AssertionError("restricted map left the target component")
-            cols.append(coords)
-        return Mat(len(tb), len(sb),
-                   [[cols[j][i] for j in range(len(sb))] for i in range(len(tb))])
+        return matrix_in_basis(tgt_mod.subspace(m),
+                               (matrix.vec(v) for v in src_mod.subspace(m)))
 
     return GradedMorphism(src_mod, tgt_mod, rule)
 

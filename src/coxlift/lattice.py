@@ -21,14 +21,20 @@ IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
 
+def plain_int(x) -> int:
+    """``x`` if it is a plain integer; booleans, floats and strings are
+    rejected with ``ValueError``, never truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
     """Normalize and validate a rectangular integer matrix."""
     out = []
     width = None
     for row in rows:
-        t = tuple(int(x) for x in row)
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in row):
-            raise ValueError("matrix entries must be plain integers")
+        t = tuple(plain_int(x) for x in row)
         if width is None:
             width = len(t)
         elif len(t) != width:

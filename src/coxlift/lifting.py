@@ -9,11 +9,15 @@ transports factor.  Minimal points with zero component stay in the
 presentation on purpose: their constraints can annihilate other
 coordinates.
 
-Restriction maps between lift components, lifted morphisms, the
-sheafification in the opposite direction (reading off the degrees in
-the image of the grading map), the unit and counit of the adjunction,
-colimits along interior rays, and box-relative generator detection all
-live here.
+The lift is a functor, right adjoint to sheafification.  Its maps
+between lift components (restriction maps along ``c <= c'`` and lifted
+morphisms) send each block of a limit vector through a module matrix
+and write the stacked image in the target's basis; the unit and counit
+of the adjunction are read off the same presentation.  All of them
+change basis through ``linalg.matrix_in_basis``.  Sheafification in the
+opposite direction (reading off the degrees in the image of the grading
+map), colimits along interior rays, and box-relative generator
+detection also live here.
 
 Degree computations are independent and cached per process; sweeps can
 fan out over a worker pool and are merged in degree order, so output is
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cones import (
     Cone,
@@ -36,13 +40,14 @@ from .cones import (
     minimal_elements,
     strict_interior_point,
 )
+from .lattice import plain_int
 from .linalg import (
     Mat,
     Vector,
     block_diagonal,
-    coords_in_basis,
     is_isomorphism,
     kernel_basis,
+    matrix_in_basis,
     rank,
     row_space_basis,
 )
@@ -107,11 +112,17 @@ def _lift_component(cone: Cone, module: GradedModule, c: IntVector) -> LiftCompo
     return LiftComponent(c, mins, dims, basis)
 
 
-def _express_in_component(comp: LiftComponent, vec: Sequence[Fraction]) -> list:
-    coords = coords_in_basis(comp.basis, vec)
-    if coords is None:
-        raise AssertionError("vector left the limit subspace")
-    return coords
+def _blockwise(src: LiftComponent, tgt: LiftComponent,
+               blocks: Sequence[tuple[int, Mat]]) -> Mat:
+    """Matrix of the map sending each block of a source vector into the target.
+
+    ``blocks`` holds one ``(i, mat)`` per target block: that block is
+    ``mat`` applied to source block ``i``.  The stacked images are written
+    in the target's basis.
+    """
+    images = ([x for i, mat in blocks for x in mat.vec(vec[src.block_slice(i)])]
+              for vec in src.basis)
+    return matrix_in_basis(tgt.basis, images)
 
 
 def lift_action(
@@ -145,16 +156,7 @@ def lift_action(
         if base is None:
             raise AssertionError("minimal point has no dominated predecessor")
         transports.append((base, module.action(src.minimal_points[base], mk)))
-
-    cols = []
-    for vec in src.basis:
-        stacked: list[Fraction] = []
-        for (base, mat) in transports:
-            block = list(vec[src.block_slice(base)])
-            stacked.extend(mat.vec(block))
-        cols.append(_express_in_component(tgt, stacked))
-    return Mat(tgt.dim, src.dim,
-               [[cols[j][i] for j in range(src.dim)] for i in range(tgt.dim)])
+    return _blockwise(src, tgt, transports)
 
 
 def lift_morphism(cone: Cone, f: GradedMorphism, c: Sequence[int]) -> Mat:
@@ -162,15 +164,7 @@ def lift_morphism(cone: Cone, f: GradedMorphism, c: Sequence[int]) -> Mat:
     c = tuple(int(x) for x in c)
     src = lift_component(cone, f.source, c)
     tgt = lift_component(cone, f.target, c)
-    mats = [f.matrix(m) for m in src.minimal_points]
-    cols = []
-    for vec in src.basis:
-        stacked: list[Fraction] = []
-        for i, mat in enumerate(mats):
-            stacked.extend(mat.vec(list(vec[src.block_slice(i)])))
-        cols.append(_express_in_component(tgt, stacked))
-    return Mat(tgt.dim, src.dim,
-               [[cols[j][i] for j in range(src.dim)] for i in range(tgt.dim)])
+    return _blockwise(src, tgt, [(i, f.matrix(m)) for i, m in enumerate(src.minimal_points)])
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +191,7 @@ class ShiftedCoxRule(CoxRule):
     shift: IntVector
 
     def __post_init__(self):
-        object.__setattr__(self, "shift", tuple(int(x) for x in self.shift))
+        object.__setattr__(self, "shift", tuple(plain_int(x) for x in self.shift))
         if len(self.shift) != self.ray_count:
             raise ValueError("shift length differs from ray count")
 
@@ -205,10 +199,7 @@ class ShiftedCoxRule(CoxRule):
         return 1 if all(a + s >= 0 for a, s in zip(c, self.shift)) else 0
 
     def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
-        s, t = self.dim(c), self.dim(c_prime)
-        if s and t:
-            return Mat.identity(1)
-        return Mat.zero(t, s)
+        return Mat.ones(self.dim(c_prime), self.dim(c))
 
 
 @dataclass(frozen=True)
@@ -219,16 +210,15 @@ class SpikeRule(CoxRule):
     degree: IntVector
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", tuple(int(x) for x in self.degree))
+        object.__setattr__(self, "degree", tuple(plain_int(x) for x in self.degree))
+        if len(self.degree) != self.ray_count:
+            raise ValueError("degree length differs from ray count")
 
     def dim(self, c: Sequence[int]) -> int:
         return 1 if tuple(c) == self.degree else 0
 
     def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
-        s, t = self.dim(c), self.dim(c_prime)
-        if s and t and tuple(c) == tuple(c_prime):
-            return Mat.identity(1)
-        return Mat.zero(t, s)
+        return Mat.ones(self.dim(c_prime), self.dim(c))
 
 
 @dataclass(frozen=True)
@@ -261,8 +251,7 @@ class SheafifiedModule(GradedModule):
     rule: CoxRule
 
     def _component(self, m: IntVector) -> Component:
-        d = self.rule.dim(self.cone.evaluate(m))
-        return Component(d, tuple(f"s{i}" for i in range(d)))
+        return Component(self.rule.dim(self.cone.evaluate(m)))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
         return self.rule.act(self.cone.evaluate(m), self.cone.evaluate(m_prime))
@@ -270,8 +259,7 @@ class SheafifiedModule(GradedModule):
 
 def sheafify_component(cone: Cone, rule, m: Sequence[int]) -> Component:
     """Component of the sheafified data at lattice point m: the rule at L(m)."""
-    d = rule.dim(cone.evaluate(tuple(int(x) for x in m)))
-    return Component(d, tuple(f"s{i}" for i in range(d)))
+    return SheafifiedModule(cone, rule).component(m)
 
 
 def counit_matrix(cone: Cone, module: GradedModule, m: Sequence[int]) -> Mat:
@@ -284,26 +272,17 @@ def counit_matrix(cone: Cone, module: GradedModule, m: Sequence[int]) -> Mat:
     comp = lift_component(cone, module, cone.evaluate(m))
     if comp.minimal_points != (m,):
         raise AssertionError("expected a unique minimal point at an image degree")
-    dim_e = module.component(m).dim
-    return Mat(dim_e, comp.dim,
-               [[comp.basis[j][i] for j in range(comp.dim)] for i in range(dim_e)])
+    return Mat(comp.dim, comp.block_dims[0], [list(v) for v in comp.basis]).transpose()
 
 
 def unit_map(cone: Cone, rule, c: Sequence[int]) -> Mat:
     """Natural map F_c -> lift(sheafify F)_c for a Cox rule F."""
     c = tuple(int(x) for x in c)
-    shf = SheafifiedModule(cone, rule)
-    tgt = lift_component(cone, shf, c)
-    src_dim = rule.dim(c)
-    cols = []
-    for j in range(src_dim):
-        stacked: list[Fraction] = []
-        for m in tgt.minimal_points:
-            mat = rule.act(c, cone.evaluate(m))
-            stacked.extend(mat.col(j))
-        cols.append(_express_in_component(tgt, stacked))
-    return Mat(tgt.dim, src_dim,
-               [[cols[j][i] for j in range(src_dim)] for i in range(tgt.dim)])
+    tgt = lift_component(cone, SheafifiedModule(cone, rule), c)
+    # the rule's maps from c to each minimal point, stacked; column j is e_j's image
+    stacked = [row for m in tgt.minimal_points for row in rule.act(c, cone.evaluate(m)).rows]
+    images = Mat(len(stacked), rule.dim(c), stacked).transpose().rows
+    return matrix_in_basis(tgt.basis, images)
 
 
 # --------------------------------------------------------------------------
@@ -327,14 +306,8 @@ def colimit(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResul
     """
     w = strict_interior_point(cone)
     points = [tuple(k * x for x in w) for k in range(horizon + 1)]
-    dims = tuple(module.component(p).dim for p in points)
-    for k in range(horizon - 1):
-        if dims[k] == dims[k + 1] == dims[k + 2]:
-            a1 = module.action(points[k], points[k + 1])
-            a2 = module.action(points[k + 1], points[k + 2])
-            if is_isomorphism(a1) and is_isomorphism(a2):
-                return ColimitResult(True, dims[k], k, dims[: k + 3])
-    return ColimitResult(False, None, None, dims)
+    return _stabilize(tuple(module.component(p).dim for p in points),
+                      lambda k: module.action(points[k], points[k + 1]))
 
 
 def colimit_of_lift(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResult:
@@ -342,15 +315,19 @@ def colimit_of_lift(cone: Cone, module: GradedModule, horizon: int = 16) -> Coli
     ones = (1,) * cone.ray_count
     degrees = [tuple(k * x for x in ones) for k in range(horizon + 1)]
     comps = [lift_component(cone, module, c) for c in degrees]
-    dims = tuple(comp.dim for comp in comps)
-    for k in range(horizon - 1):
-        if dims[k] == dims[k + 1] == dims[k + 2]:
-            a1 = lift_action(cone, module, degrees[k], degrees[k + 1],
-                             source=comps[k], target=comps[k + 1])
-            a2 = lift_action(cone, module, degrees[k + 1], degrees[k + 2],
-                             source=comps[k + 1], target=comps[k + 2])
-            if is_isomorphism(a1) and is_isomorphism(a2):
-                return ColimitResult(True, dims[k], k, dims[: k + 3])
+    return _stabilize(tuple(comp.dim for comp in comps),
+                      lambda k: lift_action(cone, module, degrees[k], degrees[k + 1],
+                                            source=comps[k], target=comps[k + 1]))
+
+
+def _stabilize(dims: tuple[int, ...], step: Callable[[int], Mat]) -> ColimitResult:
+    """First k where dims k, k+1, k+2 agree and ``step(k)``, ``step(k+1)``,
+    the connecting maps, are isomorphisms; the second is built only when
+    the first is one."""
+    for k in range(len(dims) - 2):
+        if (dims[k] == dims[k + 1] == dims[k + 2]
+                and is_isomorphism(step(k)) and is_isomorphism(step(k + 1))):
+            return ColimitResult(True, dims[k], k, dims[: k + 3])
     return ColimitResult(False, None, None, dims)
 
 
@@ -364,8 +341,8 @@ class Box:
     hi: IntVector
 
     def __post_init__(self):
-        lo = tuple(int(x) for x in self.lo)
-        hi = tuple(int(x) for x in self.hi)
+        lo = tuple(plain_int(x) for x in self.lo)
+        hi = tuple(plain_int(x) for x in self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or any(a > b for a, b in zip(lo, hi)):
@@ -441,18 +418,8 @@ class LiftTable:
         return self.component(c).dim
 
     def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
-        c = tuple(int(x) for x in c)
-        c_prime = tuple(int(x) for x in c_prime)
-        if not all(a <= b for a, b in zip(c, c_prime)):
-            raise ValueError("degrees are not componentwise comparable")
-        out = Mat.identity(self.dim(c))
-        cur = list(c)
-        for axis in range(len(c)):
-            while cur[axis] < c_prime[axis]:
-                step = self.steps[(tuple(cur), axis)]
-                out = step.mul(out)
-                cur[axis] += 1
-        return out
+        return lift_action(self.cone, self.module, c, c_prime,
+                           source=self.component(c), target=self.component(c_prime))
 
 
 def _table_chunk(args):

@@ -4,7 +4,10 @@ Every vector-space computation in the package runs through this module:
 ranks, reduced row echelon forms, kernels, coordinate solving, and
 canonical row-space bases, all over ``fractions.Fraction``.  There is one
 Gaussian elimination, the sparse pivot table of ``_pivot_table``; ranks
-count its pivots and reduced forms back-substitute it.  A matrix has
+count its pivots and reduced forms back-substitute it.  There is one
+change of basis, ``matrix_in_basis``: every map between components
+(transports, restriction maps, lifted morphisms, unit and counit) writes
+its images in the target's RREF basis there.  A matrix has
 exactly one RREF, so every pivot list, kernel, solution and row-space
 basis read from it is fixed by the input whatever order the elimination
 runs in: equal subspaces get identical bases, and output is reproducible
@@ -60,6 +63,12 @@ class Mat:
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Mat":
         return cls(nrows, ncols)
+
+    @classmethod
+    def ones(cls, nrows: int, ncols: int) -> "Mat":
+        """All entries 1: between spaces of dimension at most one, the
+        identity where both are nonzero and the zero map otherwise."""
+        return cls(nrows, ncols, [[ONE] * ncols for _ in range(nrows)])
 
     def mul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -196,14 +205,23 @@ def reduce_by_rref(basis: Sequence[Vector], v: Sequence) -> tuple[list, list]:
     return coeffs, work
 
 
-def coords_in_basis(basis: Sequence[Vector], v: Sequence) -> Optional[list]:
-    """Coordinates of ``v`` in an RREF basis, or None when outside the span."""
-    coeffs, rest = reduce_by_rref(basis, v)
-    return None if any(rest) else coeffs
+def matrix_in_basis(basis: Sequence[Vector], images: Iterable[Sequence]) -> Mat:
+    """The matrix whose column j holds the coordinates of ``images[j]`` in an RREF basis.
+
+    The one place vectors are written in a basis.  Raises ``AssertionError``
+    when an image leaves the span.
+    """
+    cols = []
+    for v in images:
+        coeffs, rest = reduce_by_rref(basis, v)
+        if any(rest):
+            raise AssertionError("image left the span of the target basis")
+        cols.append(coeffs)
+    return Mat(len(cols), len(basis), cols).transpose()
 
 
 def subspace_contains(basis: Sequence[Vector], v: Sequence) -> bool:
-    return coords_in_basis(basis, v) is not None
+    return not any(reduce_by_rref(basis, v)[1])
 
 
 def subspace_le(inner: Sequence[Vector], outer: Sequence[Vector]) -> bool:

@@ -28,13 +28,14 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cones import Cone, leq_sigma
+from .lattice import plain_int
 from .linalg import (
     Mat,
     Vector,
     block_diagonal,
-    coords_in_basis,
     frac_vector,
     intersect_row_spaces,
+    matrix_in_basis,
     reduce_by_rref,
     rref,
     row_space_basis,
@@ -46,10 +47,9 @@ IntVector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Component:
-    """A graded component: dimension plus deterministic basis labels."""
+    """A graded component, known by its dimension."""
 
     dim: int
-    labels: tuple[str, ...] = ()
 
 
 def _add(m: Sequence[int], by: Sequence[int]) -> IntVector:
@@ -94,6 +94,8 @@ class IndicatorConstraint:
     def __post_init__(self):
         if self.op not in ("<=", ">="):
             raise ValueError(f"unknown op {self.op!r}")
+        object.__setattr__(self, "ray", plain_int(self.ray))
+        object.__setattr__(self, "bound", plain_int(self.bound))
 
     def holds(self, value: int) -> bool:
         return value <= self.bound if self.op == "<=" else value >= self.bound
@@ -122,7 +124,7 @@ class IndicatorModule(GradedModule):
             if not 0 <= c.ray < self.cone.ray_count:
                 raise ValueError("constraint ray index out of range")
         object.__setattr__(
-            self, "exclude", tuple(tuple(int(x) for x in p) for p in self.exclude)
+            self, "exclude", tuple(tuple(plain_int(x) for x in p) for p in self.exclude)
         )
 
     def in_support(self, m: Sequence[int]) -> bool:
@@ -133,16 +135,10 @@ class IndicatorModule(GradedModule):
         return m not in self.exclude
 
     def _component(self, m: IntVector) -> Component:
-        if self.in_support(m):
-            return Component(1, ("1",))
-        return Component(0)
+        return Component(int(self.in_support(m)))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        src = 1 if self.in_support(m) else 0
-        tgt = 1 if self.in_support(m_prime) else 0
-        if src and tgt:
-            return Mat.identity(1)
-        return Mat.zero(tgt, src)
+        return Mat.ones(int(self.in_support(m_prime)), int(self.in_support(m)))
 
 
 def structure_module(cone: Cone) -> IndicatorModule:
@@ -166,8 +162,10 @@ def simple_module(cone: Cone) -> IndicatorModule:
 
 def codivisorial_module(cone: Cone, c: Sequence[int], rays: Sequence[int]) -> IndicatorModule:
     """Quotient supported on {m : l_rho(m) <= -c_rho for rho in rays}."""
-    c = tuple(int(x) for x in c)
-    cons = tuple(IndicatorConstraint(int(r), "<=", -c[int(r)]) for r in rays)
+    c = tuple(plain_int(x) for x in c)
+    if len(c) != cone.ray_count:
+        raise ValueError("degree length differs from ray count")
+    cons = tuple(IndicatorConstraint(r, "<=", -c[plain_int(r)]) for r in rays)
     return IndicatorModule(cone, "quotient", cons)
 
 
@@ -223,11 +221,11 @@ class FinitelyPresentedModule(GradedModule):
     relations: tuple[Relation, ...] = ()
 
     def __post_init__(self):
-        gens = tuple(tuple(int(x) for x in g) for g in self.generators)
+        gens = tuple(tuple(plain_int(x) for x in g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         rels = []
         for rel in self.relations:
-            deg = tuple(int(x) for x in rel.degree)
+            deg = tuple(plain_int(x) for x in rel.degree)
             coeffs = frac_vector(rel.coeffs)
             if len(coeffs) != len(gens):
                 raise ValueError("relation coefficient count differs from generators")
@@ -242,8 +240,7 @@ class FinitelyPresentedModule(GradedModule):
         return _fp_quotient_data(self, m)
 
     def _component(self, m: IntVector) -> Component:
-        active, _, free = self._data(m)
-        return Component(len(free), tuple(f"g{active[f]}" for f in free))
+        return Component(len(self._data(m)[2]))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
         active_s, _, free_s = self._data(m)
@@ -255,8 +252,7 @@ class FinitelyPresentedModule(GradedModule):
             vec[pos[active_s[f]]] = Fraction(1)
             rest = reduce_by_rref(red_t, vec)[1]
             cols.append([rest[g] for g in free_t])
-        return Mat(len(free_t), len(free_s),
-                   [[cols[j][i] for j in range(len(free_s))] for i in range(len(free_t))])
+        return Mat(len(free_s), len(free_t), cols).transpose()
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +298,7 @@ def ray_filtration(jumps: Sequence[tuple[int, Sequence[Sequence]]], ambient: int
     """Build a filtration from (level, spanning vectors) jump data."""
     steps = []
     for level, vectors in sorted(jumps, key=lambda j: j[0]):
-        steps.append(FiltrationStep(int(level), row_space_basis(vectors, ambient)))
+        steps.append(FiltrationStep(plain_int(level), row_space_basis(vectors, ambient)))
     out = []
     for st in steps:
         if out and st.level == out[-1].level:
@@ -361,29 +357,16 @@ class FiltrationModule(GradedModule):
         object.__setattr__(self, "filtrations",
                            tuple(sorted(filt.items())))
 
-    def filtration(self, ray: int) -> RayFiltration:
-        return dict(self.filtrations)[ray]
-
     def subspace(self, m: Sequence[int]) -> tuple[Vector, ...]:
         """Canonical basis of the component inside the ambient space."""
         m = tuple(int(x) for x in m)
         return _filtration_subspace(self, m)
 
     def _component(self, m: IntVector) -> Component:
-        basis = self.subspace(m)
-        return Component(len(basis), tuple(f"v{i}" for i in range(len(basis))))
+        return Component(len(self.subspace(m)))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        src = self.subspace(m)
-        tgt = self.subspace(m_prime)
-        cols = []
-        for v in src:
-            coords = coords_in_basis(tgt, v)
-            if coords is None:
-                raise AssertionError("filtration transport left the target space")
-            cols.append(coords)
-        return Mat(len(tgt), len(src),
-                   [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))])
+        return matrix_in_basis(self.subspace(m_prime), self.subspace(m))
 
 
 @lru_cache(maxsize=None)
@@ -403,7 +386,7 @@ class ShiftModule(GradedModule):
     by: IntVector
 
     def __post_init__(self):
-        object.__setattr__(self, "by", tuple(int(x) for x in self.by))
+        object.__setattr__(self, "by", tuple(plain_int(x) for x in self.by))
         if len(self.by) != self.base.cone.lattice_rank:
             raise ValueError("shift length differs from lattice rank")
 
@@ -435,9 +418,7 @@ class DirectSumModule(GradedModule):
         return self.parts[0].cone
 
     def _component(self, m: IntVector) -> Component:
-        comps = [p.component(m) for p in self.parts]
-        labels = tuple(f"{i}.{lab}" for i, c in enumerate(comps) for lab in c.labels)
-        return Component(sum(c.dim for c in comps), labels)
+        return Component(sum(p.component(m).dim for p in self.parts))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
         return block_diagonal([p.action(m, m_prime) for p in self.parts])
@@ -500,15 +481,8 @@ def indicator_morphism(source: GradedModule, target: GradedModule) -> GradedMorp
     Natural between indicator modules whose supports make it so, such as
     a submodule included into the structure ring or a quotient of it.
     """
-
-    def rule(m: IntVector) -> Mat:
-        s = source.component(m).dim
-        t = target.component(m).dim
-        if s and t:
-            return Mat.identity(1)
-        return Mat.zero(t, s)
-
-    return GradedMorphism(source, target, rule)
+    return GradedMorphism(source, target,
+                          lambda m: Mat.ones(target.component(m).dim, source.component(m).dim))
 
 
 def structure_to_simple(cone: Cone) -> GradedMorphism:

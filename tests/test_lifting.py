@@ -24,7 +24,7 @@ from coxlift.lifting import (
     sheafify_component,
     unit_map,
 )
-from coxlift.linalg import is_isomorphism, rank
+from coxlift.linalg import Mat, is_isomorphism, rank
 from coxlift.modules import (
     DirectSumModule,
     GradedModule,
@@ -214,13 +214,23 @@ def test_minimal_generators_simple_box_corners(csq):
 
 
 def test_lift_table_composition(csq):
+    # the one-step maps compose, along either axis order, to the direct
+    # restriction map, which is also what the table's rule returns
     cod = codivisorial_module(csq, (0, 0, 0, 0), (1, 3))
     box = Box((-2, 0, -2, 0), (0, 1, 0, 1))
     table = lift_table(csq, cod, box)
-    c, c2 = (-2, 0, -2, 0), (0, 1, 0, 1)
-    via_table = table.act(c, c2)
-    direct = lift_action(csq, cod, c, c2)
-    assert via_table.rows == direct.rows
+    c = (-2, 0, -2, 0)
+    for c2 in [(0, 1, 0, 1), (0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, -1, 0)]:
+        direct = lift_action(csq, cod, c, c2)
+        for axes in (range(4), reversed(range(4))):
+            composed = Mat.identity(table.dim(c))
+            cur = list(c)
+            for axis in axes:
+                while cur[axis] < c2[axis]:
+                    composed = table.steps[(tuple(cur), axis)].mul(composed)
+                    cur[axis] += 1
+            assert composed == direct
+        assert table.act(c, c2) == direct
 
 
 def test_lift_table_builds_restriction_maps_only_when_read(csq, monkeypatch):

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from coxlift.linalg import (
     Mat,
-    coords_in_basis,
     intersect_row_spaces,
     kernel_basis,
+    matrix_in_basis,
     rank,
     row_space_basis,
     rref,
@@ -107,11 +108,11 @@ def test_row_space_basis_is_canonical(rows):
 def test_coords_reconstruct():
     basis = row_space_basis([[1, 0, 2], [0, 1, 3]], 3)
     v = [2, -1, 1]
-    coords = coords_in_basis(basis, v)
-    assert coords is not None
+    coords = matrix_in_basis(basis, [v]).col(0)
     rebuilt = [sum(c * row[j] for c, row in zip(coords, basis)) for j in range(3)]
     assert rebuilt == [Fraction(x) for x in v]
-    assert coords_in_basis(basis, [0, 0, 1]) is None
+    with pytest.raises(AssertionError):
+        matrix_in_basis(basis, [[0, 0, 1]])
 
 
 def test_intersection_of_planes():
@@ -171,6 +172,29 @@ def test_reduced_forms_match_dense_oracle(m, data):
         for i, p in enumerate(aug_pivots):
             expected[p] = aug.rows[i][m.ncols]
     assert solve(m, b) == expected
+
+
+@given(sparse_rational_matrix(), st.data())
+def test_matrix_in_basis_recovers_coefficients(m, data):
+    # the RREF basis of a random row space, possibly empty, and k coefficient
+    # columns, some of them zero; the images are the combinations they encode
+    basis = row_space_basis(m.rows, m.ncols)
+    k = data.draw(st.integers(0, 4))
+    zero_cols = data.draw(st.sets(st.integers(0, 3), max_size=2))
+    coeffs = [[Fraction(0) if j in zero_cols else data.draw(entry) for j in range(k)]
+              for _ in basis]
+    images = [[sum((coeffs[i][j] * b[x] for i, b in enumerate(basis)), Fraction(0))
+               for x in range(m.ncols)] for j in range(k)]
+    assert matrix_in_basis(basis, images) == Mat(len(basis), k, coeffs)
+
+    # a unit vector at a non-pivot column, added to an image, leaves the span
+    pivots = {next(j for j, x in enumerate(b) if x) for b in basis}
+    free = [j for j in range(m.ncols) if j not in pivots]
+    if free:
+        outside = list(images[0]) if images else [Fraction(0)] * m.ncols
+        outside[data.draw(st.sampled_from(free))] += 1
+        with pytest.raises(AssertionError):
+            matrix_in_basis(basis, images + [outside])
 
 
 def test_zero_dimensional_shapes():

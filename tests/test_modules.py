@@ -4,6 +4,8 @@ from itertools import product
 import pytest
 
 from coxlift.instances import all_variant_modules
+from coxlift.lattice import int_matrix
+from coxlift.lifting import Box, ShiftedCoxRule, SpikeRule
 from coxlift.linalg import Mat, is_injective
 from coxlift.modules import (
     FiltrationModule,
@@ -73,6 +75,38 @@ def test_indicator_style_validation(csq, orthant):
 def test_indicator_constraint_rejects_unknown_op():
     with pytest.raises(ValueError):
         IndicatorConstraint(0, "<", 0)
+
+
+NON_INTEGERS = {
+    "fp generator": lambda C: FinitelyPresentedModule(C, [(0.5, 0, 0)]),
+    "fp relation degree": lambda C: FinitelyPresentedModule(
+        C, [(0, 0, 0)], [Relation((0.5, 0, 0), (Fraction(1),))]),
+    "indicator exclude": lambda C: IndicatorModule(
+        C, "quotient", (), ((0.5, 0, 0),)),
+    "constraint bound": lambda C: IndicatorConstraint(0, "<=", 0.9),
+    "constraint ray": lambda C: IndicatorConstraint(1.0, ">=", 0),
+    "constraint bool ray": lambda C: IndicatorConstraint(True, ">=", 0),
+    "codivisorial degree": lambda C: codivisorial_module(C, (0.5, 0, 0, 0), (1,)),
+    "shift": lambda C: ShiftModule(simple_module(C), (0.5, 0, 0)),
+    "box": lambda C: Box((0.5,), (1.7,)),
+    "filtration level": lambda C: ray_filtration([(0.5, [[1]])], 1),
+    "shifted rule": lambda C: ShiftedCoxRule(4, (0.5, 0, 0, 0)),
+    "spike rule": lambda C: SpikeRule(4, (0, 0, "1", 0)),
+    "ray matrix": lambda C: int_matrix([[1, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
+def test_constructors_reject_non_integers(csq, build):
+    with pytest.raises(ValueError):
+        build(csq)
+
+
+def test_degree_arguments_must_have_one_entry_per_ray(csq):
+    with pytest.raises(ValueError):
+        SpikeRule(4, (1, 0))
+    with pytest.raises(ValueError):
+        codivisorial_module(csq, (0, 0), (1,))
 
 
 def test_fp_no_relations_counts_generators(csq):
