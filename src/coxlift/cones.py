@@ -6,14 +6,35 @@ ray form is nondecreasing, and for each Cox degree vector ``c`` the set
 ``P_c = {m : L(m) >= c componentwise}`` is an up-set whose finitely many
 minimal points drive every limit computation downstream.
 
-Minimal points are found by a completion search in the style of
-Contejean and Devie for minimal nonnegative solutions of homogeneous
-linear Diophantine systems: writing ``u = L(m) - c``, the coset
-constraint ``u + c in L(M)`` is homogenized with an auxiliary coordinate
-capped at one, torsion constraints get slack pairs, and the frontier is
-grown breadth-first under the scalar-product criterion with domination
-pruning; termination follows from Dickson's lemma.  A plain bounded-box
-enumerator is kept alongside as an independent oracle.
+Minimal points are enumerated in M itself.  For a full-dimensional cone
+the ray matrix L has full column rank, so ``{x : Lx >= c}`` is a pointed
+polyhedron ``conv(V) + dual``, with V its vertices and ``dual`` the cone
+``{x : Lx >= 0}``.  By Caratheodory a minimal point is
+``m = q + sum_i lambda_i r_i`` with q in conv(V) and the r_i at most d
+linearly independent primitive extreme rays of the dual cone.  Were some
+``lambda_i >= 1``, ``m - r_i`` would lie in P_c strictly below m; so every
+``lambda_i < 1``, and with it
+
+- each coordinate of m lies in the vertex range widened by the d largest
+  positive (or negative) parts of the extreme rays in that coordinate;
+- ``l_k(m) < max_V l_k + S_k`` when ``S_k > 0`` and ``l_k(m) <= max_V l_k``
+  when ``S_k = 0``, where ``S_k`` is the sum of the d largest values of
+  ``l_k`` on the extreme rays.
+
+Per cone, every d-subset T of forms with ``L_T`` invertible keeps its
+integer adjugate and determinant; the columns of these adjugates on which
+no form is negative are the extreme rays.  Per degree, in integers only:
+the vertex of T is ``adj c_T / det`` and is feasible iff
+``L(adj c_T) >= det c`` (no feasible vertex: P_c is empty); the first
+d-1 coordinates are scanned over the box, the last is solved as an
+interval against both bounds of every form, and the points are filtered
+in order of ``sum_k l_k(m)``, which is positive on the nonzero points of
+the dual cone, so every dominating point is met first.  Torsion in the
+class group needs no special case, because the scan never leaves M.
+
+The Contejean-Devie completion ``minimal_nonneg_solutions`` stays for the
+fan checks; a completion-based search and the brute-force
+``box_minimal_oracle`` check the enumeration in the tests.
 
 Results are memoized per process with no locks: in a worker pool each
 worker keeps its own cache, and cached values agree across workers
@@ -25,18 +46,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .lattice import (
-    IntMatrix,
-    IntVector,
-    LatticeQuotient,
-    int_matrix,
-    lattice_membership,
-    rational_rank,
-    reduce_by_sublattice,
-)
+from .lattice import IntMatrix, IntVector, int_matrix, rational_rank
 
 
 @dataclass(frozen=True)
@@ -89,14 +102,6 @@ def _cone_rank(cone: Cone) -> int:
     return rational_rank(cone.rays)
 
 
-@lru_cache(maxsize=None)
-def cone_quotient(cone: Cone) -> LatticeQuotient:
-    """Quotient of the Cox degree lattice Z^rays by the image of M."""
-    columns = [[cone.rays[i][j] for i in range(cone.ray_count)]
-               for j in range(cone.lattice_rank)]
-    return reduce_by_sublattice(cone.ray_count, columns)
-
-
 def leq_sigma(cone: Cone, m: Sequence[int], m_prime: Sequence[int]) -> bool:
     """Dual-cone order: every ray form nondecreasing from m to m_prime."""
     if len(m) != cone.lattice_rank or len(m_prime) != cone.lattice_rank:
@@ -115,7 +120,8 @@ def minimal_nonneg_solutions(
     Breadth-first frontier from the unit vectors; a node ``x`` extends
     along coordinate ``i`` only when <Ax, Ae_i> < 0, nodes dominating a
     recorded solution are dropped, and levels advance one unit of the
-    1-norm at a time so every surfaced solution is minimal.
+    1-norm at a time so every surfaced solution is minimal.  Read by
+    ``fans._check_shared_faces`` and ``positive_relation_exists``.
     """
     q = len(columns)
     cols = [tuple(int(x) for x in col) for col in columns]
@@ -160,57 +166,130 @@ def minimal_nonneg_solutions(
     return minimal
 
 
-def _pairwise_minimal(vectors: list[IntVector]) -> list[IntVector]:
-    out = []
-    for v in vectors:
-        if any(w != v and all(a <= b for a, b in zip(w, v)) for w in vectors):
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Integer determinant by cofactor expansion (the matrices here are tiny)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+@dataclass(frozen=True)
+class _SearchData:
+    """What the minimal-point search keeps per cone.
+
+    ``bases`` lists every d-subset T of ray forms with L_T invertible as
+    ``(T, adj, det)``: the integer adjugate and determinant of L_T, signs
+    flipped so that ``det > 0``.  Over the primitive extreme rays r of the
+    dual cone, ``ray_slack[k]`` is the sum of the d largest values l_k(r),
+    and ``coord_up[j]`` / ``coord_down[j]`` the sums of the d largest
+    positive / negative parts of r_j.
+    """
+
+    bases: tuple[tuple[tuple[int, ...], IntMatrix, int], ...]
+    ray_slack: IntVector
+    coord_up: IntVector
+    coord_down: IntVector
+
+
+@lru_cache(maxsize=None)
+def _search_data(cone: Cone) -> _SearchData:
+    d = cone.lattice_rank
+    bases = []
+    extreme = set()
+    for idx in combinations(range(cone.ray_count), d):
+        rows = [cone.rays[i] for i in idx]
+        adj = tuple(tuple((-1) ** (i + j) * _det([r[:i] + r[i + 1:]
+                                                  for k, r in enumerate(rows) if k != j])
+                          for j in range(d)) for i in range(d))
+        det = sum(x * adj[j][0] for j, x in enumerate(rows[0]))
+        if det == 0:
             continue
-        out.append(v)
-    return out
+        if det < 0:
+            adj, det = tuple(tuple(-x for x in row) for row in adj), -det
+        bases.append((idx, adj, det))
+        # column j of adj vanishes on T minus its j-th form and is positive
+        # on that form: it spans an edge of the dual cone when no form is
+        # negative on it
+        for col in zip(*adj):
+            if min(cone.evaluate(col)) >= 0:
+                g = math.gcd(*col)
+                extreme.add(tuple(x // g for x in col))
+
+    def top(values) -> int:
+        return sum(sorted(values, reverse=True)[:d])
+
+    values = [cone.evaluate(r) for r in extreme]
+    return _SearchData(
+        tuple(bases),
+        tuple(top(v[k] for v in values) for k in range(cone.ray_count)),
+        tuple(top(max(r[j], 0) for r in extreme) for j in range(d)),
+        tuple(top(max(-r[j], 0) for r in extreme) for j in range(d)),
+    )
+
+
+def _minimal_points(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
+    """Minimal points of P_c by enumeration in the box the module docstring derives."""
+    data = _search_data(cone)
+    rays, n, d = cone.rays, cone.ray_count, cone.lattice_rank
+    vertices = []
+    for idx, adj, det in data.bases:
+        w = tuple(sum(a * c[i] for a, i in zip(row, idx)) for row in adj)
+        values = cone.evaluate(w)
+        if all(v >= det * b for v, b in zip(values, c)):
+            vertices.append((w, values, det))
+    if not vertices:
+        return ()
+    # l_k(m) < max_v l_k(v) + S_k when S_k > 0, else l_k(m) <= max_v l_k(v)
+    upper = tuple(
+        max(-(-vals[k] // det) for _, vals, det in vertices) + data.ray_slack[k] - 1
+        if data.ray_slack[k] else max(vals[k] // det for _, vals, det in vertices)
+        for k in range(n))
+    low = [min(w[j] // det for w, _, det in vertices) - data.coord_down[j] for j in range(d)]
+    high = [max(-(-w[j] // det) for w, _, det in vertices) + data.coord_up[j] for j in range(d)]
+
+    # forms whose last nonzero coefficient sits in column j are settled once
+    # the first j+1 coordinates are chosen; the rest bound the last one
+    last_nonzero = [max(j for j in range(d) if row[j]) for row in rays]
+    heads: list[tuple[IntVector, IntVector]] = [((), (0,) * n)]
+    for j in range(d - 1):
+        column = [row[j] for row in rays]
+        settled = [k for k in range(n) if last_nonzero[k] == j]
+        heads = [
+            (head + (x,), vals)
+            for head, partial in heads
+            for x in range(low[j], high[j] + 1)
+            for vals in [tuple(p + a * x for p, a in zip(partial, column))]
+            if all(c[k] <= vals[k] <= upper[k] for k in settled)
+        ]
+    column = [row[-1] for row in rays]
+    bounding = [(k, column[k]) for k in range(n) if column[k]]
+    found = []
+    for head, partial in heads:
+        lo, hi = low[-1], high[-1]
+        for k, a in bounding:
+            p = partial[k]
+            if a > 0:
+                lo, hi = max(lo, -((p - c[k]) // a)), min(hi, (upper[k] - p) // a)
+            else:
+                lo, hi = max(lo, -((upper[k] - p) // -a)), min(hi, (p - c[k]) // -a)
+        for x in range(lo, hi + 1):
+            vals = tuple(p + a * x for p, a in zip(partial, column))
+            found.append((sum(vals), vals, head + (x,)))
+    # a dominating point has a strictly smaller value sum, so it comes first
+    found.sort()
+    kept: list[tuple[IntVector, IntVector]] = []
+    for _, vals, m in found:
+        if not any(all(a <= b for a, b in zip(k, vals)) for k, _ in kept):
+            kept.append((vals, m))
+    return tuple(sorted(m for _, m in kept))
 
 
 @lru_cache(maxsize=None)
 def _minimal_elements_cached(cone: Cone, c: IntVector) -> MinimalElements:
     if not cone.full_dimensional:
         raise ValueError("cone must be full-dimensional; reduce degenerate cones first")
-    n = cone.ray_count
-    quot = cone_quotient(cone)
-    free = quot.free_rows
-    torsion = quot.torsion
-    n_free = len(free)
-    n_tor = len(torsion)
-    height = n_free + n_tor
-
-    def value_of(vec: Sequence[int]) -> tuple[int, ...]:
-        vals = [sum(r * x for r, x in zip(row, vec)) for row in free]
-        vals += [sum(r * x for r, x in zip(row, vec)) for row, _ in torsion]
-        return tuple(vals)
-
-    columns: list[tuple[int, ...]] = []
-    for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
-        columns.append(value_of(unit))
-    t_index = n
-    columns.append(value_of(c))
-    for j, (_, d) in enumerate(torsion):
-        col = [0] * height
-        col[n_free + j] = -d
-        columns.append(tuple(col))
-        col = [0] * height
-        col[n_free + j] = d
-        columns.append(tuple(col))
-
-    sols = minimal_nonneg_solutions(columns, caps={t_index: 1})
-    candidates = _pairwise_minimal(sorted({sol[:n] for sol in sols if sol[t_index] == 1}))
-    elements = []
-    for u in candidates:
-        target = tuple(a + b for a, b in zip(u, c))
-        m = lattice_membership(cone.rays, target)
-        if m is None:
-            raise AssertionError("coset solution left the image lattice")
-        elements.append(m)
-    return MinimalElements(tuple(sorted(elements)), c)
+    return MinimalElements(_minimal_points(cone, c), c)
 
 
 def minimal_elements(cone: Cone, c: Sequence[int]) -> MinimalElements:
@@ -238,13 +317,17 @@ def interior_functional(cone: Cone) -> IntVector:
 
 def strict_interior_point(cone: Cone) -> IntVector:
     """Some m with every ray form at least one: an interior dual-cone point."""
-    return minimal_elements(cone, (1,) * cone.ray_count).elements[0]
+    points = minimal_elements(cone, (1,) * cone.ray_count).elements
+    if not points:
+        raise ValueError("the dual cone has no interior lattice point: "
+                         "the cone is not strictly convex")
+    return points[0]
 
 
 def box_minimal_oracle(cone: Cone, c: Sequence[int], radius: int) -> tuple[IntVector, ...]:
     """Brute-force oracle: minimal points of P_c within the cube [-radius, radius]^d.
 
-    Independent of the completion search; used to certify its output on
+    Independent of the bounded enumeration; used to certify its output on
     small instances.
     """
     c = tuple(int(x) for x in c)
