@@ -18,11 +18,10 @@ truncated limits are reported as evidence only, never certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .cones import Cone, leq_sigma, minimal_common_upper_bounds, minimal_elements
-from .lattice import lattice_membership
+from .lattice import lattice_membership, plain_int
 from .lifting import lift_component, lift_morphism
 from .linalg import Mat, rank, sparse_rank
 from .modules import GradedModule, GradedMorphism
@@ -70,7 +69,12 @@ class FinitePosetDiagram:
                 if missing:
                     raise ValueError(f"relation is not transitive: it holds {(i, j)} and "
                                      f"{(j, min(missing))} but not {(i, min(missing))}")
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(plain_int(d) for d in dims)
+        if len(self.dims) != n:
+            raise ValueError(f"{len(self.dims)} dimensions for {n} elements")
+        for e, d in zip(self.elements, self.dims):
+            if d < 0:
+                raise ValueError(f"element {e!r} has negative dimension {d}")
         self._provider = map_provider
         self._cache: dict[tuple[int, int], Mat] = {}
 
@@ -122,7 +126,8 @@ class FinitePosetDiagram:
                   validate: bool = True) -> "FinitePosetDiagram":
         """Build from explicit relation pairs and matrices.
 
-        The relation is closed transitively.  A missing map i -> j is the
+        The relation is closed transitively, and every given map must lie
+        on a strict pair of it.  A missing map i -> j is the
         composite along given maps, leaving i by its lowest-numbered given
         map that still lies below j, so it does not depend on the order in
         which transports are asked for; then the whole square grid of
@@ -132,8 +137,10 @@ class FinitePosetDiagram:
         filled = dict(maps)
         given: dict[int, list[int]] = {}
         for i, k in sorted(maps):
-            if (i, k) in rel:
-                given.setdefault(i, []).append(k)
+            if (i, k) not in rel:
+                raise ValueError(f"map {elements[i]}->{elements[k]} is given, but "
+                                 f"{elements[i]} < {elements[k]} is not in the relation")
+            given.setdefault(i, []).append(k)
 
         def provider(i: int, j: int) -> Mat:
             path = [i]
@@ -207,32 +214,22 @@ def roos_limits(diagram: FinitePosetDiagram, imax: int) -> RoosResult:
         offsets_per_level.append(offs)
         cochain_dims.append(total)
 
+    # the faces of a strict chain are distinct, so their column blocks are
+    # disjoint and every entry of a row is written once
     ranks = []
     for p in range(imax + 1):
-        rows: list[dict[int, Fraction]] = []
+        rows: list[dict] = []
         src_offs = offsets_per_level[p]
         for tau in chain_levels[p + 1]:
-            top = tau[-1]
-            dim_top = diagram.dims[top]
-            for r in range(dim_top):
-                row: dict[int, Fraction] = {}
-                for drop in range(p + 1):
-                    face = tau[:drop] + tau[drop + 1:]
-                    sign = Fraction(-1) ** drop
-                    col0 = src_offs[face] + r
-                    row[col0] = row.get(col0, Fraction(0)) + sign
-                face = tau[:-1]
-                sign = Fraction(-1) ** (p + 1)
-                mat = diagram.transport(tau[-2], tau[-1])
-                base = src_offs[face]
-                for cc in range(diagram.dims[face[-1]]):
-                    v = mat.rows[r][cc]
+            faces = [src_offs[tau[:drop] + tau[drop + 1:]] for drop in range(p + 1)]
+            base = src_offs[tau[:-1]]
+            mat = diagram.transport(tau[-2], tau[-1])
+            for r in range(diagram.dims[tau[-1]]):
+                row = {col0 + r: -1 if drop % 2 else 1 for drop, col0 in enumerate(faces)}
+                for cc, v in enumerate(mat.rows[r]):
                     if v:
-                        col = base + cc
-                        row[col] = row.get(col, Fraction(0)) + sign * v
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
+                        row[base + cc] = -v if p % 2 == 0 else v
+                rows.append(row)
         ranks.append(sparse_rank(rows))
 
     limit_dims = []
@@ -249,19 +246,13 @@ def equalizer_limit_dim(diagram: FinitePosetDiagram) -> int:
     for d in diagram.dims:
         offs.append(total)
         total += d
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict] = []
     for (i, j) in diagram.covers():
         mat = diagram.transport(i, j)
         for r in range(diagram.dims[j]):
-            row: dict[int, Fraction] = {offs[j] + r: Fraction(-1)}
-            for c in range(diagram.dims[i]):
-                v = mat.rows[r][c]
-                if v:
-                    col = offs[i] + c
-                    row[col] = row.get(col, Fraction(0)) + v
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                rows.append(row)
+            row = {offs[j] + r: -1}
+            row.update((offs[i] + c, v) for c, v in enumerate(mat.rows[r]) if v)
+            rows.append(row)
     return total - sparse_rank(rows)
 
 
@@ -285,16 +276,8 @@ def order_complex_cohomology(n_elements: int, strict_pairs: set[tuple[int, int]]
     index = {p: {s: i for i, s in enumerate(simplices[p])} for p in simplices}
     ranks = []
     for p in range(imax + 1):
-        rows = []
-        for s in simplices[p + 1]:
-            row: dict[int, Fraction] = {}
-            for drop in range(p + 2):
-                face = s[:drop] + s[drop + 1:]
-                col = index[p][face]
-                row[col] = row.get(col, Fraction(0)) + Fraction(-1) ** drop
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                rows.append(row)
+        rows = [{index[p][s[:drop] + s[drop + 1:]]: -1 if drop % 2 else 1
+                 for drop in range(p + 2)} for s in simplices[p + 1]]
         ranks.append(sparse_rank(rows))
     out = []
     for p in range(imax + 1):

@@ -40,7 +40,10 @@ from .modules import (
 
 def parse_fraction(x) -> Fraction:
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     if isinstance(x, bool):
         raise ValueError("booleans are not numbers here")
     if isinstance(x, int):
@@ -110,6 +113,9 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
     try:
         elements = [str(e) for e in obj["elements"]]
         index = {e: i for i, e in enumerate(elements)}
+        if len(index) < len(elements):
+            dup = next(e for i, e in enumerate(elements) if index[e] != i)
+            raise ValueError(f"diagram JSON repeats the element id {dup!r}")
         pairs = [(index[str(i)], index[str(j)]) for i, j in obj["leq"]]
         dims = [plain_int(obj["dims"][e]) for e in elements]
         maps = {}

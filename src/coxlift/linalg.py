@@ -2,9 +2,14 @@
 
 Every vector-space computation in the package runs through this module:
 ranks, reduced row echelon forms, kernels, coordinate solving, and
-canonical row-space bases, all over ``fractions.Fraction``.  There is one
-Gaussian elimination, the sparse pivot table of ``_pivot_table``; ranks
-count its pivots and reduced forms back-substitute it.  There is one
+canonical row-space bases.  Matrices, vectors and results are
+``fractions.Fraction`` at every interface.  There is one Gaussian
+elimination, the sparse pivot table of ``_pivot_table``, and it is
+fraction-free: each row is scaled to integers once, a row is cleared by
+an integer combination ``a*row - f*pivot``, and stored rows are primitive
+(content 1, positive leading entry), which keeps the integers small.
+Ranks count its pivots; reduced forms back-substitute it and divide each
+row once by its leading entry.  There is one
 change of basis, ``matrix_in_basis``: every map between components
 (transports, restriction maps, lifted morphisms, unit and counit) writes
 its images in the target's RREF basis there.  A matrix has
@@ -21,6 +26,7 @@ the column count.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -125,18 +131,27 @@ def block_diagonal(blocks: Sequence[Mat]) -> Mat:
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the pivot column list.
 
-    The pivot table of the rows is back-substituted, highest pivot column
-    first, so each pivot column is zero outside its own row; the pivot
-    rows come first in column order, then zero rows up to ``m.nrows``.
+    The integer rows of the pivot table are back-substituted, highest
+    pivot column first, so each pivot column is zero outside its own row;
+    each row is then divided once by its leading entry.  The pivot rows
+    come first in column order, then zero rows up to ``m.nrows``.
     """
     table = _pivot_table(_sparse_rows(m))
     pivots = sorted(table)
-    for k in range(len(pivots) - 1, 0, -1):
-        for q in pivots[:k]:
-            if pivots[k] in table[q]:
-                _clear(table[q], pivots[k], table[pivots[k]])
-    rows = ([[table[p].get(c, ZERO) for c in range(m.ncols)] for p in pivots]
-            + [[ZERO] * m.ncols for _ in range(m.nrows - len(pivots))])
+    rows = []
+    for p in reversed(pivots):
+        row = table[p]
+        # the rows above are reduced and vanish at every other pivot column
+        for q in [q for q in row if q != p and q in table]:
+            _clear(row, q, table[q])
+        table[p] = row = _primitive(row)
+        dense = [ZERO] * m.ncols
+        lead = row[p]
+        for c, v in row.items():
+            dense[c] = Fraction(v, lead)
+        rows.append(dense)
+    rows.reverse()
+    rows += [[ZERO] * m.ncols for _ in range(m.nrows - len(pivots))]
     return Mat(m.nrows, m.ncols, rows), pivots
 
 
@@ -267,23 +282,25 @@ def sparse_rank(rows: Iterable[dict]) -> int:
     return len(_pivot_table(rows))
 
 
-def _pivot_table(rows: Iterable[dict]) -> dict[int, dict]:
-    """Forward elimination: pivot column -> pivot row with leading 1.
+def _pivot_table(rows: Iterable[dict]) -> dict[int, dict[int, int]]:
+    """Forward elimination: pivot column -> primitive integer pivot row.
 
-    Each sparse row ``col -> value`` has its leading entry cleared against
-    the stored pivots until it vanishes or leads at a new column, where it
-    is stored.  Stored rows hold nonzero entries only.
+    Each sparse rational row ``col -> value`` is scaled by the lcm of its
+    denominators; its leading entry is then cleared against the stored
+    pivot rows until it vanishes or leads at a new column, where it is
+    stored with content 1 and a positive leading entry.  Stored rows hold
+    nonzero entries only.
     """
-    pivots: dict[int, dict] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for r in rows:
-        row = {c: Fraction(v) for c, v in r.items() if v}
+        den = lcm(*(v.denominator for v in r.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in r.items() if v}
         while row:
             c = min(row)
             if c in pivots:
                 _clear(row, c, pivots[c])
             else:
-                f = row[c]
-                pivots[c] = {cc: vv / f for cc, vv in row.items()}
+                pivots[c] = _primitive(row)
                 break
     return pivots
 
@@ -292,13 +309,33 @@ def _sparse_rows(m: Mat):
     return ({c: x for c, x in enumerate(row) if x} for row in m.rows)
 
 
-def _clear(row: dict, c: int, prow: dict) -> None:
-    """Clear ``row`` at ``c`` with ``prow``, whose pivot is a 1 at ``c``."""
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by its content, signed so the leading entry is positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _clear(row: dict[int, int], c: int, prow: dict[int, int]) -> None:
+    """Clear ``row`` at ``c`` with ``prow``: ``row`` becomes ``a*row - f*prow``.
+
+    ``a`` and ``f`` are the entries of ``prow`` and ``row`` at ``c``
+    divided by their gcd; ``a`` is positive, as ``prow`` leads with a
+    positive entry at ``c``.
+    """
     f = row.pop(c)
+    a = prow[c]
+    g = gcd(a, f)
+    a //= g
+    f //= g
+    if a != 1:
+        for cc in row:
+            row[cc] *= a
     for cc, vv in prow.items():
         if cc == c:
             continue
-        nv = row.get(cc, ZERO) - f * vv
+        nv = row.get(cc, 0) - f * vv
         if nv:
             row[cc] = nv
         else:

@@ -244,6 +244,36 @@ def test_wrongly_typed_json_is_an_input_error(inputs, capsys, flag, payload):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+PAIR_AB = {"elements": ["a", "b"], "dims": {"a": 2, "b": 2}}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"elements": ["a"], "leq": [], "dims": {"a": -2}, "maps": {}}, "negative dimension"),
+    (dict(PAIR_AB, leq=[], maps={"a->b": [[1, 0], [0, 1]]}), "map a->b"),
+    (dict(PAIR_AB, leq=[["a", "b"]], maps={"a->b": [[1, 0], [0, 1]],
+                                           "b->a": [[1, 0], [0, 1]]}), "map b->a"),
+    ({"elements": ["a", "a"], "leq": [], "dims": {"a": 1}, "maps": {}}, "repeats"),
+    (dict(CROWN_JSON, maps=dict(CROWN_JSON["maps"], **{"a->c": [["1/0"]]})),
+     "zero denominator"),
+])
+def test_invalid_diagram_is_an_input_error(inputs, capsys, payload, message):
+    bad = inputs / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["roos", "--diagram", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_zero_denominator_in_a_module_is_an_input_error(inputs, capsys):
+    module = inputs / "bad.json"
+    module.write_text(json.dumps({"type": "filtration", "ambient_dim": 1,
+                                  "filtrations": {"0": [{"level": 0, "basis": [["1/0"]]}]}}))
+    assert main(["lift-table", "--cone", str(inputs / "cone.json"),
+                 "--module", str(module), "--box=0..0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exc", [KeyError("(0, 2)"), AssertionError("bad state")])
 def test_internal_errors_exit_3(inputs, capsys, monkeypatch, exc):
     def broken(*args, **kwargs):

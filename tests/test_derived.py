@@ -131,6 +131,13 @@ def test_antisymmetry_enforced():
                            lambda i, j: Mat.identity(1))
 
 
+@pytest.mark.parametrize("dims, message", [
+    ([1, -2], "negative"), ([1, 1.5], "integer"), ([1], "1 dimensions for 2 elements")])
+def test_dimensions_are_checked(dims, message):
+    with pytest.raises(ValueError, match=message):
+        FinitePosetDiagram(["a", "b"], set(), dims, lambda i, j: Mat.identity(1))
+
+
 def test_truncated_oracle_simple(csq):
     K = simple_module(csq)
     rep = truncated_lift_oracle(csq, K, (-1, 0, 0, 0), 2)

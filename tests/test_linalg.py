@@ -47,6 +47,33 @@ def dense_rref(m: Mat) -> tuple[Mat, list[int]]:
     return Mat(m.nrows, m.ncols, rows), pivots
 
 
+def fraction_pivot_table(rows) -> dict[int, dict]:
+    """Reference oracle: forward elimination on ``Fraction`` rows.
+
+    Pivot column -> sparse pivot row with leading 1; each row's leading
+    entry is cleared against the stored pivots until the row vanishes or
+    leads at a new column.
+    """
+    pivots: dict[int, dict] = {}
+    for r in rows:
+        row = {c: Fraction(v) for c, v in r.items() if v}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                f = row[c]
+                pivots[c] = {cc: vv / f for cc, vv in row.items()}
+                break
+            f = row.pop(c)
+            for cc, vv in pivots[c].items():
+                if cc != c:
+                    nv = row.get(cc, Fraction(0)) - f * vv
+                    if nv:
+                        row[cc] = nv
+                    else:
+                        row.pop(cc, None)
+    return pivots
+
+
 small_matrix = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(
@@ -195,6 +222,43 @@ def test_matrix_in_basis_recovers_coefficients(m, data):
         outside[data.draw(st.sampled_from(free))] += 1
         with pytest.raises(AssertionError):
             matrix_in_basis(basis, images + [outside])
+
+
+@st.composite
+def tall_sparse_rows(draw):
+    """Up to 24x12, about half zeros, large numerators over small denominators.
+
+    Some rows hold plain ``int`` values; some are combinations of two
+    earlier rows, so wide matrices lose rank too.
+    """
+    nrows, ncols = draw(st.integers(0, 24)), draw(st.integers(0, 12))
+    value = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 12))
+    rows: list[list] = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("int", "fraction", "combination")))
+        if kind == "combination" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(value), draw(value)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+            continue
+        zero = [draw(st.booleans()) for _ in range(ncols)]
+        if kind == "int":
+            rows.append([0 if z else draw(st.integers(-10**6, 10**6)) for z in zero])
+        else:
+            rows.append([Fraction(0) if z else draw(value) for z in zero])
+    return ncols, rows
+
+
+@given(tall_sparse_rows())
+def test_fraction_free_elimination_matches_oracles(shape_rows):
+    ncols, rows = shape_rows
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    table = fraction_pivot_table(sparse)
+    m = Mat.from_rows(rows, ncols)
+    red, pivots = dense_rref(m)
+    assert sorted(table) == pivots
+    assert sparse_rank(sparse) == rank(m) == len(pivots)
+    assert rref(m) == (red, pivots)
 
 
 def test_zero_dimensional_shapes():
