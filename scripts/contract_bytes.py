@@ -12,9 +12,12 @@ Runs, each through ``python -m coxlift.cli`` from this checkout's
   a rank-2 module of four lines in general position;
 * ``roos --diagram diagram_crown.json --imax 0|1|2``.
 
-Each command's stdout, stderr and exit code go to
+Each command runs twice, under ``PYTHONHASHSEED=1`` and ``=2``; its
+stdout, stderr and exit code under the first go to
 ``OUTDIR/<name>.stdout``, ``.stderr`` and ``.exit``.  Two checkouts
 give the same bytes exactly when ``diff -r`` of their OUTDIRs is empty.
+The script exits 1, naming the commands, when any command's stdout
+differs between the two seeds: no hash may leak into output order.
 """
 
 import json
@@ -62,18 +65,27 @@ def main() -> int:
     outdir = pathlib.Path(sys.argv[1])
     outdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    seed_dependent = []
     with tempfile.TemporaryDirectory() as tmp:
         inputs = pathlib.Path(tmp)
         subprocess.run([sys.executable, str(ROOT / "scripts" / "make_inputs.py"), tmp],
                        check=True, stdout=subprocess.DEVNULL)
         (inputs / "module_generic_lines.json").write_text(json.dumps(GENERIC_LINES))
         for name, args in commands(inputs):
-            proc = subprocess.run([sys.executable, "-m", "coxlift.cli", *args],
-                                  env=env, capture_output=True)
+            proc, other = [subprocess.run([sys.executable, "-m", "coxlift.cli", *args],
+                                          env=dict(env, PYTHONHASHSEED=seed),
+                                          capture_output=True)
+                           for seed in ("1", "2")]
             (outdir / f"{name}.stdout").write_bytes(proc.stdout)
             (outdir / f"{name}.stderr").write_bytes(proc.stderr)
             (outdir / f"{name}.exit").write_text(f"{proc.returncode}\n")
             print(f"{name}: exit {proc.returncode}")
+            if other.stdout != proc.stdout:
+                seed_dependent.append(name)
+    if seed_dependent:
+        print(f"stdout differs between PYTHONHASHSEED=1 and 2: {', '.join(seed_dependent)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -38,22 +38,58 @@ fan checks; a completion-based search and the brute-force
 
 Results are memoized per process with no locks: in a worker pool each
 worker keeps its own cache, and cached values agree across workers
-because every output here is deterministic.
+because every output here is deterministic.  Each cone memoizes its
+Cox coordinates ``L(m)`` by point, and ``leq_sigma`` compares two of
+them: ``m <= m'`` exactly when ``L(m) <= L(m')`` componentwise, since L
+is linear.  Cones and the module and rule classes that key the caches
+hash once (``HashOnce``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .lattice import IntMatrix, IntVector, int_matrix, rational_rank
+from .lattice import IntMatrix, IntVector, imat_vec, int_matrix, rational_rank
 
 
-@dataclass(frozen=True)
-class Cone:
+class HashOnce:
+    """Mixin for the frozen dataclasses that key the caches: hash once.
+
+    Declare the dataclass with ``eq=False`` and end its ``__post_init__``
+    with ``super().__post_init__()``, which hashes the tuple of fields
+    once.  Equality stays structural, field by field as the generated
+    one, with the stored hashes compared first.  A pickle holds only the
+    fields, and unpickling runs the constructor again: neither the hash,
+    which depends on the hash seed through ``str`` fields, nor a memo on
+    the instance travels to another process.
+    """
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+@dataclass(frozen=True, eq=False)
+class Cone(HashOnce):
     """Ray data of a polyhedral cone: one primitive integer form per ray."""
 
     lattice_rank: int
@@ -69,6 +105,8 @@ class Cone:
                 raise ValueError("zero ray")
             if math.gcd(*[abs(x) for x in row]) != 1:
                 raise ValueError(f"ray {row} is not primitive")
+        object.__setattr__(self, "_values", {})
+        super().__post_init__()
 
     @property
     def ray_count(self) -> int:
@@ -84,9 +122,15 @@ class Cone:
         return self.full_dimensional
 
     def evaluate(self, m: Sequence[int]) -> IntVector:
-        if len(m) != self.lattice_rank:
-            raise ValueError("vector length differs from lattice rank")
-        return tuple(sum(r * x for r, x in zip(row, m)) for row in self.rays)
+        """The Cox coordinates L(m), memoized by point for the life of the cone."""
+        m = tuple(m)
+        out = self._values.get(m)
+        if out is None:
+            if len(m) != self.lattice_rank:
+                raise ValueError("vector length differs from lattice rank")
+            out = self._values[m] = tuple(sum(r * x for r, x in zip(row, m))
+                                          for row in self.rays)
+        return out
 
 
 @dataclass(frozen=True)
@@ -104,10 +148,7 @@ def _cone_rank(cone: Cone) -> int:
 
 def leq_sigma(cone: Cone, m: Sequence[int], m_prime: Sequence[int]) -> bool:
     """Dual-cone order: every ray form nondecreasing from m to m_prime."""
-    if len(m) != cone.lattice_rank or len(m_prime) != cone.lattice_rank:
-        raise ValueError("vector length differs from lattice rank")
-    diff = [b - a for a, b in zip(m, m_prime)]
-    return all(sum(r * x for r, x in zip(row, diff)) >= 0 for row in cone.rays)
+    return all(a <= b for a, b in zip(cone.evaluate(m), cone.evaluate(m_prime)))
 
 
 def minimal_nonneg_solutions(
@@ -235,7 +276,7 @@ def _minimal_points(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
     vertices = []
     for idx, adj, det in data.bases:
         w = tuple(sum(a * c[i] for a, i in zip(row, idx)) for row in adj)
-        values = cone.evaluate(w)
+        values = imat_vec(rays, w)
         if all(v >= det * b for v, b in zip(values, c)):
             vertices.append((w, values, det))
     if not vertices:

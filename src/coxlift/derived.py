@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .cones import Cone, leq_sigma, minimal_common_upper_bounds, minimal_elements
-from .lattice import lattice_membership, plain_int
+from .cones import Cone, minimal_common_upper_bounds, minimal_elements
+from .lattice import plain_int, smith_normal_form
 from .lifting import lift_component, lift_morphism
 from .linalg import Mat, rank, sparse_rank
 from .modules import GradedModule, GradedMorphism
@@ -127,11 +127,11 @@ class FinitePosetDiagram:
         """Build from explicit relation pairs and matrices.
 
         The relation is closed transitively, and every given map must lie
-        on a strict pair of it.  A missing map i -> j is the
-        composite along given maps, leaving i by its lowest-numbered given
-        map that still lies below j, so it does not depend on the order in
-        which transports are asked for; then the whole square grid of
-        compositions is validated.
+        on a strict pair of it and have the shape its two dimensions fix.
+        A missing map i -> j is the composite along given maps, leaving i
+        by its lowest-numbered given map that still lies below j, so it
+        does not depend on the order in which transports are asked for;
+        then the whole square grid of compositions is validated.
         """
         rel = transitive_closure((int(i), int(j)) for i, j in pairs)
         filled = dict(maps)
@@ -156,6 +156,12 @@ class FinitePosetDiagram:
             return out
 
         diagram = cls(elements, rel, dims, provider)
+        for (i, k), mat in sorted(maps.items()):
+            want = (diagram.dims[k], diagram.dims[i])
+            if (mat.nrows, mat.ncols) != want:
+                raise ValueError(f"map {elements[i]}->{elements[k]} has shape "
+                                 f"{mat.nrows}x{mat.ncols}, expected {want[0]}x{want[1]} "
+                                 f"(dim {elements[k]} x dim {elements[i]})")
         if validate:
             diagram.validate_composition()
         return diagram
@@ -163,13 +169,14 @@ class FinitePosetDiagram:
     @classmethod
     def from_module(cls, cone: Cone, module: GradedModule,
                     points: Sequence[IntVector]) -> "FinitePosetDiagram":
+        """The module on the given points, ordered by their Cox coordinates:
+        p <= q exactly when L(p) <= L(q) componentwise."""
         points = [tuple(int(x) for x in p) for p in points]
-        idx = {p: i for i, p in enumerate(points)}
-        rel = set()
-        for p in points:
-            for q in points:
-                if p != q and leq_sigma(cone, p, q):
-                    rel.add((idx[p], idx[q]))
+        if len(set(points)) < len(points):
+            raise ValueError("the points of a diagram must be distinct")
+        values = [cone.evaluate(p) for p in points]
+        rel = {(i, j) for i, a in enumerate(values) for j, b in enumerate(values)
+               if i != j and all(x <= y for x, y in zip(a, b))}
         dims = [module.component(p).dim for p in points]
         return cls(points, rel, dims,
                    lambda i, j: module.action(points[i], points[j]))
@@ -311,12 +318,12 @@ class TruncationReport:
 def truncation_points(cone: Cone, c: IntVector, bound: int) -> list[IntVector]:
     """Lattice points of P_c whose Cox coordinates are within ``bound`` in 1-norm."""
     n = cone.ray_count
+    snf = smith_normal_form(cone.rays)
     points = []
 
     def rec(prefix: list[int], remaining: int, idx: int):
         if idx == n:
-            target = tuple(u + x for u, x in zip(prefix, c))
-            m = lattice_membership(cone.rays, target)
+            m = snf.preimage(tuple(u + x for u, x in zip(prefix, c)))
             if m is not None:
                 points.append(m)
             return

@@ -118,13 +118,19 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
             raise ValueError(f"diagram JSON repeats the element id {dup!r}")
         pairs = [(index[str(i)], index[str(j)]) for i, j in obj["leq"]]
         dims = [plain_int(obj["dims"][e]) for e in elements]
+        unknown = sorted(set(obj["dims"]) - set(index))
+        if unknown:
+            raise ValueError(f"diagram JSON gives dims for unknown element ids {unknown}")
         maps = {}
         for key, rows in obj.get("maps", {}).items():
             a, b = key.split("->")
-            maps[(index[a.strip()], index[b.strip()])] = Mat.from_rows(
-                [[parse_fraction(x) for x in row] for row in rows],
-                ncols=dims[index[a.strip()]],
-            )
+            # the width comes from the rows, so a wrong one is reported with the ids
+            try:
+                mat = Mat.from_rows([[parse_fraction(x) for x in row] for row in rows],
+                                    ncols=None if rows else dims[index[a.strip()]])
+            except ValueError as exc:
+                raise ValueError(f"map {key}: {exc}") from None
+            maps[(index[a.strip()], index[b.strip()])] = mat
     except KeyError as exc:
         raise ValueError(f"diagram JSON is missing {exc}") from exc
     except (TypeError, AttributeError) as exc:

@@ -82,6 +82,25 @@ class SnfResult:
     V: IntMatrix
     invariant_factors: tuple[int, ...]
 
+    def preimage(self, v: IntVector) -> Optional[IntVector]:
+        """An integer ``x`` with ``A @ x == v``, or None; ``v`` must have one
+        integer entry per row of A."""
+        m, n = len(self.U), len(self.V)
+        y = imat_vec(self.U, v)
+        z = [0] * n
+        for i in range(min(m, n)):
+            d = self.D[i][i]
+            if d:
+                if y[i] % d:
+                    return None
+                z[i] = y[i] // d
+            elif y[i]:
+                return None
+        for i in range(min(m, n), m):
+            if y[i]:
+                return None
+        return imat_vec(self.V, z)
+
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     a = int_matrix(a)
@@ -209,22 +228,7 @@ def lattice_membership(b: IntMatrix, v: Sequence[int]) -> Optional[IntVector]:
     b = int_matrix(b)
     if len(v) != len(b):
         raise ValueError("vector length differs from row count")
-    snf = _snf_cached(b)
-    m, n = len(b), len(b[0])
-    y = imat_vec(snf.U, tuple(int(x) for x in v))
-    z = [0] * n
-    for i in range(min(m, n)):
-        d = snf.D[i][i]
-        if d:
-            if y[i] % d:
-                return None
-            z[i] = y[i] // d
-        elif y[i]:
-            return None
-    for i in range(min(m, n), m):
-        if y[i]:
-            return None
-    return imat_vec(snf.V, z)
+    return _snf_cached(b).preimage(tuple(int(x) for x in v))
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,7 @@ from typing import Callable, Optional, Sequence
 
 from .cones import (
     Cone,
+    HashOnce,
     leq_sigma,
     minimal_common_upper_bounds,
     minimal_elements,
@@ -183,8 +184,8 @@ class CoxRule:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ShiftedCoxRule(CoxRule):
+@dataclass(frozen=True, eq=False)
+class ShiftedCoxRule(HashOnce, CoxRule):
     """Rule of the shifted Cox ring: dim 1 exactly when c + shift >= 0."""
 
     ray_count: int
@@ -194,6 +195,7 @@ class ShiftedCoxRule(CoxRule):
         object.__setattr__(self, "shift", tuple(plain_int(x) for x in self.shift))
         if len(self.shift) != self.ray_count:
             raise ValueError("shift length differs from ray count")
+        super().__post_init__()
 
     def dim(self, c: Sequence[int]) -> int:
         return 1 if all(a + s >= 0 for a, s in zip(c, self.shift)) else 0
@@ -202,8 +204,8 @@ class ShiftedCoxRule(CoxRule):
         return Mat.ones(self.dim(c_prime), self.dim(c))
 
 
-@dataclass(frozen=True)
-class SpikeRule(CoxRule):
+@dataclass(frozen=True, eq=False)
+class SpikeRule(HashOnce, CoxRule):
     """One-dimensional component at a single Cox degree, zero transports."""
 
     ray_count: int
@@ -213,6 +215,7 @@ class SpikeRule(CoxRule):
         object.__setattr__(self, "degree", tuple(plain_int(x) for x in self.degree))
         if len(self.degree) != self.ray_count:
             raise ValueError("degree length differs from ray count")
+        super().__post_init__()
 
     def dim(self, c: Sequence[int]) -> int:
         return 1 if tuple(c) == self.degree else 0
@@ -221,12 +224,13 @@ class SpikeRule(CoxRule):
         return Mat.ones(self.dim(c_prime), self.dim(c))
 
 
-@dataclass(frozen=True)
-class DirectSumRule(CoxRule):
+@dataclass(frozen=True, eq=False)
+class DirectSumRule(HashOnce, CoxRule):
     parts: tuple[CoxRule, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
+        super().__post_init__()
 
     @property
     def ray_count(self) -> int:  # type: ignore[override]
@@ -239,8 +243,8 @@ class DirectSumRule(CoxRule):
         return block_diagonal([p.act(c, c_prime) for p in self.parts])
 
 
-@dataclass(frozen=True)
-class SheafifiedModule(GradedModule):
+@dataclass(frozen=True, eq=False)
+class SheafifiedModule(HashOnce, GradedModule):
     """The graded module read off a Cox rule along the grading map.
 
     Component at m is the rule's component at L(m); only degrees in the

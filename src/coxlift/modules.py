@@ -16,6 +16,23 @@ chains.  Variants:
 
 Everything is immutable and hashable, so evaluation is pure and results
 may be cached or shipped to worker processes freely.
+
+Caching.  The module classes hash once, at construction (``HashOnce``),
+so a cache lookup costs a stored integer; equality stays structural, so
+equal modules share entries however they were built.  Per process and
+without bound, as the other module-keyed caches:
+
+* ``_fp_quotient_data``: the reduced relations of a finitely presented
+  module, keyed by ``(module, m)``;
+* ``_filtration_subspace``: the component of a filtration module, keyed
+  by ``(module, step index per ray)``, the filtration steps in force at
+  ``L(m)`` (-1 below the first jump): at most the product over the rays
+  of one plus the number of steps;
+* ``_filtration_transport``: the inclusion between two such components,
+  ``matrix_in_basis(target, source)``, keyed by the pair of step keys.
+
+A cached transport is the very ``Mat`` that every later ``action`` call
+returns: callers read it and must not mutate it.
 """
 
 from __future__ import annotations
@@ -27,7 +44,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cones import Cone, leq_sigma
+from .cones import Cone, HashOnce, leq_sigma
 from .lattice import plain_int
 from .linalg import (
     Mat,
@@ -101,8 +118,8 @@ class IndicatorConstraint:
         return value <= self.bound if self.op == "<=" else value >= self.bound
 
 
-@dataclass(frozen=True)
-class IndicatorModule(GradedModule):
+@dataclass(frozen=True, eq=False)
+class IndicatorModule(HashOnce, GradedModule):
     """Support cut out by ray inequalities; identity transports inside.
 
     ``style`` records the intended structure: submodule-style supports
@@ -126,6 +143,7 @@ class IndicatorModule(GradedModule):
         object.__setattr__(
             self, "exclude", tuple(tuple(plain_int(x) for x in p) for p in self.exclude)
         )
+        super().__post_init__()
 
     def in_support(self, m: Sequence[int]) -> bool:
         m = tuple(int(x) for x in m)
@@ -207,8 +225,8 @@ class Relation:
     coeffs: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class FinitelyPresentedModule(GradedModule):
+@dataclass(frozen=True, eq=False)
+class FinitelyPresentedModule(HashOnce, GradedModule):
     """Cokernel of relations between generators at fixed degrees.
 
     A relation at degree e with coefficient vector a identifies
@@ -235,6 +253,7 @@ class FinitelyPresentedModule(GradedModule):
                         f"relation at {deg} touches generator {g} outside its cone")
             rels.append(Relation(deg, coeffs))
         object.__setattr__(self, "relations", tuple(rels))
+        super().__post_init__()
 
     def _data(self, m: IntVector):
         return _fp_quotient_data(self, m)
@@ -325,12 +344,14 @@ def full_at(level: int, ambient: int) -> RayFiltration:
                                     for i in range(ambient)])], ambient)
 
 
-@dataclass(frozen=True)
-class FiltrationModule(GradedModule):
+@dataclass(frozen=True, eq=False)
+class FiltrationModule(HashOnce, GradedModule):
     """Components are intersections of per-ray filtration spaces.
 
     Requires one full filtration per cone ray: zero below the first
     jump, the whole ambient space at the top jump, nested in between.
+    A component depends on m only through the step in force on each ray,
+    so components and transports are cached by those step indices.
     """
 
     cone: Cone
@@ -344,6 +365,8 @@ class FiltrationModule(GradedModule):
         for ray, rf in filt.items():
             if not rf.steps:
                 raise ValueError(f"ray {ray}: empty filtration")
+            if any(a.level >= b.level for a, b in zip(rf.steps, rf.steps[1:])):
+                raise ValueError(f"ray {ray}: filtration levels are not increasing")
             prev: tuple[Vector, ...] = ()
             for st in rf.steps:
                 for v in st.basis:
@@ -356,32 +379,48 @@ class FiltrationModule(GradedModule):
                 raise ValueError(f"ray {ray}: filtration is not full")
         object.__setattr__(self, "filtrations",
                            tuple(sorted(filt.items())))
+        object.__setattr__(self, "_levels", tuple(tuple(st.level for st in rf.steps)
+                                                  for _, rf in self.filtrations))
+        super().__post_init__()
+
+    def _steps(self, m: Sequence[int]) -> IntVector:
+        """Per ray, the index of the step in force at L(m); -1 below the first jump."""
+        return tuple(bisect_right(levels, v) - 1
+                     for levels, v in zip(self._levels, self.cone.evaluate(m)))
 
     def subspace(self, m: Sequence[int]) -> tuple[Vector, ...]:
         """Canonical basis of the component inside the ambient space."""
-        m = tuple(int(x) for x in m)
-        return _filtration_subspace(self, m)
+        return _filtration_subspace(self, self._steps(tuple(int(x) for x in m)))
 
     def _component(self, m: IntVector) -> Component:
-        return Component(len(self.subspace(m)))
+        return Component(len(_filtration_subspace(self, self._steps(m))))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        return matrix_in_basis(self.subspace(m_prime), self.subspace(m))
+        return _filtration_transport(self, self._steps(m), self._steps(m_prime))
 
 
 @lru_cache(maxsize=None)
-def _filtration_subspace(module: FiltrationModule, m: IntVector) -> tuple[Vector, ...]:
-    values = module.cone.evaluate(m)
-    return intersect_ray_spaces(((rf, values[ray]) for ray, rf in module.filtrations),
+def _filtration_subspace(module: FiltrationModule, steps: IntVector) -> tuple[Vector, ...]:
+    if min(steps) < 0:
+        return ()  # some ray is below its first jump
+    return intersect_ray_spaces(((rf, rf.steps[i].level)
+                                 for (_, rf), i in zip(module.filtrations, steps)),
                                 module.ambient_dim)
+
+
+@lru_cache(maxsize=None)
+def _filtration_transport(module: FiltrationModule, source: IntVector,
+                          target: IntVector) -> Mat:
+    return matrix_in_basis(_filtration_subspace(module, target),
+                           _filtration_subspace(module, source))
 
 
 # --------------------------------------------------------------------------
 # shifts and sums
 
 
-@dataclass(frozen=True)
-class ShiftModule(GradedModule):
+@dataclass(frozen=True, eq=False)
+class ShiftModule(HashOnce, GradedModule):
     base: GradedModule
     by: IntVector
 
@@ -389,6 +428,7 @@ class ShiftModule(GradedModule):
         object.__setattr__(self, "by", tuple(plain_int(x) for x in self.by))
         if len(self.by) != self.base.cone.lattice_rank:
             raise ValueError("shift length differs from lattice rank")
+        super().__post_init__()
 
     @property
     def cone(self) -> Cone:
@@ -401,8 +441,8 @@ class ShiftModule(GradedModule):
         return self.base.action(_add(m, self.by), _add(m_prime, self.by))
 
 
-@dataclass(frozen=True)
-class DirectSumModule(GradedModule):
+@dataclass(frozen=True, eq=False)
+class DirectSumModule(HashOnce, GradedModule):
     parts: tuple[GradedModule, ...]
 
     def __post_init__(self):
@@ -412,6 +452,7 @@ class DirectSumModule(GradedModule):
         cone = self.parts[0].cone
         if any(p.cone != cone for p in self.parts):
             raise ValueError("direct sum parts live on different cones")
+        super().__post_init__()
 
     @property
     def cone(self) -> Cone:

@@ -255,6 +255,11 @@ PAIR_AB = {"elements": ["a", "b"], "dims": {"a": 2, "b": 2}}
     ({"elements": ["a", "a"], "leq": [], "dims": {"a": 1}, "maps": {}}, "repeats"),
     (dict(CROWN_JSON, maps=dict(CROWN_JSON["maps"], **{"a->c": [["1/0"]]})),
      "zero denominator"),
+    ({"elements": ["a"], "leq": [], "dims": {"a": 1, "zz": 5}, "maps": {}}, "['zz']"),
+    ({"elements": ["a", "b"], "leq": [["a", "b"]], "dims": {"a": 1, "b": 1},
+      "maps": {"a->b": [[1], [2]]}}, "map a->b has shape 2x1, expected 1x1"),
+    ({"elements": ["a", "b"], "leq": [["a", "b"]], "dims": {"a": 1, "b": 1},
+      "maps": {"a->b": [[1, 2]]}}, "map a->b has shape 1x2, expected 1x1"),
 ])
 def test_invalid_diagram_is_an_input_error(inputs, capsys, payload, message):
     bad = inputs / "bad.json"

@@ -261,3 +261,28 @@ def test_positive_relation():
     assert positive_relation_exists(((1, 0), (-1, 0)))
     assert not positive_relation_exists(((1, 0), (0, 1)))
     assert not positive_relation_exists(CONE_OVER_SQUARE.rays)
+
+
+def primitive_rows(rows):
+    return [r for r in rows if any(r) and math.gcd(*r) == 1]
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=5),
+    st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=2, max_size=6))))
+def test_cached_evaluate_and_order_match_the_dot_products(case):
+    rows, points = case
+    rows = primitive_rows(rows)
+    assume(rows)
+    cone = Cone(len(points[0]), rows)
+    for _ in range(2):  # the second round reads the memo
+        for m in points:
+            assert cone.evaluate(m) == tuple(sum(r * x for r, x in zip(row, m)) for row in rows)
+            assert cone.evaluate(tuple(m)) == cone.evaluate(list(m))
+        for m in points:
+            for m2 in points:
+                diff = [b - a for a, b in zip(m, m2)]
+                want = all(sum(r * x for r, x in zip(row, diff)) >= 0 for row in rows)
+                assert leq_sigma(cone, m, m2) == want
+    with pytest.raises(ValueError):
+        cone.evaluate(points[0] + [0])

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -136,6 +138,35 @@ def test_antisymmetry_enforced():
 def test_dimensions_are_checked(dims, message):
     with pytest.raises(ValueError, match=message):
         FinitePosetDiagram(["a", "b"], set(), dims, lambda i, j: Mat.identity(1))
+
+
+def test_from_module_and_truncation_points_match_their_definitions(rng):
+    for _ in range(12):
+        cone = rng.choice(TEST_CONES)
+        c = tuple(rng.randint(-2, 2) for _ in range(cone.ray_count))
+        bound = rng.randint(0, 3)
+        points = truncation_points(cone, c, bound)
+        # every m with L(m) - c >= 0 of 1-norm at most bound; |m_i| <= 5 on these cones
+        want = []
+        for m in product(range(-6, 7), repeat=cone.lattice_rank):
+            u = [sum(r * x for r, x in zip(row, m)) - b for row, b in zip(cone.rays, c)]
+            if min(u) >= 0 and sum(u) <= bound:
+                want.append(m)
+        assert points == want
+        diagram = FinitePosetDiagram.from_module(cone, random_module(cone, rng), points)
+        pairs = set()
+        for i, p in enumerate(points):
+            for j, q in enumerate(points):
+                diff = [b - a for a, b in zip(p, q)]
+                if i != j and all(sum(r * x for r, x in zip(row, diff)) >= 0
+                                  for row in cone.rays):
+                    pairs.add((i, j))
+        assert diagram.relation == pairs | {(i, i) for i in range(len(points))}
+
+
+def test_from_module_rejects_repeated_points(csq):
+    with pytest.raises(ValueError, match="distinct"):
+        FinitePosetDiagram.from_module(csq, simple_module(csq), [(0, 0, 0), (0, 0, 0)])
 
 
 def test_truncated_oracle_simple(csq):

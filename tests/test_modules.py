@@ -1,23 +1,44 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from coxlift.instances import all_variant_modules
+from coxlift.cones import Cone
+from coxlift.instances import (
+    CONE_OVER_SQUARE,
+    TEST_CONES,
+    all_variant_modules,
+    random_reflexive_description,
+)
+from coxlift.klyachko import filtration_module
 from coxlift.lattice import int_matrix
-from coxlift.lifting import Box, ShiftedCoxRule, SpikeRule
-from coxlift.linalg import Mat, is_injective
+from coxlift.lifting import (
+    Box,
+    DirectSumRule,
+    SheafifiedModule,
+    ShiftedCoxRule,
+    SpikeRule,
+)
+from coxlift.linalg import Mat, is_injective, matrix_in_basis
 from coxlift.modules import (
+    DirectSumModule,
     FiltrationModule,
+    FiltrationStep,
     FinitelyPresentedModule,
     IndicatorConstraint,
     IndicatorModule,
+    RayFiltration,
     Relation,
     ShiftModule,
     codivisorial_module,
     full_at,
     ideal_to_structure,
     identity_morphism,
+    intersect_ray_spaces,
     maximal_ideal_module,
     morphism,
     ray_filtration,
@@ -160,6 +181,11 @@ def test_filtration_validation(csq):
     with pytest.raises(ValueError):
         FiltrationModule(csq, 2, tuple(
             (i, not_full if i == 0 else full_at(0, 2)) for i in range(4)))
+    full = full_at(0, 2).steps[0]
+    unsorted = RayFiltration((full, FiltrationStep(-1, full.basis)))
+    with pytest.raises(ValueError, match="levels are not increasing"):
+        FiltrationModule(csq, 2, tuple(
+            (i, unsorted if i == 0 else full_at(0, 2)) for i in range(4)))
     with pytest.raises(ValueError):
         FiltrationModule(csq, 2, ((0, full_at(0, 2)),))
 
@@ -210,3 +236,81 @@ def test_morphism_naturality_sampled(csq):
     f = morphism(maximal_ideal_module(csq), structure_module(csq),
                  ideal_to_structure(csq).matrix, validate_radius=2)
     assert f.matrix((1, 0, 1)).rows == [[1]]
+
+
+def test_cached_filtration_components_and_transports_match_a_fresh_computation(rng):
+    def fresh_subspace(module, m):
+        values = [sum(r * x for r, x in zip(row, m)) for row in module.cone.rays]
+        return intersect_ray_spaces(((rf, values[ray]) for ray, rf in module.filtrations),
+                                    module.ambient_dim)
+
+    for cone in TEST_CONES:
+        module = filtration_module(cone, random_reflexive_description(cone, rng))
+        pts = sigma_points(cone, 1)
+        for _ in range(60):  # few distinct step keys, so most calls hit the caches
+            m = tuple(rng.randint(-3, 3) for _ in range(cone.lattice_rank))
+            m2 = tuple(a + b for a, b in zip(m, rng.choice(pts)))
+            source, target = fresh_subspace(module, m), fresh_subspace(module, m2)
+            assert module.subspace(m) == source
+            assert module.component(m2).dim == len(target)
+            assert module.action(m, m2) == matrix_in_basis(target, source)
+
+
+def equal_pairs(C):
+    ring = (0,) * 4
+    return [
+        (Cone(3, [list(r) for r in C.rays]), C),
+        (IndicatorModule(C, "submodule", [IndicatorConstraint(i, ">=", 0) for i in range(4)]),
+         structure_module(C)),
+        (IndicatorModule(C, "quotient", (), [[0, 0, 0]]),
+         IndicatorModule(C, "quotient", (), ((0, 0, 0),))),
+        (FinitelyPresentedModule(C, [[0, 0, 0]], [Relation([1, 0, 1], [1])]),
+         FinitelyPresentedModule(C, ((0, 0, 0),), (Relation((1, 0, 1), (Fraction(1),)),))),
+        (FiltrationModule(C, 2, [(i, full_at(0, 2)) for i in range(4)]),
+         FiltrationModule(C, 2, tuple((i, full_at(0, 2)) for i in (3, 2, 1, 0)))),
+        (ShiftModule(simple_module(C), [1, 0, 0]), ShiftModule(simple_module(C), (1, 0, 0))),
+        (DirectSumModule([simple_module(C), structure_module(C)]),
+         DirectSumModule((simple_module(C), structure_module(C)))),
+        (ShiftedCoxRule(4, list(ring)), ShiftedCoxRule(4, ring)),
+        (SpikeRule(4, [1, 0, 0, 0]), SpikeRule(4, (1, 0, 0, 0))),
+        (DirectSumRule([ShiftedCoxRule(4, ring)]), DirectSumRule((ShiftedCoxRule(4, ring),))),
+        (SheafifiedModule(C, ShiftedCoxRule(4, list(ring))),
+         SheafifiedModule(C, ShiftedCoxRule(4, ring))),
+    ]
+
+
+def test_equal_modules_hash_equal_whether_built_from_lists_or_tuples(csq):
+    pairs = equal_pairs(csq)
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    firsts = [a for a, _ in pairs]
+    for i, a in enumerate(firsts):
+        for j, b in enumerate(firsts):
+            assert (a == b) == (i == j)
+    assert simple_module(csq) != maximal_ideal_module(csq)
+
+
+def test_unpickled_modules_hash_like_freshly_built_ones():
+    # str hashes depend on the hash seed (IndicatorModule.style is a str), so a
+    # hash pickled under one seed would be wrong under another
+    build = ("import pickle, sys\n"
+             "from coxlift.instances import CONE_OVER_SQUARE\n"
+             "from test_modules import equal_pairs\n"
+             "built = [b for _, b in equal_pairs(CONE_OVER_SQUARE)]\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"),
+         str(Path(__file__).resolve().parent)]))
+
+    def run(seed, code, data=None):
+        proc = subprocess.run([sys.executable, "-c", build + code], input=data,
+                              env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    dump = run("1", "sys.stdout.buffer.write(pickle.dumps(built))")
+    out = run("2", "got = pickle.loads(sys.stdin.buffer.read())\n"
+                   "table = {b: i for i, b in enumerate(built)}\n"
+                   "print([hash(g) == hash(b) and g == b and table[g] == i\n"
+                   "       for i, (g, b) in enumerate(zip(got, built))])\n", dump)
+    assert out.decode().strip() == str([True] * len(equal_pairs(CONE_OVER_SQUARE)))
