@@ -53,7 +53,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .lattice import IntMatrix, IntVector, imat_vec, int_matrix, rational_rank
+from .lattice import IntMatrix, IntVector, imat_vec, int_matrix, int_vector, rational_rank
 
 
 class HashOnce:
@@ -335,7 +335,7 @@ def _minimal_elements_cached(cone: Cone, c: IntVector) -> MinimalElements:
 
 def minimal_elements(cone: Cone, c: Sequence[int]) -> MinimalElements:
     """The complete finite antichain of order-minimal points of P_c."""
-    c = tuple(int(x) for x in c)
+    c = int_vector(c)
     if len(c) != cone.ray_count:
         raise ValueError("degree length differs from ray count")
     return _minimal_elements_cached(cone, c)

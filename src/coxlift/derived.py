@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .cones import Cone, minimal_common_upper_bounds, minimal_elements
-from .lattice import plain_int, smith_normal_form
+from .lattice import int_vector, smith_normal_form
 from .lifting import lift_component, lift_morphism
 from .linalg import Mat, rank, sparse_rank
 from .modules import GradedModule, GradedMorphism
@@ -69,7 +69,7 @@ class FinitePosetDiagram:
                 if missing:
                     raise ValueError(f"relation is not transitive: it holds {(i, j)} and "
                                      f"{(j, min(missing))} but not {(i, min(missing))}")
-        self.dims = tuple(plain_int(d) for d in dims)
+        self.dims = int_vector(dims)
         if len(self.dims) != n:
             raise ValueError(f"{len(self.dims)} dimensions for {n} elements")
         for e, d in zip(self.elements, self.dims):

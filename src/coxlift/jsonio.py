@@ -24,7 +24,7 @@ from typing import Any
 
 from .cones import Cone
 from .derived import FinitePosetDiagram
-from .lattice import int_matrix, plain_int
+from .lattice import int_matrix, int_vector, plain_int
 from .lifting import LiftComponent
 from .linalg import Mat
 from .modules import (
@@ -66,17 +66,13 @@ def load_cone(obj: dict) -> Cone:
     return Cone(rank, rays)
 
 
-def _degree(values) -> tuple[int, ...]:
-    return tuple(plain_int(x) for x in values)
-
-
 def load_module(obj: dict, cone: Cone) -> GradedModule:
     try:
         kind = obj.get("type")
         if kind == "finitely_presented":
-            gens = tuple(_degree(g["degree"]) for g in obj.get("generators", []))
+            gens = tuple(int_vector(g["degree"]) for g in obj.get("generators", []))
             rels = tuple(
-                Relation(_degree(rel["degree"]),
+                Relation(int_vector(rel["degree"]),
                          tuple(parse_fraction(x) for x in rel["coeffs"]))
                 for rel in obj.get("relations", [])
             )
@@ -85,7 +81,7 @@ def load_module(obj: dict, cone: Cone) -> GradedModule:
                 IndicatorConstraint(plain_int(c["ray"]), str(c["op"]), plain_int(c["bound"]))
                 for c in obj.get("constraints", [])
             )
-            exclude = tuple(_degree(p) for p in obj.get("exclude", []))
+            exclude = tuple(int_vector(p) for p in obj.get("exclude", []))
             style = str(obj["style"])
         elif kind == "filtration":
             ambient = plain_int(obj["ambient_dim"])

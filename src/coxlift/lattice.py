@@ -29,12 +29,20 @@ def plain_int(x) -> int:
     return x
 
 
+def int_vector(values: Sequence[int]) -> IntVector:
+    """``values`` as a tuple of plain integers, each one checked by ``plain_int``."""
+    t = tuple(values)
+    if all(type(x) is int for x in t):
+        return t
+    return tuple(plain_int(x) for x in t)
+
+
 def int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
     """Normalize and validate a rectangular integer matrix."""
     out = []
     width = None
     for row in rows:
-        t = tuple(plain_int(x) for x in row)
+        t = int_vector(row)
         if width is None:
             width = len(t)
         elif len(t) != width:

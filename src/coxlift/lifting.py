@@ -7,7 +7,10 @@ the subspace of the direct sum of components at the minimal points of
 constraints there propagate to all common upper bounds because the
 transports factor.  Minimal points with zero component stay in the
 presentation on purpose: their constraints can annihilate other
-coordinates.
+coordinates.  The constraint rows are streamed, sparse and in pair
+order, into ``linalg.sparse_kernel_basis``; once they have full rank the
+lift is zero, and the pairs after that point are never visited (no
+upper-bound search, no transport).
 
 The lift is a functor, right adjoint to sheafification.  Its maps
 between lift components (restriction maps along ``c <= c'`` and lifted
@@ -28,9 +31,8 @@ its one-step restriction maps are built the first time they are read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, combinations, product
 from typing import Callable, Optional, Sequence
 
 from .cones import (
@@ -41,16 +43,16 @@ from .cones import (
     minimal_elements,
     strict_interior_point,
 )
-from .lattice import plain_int
+from .lattice import int_vector
 from .linalg import (
     Mat,
     Vector,
     block_diagonal,
     is_isomorphism,
-    kernel_basis,
     matrix_in_basis,
     rank,
     row_space_basis,
+    sparse_kernel_basis,
 )
 from .modules import Component, GradedModule, GradedMorphism
 
@@ -77,7 +79,7 @@ class LiftComponent:
 
 def lift_component(cone: Cone, module: GradedModule, c: Sequence[int]) -> LiftComponent:
     """Inverse limit of the module over P_c, with a canonical echelon basis."""
-    c = tuple(int(x) for x in c)
+    c = int_vector(c)
     if len(c) != cone.ray_count:
         raise ValueError("degree length differs from ray count")
     return _lift_component(cone, module, c)
@@ -86,31 +88,32 @@ def lift_component(cone: Cone, module: GradedModule, c: Sequence[int]) -> LiftCo
 @lru_cache(maxsize=None)
 def _lift_component(cone: Cone, module: GradedModule, c: IntVector) -> LiftComponent:
     mins = minimal_elements(cone, c).elements
-    comps = [module.component(m) for m in mins]
-    dims = tuple(comp.dim for comp in comps)
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d)
-    total = offsets[-1]
+    dims = tuple(module.component(m).dim for m in mins)
+    total = sum(dims)
+    kernel = sparse_kernel_basis(_constraint_rows(cone, module, mins, dims), total)
+    return LiftComponent(c, mins, dims, row_space_basis(kernel, total))
 
-    rows: list[list[Fraction]] = []
-    for i in range(len(mins)):
-        for j in range(i + 1, len(mins)):
-            if dims[i] == 0 and dims[j] == 0:
-                continue
-            for u in minimal_common_upper_bounds(cone, mins[i], mins[j]).elements:
-                ai = module.action(mins[i], u)
-                aj = module.action(mins[j], u)
-                for r in range(ai.nrows):
-                    row = [Fraction(0)] * total
-                    for col in range(dims[i]):
-                        row[offsets[i] + col] = ai.rows[r][col]
-                    for col in range(dims[j]):
-                        row[offsets[j] + col] -= aj.rows[r][col]
-                    if any(row):
-                        rows.append(row)
-    basis = row_space_basis(kernel_basis(Mat(len(rows), total, rows)), total)
-    return LiftComponent(c, mins, dims, basis)
+
+def _constraint_rows(cone: Cone, module: GradedModule, mins: Sequence[IntVector],
+                     dims: Sequence[int]):
+    """Compatibility rows, sparse and in pair order, built as they are pulled.
+
+    For minimal points ``i < j`` and each minimal common upper bound ``u``
+    of the pair, a row of the transport of block ``i`` to ``u`` minus the
+    same row for block ``j``.
+    """
+    offsets = list(accumulate(dims, initial=0))
+    for i, j in combinations(range(len(mins)), 2):
+        if dims[i] == 0 and dims[j] == 0:
+            continue
+        oi, oj = offsets[i], offsets[j]
+        for u in minimal_common_upper_bounds(cone, mins[i], mins[j]).elements:
+            ai = module.action(mins[i], u)
+            aj = module.action(mins[j], u)
+            for ri, rj in zip(ai.rows, aj.rows):
+                row = {oi + col: x for col, x in enumerate(ri) if x}
+                row.update((oj + col, -x) for col, x in enumerate(rj) if x)
+                yield row
 
 
 def _blockwise(src: LiftComponent, tgt: LiftComponent,
@@ -140,8 +143,8 @@ def lift_action(
     value there is transported from any dominated one, independent of
     the choice by the limit constraints.
     """
-    c = tuple(int(x) for x in c)
-    c_prime = tuple(int(x) for x in c_prime)
+    c = int_vector(c)
+    c_prime = int_vector(c_prime)
     if not all(a <= b for a, b in zip(c, c_prime)):
         raise ValueError("degrees are not componentwise comparable")
     src = source if source is not None else lift_component(cone, module, c)
@@ -162,7 +165,7 @@ def lift_action(
 
 def lift_morphism(cone: Cone, f: GradedMorphism, c: Sequence[int]) -> Mat:
     """Matrix of the lifted morphism at Cox degree c."""
-    c = tuple(int(x) for x in c)
+    c = int_vector(c)
     src = lift_component(cone, f.source, c)
     tgt = lift_component(cone, f.target, c)
     return _blockwise(src, tgt, [(i, f.matrix(m)) for i, m in enumerate(src.minimal_points)])
@@ -192,7 +195,7 @@ class ShiftedCoxRule(HashOnce, CoxRule):
     shift: IntVector
 
     def __post_init__(self):
-        object.__setattr__(self, "shift", tuple(plain_int(x) for x in self.shift))
+        object.__setattr__(self, "shift", int_vector(self.shift))
         if len(self.shift) != self.ray_count:
             raise ValueError("shift length differs from ray count")
         super().__post_init__()
@@ -212,7 +215,7 @@ class SpikeRule(HashOnce, CoxRule):
     degree: IntVector
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", tuple(plain_int(x) for x in self.degree))
+        object.__setattr__(self, "degree", int_vector(self.degree))
         if len(self.degree) != self.ray_count:
             raise ValueError("degree length differs from ray count")
         super().__post_init__()
@@ -272,7 +275,7 @@ def counit_matrix(cone: Cone, module: GradedModule, m: Sequence[int]) -> Mat:
     P_{L(m)} has m as its unique minimal point, so the lift basis
     vectors are literally vectors of E_m.
     """
-    m = tuple(int(x) for x in m)
+    m = int_vector(m)
     comp = lift_component(cone, module, cone.evaluate(m))
     if comp.minimal_points != (m,):
         raise AssertionError("expected a unique minimal point at an image degree")
@@ -281,7 +284,7 @@ def counit_matrix(cone: Cone, module: GradedModule, m: Sequence[int]) -> Mat:
 
 def unit_map(cone: Cone, rule, c: Sequence[int]) -> Mat:
     """Natural map F_c -> lift(sheafify F)_c for a Cox rule F."""
-    c = tuple(int(x) for x in c)
+    c = int_vector(c)
     tgt = lift_component(cone, SheafifiedModule(cone, rule), c)
     # the rule's maps from c to each minimal point, stacked; column j is e_j's image
     stacked = [row for m in tgt.minimal_points for row in rule.act(c, cone.evaluate(m)).rows]
@@ -345,8 +348,8 @@ class Box:
     hi: IntVector
 
     def __post_init__(self):
-        lo = tuple(plain_int(x) for x in self.lo)
-        hi = tuple(plain_int(x) for x in self.hi)
+        lo = int_vector(self.lo)
+        hi = int_vector(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or any(a > b for a, b in zip(lo, hi)):
@@ -416,7 +419,7 @@ class LiftTable:
         return out
 
     def component(self, c: Sequence[int]) -> LiftComponent:
-        return self.components[tuple(int(x) for x in c)]
+        return self.components[int_vector(c)]
 
     def dim(self, c: Sequence[int]) -> int:
         return self.component(c).dim

@@ -8,8 +8,11 @@ elimination, the sparse pivot table of ``_pivot_table``, and it is
 fraction-free: each row is scaled to integers once, a row is cleared by
 an integer combination ``a*row - f*pivot``, and stored rows are primitive
 (content 1, positive leading entry), which keeps the integers small.
-Ranks count its pivots; reduced forms back-substitute it and divide each
-row once by its leading entry.  There is one
+It reads its rows lazily, one at a time.  Ranks count its pivots and
+read every row; reduced forms back-substitute it and divide each row
+once by its leading entry.  Kernels (``sparse_kernel_basis``, which
+``kernel_basis`` calls) stop pulling rows once the table holds a pivot
+in every column, so rows after full rank are never built.  There is one
 change of basis, ``matrix_in_basis``: every map between components
 (transports, restriction maps, lifted morphisms, unit and counit) writes
 its images in the target's RREF basis there.  A matrix has
@@ -131,26 +134,20 @@ def block_diagonal(blocks: Sequence[Mat]) -> Mat:
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the pivot column list.
 
-    The integer rows of the pivot table are back-substituted, highest
-    pivot column first, so each pivot column is zero outside its own row;
-    each row is then divided once by its leading entry.  The pivot rows
-    come first in column order, then zero rows up to ``m.nrows``.
+    The back-substituted rows of the pivot table are divided once by
+    their leading entries.  The pivot rows come first in column order,
+    then zero rows up to ``m.nrows``.
     """
-    table = _pivot_table(_sparse_rows(m))
+    table = _back_substitute(_pivot_table(_sparse_rows(m)))
     pivots = sorted(table)
     rows = []
-    for p in reversed(pivots):
+    for p in pivots:
         row = table[p]
-        # the rows above are reduced and vanish at every other pivot column
-        for q in [q for q in row if q != p and q in table]:
-            _clear(row, q, table[q])
-        table[p] = row = _primitive(row)
         dense = [ZERO] * m.ncols
         lead = row[p]
         for c, v in row.items():
             dense[c] = Fraction(v, lead)
         rows.append(dense)
-    rows.reverse()
     rows += [[ZERO] * m.ncols for _ in range(m.nrows - len(pivots))]
     return Mat(m.nrows, m.ncols, rows), pivots
 
@@ -162,17 +159,30 @@ def rank(m: Mat) -> int:
 
 def kernel_basis(m: Mat) -> list[Vector]:
     """Canonical basis of the right kernel, one vector per free column."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.ncols
+    return sparse_kernel_basis(_sparse_rows(m), m.ncols)
+
+
+def sparse_kernel_basis(rows: Iterable[dict], ncols: int) -> list[Vector]:
+    """Canonical basis of the right kernel of sparse rows ``col -> value``.
+
+    One vector per free column ``f``, in column order: 1 at ``f`` and, at
+    each pivot column, minus the entry at ``f`` of that pivot's reduced
+    row.  Rows are pulled one at a time, and none once the table holds
+    ``ncols`` pivots: the kernel is then zero, and the rest of a lazy
+    iterable is never built.
+    """
+    table = _pivot_table(rows, ncols)
+    if len(table) == ncols:
+        return []
+    free = {f: [ZERO] * ncols for f in range(ncols) if f not in table}
+    for p, row in _back_substitute(table).items():
+        lead = row[p]
+        for c, v in row.items():
+            if c != p:
+                free[c][p] = Fraction(-v, lead)
+    for f, v in free.items():
         v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red.rows[i][f]
-        basis.append(tuple(v))
-    return basis
+    return [tuple(v) for v in free.values()]
 
 
 def solve(m: Mat, b: Sequence) -> Optional[list]:
@@ -282,16 +292,20 @@ def sparse_rank(rows: Iterable[dict]) -> int:
     return len(_pivot_table(rows))
 
 
-def _pivot_table(rows: Iterable[dict]) -> dict[int, dict[int, int]]:
+def _pivot_table(rows: Iterable[dict],
+                 full_rank: Optional[int] = None) -> dict[int, dict[int, int]]:
     """Forward elimination: pivot column -> primitive integer pivot row.
 
     Each sparse rational row ``col -> value`` is scaled by the lcm of its
     denominators; its leading entry is then cleared against the stored
     pivot rows until it vanishes or leads at a new column, where it is
     stored with content 1 and a positive leading entry.  Stored rows hold
-    nonzero entries only.
+    nonzero entries only.  With ``full_rank`` given, no row is pulled
+    once the table holds that many pivots.
     """
     pivots: dict[int, dict[int, int]] = {}
+    if full_rank == 0:
+        return pivots
     for r in rows:
         den = lcm(*(v.denominator for v in r.values()))
         row = {c: v.numerator * (den // v.denominator) for c, v in r.items() if v}
@@ -301,8 +315,22 @@ def _pivot_table(rows: Iterable[dict]) -> dict[int, dict[int, int]]:
                 _clear(row, c, pivots[c])
             else:
                 pivots[c] = _primitive(row)
+                if len(pivots) == full_rank:
+                    return pivots
                 break
     return pivots
+
+
+def _back_substitute(table: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Reduce a pivot table in place, highest pivot column first, so each
+    row vanishes at every other pivot column; rows stay primitive."""
+    for p in sorted(table, reverse=True):
+        row = table[p]
+        # the rows above are reduced and vanish at every other pivot column
+        for q in [q for q in row if q != p and q in table]:
+            _clear(row, q, table[q])
+        table[p] = _primitive(row)
+    return table
 
 
 def _sparse_rows(m: Mat):

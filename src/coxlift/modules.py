@@ -45,7 +45,7 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cones import Cone, HashOnce, leq_sigma
-from .lattice import plain_int
+from .lattice import int_vector, plain_int
 from .linalg import (
     Mat,
     Vector,
@@ -79,14 +79,14 @@ class GradedModule:
     cone: Cone
 
     def component(self, m: Sequence[int]) -> Component:
-        m = tuple(int(x) for x in m)
+        m = int_vector(m)
         if len(m) != self.cone.lattice_rank:
             raise ValueError("degree length differs from lattice rank")
         return self._component(m)
 
     def action(self, m: Sequence[int], m_prime: Sequence[int]) -> Mat:
-        m = tuple(int(x) for x in m)
-        m_prime = tuple(int(x) for x in m_prime)
+        m = int_vector(m)
+        m_prime = int_vector(m_prime)
         if not leq_sigma(self.cone, m, m_prime):
             raise ValueError(f"{m} is not below {m_prime} in the dual-cone order")
         return self._action(m, m_prime)
@@ -141,12 +141,12 @@ class IndicatorModule(HashOnce, GradedModule):
             if not 0 <= c.ray < self.cone.ray_count:
                 raise ValueError("constraint ray index out of range")
         object.__setattr__(
-            self, "exclude", tuple(tuple(plain_int(x) for x in p) for p in self.exclude)
+            self, "exclude", tuple(int_vector(p) for p in self.exclude)
         )
         super().__post_init__()
 
     def in_support(self, m: Sequence[int]) -> bool:
-        m = tuple(int(x) for x in m)
+        m = int_vector(m)
         values = self.cone.evaluate(m)
         if not all(c.holds(values[c.ray]) for c in self.constraints):
             return False
@@ -180,7 +180,7 @@ def simple_module(cone: Cone) -> IndicatorModule:
 
 def codivisorial_module(cone: Cone, c: Sequence[int], rays: Sequence[int]) -> IndicatorModule:
     """Quotient supported on {m : l_rho(m) <= -c_rho for rho in rays}."""
-    c = tuple(plain_int(x) for x in c)
+    c = int_vector(c)
     if len(c) != cone.ray_count:
         raise ValueError("degree length differs from ray count")
     cons = tuple(IndicatorConstraint(r, "<=", -c[plain_int(r)]) for r in rays)
@@ -239,11 +239,11 @@ class FinitelyPresentedModule(HashOnce, GradedModule):
     relations: tuple[Relation, ...] = ()
 
     def __post_init__(self):
-        gens = tuple(tuple(plain_int(x) for x in g) for g in self.generators)
+        gens = tuple(int_vector(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         rels = []
         for rel in self.relations:
-            deg = tuple(plain_int(x) for x in rel.degree)
+            deg = int_vector(rel.degree)
             coeffs = frac_vector(rel.coeffs)
             if len(coeffs) != len(gens):
                 raise ValueError("relation coefficient count differs from generators")
@@ -390,7 +390,7 @@ class FiltrationModule(HashOnce, GradedModule):
 
     def subspace(self, m: Sequence[int]) -> tuple[Vector, ...]:
         """Canonical basis of the component inside the ambient space."""
-        return _filtration_subspace(self, self._steps(tuple(int(x) for x in m)))
+        return _filtration_subspace(self, self._steps(int_vector(m)))
 
     def _component(self, m: IntVector) -> Component:
         return Component(len(_filtration_subspace(self, self._steps(m))))
@@ -425,7 +425,7 @@ class ShiftModule(HashOnce, GradedModule):
     by: IntVector
 
     def __post_init__(self):
-        object.__setattr__(self, "by", tuple(plain_int(x) for x in self.by))
+        object.__setattr__(self, "by", int_vector(self.by))
         if len(self.by) != self.base.cone.lattice_rank:
             raise ValueError("shift length differs from lattice rank")
         super().__post_init__()
@@ -481,7 +481,7 @@ class GradedMorphism:
         self._rule = rule
 
     def matrix(self, m: Sequence[int]) -> Mat:
-        m = tuple(int(x) for x in m)
+        m = int_vector(m)
         out = self._rule(m)
         want = (self.target.component(m).dim, self.source.component(m).dim)
         if (out.nrows, out.ncols) != want:

@@ -1,9 +1,16 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from coxlift import lifting
+from coxlift.cones import minimal_common_upper_bounds, minimal_elements
 from coxlift.instances import (
+    ORTHANT2,
+    TEST_CONES,
     all_variant_modules,
     codivisorial_lift_law,
+    random_reflexive_description,
     simple_lift_law,
     structure_lift_law,
 )
@@ -24,7 +31,8 @@ from coxlift.lifting import (
     sheafify_component,
     unit_map,
 )
-from coxlift.linalg import Mat, is_isomorphism, rank
+from coxlift.klyachko import filtration_module
+from coxlift.linalg import Mat, is_isomorphism, kernel_basis, rank, row_space_basis
 from coxlift.modules import (
     DirectSumModule,
     GradedModule,
@@ -37,6 +45,37 @@ from coxlift.modules import (
     structure_to_simple,
     identity_morphism,
 )
+
+
+def all_rows_lift_component(cone, module, c):
+    """Reference engine: every compatibility row built, dense, before any
+    elimination; the kernel of the whole matrix."""
+    mins = minimal_elements(cone, c).elements
+    comps = [module.component(m) for m in mins]
+    dims = tuple(comp.dim for comp in comps)
+    offsets = [0]
+    for d in dims:
+        offsets.append(offsets[-1] + d)
+    total = offsets[-1]
+
+    rows: list[list[Fraction]] = []
+    for i in range(len(mins)):
+        for j in range(i + 1, len(mins)):
+            if dims[i] == 0 and dims[j] == 0:
+                continue
+            for u in minimal_common_upper_bounds(cone, mins[i], mins[j]).elements:
+                ai = module.action(mins[i], u)
+                aj = module.action(mins[j], u)
+                for r in range(ai.nrows):
+                    row = [Fraction(0)] * total
+                    for col in range(dims[i]):
+                        row[offsets[i] + col] = ai.rows[r][col]
+                    for col in range(dims[j]):
+                        row[offsets[j] + col] -= aj.rows[r][col]
+                    if any(row):
+                        rows.append(row)
+    basis = row_space_basis(kernel_basis(Mat(len(rows), total, rows)), total)
+    return lifting.LiftComponent(c, mins, dims, basis)
 
 
 def test_simple_lift_spot_values(csq):
@@ -274,6 +313,26 @@ def test_lift_component_runs_once_when_the_module_raises_type_error(orthant):
     with pytest.raises(TypeError):
         lift_component(orthant, Raising(), (0, 0))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cone", TEST_CONES, ids=("orthant2", "quotient2", "square"))
+def test_streamed_lift_matches_all_rows_engine(cone):
+    n = cone.ray_count
+    rng = random.Random(20)
+    modules = all_variant_modules(cone) + [
+        filtration_module(cone, random_reflexive_description(cone, rng, 3)),
+        SheafifiedModule(cone, ShiftedCoxRule(n, tuple(rng.randint(-1, 1) for _ in range(n)))),
+    ]
+    radius = 1 if n > 3 else 2
+    zero_with_presentation = 0
+    for module in modules:
+        for c in Box((-radius,) * n, (radius,) * n).degrees():
+            streamed = lift_component(cone, module, c)
+            assert streamed == all_rows_lift_component(cone, module, c)
+            zero_with_presentation += streamed.dim == 0 and sum(streamed.block_dims) > 0
+    # on the smooth orthant each P_c has one minimal point and no constraint
+    if cone != ORTHANT2:
+        assert zero_with_presentation > 0
 
 
 def test_quotient_cone_lift_dims(quotient2):

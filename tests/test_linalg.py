@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coxlift.linalg import (
@@ -13,6 +13,7 @@ from coxlift.linalg import (
     row_space_basis,
     rref,
     solve,
+    sparse_kernel_basis,
     sparse_rank,
     subspace_contains,
     subspace_eq,
@@ -45,6 +46,19 @@ def dense_rref(m: Mat) -> tuple[Mat, list[int]]:
         if r == m.nrows:
             break
     return Mat(m.nrows, m.ncols, rows), pivots
+
+
+def dense_kernel(m: Mat) -> list[tuple]:
+    """Reference oracle: one vector per free column of ``dense_rref``."""
+    red, pivots = dense_rref(m)
+    kernel = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red.rows[i][f]
+        kernel.append(tuple(v))
+    return kernel
 
 
 def fraction_pivot_table(rows) -> dict[int, dict]:
@@ -180,15 +194,7 @@ def test_reduced_forms_match_dense_oracle(m, data):
     assert rank(m) == len(pivots)
     assert sparse_rank([{j: v for j, v in enumerate(row) if v} for row in m.rows]) \
         == len(pivots)
-
-    kernel = []
-    for f in (c for c in range(m.ncols) if c not in pivots):
-        v = [Fraction(0)] * m.ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red.rows[i][f]
-        kernel.append(tuple(v))
-    assert kernel_basis(m) == kernel
+    assert kernel_basis(m) == dense_kernel(m)
 
     b = data.draw(st.lists(entry, min_size=m.nrows, max_size=m.nrows))
     aug, aug_pivots = dense_rref(m.hstack(Mat(m.nrows, 1, [[x] for x in b])))
@@ -259,6 +265,29 @@ def test_fraction_free_elimination_matches_oracles(shape_rows):
     assert sorted(table) == pivots
     assert sparse_rank(sparse) == rank(m) == len(pivots)
     assert rref(m) == (red, pivots)
+
+
+def rows_until_full_rank(rows: list[dict], ncols: int):
+    """Yield the rows in order; a pull past the row that completes rank
+    ``ncols`` (by the ``Fraction`` oracle) raises instead."""
+    full = next((k for k in range(len(rows) + 1)
+                 if len(fraction_pivot_table(rows[:k])) == ncols), None)
+    for k in range(len(rows) + 1):
+        if k == full:
+            raise AssertionError(f"row {k} pulled after full rank")
+        if k == len(rows):
+            return
+        yield rows[k]
+
+
+@given(tall_sparse_rows())
+@example((2, [[1, 0], [2, 1], [0, 5], [3, 0]]))
+@example((0, [[]]))
+def test_sparse_kernel_streams_to_full_rank(shape_rows):
+    ncols, rows = shape_rows
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    assert (sparse_kernel_basis(rows_until_full_rank(sparse, ncols), ncols)
+            == dense_kernel(Mat.from_rows(rows, ncols)))
 
 
 def test_zero_dimensional_shapes():

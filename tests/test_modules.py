@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coxlift.cones import Cone
+from coxlift.cones import Cone, minimal_elements
 from coxlift.instances import (
     CONE_OVER_SQUARE,
     TEST_CONES,
@@ -22,6 +23,12 @@ from coxlift.lifting import (
     SheafifiedModule,
     ShiftedCoxRule,
     SpikeRule,
+    counit_matrix,
+    lift_action,
+    lift_component,
+    lift_morphism,
+    lift_table,
+    unit_map,
 )
 from coxlift.linalg import Mat, is_injective, matrix_in_basis
 from coxlift.modules import (
@@ -121,6 +128,32 @@ NON_INTEGERS = {
 def test_constructors_reject_non_integers(csq, build):
     with pytest.raises(ValueError):
         build(csq)
+
+
+# every public degree argument; each call is valid once the float is truncated
+NON_INTEGER_DEGREES = {
+    "minimal_elements": lambda C: minimal_elements(C, (1.9, 0, 0, 0)),
+    "lift_component": lambda C: lift_component(C, maximal_ideal_module(C), (0.7, 0, 0, 0)),
+    "lift_action": lambda C: lift_action(C, simple_module(C), (0, 0, 0, 0), (0, 0, 0, 0.5)),
+    "lift_morphism": lambda C: lift_morphism(
+        C, identity_morphism(simple_module(C)), (0.5, 0, 0, 0)),
+    "counit_matrix": lambda C: counit_matrix(C, simple_module(C), (0.5, 0, 0)),
+    "unit_map": lambda C: unit_map(C, ShiftedCoxRule(4, (0, 0, 0, 0)), (0.5, 0, 0, 0)),
+    "component": lambda C: simple_module(C).component((0.5, 0, 0)),
+    "action": lambda C: structure_module(C).action((0, 0, 0), (0, 0, 1.5)),
+    "in_support": lambda C: simple_module(C).in_support((0.5, 0, 0)),
+    "filtration subspace": lambda C: filtration_module(
+        C, random_reflexive_description(C, random.Random(1))).subspace((0.5, 0, 0)),
+    "morphism matrix": lambda C: identity_morphism(simple_module(C)).matrix((0.5, 0, 0)),
+    "table component": lambda C: lift_table(
+        C, simple_module(C), Box((0,) * 4, (0,) * 4)).component((0.0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_DEGREES.values(), ids=NON_INTEGER_DEGREES.keys())
+def test_degree_arguments_reject_non_integers(csq, call):
+    with pytest.raises(ValueError, match="expected an integer"):
+        call(csq)
 
 
 def test_degree_arguments_must_have_one_entry_per_ray(csq):
