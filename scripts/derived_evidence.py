@@ -9,7 +9,12 @@ report for one degree.
 
 import sys
 
-from coxlift.derived import connecting_cokernel, ideal_sequence, truncated_lift_oracle
+from coxlift.derived import (
+    certification_bound,
+    connecting_cokernel,
+    ideal_sequence,
+    truncated_lift_oracle,
+)
 from coxlift.instances import CONE_OVER_SQUARE
 from coxlift.modules import simple_module
 
@@ -25,8 +30,7 @@ def main() -> int:
 
     c = (-1, 0, 0, 0)
     module = simple_module(cone)
-    probe = truncated_lift_oracle(cone, module, c, 0, imax=0)
-    rep = truncated_lift_oracle(cone, module, c, probe.certification_bound, imax=1)
+    rep = truncated_lift_oracle(cone, module, c, certification_bound(cone, c), imax=1)
     print(f"\ntruncated limits at {c} with bound {rep.bound}: {rep.limit_dims}")
     print(f"certified at bound {rep.certification_bound}: {rep.certified} "
           f"({rep.point_count} poset points)")

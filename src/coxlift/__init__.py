@@ -14,7 +14,6 @@ from .cones import (
     Cone,
     MinimalElements,
     box_minimal_oracle,
-    interior_functional,
     leq_sigma,
     minimal_common_upper_bounds,
     minimal_elements,
@@ -32,13 +31,7 @@ from .derived import (
     truncated_lift_oracle,
 )
 from .fans import ChartData, ClassGroupData, FanData, affine_chart, class_group, global_reflexive_lift
-from .klyachko import (
-    ReflexiveDescription,
-    filtration_lift_component,
-    filtration_module,
-    realized_components,
-    verify_equivalence,
-)
+from .klyachko import filtration_lift_component, realized_components, verify_equivalence
 from .lattice import (
     LatticeQuotient,
     SnfResult,
@@ -60,7 +53,6 @@ from .lifting import (
     lift_morphism,
     lift_table,
     minimal_generators_in_box,
-    sheafify_component,
     unit_map,
 )
 from .modules import (
@@ -70,6 +62,7 @@ from .modules import (
     GradedModule,
     GradedMorphism,
     IndicatorModule,
+    ReflexiveDescription,
     ShiftModule,
     codivisorial_module,
     maximal_ideal_module,

@@ -32,6 +32,7 @@ from typing import Callable
 
 from .derived import (
     FinitePosetDiagram,
+    certification_bound,
     connecting_cokernel,
     equalizer_limit_dim,
     ideal_sequence,
@@ -55,11 +56,7 @@ from .instances import (
     simple_lift_law,
     structure_lift_law,
 )
-from .klyachko import (
-    filtration_module,
-    realized_components,
-    verify_equivalence,
-)
+from .klyachko import realized_components, verify_equivalence
 from .lifting import (
     Box,
     ShiftedCoxRule,
@@ -73,6 +70,7 @@ from .lifting import (
 )
 from .linalg import Mat, is_injective, is_isomorphism, rank
 from .modules import (
+    FiltrationModule,
     codivisorial_module,
     maximal_ideal_module,
     simple_module,
@@ -249,7 +247,7 @@ def check_klyachko() -> CheckReport:
     for cone in (CONE_OVER_SQUARE, QUOTIENT2, ORTHANT2):
         box = Box((-2,) * cone.ray_count, (2,) * cone.ray_count)
         mods = [maximal_ideal_module(cone),
-                filtration_module(cone, random_reflexive_description(cone, rng))]
+                FiltrationModule(cone, random_reflexive_description(cone, rng))]
         for module in mods:
             table = lift_table(cone, module, box)
             for (c, axis), mat in table.steps.items():
@@ -345,9 +343,8 @@ def check_roos() -> CheckReport:
         cone = TEST_CONES[count % len(TEST_CONES)]
         module = random_module(cone, rng)
         c = tuple(rng.randint(-2, 2) for _ in range(cone.ray_count))
-        out = truncated_lift_oracle(cone, module, c, bound=0, imax=0)
         out = truncated_lift_oracle(cone, module, c,
-                                    bound=out.certification_bound, imax=0)
+                                    bound=certification_bound(cone, c), imax=0)
         direct = lift_component(cone, module, c).dim
         if not out.certified or out.limit_dims[0] != direct:
             bad_oracle.append((count, c, out.limit_dims[0], direct))
@@ -370,14 +367,14 @@ def check_colimit() -> CheckReport:
     bad = []
     for trial in range(4):
         desc = random_reflexive_description(cone, rng)
-        module = filtration_module(cone, desc)
+        module = FiltrationModule(cone, desc)
         res = colimit(cone, module)
         if not res.stabilized or res.dim != desc.ambient_dim:
             bad.append((trial, res.dim, desc.ambient_dim))
     rep.expect("filtration colimit equals the ambient dimension", [], bad)
 
     bad2 = []
-    for module in (K, mm, rr, filtration_module(cone, random_reflexive_description(cone, rng))):
+    for module in (K, mm, rr, FiltrationModule(cone, random_reflexive_description(cone, rng))):
         a = colimit(cone, module)
         b = colimit_of_lift(cone, module)
         if not (a.stabilized and b.stabilized and a.dim == b.dim):

@@ -53,7 +53,15 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .lattice import IntMatrix, IntVector, imat_vec, int_matrix, int_vector, rational_rank
+from .lattice import (
+    IntMatrix,
+    IntVector,
+    imat_vec,
+    int_matrix,
+    int_vector,
+    plain_int,
+    rational_rank,
+)
 
 
 class HashOnce:
@@ -96,6 +104,7 @@ class Cone(HashOnce):
     rays: IntMatrix
 
     def __post_init__(self):
+        object.__setattr__(self, "lattice_rank", plain_int(self.lattice_rank))
         rays = int_matrix(self.rays)
         object.__setattr__(self, "rays", rays)
         for row in rays:
@@ -115,11 +124,6 @@ class Cone(HashOnce):
     @property
     def full_dimensional(self) -> bool:
         return _cone_rank(self) == self.lattice_rank
-
-    @property
-    def pointed_dual(self) -> bool:
-        # the order is antisymmetric exactly when the forms separate points
-        return self.full_dimensional
 
     def evaluate(self, m: Sequence[int]) -> IntVector:
         """The Cox coordinates L(m), memoized by point for the life of the cone."""
@@ -349,13 +353,6 @@ def minimal_common_upper_bounds(
     return minimal_elements(cone, top)
 
 
-def interior_functional(cone: Cone) -> IntVector:
-    """Sum of ray forms; strictly positive on nonzero points of the dual cone."""
-    if not cone.full_dimensional:
-        raise ValueError("cone must be full-dimensional")
-    return tuple(sum(col) for col in zip(*cone.rays))
-
-
 def strict_interior_point(cone: Cone) -> IntVector:
     """Some m with every ray form at least one: an interior dual-cone point."""
     points = minimal_elements(cone, (1,) * cone.ray_count).elements
@@ -371,7 +368,7 @@ def box_minimal_oracle(cone: Cone, c: Sequence[int], radius: int) -> tuple[IntVe
     Independent of the bounded enumeration; used to certify its output on
     small instances.
     """
-    c = tuple(int(x) for x in c)
+    c = int_vector(c)
     points = []
     for m in product(range(-radius, radius + 1), repeat=cone.lattice_rank):
         if all(v >= b for v, b in zip(cone.evaluate(m), c)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .cones import Cone, minimal_common_upper_bounds, minimal_elements
-from .lattice import int_vector, smith_normal_form
+from .lattice import int_vector, plain_int, smith_normal_form
 from .lifting import lift_component, lift_morphism
 from .linalg import Mat, rank, sparse_rank
 from .modules import GradedModule, GradedMorphism
@@ -122,8 +122,8 @@ class FinitePosetDiagram:
 
     @classmethod
     def from_maps(cls, elements: Sequence, pairs: Sequence[tuple[int, int]],
-                  dims: Sequence[int], maps: dict[tuple[int, int], Mat],
-                  validate: bool = True) -> "FinitePosetDiagram":
+                  dims: Sequence[int],
+                  maps: dict[tuple[int, int], Mat]) -> "FinitePosetDiagram":
         """Build from explicit relation pairs and matrices.
 
         The relation is closed transitively, and every given map must lie
@@ -133,7 +133,7 @@ class FinitePosetDiagram:
         does not depend on the order in which transports are asked for;
         then the whole square grid of compositions is validated.
         """
-        rel = transitive_closure((int(i), int(j)) for i, j in pairs)
+        rel = transitive_closure((plain_int(i), plain_int(j)) for i, j in pairs)
         filled = dict(maps)
         given: dict[int, list[int]] = {}
         for i, k in sorted(maps):
@@ -162,8 +162,7 @@ class FinitePosetDiagram:
                 raise ValueError(f"map {elements[i]}->{elements[k]} has shape "
                                  f"{mat.nrows}x{mat.ncols}, expected {want[0]}x{want[1]} "
                                  f"(dim {elements[k]} x dim {elements[i]})")
-        if validate:
-            diagram.validate_composition()
+        diagram.validate_composition()
         return diagram
 
     @classmethod
@@ -171,7 +170,7 @@ class FinitePosetDiagram:
                     points: Sequence[IntVector]) -> "FinitePosetDiagram":
         """The module on the given points, ordered by their Cox coordinates:
         p <= q exactly when L(p) <= L(q) componentwise."""
-        points = [tuple(int(x) for x in p) for p in points]
+        points = [int_vector(p) for p in points]
         if len(set(points)) < len(points):
             raise ValueError("the points of a diagram must be distinct")
         values = [cone.evaluate(p) for p in points]
@@ -355,8 +354,8 @@ def truncated_lift_oracle(cone: Cone, module: GradedModule, c: Sequence[int],
     cover-difference kernel on the truncation, higher limits from the
     chain complex.
     """
-    c = tuple(int(x) for x in c)
-    if bound < 0:
+    c = int_vector(c)
+    if plain_int(bound) < 0:
         raise ValueError("bound must be nonnegative")
     points = truncation_points(cone, c, bound)
     diagram = FinitePosetDiagram.from_module(cone, module, points)
@@ -428,6 +427,6 @@ def connecting_cokernel(cone: Cone, seq: CanonicalSequence, c: Sequence[int]) ->
     of the submodule at degree c; a nonzero value is a lower-bound
     witness there.
     """
-    c = tuple(int(x) for x in c)
+    c = int_vector(c)
     g = lift_morphism(cone, seq.project, c)
     return lift_component(cone, seq.quot, c).dim - rank(g)

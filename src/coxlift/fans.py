@@ -25,12 +25,14 @@ from .lattice import (
     LatticeQuotient,
     int_kernel_basis,
     int_matrix,
+    int_vector,
+    plain_int,
     rational_rank,
     reduce_by_sublattice,
 )
 from .linalg import Mat, Vector, solve
-from .klyachko import ReflexiveDescription, filtration_lift_component
-from .modules import intersect_ray_spaces
+from .klyachko import filtration_lift_component
+from .modules import ReflexiveDescription, intersect_ray_spaces
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,10 @@ class FanData:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "lattice_rank", plain_int(self.lattice_rank))
         rays = int_matrix(self.rays)
         object.__setattr__(self, "rays", rays)
-        cones = tuple(tuple(sorted(int(i) for i in mc)) for mc in self.max_cones)
+        cones = tuple(tuple(sorted(plain_int(i) for i in mc)) for mc in self.max_cones)
         object.__setattr__(self, "max_cones", cones)
         n = len(rays)
         for row in rays:
@@ -157,25 +160,28 @@ def affine_chart(fan: FanData, cone_index: int) -> ChartData:
     return ChartData(cone, ChartReduction(tuple(kernel), projection, reduced))
 
 
+def _check_description(fan: FanData, desc: ReflexiveDescription) -> None:
+    if len(desc.filtrations) != fan.ray_count:
+        raise ValueError("description rays do not match the fan rays")
+
+
 def global_reflexive_lift(fan: FanData, desc: ReflexiveDescription,
                           c: Sequence[int]) -> tuple[Vector, ...]:
     """Intersection of all ray spaces at levels c_rho over the whole fan."""
-    if desc.rays() != tuple(range(fan.ray_count)):
-        raise ValueError("description rays do not match the fan rays")
-    c = tuple(int(x) for x in c)
-    if len(c) != fan.ray_count:
-        raise ValueError("degree length differs from ray count")
+    _check_description(fan, desc)
     return filtration_lift_component(desc, c)
 
 
 def chart_section(fan: FanData, desc: ReflexiveDescription, cone_index: int,
                   m: Sequence[int]) -> tuple[Vector, ...]:
     """Sections over one chart at lattice point m: the sub-intersection."""
+    _check_description(fan, desc)
     if not 0 <= cone_index < len(fan.max_cones):
         raise ValueError("cone index out of range")
-    m = tuple(int(x) for x in m)
-    filt = dict(desc.filtrations)
+    m = int_vector(m)
+    if len(m) != fan.lattice_rank:
+        raise ValueError("lattice point length differs from lattice rank")
     return intersect_ray_spaces(
-        ((filt[i], sum(a * b for a, b in zip(fan.rays[i], m)))
+        ((desc.filtrations[i][1], sum(a * b for a, b in zip(fan.rays[i], m)))
          for i in fan.max_cones[cone_index]),
         desc.ambient_dim)

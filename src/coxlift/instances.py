@@ -15,13 +15,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import Cone, minimal_common_upper_bounds
-from .klyachko import ReflexiveDescription
 from .linalg import Mat, rank
 from .modules import (
+    FiltrationModule,
     FinitelyPresentedModule,
     GradedModule,
     IndicatorConstraint,
     IndicatorModule,
+    ReflexiveDescription,
     Relation,
     ShiftModule,
     maximal_ideal_module,
@@ -102,9 +103,7 @@ def random_module(cone: Cone, rng: random.Random) -> GradedModule:
         cons = tuple(IndicatorConstraint(r, "<=", rng.randint(-1, 2)) for r in rays)
         return IndicatorModule(cone, "quotient", cons)
     if kind == "filtration":
-        from .klyachko import filtration_module
-
-        return filtration_module(cone, random_reflexive_description(cone, rng, 2))
+        return FiltrationModule(cone, random_reflexive_description(cone, rng, 2))
     if kind == "fp":
         d = cone.lattice_rank
         gens = tuple(tuple(rng.randint(-2, 2) for _ in range(d))
@@ -146,7 +145,6 @@ def generic_plane_description(ray_count: int) -> ReflexiveDescription:
 def all_variant_modules(cone: Cone) -> list[GradedModule]:
     """One module per variant, for the smooth-chart re-indexing checks."""
     rng = random.Random(7)
-    from .klyachko import filtration_module
 
     fp = FinitelyPresentedModule(
         cone,
@@ -158,6 +156,6 @@ def all_variant_modules(cone: Cone) -> list[GradedModule]:
         maximal_ideal_module(cone),
         simple_module(cone),
         fp,
-        filtration_module(cone, random_reflexive_description(cone, rng, 2)),
+        FiltrationModule(cone, random_reflexive_description(cone, rng, 2)),
         ShiftModule(simple_module(cone), (1,) * cone.lattice_rank),
     ]

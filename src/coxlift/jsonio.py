@@ -8,6 +8,8 @@ Module:  {"type": "finitely_presented", "generators": [{"degree": [...]}],
           "exclude": [[...]]}
          {"type": "filtration", "ambient_dim": r,
           "filtrations": {"<ray index>": [{"level": i, "basis": [[...]]}]}}
+         (the keys are the ray indices 0..n-1 in plain decimal, each
+         given once)
 Diagram: {"elements": [ids], "leq": [[i, j]], "dims": {id: n},
           "maps": {"i->j": [[...]]}}
 
@@ -33,6 +35,7 @@ from .modules import (
     GradedModule,
     IndicatorConstraint,
     IndicatorModule,
+    ReflexiveDescription,
     Relation,
     ray_filtration,
 )
@@ -90,6 +93,8 @@ def load_module(obj: dict, cone: Cone) -> GradedModule:
                 data = [(plain_int(j["level"]),
                          [[parse_fraction(x) for x in v] for v in j["basis"]])
                         for j in jumps]
+                if str(int(ray)) != ray:
+                    raise ValueError(f"filtration key {ray!r} is not a ray index")
                 filts.append((int(ray), data))
         else:
             raise ValueError(f"unknown module type {kind!r}")
@@ -101,8 +106,9 @@ def load_module(obj: dict, cone: Cone) -> GradedModule:
         return FinitelyPresentedModule(cone, gens, rels)
     if kind == "indicator":
         return IndicatorModule(cone, style, cons, exclude)
-    return FiltrationModule(cone, ambient, tuple((ray, ray_filtration(data, ambient))
-                                                 for ray, data in filts))
+    desc = ReflexiveDescription(ambient, tuple((ray, ray_filtration(data, ambient))
+                                               for ray, data in filts))
+    return FiltrationModule(cone, desc)
 
 
 def load_diagram(obj: dict) -> FinitePosetDiagram:

@@ -1,7 +1,11 @@
 """Reflexive modules from full filtrations and the intersection formula.
 
 A reflexive description is a family of full per-ray filtrations of a
-fixed ambient space.  Its lift at a Cox degree ``c`` is simply the
+fixed ambient space.  The datum, ``ReflexiveDescription``, and the
+module it defines, ``FiltrationModule(cone, desc)``, live in
+``modules``, where the description is validated once, in its
+constructor; both are importable from here too.  The lift at a Cox
+degree ``c`` is simply the
 intersection of the ray spaces at levels ``c_rho``; this module
 computes that directly and verifies, degree by degree, that the general
 limit machinery produces the same subspaces.  It also compares the
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cones import Cone
-from .lattice import lattice_membership
+from .lattice import int_vector, lattice_membership
 from .lifting import Box, LiftComponent, lift_component
 from .linalg import (
     Mat,
@@ -25,38 +29,19 @@ from .linalg import (
     subspace_eq,
     subspace_le,
 )
-from .modules import FiltrationModule, GradedMorphism, RayFiltration, intersect_ray_spaces
+from .modules import (
+    FiltrationModule,
+    GradedMorphism,
+    ReflexiveDescription,
+    intersect_ray_spaces,
+)
 
 IntVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ReflexiveDescription:
-    """Ambient dimension plus one full filtration per ray index."""
-
-    ambient_dim: int
-    filtrations: tuple[tuple[int, RayFiltration], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "filtrations",
-                           tuple(sorted(dict(self.filtrations).items())))
-
-    def rays(self) -> tuple[int, ...]:
-        return tuple(r for r, _ in self.filtrations)
-
-    def space_at(self, ray: int, level: int) -> tuple[Vector, ...]:
-        return dict(self.filtrations)[ray].space_at(level)
-
-
-def filtration_module(cone: Cone, desc: ReflexiveDescription) -> FiltrationModule:
-    if desc.rays() != tuple(range(cone.ray_count)):
-        raise ValueError("description rays do not match the cone rays")
-    return FiltrationModule(cone, desc.ambient_dim, desc.filtrations)
-
-
 def filtration_lift_component(desc: ReflexiveDescription, c: Sequence[int]) -> tuple[Vector, ...]:
     """Direct intersection of the ray spaces at levels c_rho."""
-    c = tuple(int(x) for x in c)
+    c = int_vector(c)
     if len(c) != len(desc.filtrations):
         raise ValueError("degree length differs from filtration count")
     return intersect_ray_spaces(zip((rf for _, rf in desc.filtrations), c),
@@ -71,6 +56,7 @@ def lift_subspace_in_ambient(module: FiltrationModule,
     limit vector expands to the same ambient vector; all nonzero blocks
     are expanded and checked for agreement.
     """
+    ambient_dim = module.description.ambient_dim
     out = []
     for vec in comp.basis:
         ambient: Optional[list] = None
@@ -80,7 +66,7 @@ def lift_subspace_in_ambient(module: FiltrationModule,
             basis = module.subspace(m)
             coords = list(vec[comp.block_slice(i)])
             value = [sum(c * row[j] for c, row in zip(coords, basis))
-                     for j in range(module.ambient_dim)]
+                     for j in range(ambient_dim)]
             if ambient is None:
                 ambient = value
             elif ambient != value:
@@ -88,7 +74,7 @@ def lift_subspace_in_ambient(module: FiltrationModule,
         if ambient is None:
             raise AssertionError("nonzero limit vector with all blocks zero")
         out.append(ambient)
-    return row_space_basis(out, module.ambient_dim)
+    return row_space_basis(out, ambient_dim)
 
 
 @dataclass
@@ -106,7 +92,7 @@ def verify_equivalence(cone: Cone, desc: ReflexiveDescription, box: Box) -> Equi
     map, the intersection formula restricted to the base reproduces the
     module's own components.
     """
-    module = filtration_module(cone, desc)
+    module = FiltrationModule(cone, desc)
     checked = 0
     for c in box.degrees():
         comp = lift_component(cone, module, c)
@@ -167,8 +153,8 @@ def induced_morphism(cone: Cone, src: ReflexiveDescription,
     """
     if not respects_filtrations(matrix, src, tgt):
         raise ValueError("the map does not respect the filtrations")
-    src_mod = filtration_module(cone, src)
-    tgt_mod = filtration_module(cone, tgt)
+    src_mod = FiltrationModule(cone, src)
+    tgt_mod = FiltrationModule(cone, tgt)
 
     def rule(m):
         return matrix_in_basis(tgt_mod.subspace(m),
@@ -180,14 +166,11 @@ def induced_morphism(cone: Cone, src: ReflexiveDescription,
 def respects_filtrations(matrix: Mat, src: ReflexiveDescription,
                          tgt: ReflexiveDescription) -> bool:
     """Whether a linear map sends each source ray space into the target one."""
-    if src.rays() != tgt.rays():
+    if len(src.filtrations) != len(tgt.filtrations):
         return False
-    for ray, rf in src.filtrations:
-        levels = sorted({st.level for st in rf.steps}
-                        | {st.level for st in dict(tgt.filtrations)[ray].steps})
-        for level in levels:
-            image = [matrix.vec(list(v)) for v in src.space_at(ray, level)]
-            target = tgt.space_at(ray, level)
-            if not subspace_le(row_space_basis(image, matrix.nrows), target):
+    for (_, rf), (_, rg) in zip(src.filtrations, tgt.filtrations):
+        for level in sorted({st.level for st in rf.steps + rg.steps}):
+            image = [matrix.vec(list(v)) for v in rf.space_at(level)]
+            if not subspace_le(row_space_basis(image, matrix.nrows), rg.space_at(level)):
                 return False
     return True

@@ -236,7 +236,7 @@ def lattice_membership(b: IntMatrix, v: Sequence[int]) -> Optional[IntVector]:
     b = int_matrix(b)
     if len(v) != len(b):
         raise ValueError("vector length differs from row count")
-    return _snf_cached(b).preimage(tuple(int(x) for x in v))
+    return _snf_cached(b).preimage(int_vector(v))
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +291,7 @@ class LatticeQuotient:
 
 def reduce_by_sublattice(ambient_rank: int, generators: Sequence[Sequence[int]]) -> LatticeQuotient:
     """Quotient of Z^ambient_rank by the span of independent generators."""
-    gens = tuple(tuple(int(x) for x in g) for g in generators)
+    gens = tuple(int_vector(g) for g in generators)
     for g in gens:
         if len(g) != ambient_rank:
             raise ValueError("generator length differs from ambient rank")

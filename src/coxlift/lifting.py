@@ -264,11 +264,6 @@ class SheafifiedModule(HashOnce, GradedModule):
         return self.rule.act(self.cone.evaluate(m), self.cone.evaluate(m_prime))
 
 
-def sheafify_component(cone: Cone, rule, m: Sequence[int]) -> Component:
-    """Component of the sheafified data at lattice point m: the rule at L(m)."""
-    return SheafifiedModule(cone, rule).component(m)
-
-
 def counit_matrix(cone: Cone, module: GradedModule, m: Sequence[int]) -> Mat:
     """The evaluation lift(E)_{L(m)} -> E_m; an isomorphism.
 

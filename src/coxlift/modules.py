@@ -10,8 +10,10 @@ chains.  Variants:
 * ``IndicatorModule`` - zero/one-dimensional components cut out by ray
   inequalities; covers the structure ring, its maximal ideal, simple
   quotients and codivisorial quotients.
-* ``FiltrationModule`` - intersections of per-ray filtration steps
-  inside a fixed ambient space; transports are inclusions.
+* ``FiltrationModule`` - a cone plus a ``ReflexiveDescription``, the
+  one representation of per-ray filtration data, validated once in its
+  constructor; components are intersections of the filtration steps in
+  force inside the ambient space, transports are inclusions.
 * ``ShiftModule`` / ``DirectSumModule`` - degree shifts and sums.
 
 Everything is immutable and hashable, so evaluation is pure and results
@@ -344,25 +346,27 @@ def full_at(level: int, ambient: int) -> RayFiltration:
                                     for i in range(ambient)])], ambient)
 
 
-@dataclass(frozen=True, eq=False)
-class FiltrationModule(HashOnce, GradedModule):
-    """Components are intersections of per-ray filtration spaces.
+@dataclass(frozen=True)
+class ReflexiveDescription:
+    """Ambient dimension plus one full filtration per ray index 0..n-1.
 
-    Requires one full filtration per cone ray: zero below the first
-    jump, the whole ambient space at the top jump, nested in between.
-    A component depends on m only through the step in force on each ray,
-    so components and transports are cached by those step indices.
+    The one home of per-ray filtration data, validated here: the ray
+    indices are 0..n-1, each given once, and each filtration is zero
+    below its first jump, nested, and the whole ambient space at its top
+    jump.  ``filtrations`` is stored sorted by ray, so entry ``i`` is ray
+    ``i``'s.
     """
 
-    cone: Cone
     ambient_dim: int
     filtrations: tuple[tuple[int, RayFiltration], ...]
 
     def __post_init__(self):
-        filt = dict(self.filtrations)
-        if sorted(filt) != list(range(self.cone.ray_count)):
-            raise ValueError("exactly one filtration per cone ray is required")
-        for ray, rf in filt.items():
+        ambient = plain_int(self.ambient_dim)
+        filts = sorted(((plain_int(ray), rf) for ray, rf in self.filtrations),
+                       key=lambda pair: pair[0])
+        if [ray for ray, _ in filts] != list(range(len(filts))):
+            raise ValueError("filtration rays must be 0..n-1, each given once")
+        for ray, rf in filts:
             if not rf.steps:
                 raise ValueError(f"ray {ray}: empty filtration")
             if any(a.level >= b.level for a, b in zip(rf.steps, rf.steps[1:])):
@@ -370,17 +374,34 @@ class FiltrationModule(HashOnce, GradedModule):
             prev: tuple[Vector, ...] = ()
             for st in rf.steps:
                 for v in st.basis:
-                    if len(v) != self.ambient_dim:
+                    if len(v) != ambient:
                         raise ValueError("basis vector length differs from ambient dim")
                 if not subspace_le(prev, st.basis):
                     raise ValueError(f"ray {ray}: filtration is not nondecreasing")
                 prev = st.basis
-            if len(rf.steps[-1].basis) != self.ambient_dim:
+            if len(rf.steps[-1].basis) != ambient:
                 raise ValueError(f"ray {ray}: filtration is not full")
-        object.__setattr__(self, "filtrations",
-                           tuple(sorted(filt.items())))
+        object.__setattr__(self, "filtrations", tuple(filts))
+
+
+@dataclass(frozen=True, eq=False)
+class FiltrationModule(HashOnce, GradedModule):
+    """Components are intersections of per-ray filtration spaces.
+
+    The filtration data is a ``ReflexiveDescription``, with one
+    filtration per cone ray.  A component depends on m only through the
+    step in force on each ray, so components and transports are cached
+    by those step indices.
+    """
+
+    cone: Cone
+    description: ReflexiveDescription
+
+    def __post_init__(self):
+        if len(self.description.filtrations) != self.cone.ray_count:
+            raise ValueError("exactly one filtration per cone ray is required")
         object.__setattr__(self, "_levels", tuple(tuple(st.level for st in rf.steps)
-                                                  for _, rf in self.filtrations))
+                                                  for _, rf in self.description.filtrations))
         super().__post_init__()
 
     def _steps(self, m: Sequence[int]) -> IntVector:
@@ -403,9 +424,10 @@ class FiltrationModule(HashOnce, GradedModule):
 def _filtration_subspace(module: FiltrationModule, steps: IntVector) -> tuple[Vector, ...]:
     if min(steps) < 0:
         return ()  # some ray is below its first jump
+    desc = module.description
     return intersect_ray_spaces(((rf, rf.steps[i].level)
-                                 for (_, rf), i in zip(module.filtrations, steps)),
-                                module.ambient_dim)
+                                 for (_, rf), i in zip(desc.filtrations, steps)),
+                                desc.ambient_dim)
 
 
 @lru_cache(maxsize=None)

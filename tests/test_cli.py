@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from coxlift.cli import main, parse_box
 from coxlift.instances import simple_lift_law
 from coxlift.jsonio import load_cone, load_diagram, load_module, parse_fraction
 from coxlift.lifting import Box
+from coxlift.modules import FiltrationModule, ReflexiveDescription, ray_filtration
 
 CONE_JSON = {"lattice_rank": 3,
              "rays": [[1, 0, 0], [0, 1, 0], [-1, 1, 1], [0, 0, 1]]}
@@ -58,8 +60,6 @@ def test_parse_box():
 
 
 def test_parse_fraction():
-    from fractions import Fraction
-
     assert parse_fraction("3/2") == Fraction(3, 2)
     assert parse_fraction(-4) == Fraction(-4)
     with pytest.raises(ValueError):
@@ -277,6 +277,38 @@ def test_zero_denominator_in_a_module_is_an_input_error(inputs, capsys):
     assert main(["lift-table", "--cone", str(inputs / "cone.json"),
                  "--module", str(module), "--box=0..0"]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # "00" would be read as a second ray 0 and replace the first
+    (None, "00", "not a ray index"),
+    ("1", "01", "not a ray index"),
+    ("2", " 2", "not a ray index"),
+    ("3", "-1", "each given once"),
+])
+def test_filtration_keys_must_be_the_ray_indices(inputs, capsys, old, new, message):
+    module = line_filtration(0)
+    filts = module["filtrations"]
+    filts[new] = filts.pop(old) if old else [{"level": 5, "basis": [[1]]}]
+    bad = inputs / "bad.json"
+    bad.write_text(json.dumps(module))
+    assert main(["lift-table", "--cone", str(inputs / "cone.json"),
+                 "--module", str(bad), "--box=0..0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_loaded_filtration_module_is_the_module_of_its_description():
+    cone = load_cone(CONE_JSON)
+    obj = {"type": "filtration", "ambient_dim": 2,
+           "filtrations": {str(r): [{"level": -r, "basis": [[1, r]]},
+                                    {"level": 1, "basis": [[1, 0], ["1/2", 1]]}]
+                           for r in (3, 1, 0, 2)}}
+    desc = ReflexiveDescription(2, tuple(
+        (r, ray_filtration([(-r, [[1, r]]), (1, [[1, 0], [Fraction(1, 2), 1]])], 2))
+        for r in range(4)))
+    assert load_module(obj, cone) == FiltrationModule(cone, desc)
 
 
 @pytest.mark.parametrize("exc", [KeyError("(0, 2)"), AssertionError("bad state")])

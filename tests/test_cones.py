@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from coxlift.cones import (
     Cone,
     box_minimal_oracle,
-    interior_functional,
     leq_sigma,
     minimal_common_upper_bounds,
     minimal_elements,
@@ -74,7 +73,6 @@ def test_cone_validation():
 
 def test_flags():
     assert CONE_OVER_SQUARE.full_dimensional
-    assert CONE_OVER_SQUARE.pointed_dual
     line = Cone(2, ((1, 0),))
     assert not line.full_dimensional
     with pytest.raises(ValueError):
@@ -235,13 +233,6 @@ def test_mcub_dominates_and_symmetric(a, b):
     assert ab == ba
     for u in ab:
         assert leq_sigma(cone, a, u) and leq_sigma(cone, b, u)
-
-
-def test_interior_functional():
-    assert interior_functional(ORTHANT2) == (1, 1)
-    assert interior_functional(CONE_OVER_SQUARE) == (0, 2, 2)
-    ray = Cone(1, ((1,),))
-    assert interior_functional(ray) == (1,)
 
 
 def test_strict_interior_point():

@@ -95,8 +95,7 @@ def test_diagram_fills_composites():
 
 def test_from_maps_composes_along_covers_in_any_call_order():
     covers = {(k, k + 1): Mat.from_rows([[k + 2]]) for k in range(4)}
-    diag = FinitePosetDiagram.from_maps(list(range(5)), list(covers), [1] * 5,
-                                        covers, validate=False)
+    diag = FinitePosetDiagram.from_maps(list(range(5)), list(covers), [1] * 5, covers)
     assert diag.transport(0, 4).rows == [[2 * 3 * 4 * 5]]
     assert diag.transport(1, 3).rows == [[3 * 4]]
 

@@ -5,7 +5,6 @@ from coxlift.instances import (
 from coxlift.klyachko import (
     ReflexiveDescription,
     filtration_lift_component,
-    filtration_module,
     induced_morphism,
     lift_subspace_in_ambient,
     realized_components,
@@ -14,7 +13,7 @@ from coxlift.klyachko import (
 )
 from coxlift.lifting import Box, lift_action, lift_component, lift_morphism
 from coxlift.linalg import Mat, row_space_basis, subspace_eq, subspace_le
-from coxlift.modules import full_at, ray_filtration
+from coxlift.modules import FiltrationModule, full_at, ray_filtration
 
 
 def rank1_description(shift):
@@ -61,7 +60,7 @@ def test_lift_subspace_embedding(csq):
     f0 = ray_filtration([(0, [[1, 0]]), (1, [[1, 0], [0, 1]])], 2)
     desc = ReflexiveDescription(2, (
         (0, f0), (1, full_at(0, 2)), (2, full_at(0, 2)), (3, full_at(0, 2))))
-    module = filtration_module(csq, desc)
+    module = FiltrationModule(csq, desc)
     comp = lift_component(csq, module, (0, 0, -1, 0))
     embedded = lift_subspace_in_ambient(module, comp)
     assert subspace_eq(embedded, filtration_lift_component(desc, (0, 0, -1, 0)))

@@ -28,13 +28,12 @@ from coxlift.lifting import (
     lift_morphism,
     lift_table,
     minimal_generators_in_box,
-    sheafify_component,
     unit_map,
 )
-from coxlift.klyachko import filtration_module
 from coxlift.linalg import Mat, is_isomorphism, kernel_basis, rank, row_space_basis
 from coxlift.modules import (
     DirectSumModule,
+    FiltrationModule,
     GradedModule,
     IndicatorConstraint,
     IndicatorModule,
@@ -174,10 +173,10 @@ def test_counit_isomorphism(csq, quotient2, rng):
 
 
 def test_sheafify_component(csq):
-    rule = ShiftedCoxRule(4, (0, 0, 0, 0))
-    assert sheafify_component(csq, rule, (0, 0, 0)).dim == 1
-    assert sheafify_component(csq, rule, (1, 0, 1)).dim == 1
-    assert sheafify_component(csq, rule, (-1, 0, 0)).dim == 0
+    sheaf = SheafifiedModule(csq, ShiftedCoxRule(4, (0, 0, 0, 0)))
+    assert sheaf.component((0, 0, 0)).dim == 1
+    assert sheaf.component((1, 0, 1)).dim == 1
+    assert sheaf.component((-1, 0, 0)).dim == 0
 
 
 def test_sheafify_of_table_matches_module(csq):
@@ -186,7 +185,7 @@ def test_sheafify_of_table_matches_module(csq):
     for m in [(0, 0, 0), (1, 0, 1), (0, 1, 0)]:
         c = csq.evaluate(m)
         if c in table.box:
-            assert sheafify_component(csq, table, m).dim == K.component(m).dim
+            assert SheafifiedModule(csq, table).component(m).dim == K.component(m).dim
 
 
 def test_unit_map_shifted_rules(csq, rng):
@@ -320,7 +319,7 @@ def test_streamed_lift_matches_all_rows_engine(cone):
     n = cone.ray_count
     rng = random.Random(20)
     modules = all_variant_modules(cone) + [
-        filtration_module(cone, random_reflexive_description(cone, rng, 3)),
+        FiltrationModule(cone, random_reflexive_description(cone, rng, 3)),
         SheafifiedModule(cone, ShiftedCoxRule(n, tuple(rng.randint(-1, 1) for _ in range(n)))),
     ]
     radius = 1 if n > 3 else 2

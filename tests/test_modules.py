@@ -8,15 +8,22 @@ from pathlib import Path
 
 import pytest
 
-from coxlift.cones import Cone, minimal_elements
+from coxlift.cones import Cone, box_minimal_oracle, minimal_elements
+from coxlift.derived import (
+    FinitePosetDiagram,
+    connecting_cokernel,
+    ideal_sequence,
+    truncated_lift_oracle,
+)
+from coxlift.fans import FanData, chart_section, global_reflexive_lift
 from coxlift.instances import (
     CONE_OVER_SQUARE,
     TEST_CONES,
     all_variant_modules,
     random_reflexive_description,
 )
-from coxlift.klyachko import filtration_module
-from coxlift.lattice import int_matrix
+from coxlift.klyachko import filtration_lift_component
+from coxlift.lattice import int_matrix, lattice_membership, reduce_by_sublattice
 from coxlift.lifting import (
     Box,
     DirectSumRule,
@@ -39,6 +46,7 @@ from coxlift.modules import (
     IndicatorConstraint,
     IndicatorModule,
     RayFiltration,
+    ReflexiveDescription,
     Relation,
     ShiftModule,
     codivisorial_module,
@@ -118,6 +126,8 @@ NON_INTEGERS = {
     "shift": lambda C: ShiftModule(simple_module(C), (0.5, 0, 0)),
     "box": lambda C: Box((0.5,), (1.7,)),
     "filtration level": lambda C: ray_filtration([(0.5, [[1]])], 1),
+    "cone rank": lambda C: Cone(3.0, C.rays),
+    "fan rank": lambda C: FanData(2.0, ((1, 0), (0, 1)), ((0, 1),)),
     "shifted rule": lambda C: ShiftedCoxRule(4, (0.5, 0, 0, 0)),
     "spike rule": lambda C: SpikeRule(4, (0, 0, "1", 0)),
     "ray matrix": lambda C: int_matrix([[1, 0.0]]),
@@ -142,8 +152,28 @@ NON_INTEGER_DEGREES = {
     "component": lambda C: simple_module(C).component((0.5, 0, 0)),
     "action": lambda C: structure_module(C).action((0, 0, 0), (0, 0, 1.5)),
     "in_support": lambda C: simple_module(C).in_support((0.5, 0, 0)),
-    "filtration subspace": lambda C: filtration_module(
+    "filtration subspace": lambda C: FiltrationModule(
         C, random_reflexive_description(C, random.Random(1))).subspace((0.5, 0, 0)),
+    "filtration lift": lambda C: filtration_lift_component(
+        random_reflexive_description(C, random.Random(1)), (0.5, 0, 0, 0)),
+    "global reflexive lift": lambda C: global_reflexive_lift(
+        FanData(3, C.rays, ((0, 1, 2, 3),)),
+        random_reflexive_description(C, random.Random(1)), (0.5, 0, 0, 0)),
+    "chart section": lambda C: chart_section(
+        FanData(3, C.rays, ((0, 1, 2, 3),)),
+        random_reflexive_description(C, random.Random(1)), 0, (0.5, 0, 0)),
+    "fan max cone": lambda C: FanData(2, ((1, 0), (0, 1)), ((0, 1.0),)),
+    "truncated oracle": lambda C: truncated_lift_oracle(C, simple_module(C), (0.5, 0, 0, 0), 2),
+    "truncated oracle bound": lambda C: truncated_lift_oracle(
+        C, simple_module(C), (0, 0, 0, 0), 2.0),
+    "connecting cokernel": lambda C: connecting_cokernel(C, ideal_sequence(C), (0.5, 0, 0, 0)),
+    "diagram points": lambda C: FinitePosetDiagram.from_module(
+        C, simple_module(C), [(0.5, 0, 0)]),
+    "diagram pairs": lambda C: FinitePosetDiagram.from_maps(
+        ["a", "b"], [(0, 1.0)], [1, 1], {(0, 1): Mat.identity(1)}),
+    "lattice membership": lambda C: lattice_membership(C.rays, (0.5, 0, 0, 0)),
+    "sublattice generators": lambda C: reduce_by_sublattice(2, [(1.0, 0)]),
+    "box oracle": lambda C: box_minimal_oracle(C, (0.5, 0, 0, 0), 1),
     "morphism matrix": lambda C: identity_morphism(simple_module(C)).matrix((0.5, 0, 0)),
     "table component": lambda C: lift_table(
         C, simple_module(C), Box((0,) * 4, (0,) * 4)).component((0.0, 0, 0, 0)),
@@ -193,8 +223,8 @@ def test_fp_quotient_dims(csq):
 
 def test_filtration_component_and_action(csq):
     f0 = ray_filtration([(0, [[1, 0]]), (1, [[1, 0], [0, 1]])], 2)
-    mod = FiltrationModule(csq, 2, (
-        (0, f0), (1, full_at(0, 2)), (2, full_at(0, 2)), (3, full_at(0, 2))))
+    mod = FiltrationModule(csq, ReflexiveDescription(2, (
+        (0, f0), (1, full_at(0, 2)), (2, full_at(0, 2)), (3, full_at(0, 2)))))
     assert mod.component((0, 0, 0)).dim == 1
     assert mod.component((1, 0, 1)).dim == 2
     assert mod.component((0, -1, 0)).dim == 0
@@ -204,7 +234,8 @@ def test_filtration_component_and_action(csq):
 
 
 def test_filtration_all_full(csq):
-    mod = FiltrationModule(csq, 3, tuple((i, full_at(0, 3)) for i in range(4)))
+    mod = FiltrationModule(
+        csq, ReflexiveDescription(3, tuple((i, full_at(0, 3)) for i in range(4))))
     for m in sigma_points(csq, 2):
         assert mod.component(m).dim == 3
 
@@ -212,15 +243,50 @@ def test_filtration_all_full(csq):
 def test_filtration_validation(csq):
     not_full = ray_filtration([(0, [[1, 0]])], 2)
     with pytest.raises(ValueError):
-        FiltrationModule(csq, 2, tuple(
-            (i, not_full if i == 0 else full_at(0, 2)) for i in range(4)))
+        FiltrationModule(csq, ReflexiveDescription(2, tuple(
+            (i, not_full if i == 0 else full_at(0, 2)) for i in range(4))))
     full = full_at(0, 2).steps[0]
     unsorted = RayFiltration((full, FiltrationStep(-1, full.basis)))
     with pytest.raises(ValueError, match="levels are not increasing"):
-        FiltrationModule(csq, 2, tuple(
-            (i, unsorted if i == 0 else full_at(0, 2)) for i in range(4)))
+        FiltrationModule(csq, ReflexiveDescription(2, tuple(
+            (i, unsorted if i == 0 else full_at(0, 2)) for i in range(4))))
     with pytest.raises(ValueError):
-        FiltrationModule(csq, 2, ((0, full_at(0, 2)),))
+        FiltrationModule(csq, ReflexiveDescription(2, ((0, full_at(0, 2)),)))
+
+
+FULL2 = full_at(0, 2)
+LINE2 = ray_filtration([(0, [[1, 0]])], 2)  # never fills the plane
+REFLEXIVE_REJECTS = {
+    "repeated ray": (2, [(0, FULL2), (0, FULL2), (1, FULL2)], "each given once"),
+    "missing ray": (2, [(0, FULL2), (2, FULL2)], "each given once"),
+    "negative ray": (2, [(-1, FULL2), (0, FULL2)], "each given once"),
+    "string ray": (2, [("0", FULL2)], "expected an integer"),
+    "empty filtration": (2, [(0, RayFiltration(()))], "empty filtration"),
+    "unsorted levels": (2, [(0, RayFiltration((FULL2.steps[0],
+                                               FiltrationStep(-1, FULL2.steps[0].basis))))],
+                        "levels are not increasing"),
+    "not nested": (2, [(0, ray_filtration([(0, [[1, 0]]), (1, [[0, 1]]),
+                                          (2, [[1, 0], [0, 1]])], 2))], "not nondecreasing"),
+    "not full": (2, [(0, FULL2), (1, LINE2)], "not full"),
+    "vector length": (3, [(0, FULL2)], "vector length"),
+    "float ambient": (2.0, [(0, FULL2)], "expected an integer"),
+    "bool ambient": (True, [(0, full_at(0, 1))], "expected an integer"),
+}
+
+
+@pytest.mark.parametrize("ambient, filtrations, message", REFLEXIVE_REJECTS.values(),
+                         ids=REFLEXIVE_REJECTS.keys())
+def test_reflexive_description_rejects_invalid_filtrations(ambient, filtrations, message):
+    with pytest.raises(ValueError, match=message):
+        ReflexiveDescription(ambient, filtrations)
+
+
+def test_reflexive_description_stores_its_filtrations_by_ray():
+    line_then_plane = ray_filtration([(0, [[1, 0]]), (1, [[1, 0], [0, 1]])], 2)
+    desc = ReflexiveDescription(2, [(1, FULL2), (0, line_then_plane)])
+    assert desc.filtrations == ((0, line_then_plane), (1, FULL2))
+    assert len(filtration_lift_component(desc, (1, 0))) == 2
+    assert len(filtration_lift_component(desc, (0, 1))) == 1
 
 
 def test_functoriality_on_chains(csq, rng):
@@ -274,11 +340,12 @@ def test_morphism_naturality_sampled(csq):
 def test_cached_filtration_components_and_transports_match_a_fresh_computation(rng):
     def fresh_subspace(module, m):
         values = [sum(r * x for r, x in zip(row, m)) for row in module.cone.rays]
-        return intersect_ray_spaces(((rf, values[ray]) for ray, rf in module.filtrations),
-                                    module.ambient_dim)
+        desc = module.description
+        return intersect_ray_spaces(((rf, values[ray]) for ray, rf in desc.filtrations),
+                                    desc.ambient_dim)
 
     for cone in TEST_CONES:
-        module = filtration_module(cone, random_reflexive_description(cone, rng))
+        module = FiltrationModule(cone, random_reflexive_description(cone, rng))
         pts = sigma_points(cone, 1)
         for _ in range(60):  # few distinct step keys, so most calls hit the caches
             m = tuple(rng.randint(-3, 3) for _ in range(cone.lattice_rank))
@@ -299,8 +366,9 @@ def equal_pairs(C):
          IndicatorModule(C, "quotient", (), ((0, 0, 0),))),
         (FinitelyPresentedModule(C, [[0, 0, 0]], [Relation([1, 0, 1], [1])]),
          FinitelyPresentedModule(C, ((0, 0, 0),), (Relation((1, 0, 1), (Fraction(1),)),))),
-        (FiltrationModule(C, 2, [(i, full_at(0, 2)) for i in range(4)]),
-         FiltrationModule(C, 2, tuple((i, full_at(0, 2)) for i in (3, 2, 1, 0)))),
+        (FiltrationModule(C, ReflexiveDescription(2, [(i, full_at(0, 2)) for i in range(4)])),
+         FiltrationModule(C, ReflexiveDescription(
+             2, tuple((i, full_at(0, 2)) for i in (3, 2, 1, 0))))),
         (ShiftModule(simple_module(C), [1, 0, 0]), ShiftModule(simple_module(C), (1, 0, 0))),
         (DirectSumModule([simple_module(C), structure_module(C)]),
          DirectSumModule((simple_module(C), structure_module(C)))),

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from coxlift.instances import CONE_OVER_SQUARE as CSQ, all_variant_modules
-from coxlift.klyachko import ReflexiveDescription, filtration_module, induced_morphism
+from coxlift.klyachko import ReflexiveDescription, induced_morphism
 from coxlift.lifting import (
     Box,
     DirectSumRule,
@@ -30,6 +30,7 @@ from coxlift.lifting import (
 )
 from coxlift.linalg import Mat
 from coxlift.modules import (
+    FiltrationModule,
     FinitelyPresentedModule,
     Relation,
     codivisorial_module,
@@ -82,7 +83,7 @@ FP = FinitelyPresentedModule(
 def _cases() -> dict[str, dict[str, Mat]]:
     cod = codivisorial_module(CSQ, (0, 0, 0, 0), (1, 3))
     table = lift_table(CSQ, cod, COD_BOX)
-    generic = filtration_module(CSQ, GENERIC)
+    generic = FiltrationModule(CSQ, GENERIC)
     induced = induced_morphism(CSQ, GENERIC, GENERIC_IMAGE, A)
     spike_at = (1, 0, 0, 0)
     spike = DirectSumRule((ShiftedCoxRule(4, (0, 0, 0, 0)), SpikeRule(4, spike_at)))
