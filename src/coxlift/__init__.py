@@ -13,7 +13,6 @@ posets.
 from .cones import (
     Cone,
     MinimalElements,
-    box_minimal_oracle,
     leq_sigma,
     minimal_common_upper_bounds,
     minimal_elements,

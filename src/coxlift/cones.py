@@ -32,10 +32,6 @@ in order of ``sum_k l_k(m)``, which is positive on the nonzero points of
 the dual cone, so every dominating point is met first.  Torsion in the
 class group needs no special case, because the scan never leaves M.
 
-The Contejean-Devie completion ``minimal_nonneg_solutions`` stays for the
-fan checks; a completion-based search and the brute-force
-``box_minimal_oracle`` check the enumeration in the tests.
-
 Results are memoized per process with no locks: in a worker pool each
 worker keeps its own cache, and cached values agree across workers
 because every output here is deterministic.  Each cone memoizes its
@@ -50,8 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from .lattice import (
     IntMatrix,
@@ -153,62 +149,6 @@ def _cone_rank(cone: Cone) -> int:
 def leq_sigma(cone: Cone, m: Sequence[int], m_prime: Sequence[int]) -> bool:
     """Dual-cone order: every ray form nondecreasing from m to m_prime."""
     return all(a <= b for a, b in zip(cone.evaluate(m), cone.evaluate(m_prime)))
-
-
-def minimal_nonneg_solutions(
-    columns: Sequence[Sequence[int]],
-    caps: Optional[dict[int, int]] = None,
-    max_level: int = 512,
-) -> list[IntVector]:
-    """Minimal nonzero nonnegative solutions of sum_i x_i * columns[i] = 0.
-
-    Breadth-first frontier from the unit vectors; a node ``x`` extends
-    along coordinate ``i`` only when <Ax, Ae_i> < 0, nodes dominating a
-    recorded solution are dropped, and levels advance one unit of the
-    1-norm at a time so every surfaced solution is minimal.  Read by
-    ``fans._check_shared_faces`` and ``positive_relation_exists``.
-    """
-    q = len(columns)
-    cols = [tuple(int(x) for x in col) for col in columns]
-    caps = caps or {}
-
-    def add(value: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(a + b for a, b in zip(value, col))
-
-    minimal: list[tuple[int, ...]] = []
-    frontier: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for i in range(q):
-        if caps.get(i, max_level) < 1:
-            continue
-        node = tuple(1 if j == i else 0 for j in range(q))
-        frontier[node] = cols[i]
-
-    level = 1
-    while frontier:
-        if level > max_level:
-            raise RuntimeError("completion search exceeded the level bound")
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for node, value in frontier.items():
-            if not any(value):
-                minimal.append(node)
-                continue
-            for i in range(q):
-                if node[i] >= caps.get(i, max_level):
-                    continue
-                if sum(v * c for v, c in zip(value, cols[i])) >= 0:
-                    continue
-                child = list(node)
-                child[i] += 1
-                child_t = tuple(child)
-                if child_t not in nxt:
-                    nxt[child_t] = add(value, cols[i])
-        frontier = {
-            node: value
-            for node, value in nxt.items()
-            if not any(all(a >= b for a, b in zip(node, sol)) for sol in minimal)
-        }
-        level += 1
-    return minimal
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -360,31 +300,3 @@ def strict_interior_point(cone: Cone) -> IntVector:
         raise ValueError("the dual cone has no interior lattice point: "
                          "the cone is not strictly convex")
     return points[0]
-
-
-def box_minimal_oracle(cone: Cone, c: Sequence[int], radius: int) -> tuple[IntVector, ...]:
-    """Brute-force oracle: minimal points of P_c within the cube [-radius, radius]^d.
-
-    Independent of the bounded enumeration; used to certify its output on
-    small instances.
-    """
-    c = int_vector(c)
-    points = []
-    for m in product(range(-radius, radius + 1), repeat=cone.lattice_rank):
-        if all(v >= b for v, b in zip(cone.evaluate(m), c)):
-            points.append(m)
-    out = []
-    for m in points:
-        if any(p != m and leq_sigma(cone, p, m) for p in points):
-            continue
-        out.append(m)
-    return tuple(sorted(out))
-
-
-def positive_relation_exists(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether a nonzero nonnegative combination of the rows vanishes.
-
-    True exactly when the cone spanned by the rows is not strictly convex.
-    """
-    cols = [tuple(int(x) for x in row) for row in rows]
-    return bool(minimal_nonneg_solutions(cols))

@@ -6,9 +6,16 @@ M -> Z^rays, split via Smith normal form; the global lift of a
 reflexive description at a Cox degree is the intersection of all ray
 spaces, with per-chart sections given by the sub-intersections.
 
-Validation is exact: strict convexity per maximal cone (no nonzero
-nonnegative relation among its rays) and a separating functional for
-each pair of maximal cones, decided by Motzkin's transposition theorem.
+Validation is exact.  Every ray is primitive and listed by some maximal
+cone; each maximal cone lists distinct rays, is strictly convex and has
+each of its rays as an edge; each pair of maximal cones has a separating
+functional.  Each of these asks for an m that is positive on some rays,
+negative on others and zero on the rest, and ``_feasible`` decides it
+exactly, with no search bound: one ``solve`` per subset of rank-many
+rows of the system.  The system has one or two rows per ray involved, so
+for n rays in rank d that is at most C(2n, d) solves; the fans here have
+a handful of rays.
+
 Global lifting is implemented only for reflexive descriptions, where the
 intersection formula makes chart gluing automatic.
 """
@@ -16,21 +23,21 @@ intersection formula makes chart gluing automatic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
-from .cones import Cone, minimal_nonneg_solutions, positive_relation_exists
+from .cones import Cone
 from .lattice import (
     IntMatrix,
     IntVector,
     LatticeQuotient,
     int_kernel_basis,
-    int_matrix,
     int_vector,
     plain_int,
     rational_rank,
     reduce_by_sublattice,
 )
-from .linalg import Mat, Vector, solve
+from .linalg import Mat, Vector, rank, solve
 from .klyachko import filtration_lift_component
 from .modules import ReflexiveDescription, intersect_ray_spaces
 
@@ -45,21 +52,26 @@ class FanData:
 
     def __post_init__(self):
         object.__setattr__(self, "lattice_rank", plain_int(self.lattice_rank))
-        rays = int_matrix(self.rays)
+        rays = Cone(self.lattice_rank, self.rays).rays
         object.__setattr__(self, "rays", rays)
         cones = tuple(tuple(sorted(plain_int(i) for i in mc)) for mc in self.max_cones)
         object.__setattr__(self, "max_cones", cones)
         n = len(rays)
-        for row in rays:
-            if len(row) != self.lattice_rank:
-                raise ValueError("ray length differs from lattice rank")
         for mc in cones:
             if not mc:
                 raise ValueError("empty maximal cone")
             if any(i < 0 or i >= n for i in mc):
                 raise ValueError("maximal cone has an out-of-range ray index")
-            if positive_relation_exists([rays[i] for i in mc]):
+            if len(set(mc)) < len(mc):
+                raise ValueError(f"maximal cone {mc} repeats a ray index")
+            if not _separable(rays, mc, ()):
                 raise ValueError(f"cone {mc} is not strictly convex")
+            for i in mc:
+                if not _separable(rays, mc, (i,)):
+                    raise ValueError(f"ray {i} is not an edge of cone {mc}")
+        unused = sorted(set(range(n)).difference(*cones))
+        if unused:
+            raise ValueError(f"rays {unused} lie in no maximal cone")
         _check_shared_faces(rays, cones)
 
     @property
@@ -67,30 +79,59 @@ class FanData:
         return len(self.rays)
 
 
+def _feasible(system: Sequence[tuple[Sequence[int], int]]) -> bool:
+    """Whether ``{x : <row, x> >= bound for every (row, bound)}`` has a rational point.
+
+    A nonempty polyhedron ``{Ax >= b}`` has a minimal face
+    ``{x : A_S x = b_S}`` for some rank(A) independent rows S, and every
+    point of that affine space lies in the polyhedron.  So one ``solve``
+    per subset of rank(A) rows, its solution checked against every row,
+    decides exactly.  With rank 0 the one subset is empty, its solution is
+    x = 0, and the test reads every bound <= 0.
+    """
+    rows = [row for row, _ in system]
+    for subset in combinations(system, rank(Mat.from_rows(rows))):
+        x = solve(Mat.from_rows([row for row, _ in subset], len(rows[0])),
+                  [bound for _, bound in subset])
+        if x is not None and all(sum(a * v for a, v in zip(row, x)) >= bound
+                                 for row, bound in system):
+            return True
+    return False
+
+
+def _separable(rays: IntMatrix, a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether some m has <m, ray> >= 1 on the rays only in a, <= -1 on
+    the rays only in b and 0 on the rays in both.
+
+    With b empty this is strict convexity of a; with b = (i,) for i in a
+    it says that ray i spans an edge of a.
+    """
+    system = []
+    for i in sorted(set(a) | set(b)):
+        ray, neg = rays[i], tuple(-x for x in rays[i])
+        if i not in b:
+            system.append((ray, 1))
+        elif i not in a:
+            system.append((neg, 1))
+        else:
+            system += [(ray, 0), (neg, 0)]
+    return _feasible(system)
+
+
 def _check_shared_faces(rays: IntMatrix, cones) -> None:
     """Find a separating functional for each pair of maximal cones.
 
-    Cones a and b are separated by m with <m, ray> = 0 on the shared rays,
-    positive on the rest of a and negative on the rest of b.  By Motzkin's
-    transposition theorem no such m exists exactly when a nonnegative
-    relation among the columns r_i (i only in a), -r_j (j only in b) and
-    +r_k, -r_k (k shared) puts weight on some r_i or -r_j.  Every such
-    relation is a sum of minimal ones, so the minimal relations decide.
+    Cones a and b meet in a common face exactly when some m is zero on the
+    shared rays, positive on the rest of a and negative on the rest of b.
+    Each pair is one ``_feasible`` test: one ``solve`` per subset of
+    rank-many rows of its system, a handful for the small fans here.
     """
-    for a in range(len(cones)):
-        for b in range(a + 1, len(cones)):
-            common = [i for i in cones[a] if i in cones[b]]
-            only_a = [i for i in cones[a] if i not in common]
-            only_b = [i for i in cones[b] if i not in common]
-            if not only_a and not only_b:
-                raise ValueError(f"maximal cones {cones[a]} and {cones[b]} coincide")
-            columns = ([rays[i] for i in only_a]
-                       + [tuple(-x for x in rays[j]) for j in only_b + common]
-                       + [rays[k] for k in common])
-            strict = len(only_a) + len(only_b)
-            if any(any(sol[:strict]) for sol in minimal_nonneg_solutions(columns)):
-                raise ValueError(
-                    f"no separating functional for cones {cones[a]} and {cones[b]}")
+    for a, b in combinations(cones, 2):
+        if a == b:
+            raise ValueError(f"maximal cones {a} and {b} coincide")
+        if not _separable(rays, a, b):
+            raise ValueError(f"no separating functional for cones {a} and {b}")
+
 
 @dataclass(frozen=True)
 class ClassGroupData:

@@ -14,8 +14,10 @@ Diagram: {"elements": [ids], "leq": [[i, j]], "dims": {id: n},
           "maps": {"i->j": [[...]]}}
 
 Integer fields accept JSON integers only; a float, boolean or string
-there is an input error, never truncated.  Rationals are written as
-numbers when integral and as "p/q" strings otherwise.
+there is an input error, never truncated.  So is a key given twice in
+one JSON object, which would otherwise keep only its last value.
+Rationals are written as numbers when integral and as "p/q" strings
+otherwise.
 """
 
 from __future__ import annotations
@@ -140,9 +142,18 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
     return FinitePosetDiagram.from_maps(elements, pairs, dims, maps)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_json_file(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def component_to_json(comp: LiftComponent) -> dict:

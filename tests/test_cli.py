@@ -299,6 +299,30 @@ def test_filtration_keys_must_be_the_ray_indices(inputs, capsys, old, new, messa
     assert message in captured.err
 
 
+@pytest.mark.parametrize("flag, text, key", [
+    ("--cone", '{"lattice_rank": 3, "lattice_rank": 3, "rays": %s}'
+     % json.dumps(CONE_JSON["rays"]), "lattice_rank"),
+    # the first filtration of ray 1 would be dropped and the table printed
+    ("--module", json.dumps(line_filtration(0)).replace(
+        '"1": ', '"1": [{"level": 2, "basis": [[1]]}], "1": ', 1), "1"),
+    ("--diagram", json.dumps(CROWN_JSON).replace('"a": 1', '"a": 1, "a": 1', 1), "a"),
+], ids=["cone", "module", "diagram"])
+def test_repeated_json_key_is_an_input_error(inputs, capsys, flag, text, key):
+    bad = inputs / "bad.json"
+    bad.write_text(text)
+    if flag == "--diagram":
+        argv = ["roos", "--diagram", str(bad)]
+    else:
+        files = {"--cone": inputs / "cone.json", "--module": inputs / "simple.json",
+                 flag: bad}
+        argv = ["lift-table", "--cone", str(files["--cone"]),
+                "--module", str(files["--module"]), "--box=0..0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: JSON object repeats the key {key!r}\n"
+
+
 def test_loaded_filtration_module_is_the_module_of_its_description():
     cone = load_cone(CONE_JSON)
     obj = {"type": "filtration", "ambient_dim": 2,

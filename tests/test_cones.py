@@ -6,60 +6,19 @@ from hypothesis import strategies as st
 
 from coxlift.cones import (
     Cone,
-    box_minimal_oracle,
     leq_sigma,
     minimal_common_upper_bounds,
     minimal_elements,
-    minimal_nonneg_solutions,
-    positive_relation_exists,
     strict_interior_point,
 )
 from coxlift.instances import CONE_OVER_SQUARE, ORTHANT2, QUOTIENT2, TEST_CONES
-from coxlift.lattice import lattice_membership, reduce_by_sublattice
 from coxlift.lifting import colimit
 from coxlift.modules import structure_module
 
+from cone_oracles import box_minimal_oracle, completion_minimal_elements
+
 HEXAGON = Cone(3, ((1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)))
 NOT_STRICTLY_CONVEX = Cone(2, ((1, 0), (-1, 0), (0, 1)))
-
-
-def completion_minimal_elements(cone: Cone, c, max_level: int = 512):
-    """Oracle: minimal points of P_c by a Contejean-Devie completion.
-
-    Writing ``u = L(m) - c``, the coset constraint ``u + c in L(M)`` is
-    homogenized with an auxiliary coordinate capped at one, each torsion
-    factor of the class group gets a pair of slack columns, and the
-    minimal nonnegative solutions with auxiliary coordinate one give the
-    minimal points.  Raises ``RuntimeError`` past ``max_level``.
-    """
-    n = cone.ray_count
-    # the class group: Z^rays modulo the image of M
-    quot = reduce_by_sublattice(n, [[row[j] for row in cone.rays]
-                                    for j in range(cone.lattice_rank)])
-    free, torsion = quot.free_rows, quot.torsion
-    height = len(free) + len(torsion)
-
-    def value_of(vec):
-        return (tuple(sum(r * x for r, x in zip(row, vec)) for row in free)
-                + tuple(sum(r * x for r, x in zip(row, vec)) for row, _ in torsion))
-
-    columns = [value_of([int(i == j) for j in range(n)]) for i in range(n)]
-    columns.append(value_of(c))
-    for j, (_, d) in enumerate(torsion):
-        for sign in (-1, 1):
-            col = [0] * height
-            col[len(free) + j] = sign * d
-            columns.append(tuple(col))
-    sols = minimal_nonneg_solutions(columns, caps={n: 1}, max_level=max_level)
-    us = sorted({sol[:n] for sol in sols if sol[n] == 1})
-    out = []
-    for u in us:
-        if any(w != u and all(a <= b for a, b in zip(w, u)) for w in us):
-            continue
-        m = lattice_membership(cone.rays, tuple(a + b for a, b in zip(u, c)))
-        assert m is not None, "coset solution left the image lattice"
-        out.append(m)
-    return tuple(sorted(out))
 
 
 def test_cone_validation():
@@ -246,12 +205,6 @@ def test_strict_interior_point_needs_a_strictly_convex_cone():
         strict_interior_point(NOT_STRICTLY_CONVEX)
     with pytest.raises(ValueError, match="no interior lattice point"):
         colimit(NOT_STRICTLY_CONVEX, structure_module(NOT_STRICTLY_CONVEX))
-
-
-def test_positive_relation():
-    assert positive_relation_exists(((1, 0), (-1, 0)))
-    assert not positive_relation_exists(((1, 0), (0, 1)))
-    assert not positive_relation_exists(CONE_OVER_SQUARE.rays)
 
 
 def primitive_rows(rows):

@@ -1,12 +1,13 @@
+import math
 from itertools import product
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from coxlift.cones import positive_relation_exists
 from coxlift.fans import (
     FanData,
+    _separable,
     affine_chart,
     chart_section,
     class_group,
@@ -18,6 +19,8 @@ from coxlift.lifting import Box
 from coxlift.linalg import subspace_le
 from coxlift.modules import full_at, ray_filtration
 
+from cone_oracles import completion_separable, positive_relation_exists
+
 P2 = FanData(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
 P1P1 = FanData(2, ((1, 0), (-1, 0), (0, 1), (0, -1)),
                ((0, 2), (1, 2), (1, 3), (0, 3)))
@@ -27,6 +30,67 @@ ONE_CONE = FanData(3, CONE_OVER_SQUARE.rays, ((0, 1, 2, 3),))
 def test_fan_validation_rejects_non_convex():
     with pytest.raises(ValueError):
         FanData(2, ((1, 0), (-1, 0)), ((0, 1),))
+
+
+def test_strict_convexity():
+    assert not _separable(((1, 0), (-1, 0)), (0, 1), ())
+    assert _separable(((1, 0), (0, 1)), (0, 1), ())
+    assert _separable(CONE_OVER_SQUARE.rays, (0, 1, 2, 3), ())
+
+
+# the complete fan of the weighted projective plane P(1, 1, 600)
+P11_600_RAYS = ((1, 0), (0, 1), (-1, -600))
+# a cone over three rays whose nonnegative relation needs weight 1000
+WIDE_RAYS = ((1000, 1), (-1, 0), (0, -1))
+
+
+def test_fans_past_any_search_bound():
+    cg = class_group(FanData(2, P11_600_RAYS, ((0, 1), (1, 2), (0, 2))))
+    assert cg.free_rank == 1 and cg.torsion == ()
+    with pytest.raises(ValueError, match="not strictly convex"):
+        FanData(2, WIDE_RAYS, ((0, 1, 2),))
+
+
+@pytest.mark.parametrize("rays, cones, message", [
+    (((1, 0), (1, 1), (0, 1)), ((0, 1, 2),), "ray 1 is not an edge"),
+    (((2, 0), (0, 1)), ((0, 1),), "not primitive"),
+    (((1, 0), (2, 0)), ((0,), (0, 1)), "not primitive"),
+    (((1, 0), (0, 1), (0, 0)), ((0, 1),), "zero ray"),
+    (((1, 0), (0, 1), (-1, -1)), ((0, 1),), r"rays \[2\] lie in no maximal cone"),
+    (((1, 0), (0, 1)), ((0, 0, 1),), "repeats a ray index"),
+], ids=["interior ray", "non-primitive ray", "non-primitive ray of one cone",
+        "unused zero ray", "unused ray", "repeated index"])
+def test_fan_validation_rejects_what_class_group_assumes(rays, cones, message):
+    # class_group assumes each of these away: read as a fan, the orthant with
+    # (1, 1) listed as a ray has free rank 1, and with (2, 0) torsion (2,);
+    # its class group is 0
+    with pytest.raises(ValueError, match=message):
+        FanData(2, rays, cones)
+
+
+@st.composite
+def rays_and_index_sets(draw):
+    """2-d or 3-d primitive rays, repeats allowed, and two nonempty index sets."""
+    d = draw(st.sampled_from((2, 3)))
+    ray = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any).map(
+        lambda r: tuple(x // math.gcd(*r) for x in r))
+    rays = tuple(draw(st.lists(ray, min_size=1, max_size=d + 2)))
+    index = st.sets(st.integers(0, len(rays) - 1), min_size=1, max_size=d + 1).map(
+        lambda s: tuple(sorted(s)))
+    return rays, draw(index), draw(index)
+
+
+@given(rays_and_index_sets())
+@example((P11_600_RAYS, (1, 2), (0, 2)))
+@example((P11_600_RAYS, (0, 1), (1, 2)))
+@example((WIDE_RAYS, (0, 1, 2), (0,)))
+def test_feasibility_matches_the_completion(case):
+    rays, a, b = case
+    convex = [not positive_relation_exists([rays[i] for i in c], max_level=2048)
+              for c in (a, b)]
+    assert [_separable(rays, c, ()) for c in (a, b)] == convex
+    if all(convex):
+        assert _separable(rays, a, b) == completion_separable(rays, a, b, max_level=2048)
 
 
 def test_fan_validation_rejects_bad_overlap():
@@ -54,20 +118,26 @@ def separated_in_cube(rays, a, b, radius):
     return False
 
 
-ray2 = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+ray2 = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(
+    lambda r: any(r) and math.gcd(*r) == 1)
 
 
-@given(st.lists(ray2, min_size=2, max_size=4),
+@given(st.lists(ray2, min_size=2, max_size=4, unique=True),
        st.sets(st.integers(0, 3), min_size=1, max_size=2),
        st.sets(st.integers(0, 3), min_size=1, max_size=2))
-@example(rays=[(1, 0), (2, 0)], a={0}, b={0, 1})  # only b's part of the relation is nonzero
 def test_fan_validation_matches_cube_search_in_the_plane(rays, a, b):
     # with entries in [-2, 2] a separating functional, if any, has entries in
     # [-4, 4]: it is +-(r2, -r1) for a shared ray r, or the sum of two such
     # extreme directions, or r itself; so the cube search is exact here
-    a = tuple(sorted(i for i in a if i < len(rays)))
-    b = tuple(sorted(i for i in b if i < len(rays)))
+    a = {i for i in a if i < len(rays)}
+    b = {i for i in b if i < len(rays)}
     assume(a and b and a != b)
+    # pass only the listed rays, renumbered; distinct primitive rays in a
+    # strictly convex plane cone of at most two rays are all edges
+    used = sorted(a | b)
+    rays = [rays[i] for i in used]
+    a = tuple(used.index(i) for i in sorted(a))
+    b = tuple(used.index(i) for i in sorted(b))
     assume(not any(positive_relation_exists([rays[i] for i in c]) for c in (a, b)))
     try:
         FanData(2, tuple(rays), (a, b))

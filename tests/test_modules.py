@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coxlift.cones import Cone, box_minimal_oracle, minimal_elements
+from coxlift.cones import Cone, minimal_elements
 from coxlift.derived import (
     FinitePosetDiagram,
     connecting_cokernel,
@@ -173,7 +173,6 @@ NON_INTEGER_DEGREES = {
         ["a", "b"], [(0, 1.0)], [1, 1], {(0, 1): Mat.identity(1)}),
     "lattice membership": lambda C: lattice_membership(C.rays, (0.5, 0, 0, 0)),
     "sublattice generators": lambda C: reduce_by_sublattice(2, [(1.0, 0)]),
-    "box oracle": lambda C: box_minimal_oracle(C, (0.5, 0, 0, 0), 1),
     "morphism matrix": lambda C: identity_morphism(simple_module(C)).matrix((0.5, 0, 0)),
     "table component": lambda C: lift_table(
         C, simple_module(C), Box((0,) * 4, (0,) * 4)).component((0.0, 0, 0, 0)),
