@@ -15,7 +15,7 @@ from coxlift.instances import CONE_OVER_SQUARE, ORTHANT2, QUOTIENT2, TEST_CONES
 from coxlift.lifting import colimit
 from coxlift.modules import structure_module
 
-from cone_oracles import box_minimal_oracle, completion_minimal_elements
+from cone_oracles import box_minimal_oracle, completion_minimal_elements, positive_relation_exists
 
 HEXAGON = Cone(3, ((1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)))
 NOT_STRICTLY_CONVEX = Cone(2, ((1, 0), (-1, 0), (0, 1)))
@@ -205,6 +205,12 @@ def test_strict_interior_point_needs_a_strictly_convex_cone():
         strict_interior_point(NOT_STRICTLY_CONVEX)
     with pytest.raises(ValueError, match="no interior lattice point"):
         colimit(NOT_STRICTLY_CONVEX, structure_module(NOT_STRICTLY_CONVEX))
+
+
+def test_positive_relation():
+    assert positive_relation_exists(((1, 0), (-1, 0)))
+    assert not positive_relation_exists(((1, 0), (0, 1)))
+    assert not positive_relation_exists(CONE_OVER_SQUARE.rays)
 
 
 def primitive_rows(rows):

@@ -63,6 +63,8 @@ from coxlift.modules import (
     validate_indicator_style,
 )
 
+from cone_oracles import box_minimal_oracle
+
 
 def sigma_points(cone, radius=2):
     pts = []
@@ -173,6 +175,7 @@ NON_INTEGER_DEGREES = {
         ["a", "b"], [(0, 1.0)], [1, 1], {(0, 1): Mat.identity(1)}),
     "lattice membership": lambda C: lattice_membership(C.rays, (0.5, 0, 0, 0)),
     "sublattice generators": lambda C: reduce_by_sublattice(2, [(1.0, 0)]),
+    "box oracle": lambda C: box_minimal_oracle(C, (0.5, 0, 0, 0), 1),
     "morphism matrix": lambda C: identity_morphism(simple_module(C)).matrix((0.5, 0, 0)),
     "table component": lambda C: lift_table(
         C, simple_module(C), Box((0,) * 4, (0,) * 4)).component((0.0, 0, 0, 0)),
