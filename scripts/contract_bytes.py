@@ -3,14 +3,16 @@
 
 Usage: python scripts/contract_bytes.py OUTDIR
 
-Runs, each through ``python -m coxlift.cli`` from this checkout's
-``src``:
+Runs, with this checkout's ``src`` on the path:
 
-* ``check S`` for every suite;
-* ``lift-table --box=-2..2 --format tsv|json --jobs 1|2`` on the cone
-  over a square, for the four example modules of ``make_inputs.py`` and
-  a rank-2 module of four lines in general position;
-* ``roos --diagram diagram_crown.json --imax 0|1|2``.
+* ``coxlift.cli check S`` for every suite;
+* ``coxlift.cli lift-table --box=-2..2 --format tsv|json --jobs 1|2``
+  on the cone over a square, for the four example modules of
+  ``make_inputs.py`` and a rank-2 module of four lines in general
+  position;
+* ``coxlift.cli roos --diagram diagram_crown.json --imax 0|1|2``;
+* ``scripts/derived_evidence.py``, whose report prints the point count
+  and limit dimensions of a truncation, which ``check roos`` does not.
 
 Each command runs twice, under ``PYTHONHASHSEED=1`` and ``=2``; its
 stdout, stderr and exit code under the first go to
@@ -44,18 +46,22 @@ GENERIC_LINES = {
 
 
 def commands(inputs: pathlib.Path):
+    """``(name, arguments to the interpreter)`` for every contract command."""
+    cli = ["-m", "coxlift.cli"]
     for suite in SUITES:
-        yield f"check-{suite}", ["check", suite]
+        yield f"check-{suite}", cli + ["check", suite]
     for module in MODULES:
         for fmt in ("tsv", "json"):
             for jobs in ("1", "2"):
                 yield (f"lift-table-{module}-{fmt}-jobs{jobs}",
-                       ["lift-table", "--cone", str(inputs / "cone_square.json"),
-                        "--module", str(inputs / f"module_{module}.json"),
-                        "--format", fmt, "--jobs", jobs, "--box=-2..2"])
+                       cli + ["lift-table", "--cone", str(inputs / "cone_square.json"),
+                              "--module", str(inputs / f"module_{module}.json"),
+                              "--format", fmt, "--jobs", jobs, "--box=-2..2"])
     for imax in ("0", "1", "2"):
         yield (f"roos-imax{imax}",
-               ["roos", "--diagram", str(inputs / "diagram_crown.json"), "--imax", imax])
+               cli + ["roos", "--diagram", str(inputs / "diagram_crown.json"),
+                      "--imax", imax])
+    yield "derived-evidence", [str(ROOT / "scripts" / "derived_evidence.py")]
 
 
 def main() -> int:
@@ -72,7 +78,7 @@ def main() -> int:
                        check=True, stdout=subprocess.DEVNULL)
         (inputs / "module_generic_lines.json").write_text(json.dumps(GENERIC_LINES))
         for name, args in commands(inputs):
-            proc, other = [subprocess.run([sys.executable, "-m", "coxlift.cli", *args],
+            proc, other = [subprocess.run([sys.executable, *args],
                                           env=dict(env, PYTHONHASHSEED=seed),
                                           capture_output=True)
                            for seed in ("1", "2")]

@@ -32,6 +32,13 @@ in order of ``sum_k l_k(m)``, which is positive on the nonzero points of
 the dual cone, so every dominating point is met first.  Torsion in the
 class group needs no special case, because the scan never leaves M.
 
+The box scan (``_box_points``) is shared with ``truncation_points``,
+the points of P_c within a 1-norm bound of c.  There the box is exact:
+through each basis T, ``m = adj (c_T + y) / det`` with ``y >= 0`` of
+1-norm at most the bound, which bounds every coordinate of m; the scan
+runs over the intersection of these boxes, against ``c <= L(m) <= c +
+bound``, and keeps the points whose ``sum_k l_k(m)`` is in range.
+
 Results are memoized per process with no locks: in a worker pool each
 worker keeps its own cache, and cached values agree across workers
 because every output here is deterministic.  Each cone memoizes its
@@ -213,26 +220,11 @@ def _search_data(cone: Cone) -> _SearchData:
     )
 
 
-def _minimal_points(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
-    """Minimal points of P_c by enumeration in the box the module docstring derives."""
-    data = _search_data(cone)
+def _box_points(cone: Cone, c: IntVector, upper: IntVector,
+               low: Sequence[int], high: Sequence[int]) -> list[tuple[int, IntVector, IntVector]]:
+    """``(sum L(m), L(m), m)`` for every m in the box ``low <= m <= high``
+    with ``c <= L(m) <= upper``, in lexicographic order of m."""
     rays, n, d = cone.rays, cone.ray_count, cone.lattice_rank
-    vertices = []
-    for idx, adj, det in data.bases:
-        w = tuple(sum(a * c[i] for a, i in zip(row, idx)) for row in adj)
-        values = imat_vec(rays, w)
-        if all(v >= det * b for v, b in zip(values, c)):
-            vertices.append((w, values, det))
-    if not vertices:
-        return ()
-    # l_k(m) < max_v l_k(v) + S_k when S_k > 0, else l_k(m) <= max_v l_k(v)
-    upper = tuple(
-        max(-(-vals[k] // det) for _, vals, det in vertices) + data.ray_slack[k] - 1
-        if data.ray_slack[k] else max(vals[k] // det for _, vals, det in vertices)
-        for k in range(n))
-    low = [min(w[j] // det for w, _, det in vertices) - data.coord_down[j] for j in range(d)]
-    high = [max(-(-w[j] // det) for w, _, det in vertices) + data.coord_up[j] for j in range(d)]
-
     # forms whose last nonzero coefficient sits in column j are settled once
     # the first j+1 coordinates are chosen; the rest bound the last one
     last_nonzero = [max(j for j in range(d) if row[j]) for row in rays]
@@ -261,6 +253,29 @@ def _minimal_points(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
         for x in range(lo, hi + 1):
             vals = tuple(p + a * x for p, a in zip(partial, column))
             found.append((sum(vals), vals, head + (x,)))
+    return found
+
+
+def _minimal_points(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
+    """Minimal points of P_c by enumeration in the box the module docstring derives."""
+    data = _search_data(cone)
+    rays, n, d = cone.rays, cone.ray_count, cone.lattice_rank
+    vertices = []
+    for idx, adj, det in data.bases:
+        w = tuple(sum(a * c[i] for a, i in zip(row, idx)) for row in adj)
+        values = imat_vec(rays, w)
+        if all(v >= det * b for v, b in zip(values, c)):
+            vertices.append((w, values, det))
+    if not vertices:
+        return ()
+    # l_k(m) < max_v l_k(v) + S_k when S_k > 0, else l_k(m) <= max_v l_k(v)
+    upper = tuple(
+        max(-(-vals[k] // det) for _, vals, det in vertices) + data.ray_slack[k] - 1
+        if data.ray_slack[k] else max(vals[k] // det for _, vals, det in vertices)
+        for k in range(n))
+    low = [min(w[j] // det for w, _, det in vertices) - data.coord_down[j] for j in range(d)]
+    high = [max(-(-w[j] // det) for w, _, det in vertices) + data.coord_up[j] for j in range(d)]
+    found = _box_points(cone, c, upper, low, high)
     # a dominating point has a strictly smaller value sum, so it comes first
     found.sort()
     kept: list[tuple[IntVector, IntVector]] = []
@@ -270,19 +285,60 @@ def _minimal_points(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
     return tuple(sorted(m for _, m in kept))
 
 
-@lru_cache(maxsize=None)
-def _minimal_elements_cached(cone: Cone, c: IntVector) -> MinimalElements:
+def _degree(cone: Cone, c: Sequence[int]) -> IntVector:
+    c = int_vector(c)
+    if len(c) != cone.ray_count:
+        raise ValueError("degree length differs from ray count")
+    return c
+
+
+def _require_full_dimensional(cone: Cone) -> None:
     if not cone.full_dimensional:
         raise ValueError("cone must be full-dimensional; reduce degenerate cones first")
+
+
+@lru_cache(maxsize=None)
+def _minimal_elements_cached(cone: Cone, c: IntVector) -> MinimalElements:
+    _require_full_dimensional(cone)
     return MinimalElements(_minimal_points(cone, c), c)
 
 
 def minimal_elements(cone: Cone, c: Sequence[int]) -> MinimalElements:
     """The complete finite antichain of order-minimal points of P_c."""
-    c = int_vector(c)
-    if len(c) != cone.ray_count:
-        raise ValueError("degree length differs from ray count")
-    return _minimal_elements_cached(cone, c)
+    return _minimal_elements_cached(cone, _degree(cone, c))
+
+
+def truncation_points(cone: Cone, c: Sequence[int], bound: int) -> list[IntVector]:
+    """The lattice points m of P_c with ``|L(m) - c|_1 <= bound``, sorted.
+
+    The points are enumerated in M, with no lattice preimage solved, by
+    the box scan of the minimal-point search.  For each basis
+    ``(T, adj, det)``, ``m = adj (c_T + y) / det`` with ``y = L_T(m) - c_T``
+    nonnegative of 1-norm at most ``bound``, so ``m_j`` lies between
+    ``(adj_j c_T + bound min(0, min adj_j)) / det`` and
+    ``(adj_j c_T + bound max(0, max adj_j)) / det``; the scan runs over
+    the intersection of these ranges over all bases.
+    """
+    c = _degree(cone, c)
+    bound = plain_int(bound)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    _require_full_dimensional(cone)
+    bases = _search_data(cone).bases
+    low, high = [], []
+    for j in range(cone.lattice_rank):
+        lows, highs = [], []
+        for idx, adj, det in bases:
+            row = adj[j]
+            w = sum(a * c[i] for a, i in zip(row, idx))
+            lows.append(-(-(w + bound * min(0, *row)) // det))
+            highs.append((w + bound * max(0, *row)) // det)
+        low.append(max(lows))
+        high.append(min(highs))
+    limit = sum(c) + bound
+    return sorted(m for total, _, m in
+                  _box_points(cone, c, tuple(x + bound for x in c), low, high)
+                  if total <= limit)
 
 
 def minimal_common_upper_bounds(

@@ -8,7 +8,11 @@ differential alternates face deletions, transporting along the last
 arrow when the top is dropped.  H^0 is the limit.
 
 For the infinite up-sets behind the lift, the module is truncated to a
-finite sub-poset by a 1-norm bound on the Cox coordinates.  The
+finite sub-poset by a 1-norm bound on the Cox coordinates.  The points
+are enumerated in M (``cones.truncation_points``) over the box that
+every basis of ray forms cuts out exactly, by the scan the minimal-point
+search uses, with no lattice equation solved; ``from_module`` orders
+them from per-form bitmasks of the points at or above each value.  The
 truncated limit is certified equal to the true lift component once the
 truncation contains every minimal point and every pairwise minimal
 common upper bound (transports factor through the truncation); higher
@@ -18,10 +22,11 @@ truncated limits are reported as evidence only, never certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
-from .cones import Cone, minimal_common_upper_bounds, minimal_elements
-from .lattice import int_vector, plain_int, smith_normal_form
+from .cones import Cone, minimal_common_upper_bounds, minimal_elements, truncation_points
+from .lattice import int_vector, plain_int
 from .lifting import lift_component, lift_morphism
 from .linalg import Mat, rank, sparse_rank
 from .modules import GradedModule, GradedMorphism
@@ -47,8 +52,22 @@ def transitive_closure(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]
     return out
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class FinitePosetDiagram:
-    """A finite poset with a space per element and a transport per relation."""
+    """A finite poset with a space per element and a transport per relation.
+
+    The order is kept as one bitmask per element, bit j of ``_up[i]`` set
+    when i < j strictly; validation, successors and covers read it.
+    """
 
     def __init__(self, elements: Sequence, relation: set[tuple[int, int]],
                  dims: Sequence[int],
@@ -56,19 +75,23 @@ class FinitePosetDiagram:
         self.elements = tuple(elements)
         n = len(self.elements)
         self.relation = frozenset(relation) | {(i, i) for i in range(n)}
-        succ: list[set[int]] = [set() for _ in range(n)]
+        up = [0] * n
         for i, j in self.relation:
-            if (j, i) in self.relation and i != j:
-                raise ValueError("relation is not antisymmetric")
+            if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+                raise ValueError(f"relation pair {(i, j)} names no element by index")
             if i != j:
-                succ[i].add(j)
-        self._succ = [sorted(s) for s in succ]
+                up[i] |= 1 << j
+        self._up = up
+        self._succ = [_bits(mask) for mask in up]
+        if any(up[j] >> i & 1 for i in range(n) for j in self._succ[i]):
+            raise ValueError("relation is not antisymmetric")
         for i in range(n):
             for j in self._succ[i]:
-                missing = succ[j] - succ[i]
+                missing = up[j] & ~up[i]
                 if missing:
+                    k = _bits(missing)[0]
                     raise ValueError(f"relation is not transitive: it holds {(i, j)} and "
-                                     f"{(j, min(missing))} but not {(i, min(missing))}")
+                                     f"{(j, k)} but not {(i, k)}")
         self.dims = int_vector(dims)
         if len(self.dims) != n:
             raise ValueError(f"{len(self.dims)} dimensions for {n} elements")
@@ -97,17 +120,14 @@ class FinitePosetDiagram:
         return self._succ[i]
 
     def covers(self) -> list[tuple[int, int]]:
-        """Covering pairs: minimal strict successors, found by up-count order."""
+        """Covering pairs ``(i, j)``, sorted: the strict successors j of i
+        that lie above no other strict successor of i."""
         out = []
-        n = len(self.elements)
-        upsize = [len(self.strict_successors(i)) for i in range(n)]
-        for i in range(n):
-            lowest: list[int] = []
-            # a successor with more elements above it sits lower in the order
-            for j in sorted(self.strict_successors(i), key=lambda j: -upsize[j]):
-                if not any(self.le(s, j) for s in lowest):
-                    lowest.append(j)
-            out.extend((i, j) for j in lowest)
+        for i, succ in enumerate(self._succ):
+            above = 0
+            for j in succ:
+                above |= self._up[j]
+            out.extend((i, j) for j in _bits(self._up[i] & ~above))
         return out
 
     def validate_composition(self) -> None:
@@ -169,13 +189,28 @@ class FinitePosetDiagram:
     def from_module(cls, cone: Cone, module: GradedModule,
                     points: Sequence[IntVector]) -> "FinitePosetDiagram":
         """The module on the given points, ordered by their Cox coordinates:
-        p <= q exactly when L(p) <= L(q) componentwise."""
+        p <= q exactly when L(p) <= L(q) componentwise.
+
+        For each ray form, the points sorted by its value give the bitmask
+        of the points at or above each value; the points above p are the
+        AND of p's masks over the forms.
+        """
         points = [int_vector(p) for p in points]
-        if len(set(points)) < len(points):
+        n = len(points)
+        if len(set(points)) < n:
             raise ValueError("the points of a diagram must be distinct")
         values = [cone.evaluate(p) for p in points]
-        rel = {(i, j) for i, a in enumerate(values) for j, b in enumerate(values)
-               if i != j and all(x <= y for x, y in zip(a, b))}
+        up = [(1 << n) - 1] * n
+        for k in range(cone.ray_count):
+            mask = 0
+            order = sorted(range(n), key=lambda i: -values[i][k])
+            for _, group in groupby(order, key=lambda i: values[i][k]):
+                group = list(group)
+                for i in group:
+                    mask |= 1 << i
+                for i in group:
+                    up[i] &= mask
+        rel = {(i, j) for i in range(n) for j in _bits(up[i]) if j != i}
         dims = [module.component(p).dim for p in points]
         return cls(points, rel, dims,
                    lambda i, j: module.action(points[i], points[j]))
@@ -314,25 +349,6 @@ class TruncationReport:
     point_count: int
 
 
-def truncation_points(cone: Cone, c: IntVector, bound: int) -> list[IntVector]:
-    """Lattice points of P_c whose Cox coordinates are within ``bound`` in 1-norm."""
-    n = cone.ray_count
-    snf = smith_normal_form(cone.rays)
-    points = []
-
-    def rec(prefix: list[int], remaining: int, idx: int):
-        if idx == n:
-            m = snf.preimage(tuple(u + x for u, x in zip(prefix, c)))
-            if m is not None:
-                points.append(m)
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, idx + 1)
-
-    rec([], bound, 0)
-    return sorted(set(points))
-
-
 def certification_bound(cone: Cone, c: IntVector) -> int:
     """1-norm bound that brings all minimal points and their pairwise bounds inside."""
     mins = minimal_elements(cone, c).elements
@@ -354,10 +370,8 @@ def truncated_lift_oracle(cone: Cone, module: GradedModule, c: Sequence[int],
     cover-difference kernel on the truncation, higher limits from the
     chain complex.
     """
-    c = int_vector(c)
-    if plain_int(bound) < 0:
-        raise ValueError("bound must be nonnegative")
     points = truncation_points(cone, c, bound)
+    c = int_vector(c)
     diagram = FinitePosetDiagram.from_module(cone, module, points)
     dims = [equalizer_limit_dim(diagram)]
     if imax >= 1:

@@ -8,11 +8,12 @@ spaces, with per-chart sections given by the sub-intersections.
 
 Validation is exact.  Every ray is primitive and listed by some maximal
 cone; each maximal cone lists distinct rays, is strictly convex and has
-each of its rays as an edge; each pair of maximal cones has a separating
-functional.  Each of these asks for an m that is positive on some rays,
-negative on others and zero on the rest, and ``_feasible`` decides it
-exactly, with no search bound: one ``solve`` per subset of rank-many
-rows of the system.  The system has one or two rows per ray involved, so
+each of its rays as an edge; no maximal cone lists only rays of another
+(separation would make it a face); each pair of maximal cones has a
+separating functional.  Each geometric condition asks for an m that is
+positive on some rays, negative on others and zero on the rest, and
+``_feasible`` decides it exactly, with no search bound: one ``solve``
+per subset of rank-many rows of the system.  The system has one or two rows per ray involved, so
 for n rays in rank d that is at most C(2n, d) solves; the fans here have
 a handful of rays.
 
@@ -119,7 +120,8 @@ def _separable(rays: IntMatrix, a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def _check_shared_faces(rays: IntMatrix, cones) -> None:
-    """Find a separating functional for each pair of maximal cones.
+    """Find a separating functional for each pair of maximal cones, and
+    reject a pair where one lists only rays of the other.
 
     Cones a and b meet in a common face exactly when some m is zero on the
     shared rays, positive on the rest of a and negative on the rest of b.
@@ -129,6 +131,10 @@ def _check_shared_faces(rays: IntMatrix, cones) -> None:
     for a, b in combinations(cones, 2):
         if a == b:
             raise ValueError(f"maximal cones {a} and {b} coincide")
+        # separation would make the smaller cone a face of the larger one
+        for face, cone in ((a, b), (b, a)):
+            if set(face) <= set(cone):
+                raise ValueError(f"maximal cone {face} is a face of maximal cone {cone}")
         if not _separable(rays, a, b):
             raise ValueError(f"no separating functional for cones {a} and {b}")
 

@@ -30,6 +30,7 @@ its one-step restriction maps are built the first time they are read.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, product
@@ -436,7 +437,9 @@ def lift_table(cone: Cone, module: GradedModule, box: Box, jobs: int = 1) -> Lif
     degree order, so output does not depend on the pool width.  The
     restriction maps are left to ``LiftTable.steps``, built on first read.
     The pool starts all its workers at once, so it is never wider than
-    the number of degrees.
+    the number of degrees.  If the pool cannot start (``OSError``), one
+    ``RuntimeWarning`` names the error and the degrees are computed
+    serially.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -453,7 +456,9 @@ def lift_table(cone: Cone, module: GradedModule, box: Box, jobs: int = 1) -> Lif
                                      [(cone, module, ch) for ch in chunks]):
                     for c, comp in part:
                         components[c] = comp
-        except OSError:
+        except OSError as exc:
+            warnings.warn(f"worker pool unavailable ({exc}); computing the "
+                          f"{len(degrees)} degrees serially", RuntimeWarning, stacklevel=2)
             components = {}
     if not components:
         for c in degrees:

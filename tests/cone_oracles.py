@@ -6,6 +6,9 @@
   completion, an oracle for ``cones.minimal_elements``.
 * ``box_minimal_oracle``: minimal points of ``P_c`` by brute force in a
   cube, an oracle for the same.
+* ``preimage_truncation_points``: the points of ``P_c`` within a 1-norm
+  bound of ``c``, one lattice preimage per composition of the bound, an
+  oracle for ``cones.truncation_points``.
 * ``positive_relation_exists`` and ``completion_separable``: strict
   convexity and separation of cones through the completion, oracles for
   the feasibility tests of ``fans.FanData``.
@@ -18,7 +21,12 @@ from itertools import product
 from typing import Optional, Sequence
 
 from coxlift.cones import Cone, leq_sigma
-from coxlift.lattice import int_vector, lattice_membership, reduce_by_sublattice
+from coxlift.lattice import (
+    int_vector,
+    lattice_membership,
+    reduce_by_sublattice,
+    smith_normal_form,
+)
 
 
 def minimal_nonneg_solutions(
@@ -129,6 +137,29 @@ def box_minimal_oracle(cone: Cone, c: Sequence[int], radius: int) -> tuple[tuple
             continue
         out.append(m)
     return tuple(sorted(out))
+
+
+def preimage_truncation_points(cone: Cone, c: Sequence[int], bound: int) -> list[tuple[int, ...]]:
+    """Lattice points of P_c whose Cox coordinates are within ``bound`` of c in 1-norm.
+
+    Every ``u >= 0`` with ``|u|_1 <= bound`` is tried: ``c + u`` is kept
+    when the Smith form finds it a preimage in M.
+    """
+    n = cone.ray_count
+    snf = smith_normal_form(cone.rays)
+    points = []
+
+    def rec(prefix: list[int], remaining: int, idx: int):
+        if idx == n:
+            m = snf.preimage(tuple(u + x for u, x in zip(prefix, c)))
+            if m is not None:
+                points.append(m)
+            return
+        for v in range(remaining + 1):
+            rec(prefix + [v], remaining - v, idx + 1)
+
+    rec([], bound, 0)
+    return sorted(set(points))
 
 
 def positive_relation_exists(rows: Sequence[Sequence[int]], max_level: int = 512) -> bool:

@@ -1,9 +1,11 @@
-from itertools import product
+import math
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from coxlift.cones import Cone, minimal_elements
 from coxlift.derived import (
     FinitePosetDiagram,
     certification_bound,
@@ -21,6 +23,8 @@ from coxlift.instances import TEST_CONES, random_module
 from coxlift.lifting import lift_component, lift_morphism
 from coxlift.linalg import Mat, rank
 from coxlift.modules import codivisorial_module, simple_module
+
+from cone_oracles import preimage_truncation_points
 
 
 def constant_diagram(n, rel):
@@ -132,6 +136,12 @@ def test_antisymmetry_enforced():
                            lambda i, j: Mat.identity(1))
 
 
+@pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (0.0, 1), (True, 0)])
+def test_relation_pairs_must_name_elements(pair):
+    with pytest.raises(ValueError, match="names no element"):
+        FinitePosetDiagram(["a", "b"], {pair}, [1, 1], lambda i, j: Mat.identity(1))
+
+
 @pytest.mark.parametrize("dims, message", [
     ([1, -2], "negative"), ([1, 1.5], "integer"), ([1], "1 dimensions for 2 elements")])
 def test_dimensions_are_checked(dims, message):
@@ -161,6 +171,84 @@ def test_from_module_and_truncation_points_match_their_definitions(rng):
                                   for row in cone.rays):
                     pairs.add((i, j))
         assert diagram.relation == pairs | {(i, i) for i in range(len(points))}
+
+
+def _det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]))
+
+
+@st.composite
+def truncation_cases(draw):
+    """A full-dimensional 2-d or 3-d cone with more rays than its rank and a
+    basis of determinant above 1, a degree in [-3, 3] (uniform, or near
+    ``L(m)`` for some m in [-1, 1]^d) and a bound in 0..6.
+
+    Every ray has a positive last entry, so the cone is strictly convex and
+    P_c is never empty.
+    """
+    d = draw(st.sampled_from((2, 3)))
+    ray = st.tuples(*[st.integers(-2, 2)] * (d - 1), st.integers(1, 2)).map(
+        lambda r: tuple(x // math.gcd(*r) for x in r))
+    rays = tuple(draw(st.lists(ray, min_size=d + 1, max_size=d + 3, unique=True)))
+    dets = [abs(_det([list(r) for r in basis])) for basis in combinations(rays, d)]
+    assume(max(dets) > 1)
+    n = len(rays)
+    if draw(st.booleans()):
+        c = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    else:
+        # just below L(m) for a small m, so the truncation is rarely empty
+        m = draw(st.tuples(*[st.integers(-1, 1)] * d))
+        u = draw(st.tuples(*[st.integers(0, 1)] * n))
+        c = tuple(max(-3, min(3, sum(a * x for a, x in zip(r, m)) - v))
+                  for r, v in zip(rays, u))
+    return rays, c, draw(st.integers(0, 6))
+
+
+HEXAGON_RAYS = ((1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(truncation_cases())
+@example((HEXAGON_RAYS, (1, 0, 0, 1, 0, 0), 6))
+@example((HEXAGON_RAYS, (3, -3, 3, -3, 3, -3), 4))
+@example((((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -2, 1)), (-3, -3, -3, -3), 6))
+@example((((1, 0, 0), (0, 1, 0), (-1, 1, 1), (0, 0, 1)), (-1, 0, -1, 0), 6))
+def test_truncation_and_its_order_match_brute_force(case):
+    rays, c, bound = case
+    cone = Cone(len(rays[0]), rays)
+    points = truncation_points(cone, c, bound)
+    assert points == preimage_truncation_points(cone, c, bound)
+    values = [cone.evaluate(p) for p in points]
+    n = len(points)
+    below = {(i, j) for i in range(n) for j in range(n)
+             if i != j and all(a <= b for a, b in zip(values[i], values[j]))}
+    diagram = FinitePosetDiagram.from_module(cone, simple_module(cone), points)
+    assert diagram.relation == below | {(i, i) for i in range(n)}
+    above = [{j for j in range(n) if (i, j) in below} for i in range(n)]
+    covers = {(i, j) for i, j in below if not any(j in above[k] for k in above[i])}
+    assert sorted(diagram.covers()) == sorted(covers)
+
+
+@pytest.mark.parametrize("c, bound, message", [
+    ((0, 0, 0, 0, 0), 1, "degree length differs from ray count"),
+    ((0, 0, 0), 1, "degree length differs from ray count"),
+    ((0, 0, 0, 0), -1, "bound must be nonnegative"),
+    ((0, 0, 0, 0), True, "expected an integer"),
+])
+def test_truncation_points_reject_bad_arguments(csq, c, bound, message):
+    with pytest.raises(ValueError, match=message):
+        truncation_points(csq, c, bound)
+
+
+def test_truncation_points_need_a_full_dimensional_cone():
+    flat = Cone(3, ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="full-dimensional"):
+        truncation_points(flat, (0, 0), 1)
+    with pytest.raises(ValueError, match="full-dimensional"):
+        minimal_elements(flat, (0, 0))
 
 
 def test_from_module_rejects_repeated_points(csq):

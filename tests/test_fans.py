@@ -144,12 +144,29 @@ def test_fan_validation_matches_cube_search_in_the_plane(rays, a, b):
         accepted = True
     except ValueError:
         accepted = False
-    assert accepted == separated_in_cube(rays, a, b, 4)
+    # a cone listing only rays of the other is a face of it, never maximal
+    nested = set(a) <= set(b) or set(b) <= set(a)
+    assert accepted == (not nested and separated_in_cube(rays, a, b, 4))
 
 
 def test_fan_validation_rejects_duplicates():
     with pytest.raises(ValueError):
         FanData(2, ((1, 0), (0, 1)), ((0, 1), (0, 1)))
+
+
+def test_fan_validation_rejects_a_reordered_duplicate():
+    with pytest.raises(ValueError, match="coincide"):
+        FanData(2, ((1, 0), (0, 1)), ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("rays, cones", [
+    (((1, 0), (0, 1)), ((0,), (0, 1))),
+    (((1, 0), (0, 1)), ((0, 1), (1,))),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2), (1, 2))),
+], ids=["ray of a plane cone", "listed second", "facet of a 3-d cone"])
+def test_fan_validation_rejects_a_face_listed_as_maximal(rays, cones):
+    with pytest.raises(ValueError, match="is a face of maximal cone"):
+        FanData(len(rays[0]), rays, cones)
 
 
 def test_class_group_projective_plane():

@@ -291,6 +291,23 @@ def test_lift_table_builds_restriction_maps_only_when_read(csq, monkeypatch):
         assert mat == lift_action(csq, cod, c, nxt)
 
 
+def test_lift_table_warns_once_when_the_pool_cannot_start(csq, monkeypatch, capsys):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise OSError("no process slots")
+
+    # the pool raises before any worker starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    cod = codivisorial_module(csq, (0, 0, 0, 0), (1, 3))
+    box = Box((-1, 0, -1, 0), (0, 1, 0, 1))
+    with pytest.warns(RuntimeWarning, match="no process slots") as record:
+        table = lift_table(csq, cod, box, jobs=2)
+    assert len(record) == 1
+    assert capsys.readouterr().out == ""
+    assert table.components == lift_table(csq, cod, box, jobs=1).components
+
+
 def test_lift_component_caches_list_built_modules(csq):
     cons = [IndicatorConstraint(i, ">=", 0) for i in range(4)]
     ring = IndicatorModule(csq, "submodule", cons)

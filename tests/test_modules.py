@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coxlift.cones import Cone, minimal_elements
+from coxlift.cones import Cone, minimal_elements, truncation_points
 from coxlift.derived import (
     FinitePosetDiagram,
     connecting_cokernel,
@@ -168,6 +168,8 @@ NON_INTEGER_DEGREES = {
     "truncated oracle": lambda C: truncated_lift_oracle(C, simple_module(C), (0.5, 0, 0, 0), 2),
     "truncated oracle bound": lambda C: truncated_lift_oracle(
         C, simple_module(C), (0, 0, 0, 0), 2.0),
+    "truncation points": lambda C: truncation_points(C, (0.5, 0, 0, 0), 2),
+    "truncation bound": lambda C: truncation_points(C, (0, 0, 0, 0), 2.5),
     "connecting cokernel": lambda C: connecting_cokernel(C, ideal_sequence(C), (0.5, 0, 0, 0)),
     "diagram points": lambda C: FinitePosetDiagram.from_module(
         C, simple_module(C), [(0.5, 0, 0)]),
