@@ -8,8 +8,8 @@ Runs, with this checkout's ``src`` on the path:
 * ``coxlift.cli check S`` for every suite;
 * ``coxlift.cli lift-table --box=-2..2 --format tsv|json --jobs 1|2``
   on the cone over a square, for the four example modules of
-  ``make_inputs.py`` and a rank-2 module of four lines in general
-  position;
+  ``make_inputs.py``, a rank-2 module of four lines in general position
+  and a finitely presented module with a ``"p/q"`` coefficient;
 * ``coxlift.cli roos --diagram diagram_crown.json --imax 0|1|2``;
 * ``scripts/derived_evidence.py``, whose report prints the point count
   and limit dimensions of a truncation, which ``check roos`` does not.
@@ -32,7 +32,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SUITES = ("classgroups", "colimit", "exactness", "ideal", "klifting", "klyachko",
           "liftex", "roos", "roundtrip")
-MODULES = ("simple", "ideal", "codivisorial", "filtration", "generic_lines")
+MODULES = ("simple", "ideal", "codivisorial", "filtration", "generic_lines", "presented")
 # four lines in general position in Q^2, one per ray, each filling up at level 1
 GENERIC_LINES = {
     "type": "filtration", "ambient_dim": 2,
@@ -42,6 +42,12 @@ GENERIC_LINES = {
         for r, (level, line) in enumerate([(0, [2, -1]), (0, [3, 1]),
                                            (0, [1, 2]), (-1, [3, -2])])
     },
+}
+# generators at 0 and at (1, 0, 0); from (1, 0, 1) on, the first is 3/2 times the second
+PRESENTED = {
+    "type": "finitely_presented",
+    "generators": [{"degree": [0, 0, 0]}, {"degree": [1, 0, 0]}],
+    "relations": [{"degree": [1, 0, 1], "coeffs": [1, "-3/2"]}],
 }
 
 
@@ -77,6 +83,7 @@ def main() -> int:
         subprocess.run([sys.executable, str(ROOT / "scripts" / "make_inputs.py"), tmp],
                        check=True, stdout=subprocess.DEVNULL)
         (inputs / "module_generic_lines.json").write_text(json.dumps(GENERIC_LINES))
+        (inputs / "module_presented.json").write_text(json.dumps(PRESENTED))
         for name, args in commands(inputs):
             proc, other = [subprocess.run([sys.executable, *args],
                                           env=dict(env, PYTHONHASHSEED=seed),

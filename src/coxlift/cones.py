@@ -39,20 +39,20 @@ through each basis T, ``m = adj (c_T + y) / det`` with ``y >= 0`` of
 runs over the intersection of these boxes, against ``c <= L(m) <= c +
 bound``, and keeps the points whose ``sum_k l_k(m)`` is in range.
 
-Results are memoized per process with no locks: in a worker pool each
-worker keeps its own cache, and cached values agree across workers
-because every output here is deterministic.  Each cone memoizes its
-Cox coordinates ``L(m)`` by point, and ``leq_sigma`` compares two of
-them: ``m <= m'`` exactly when ``L(m) <= L(m')`` componentwise, since L
-is linear.  Cones and the module and rule classes that key the caches
-hash once (``HashOnce``).
+Each cone memoizes what it computes about itself, for as long as it
+lives: its Cox coordinates ``L(m)`` by point, whether it is
+full-dimensional, its search data, and its minimal points by degree.
+``leq_sigma`` compares two of those coordinate vectors: ``m <= m'``
+exactly when ``L(m) <= L(m')`` componentwise, since L is linear.  A
+pickled cone carries only its fields, so the memos never travel to a
+worker process; every output here is deterministic, so workers agree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -67,41 +67,13 @@ from .lattice import (
 )
 
 
-class HashOnce:
-    """Mixin for the frozen dataclasses that key the caches: hash once.
+@dataclass(frozen=True)
+class Cone:
+    """Ray data of a polyhedral cone: one primitive integer form per ray.
 
-    Declare the dataclass with ``eq=False`` and end its ``__post_init__``
-    with ``super().__post_init__()``, which hashes the tuple of fields
-    once.  Equality stays structural, field by field as the generated
-    one, with the stored hashes compared first.  A pickle holds only the
-    fields, and unpickling runs the constructor again: neither the hash,
-    which depends on the hash seed through ``str`` fields, nor a memo on
-    the instance travels to another process.
+    Equality and hash are structural, over the two fields; the memos
+    are not fields.
     """
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self._fields()))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self._fields() == other._fields()
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-
-@dataclass(frozen=True, eq=False)
-class Cone(HashOnce):
-    """Ray data of a polyhedral cone: one primitive integer form per ray."""
 
     lattice_rank: int
     rays: IntMatrix
@@ -118,15 +90,23 @@ class Cone(HashOnce):
             if math.gcd(*[abs(x) for x in row]) != 1:
                 raise ValueError(f"ray {row} is not primitive")
         object.__setattr__(self, "_values", {})
-        super().__post_init__()
+        object.__setattr__(self, "_minimal", {})
+
+    def __reduce__(self):
+        # fields only: unpickling runs the constructor, and no memo travels
+        return type(self), (self.lattice_rank, self.rays)
 
     @property
     def ray_count(self) -> int:
         return len(self.rays)
 
-    @property
+    @cached_property
     def full_dimensional(self) -> bool:
-        return _cone_rank(self) == self.lattice_rank
+        return rational_rank(self.rays) == self.lattice_rank
+
+    @cached_property
+    def _search(self) -> _SearchData:
+        return _search_data(self)
 
     def evaluate(self, m: Sequence[int]) -> IntVector:
         """The Cox coordinates L(m), memoized by point for the life of the cone."""
@@ -146,11 +126,6 @@ class MinimalElements:
 
     elements: tuple[IntVector, ...]
     for_degree: IntVector
-
-
-@lru_cache(maxsize=None)
-def _cone_rank(cone: Cone) -> int:
-    return rational_rank(cone.rays)
 
 
 def leq_sigma(cone: Cone, m: Sequence[int], m_prime: Sequence[int]) -> bool:
@@ -184,7 +159,6 @@ class _SearchData:
     coord_down: IntVector
 
 
-@lru_cache(maxsize=None)
 def _search_data(cone: Cone) -> _SearchData:
     d = cone.lattice_rank
     bases = []
@@ -258,7 +232,7 @@ def _box_points(cone: Cone, c: IntVector, upper: IntVector,
 
 def _minimal_points(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
     """Minimal points of P_c by enumeration in the box the module docstring derives."""
-    data = _search_data(cone)
+    data = cone._search
     rays, n, d = cone.rays, cone.ray_count, cone.lattice_rank
     vertices = []
     for idx, adj, det in data.bases:
@@ -297,15 +271,15 @@ def _require_full_dimensional(cone: Cone) -> None:
         raise ValueError("cone must be full-dimensional; reduce degenerate cones first")
 
 
-@lru_cache(maxsize=None)
-def _minimal_elements_cached(cone: Cone, c: IntVector) -> MinimalElements:
-    _require_full_dimensional(cone)
-    return MinimalElements(_minimal_points(cone, c), c)
-
-
 def minimal_elements(cone: Cone, c: Sequence[int]) -> MinimalElements:
-    """The complete finite antichain of order-minimal points of P_c."""
-    return _minimal_elements_cached(cone, _degree(cone, c))
+    """The complete finite antichain of order-minimal points of P_c,
+    memoized by degree for the life of the cone."""
+    c = _degree(cone, c)
+    out = cone._minimal.get(c)
+    if out is None:
+        _require_full_dimensional(cone)
+        out = cone._minimal[c] = MinimalElements(_minimal_points(cone, c), c)
+    return out
 
 
 def truncation_points(cone: Cone, c: Sequence[int], bound: int) -> list[IntVector]:
@@ -324,7 +298,7 @@ def truncation_points(cone: Cone, c: Sequence[int], bound: int) -> list[IntVecto
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     _require_full_dimensional(cone)
-    bases = _search_data(cone).bases
+    bases = cone._search.bases
     low, high = [], []
     for j in range(cone.lattice_rank):
         lows, highs = [], []

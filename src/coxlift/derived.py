@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cones import Cone, minimal_common_upper_bounds, minimal_elements, truncation_points
 from .lattice import int_vector, plain_int
@@ -74,9 +74,8 @@ class FinitePosetDiagram:
                  map_provider: Callable[[int, int], Mat]):
         self.elements = tuple(elements)
         n = len(self.elements)
-        self.relation = frozenset(relation) | {(i, i) for i in range(n)}
         up = [0] * n
-        for i, j in self.relation:
+        for i, j in relation:
             if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
                 raise ValueError(f"relation pair {(i, j)} names no element by index")
             if i != j:
@@ -100,9 +99,6 @@ class FinitePosetDiagram:
                 raise ValueError(f"element {e!r} has negative dimension {d}")
         self._provider = map_provider
         self._cache: dict[tuple[int, int], Mat] = {}
-
-    def le(self, i: int, j: int) -> bool:
-        return (i, j) in self.relation
 
     def transport(self, i: int, j: int) -> Mat:
         if i == j:
@@ -195,6 +191,8 @@ class FinitePosetDiagram:
         of the points at or above each value; the points above p are the
         AND of p's masks over the forms.
         """
+        if module.cone != cone:
+            raise ValueError("the module lives on another cone")
         points = [int_vector(p) for p in points]
         n = len(points)
         if len(set(points)) < n:
@@ -363,15 +361,19 @@ def certification_bound(cone: Cone, c: IntVector) -> int:
 
 
 def truncated_lift_oracle(cone: Cone, module: GradedModule, c: Sequence[int],
-                          bound: int, imax: int = 1) -> TruncationReport:
+                          bound: Optional[int] = None, imax: int = 1) -> TruncationReport:
     """Derived limits of the module over the truncated up-set.
 
     Independent of the minimal-point presentation: lim^0 comes from the
     cover-difference kernel on the truncation, higher limits from the
-    chain complex.
+    chain complex.  ``bound`` defaults to the certification bound; a
+    larger one gives more truncation evidence.
     """
-    points = truncation_points(cone, c, bound)
     c = int_vector(c)
+    cert = certification_bound(cone, c)
+    if bound is None:
+        bound = cert
+    points = truncation_points(cone, c, bound)
     diagram = FinitePosetDiagram.from_module(cone, module, points)
     dims = [equalizer_limit_dim(diagram)]
     if imax >= 1:
@@ -379,7 +381,6 @@ def truncated_lift_oracle(cone: Cone, module: GradedModule, c: Sequence[int],
         if roos.limit_dims[0] != dims[0]:
             raise AssertionError("chain-complex limit disagrees with the equalizer")
         dims = list(roos.limit_dims)
-    cert = certification_bound(cone, c)
     return TruncationReport(c, bound, tuple(dims), bound >= cert, cert, len(points))
 
 

@@ -22,23 +22,24 @@ opposite direction (reading off the degrees in the image of the grading
 map), colimits along interior rays, and box-relative generator
 detection also live here.
 
-Degree computations are independent and cached per process; sweeps can
-fan out over a worker pool and are merged in degree order, so output is
-byte-identical at any pool width.  A sweep computes only the components;
-its one-step restriction maps are built the first time they are read.
+Degree computations are independent and not memoized here: the cone
+memoizes its minimal points and the module its components and
+transports.  Sweeps can fan out over a worker pool and are merged in
+degree order, so output is byte-identical at any pool width.  A sweep
+computes only the components; its one-step restriction maps are built
+the first time they are read.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, combinations, product
 from typing import Callable, Optional, Sequence
 
 from .cones import (
     Cone,
-    HashOnce,
     leq_sigma,
     minimal_common_upper_bounds,
     minimal_elements,
@@ -83,11 +84,8 @@ def lift_component(cone: Cone, module: GradedModule, c: Sequence[int]) -> LiftCo
     c = int_vector(c)
     if len(c) != cone.ray_count:
         raise ValueError("degree length differs from ray count")
-    return _lift_component(cone, module, c)
-
-
-@lru_cache(maxsize=None)
-def _lift_component(cone: Cone, module: GradedModule, c: IntVector) -> LiftComponent:
+    if module.cone != cone:
+        raise ValueError("the module lives on another cone")
     mins = minimal_elements(cone, c).elements
     dims = tuple(module.component(m).dim for m in mins)
     total = sum(dims)
@@ -148,6 +146,8 @@ def lift_action(
     c_prime = int_vector(c_prime)
     if not all(a <= b for a, b in zip(c, c_prime)):
         raise ValueError("degrees are not componentwise comparable")
+    if module.cone != cone:
+        raise ValueError("the module lives on another cone")
     src = source if source is not None else lift_component(cone, module, c)
     tgt = target if target is not None else lift_component(cone, module, c_prime)
 
@@ -188,8 +188,8 @@ class CoxRule:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftedCoxRule(HashOnce, CoxRule):
+@dataclass(frozen=True)
+class ShiftedCoxRule(CoxRule):
     """Rule of the shifted Cox ring: dim 1 exactly when c + shift >= 0."""
 
     ray_count: int
@@ -199,7 +199,6 @@ class ShiftedCoxRule(HashOnce, CoxRule):
         object.__setattr__(self, "shift", int_vector(self.shift))
         if len(self.shift) != self.ray_count:
             raise ValueError("shift length differs from ray count")
-        super().__post_init__()
 
     def dim(self, c: Sequence[int]) -> int:
         return 1 if all(a + s >= 0 for a, s in zip(c, self.shift)) else 0
@@ -208,8 +207,8 @@ class ShiftedCoxRule(HashOnce, CoxRule):
         return Mat.ones(self.dim(c_prime), self.dim(c))
 
 
-@dataclass(frozen=True, eq=False)
-class SpikeRule(HashOnce, CoxRule):
+@dataclass(frozen=True)
+class SpikeRule(CoxRule):
     """One-dimensional component at a single Cox degree, zero transports."""
 
     ray_count: int
@@ -219,7 +218,6 @@ class SpikeRule(HashOnce, CoxRule):
         object.__setattr__(self, "degree", int_vector(self.degree))
         if len(self.degree) != self.ray_count:
             raise ValueError("degree length differs from ray count")
-        super().__post_init__()
 
     def dim(self, c: Sequence[int]) -> int:
         return 1 if tuple(c) == self.degree else 0
@@ -228,13 +226,12 @@ class SpikeRule(HashOnce, CoxRule):
         return Mat.ones(self.dim(c_prime), self.dim(c))
 
 
-@dataclass(frozen=True, eq=False)
-class DirectSumRule(HashOnce, CoxRule):
+@dataclass(frozen=True)
+class DirectSumRule(CoxRule):
     parts: tuple[CoxRule, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        super().__post_init__()
 
     @property
     def ray_count(self) -> int:  # type: ignore[override]
@@ -247,8 +244,8 @@ class DirectSumRule(HashOnce, CoxRule):
         return block_diagonal([p.act(c, c_prime) for p in self.parts])
 
 
-@dataclass(frozen=True, eq=False)
-class SheafifiedModule(HashOnce, GradedModule):
+@dataclass(frozen=True)
+class SheafifiedModule(GradedModule):
     """The graded module read off a Cox rule along the grading map.
 
     Component at m is the rule's component at L(m); only degrees in the
@@ -392,8 +389,9 @@ def minimal_generators_in_box(cone: Cone, module: GradedModule, box: Box) -> tup
 class LiftTable:
     """Lift components over a degree box; one-step restriction maps on demand.
 
-    Hashed by identity, so a table can serve as the Cox rule of a cached
-    ``SheafifiedModule``.
+    Compared and hashed by identity, so a table, whose components are a
+    dict, can still serve as the Cox rule of a ``SheafifiedModule``, whose
+    hash covers its rule.
     """
 
     cone: Cone

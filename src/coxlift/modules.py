@@ -16,25 +16,22 @@ chains.  Variants:
   force inside the ambient space, transports are inclusions.
 * ``ShiftModule`` / ``DirectSumModule`` - degree shifts and sums.
 
-Everything is immutable and hashable, so evaluation is pure and results
-may be cached or shipped to worker processes freely.
+Everything is immutable and hashable, with structural equality, so
+evaluation is pure and modules may be shipped to worker processes
+freely.
 
-Caching.  The module classes hash once, at construction (``HashOnce``),
-so a cache lookup costs a stored integer; equality stays structural, so
-equal modules share entries however they were built.  Per process and
-without bound, as the other module-keyed caches:
+Memos.  A module that memoizes keeps its memos on itself, so they live
+exactly as long as the module, and a pickle carries only its fields:
 
-* ``_fp_quotient_data``: the reduced relations of a finitely presented
-  module, keyed by ``(module, m)``;
-* ``_filtration_subspace``: the component of a filtration module, keyed
-  by ``(module, step index per ray)``, the filtration steps in force at
-  ``L(m)`` (-1 below the first jump): at most the product over the rays
-  of one plus the number of steps;
-* ``_filtration_transport``: the inclusion between two such components,
-  ``matrix_in_basis(target, source)``, keyed by the pair of step keys.
+* ``FinitelyPresentedModule``: the reduced relations at each point m;
+* ``FiltrationModule``: its component by step key, the filtration steps
+  in force on each ray at ``L(m)`` (-1 below the first jump), at most
+  the product over the rays of one plus the number of steps; and the
+  inclusion between two such components,
+  ``matrix_in_basis(target, source)``, by the pair of step keys.
 
-A cached transport is the very ``Mat`` that every later ``action`` call
-returns: callers read it and must not mutate it.
+A memoized transport is the very ``Mat`` that every later ``action``
+call returns: callers read it and must not mutate it.
 """
 
 from __future__ import annotations
@@ -42,11 +39,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cones import Cone, HashOnce, leq_sigma
+from .cones import Cone, leq_sigma
 from .lattice import int_vector, plain_int
 from .linalg import (
     Mat,
@@ -120,8 +116,8 @@ class IndicatorConstraint:
         return value <= self.bound if self.op == "<=" else value >= self.bound
 
 
-@dataclass(frozen=True, eq=False)
-class IndicatorModule(HashOnce, GradedModule):
+@dataclass(frozen=True)
+class IndicatorModule(GradedModule):
     """Support cut out by ray inequalities; identity transports inside.
 
     ``style`` records the intended structure: submodule-style supports
@@ -145,7 +141,10 @@ class IndicatorModule(HashOnce, GradedModule):
         object.__setattr__(
             self, "exclude", tuple(int_vector(p) for p in self.exclude)
         )
-        super().__post_init__()
+        for p in self.exclude:
+            if len(p) != self.cone.lattice_rank:
+                raise ValueError(f"excluded point {p} has length {len(p)}, "
+                                 f"not the lattice rank {self.cone.lattice_rank}")
 
     def in_support(self, m: Sequence[int]) -> bool:
         m = int_vector(m)
@@ -227,8 +226,8 @@ class Relation:
     coeffs: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class FinitelyPresentedModule(HashOnce, GradedModule):
+@dataclass(frozen=True)
+class FinitelyPresentedModule(GradedModule):
     """Cokernel of relations between generators at fixed degrees.
 
     A relation at degree e with coefficient vector a identifies
@@ -255,10 +254,26 @@ class FinitelyPresentedModule(HashOnce, GradedModule):
                         f"relation at {deg} touches generator {g} outside its cone")
             rels.append(Relation(deg, coeffs))
         object.__setattr__(self, "relations", tuple(rels))
-        super().__post_init__()
+        object.__setattr__(self, "_quotients", {})
+
+    def __reduce__(self):
+        # fields only: unpickling runs the constructor, and no memo travels
+        return type(self), (self.cone, self.generators, self.relations)
 
     def _data(self, m: IntVector):
-        return _fp_quotient_data(self, m)
+        """``(active generators, reduced relation rows, free columns)`` at m."""
+        out = self._quotients.get(m)
+        if out is None:
+            active = tuple(i for i, g in enumerate(self.generators)
+                           if leq_sigma(self.cone, g, m))
+            rows = [[rel.coeffs[i] for i in active] for rel in self.relations
+                    if leq_sigma(self.cone, rel.degree, m)]
+            red, pivots = rref(Mat.from_rows(rows, ncols=len(active)))
+            red_rows = tuple(tuple(red.rows[i]) for i in range(len(pivots)))
+            pivot_set = set(pivots)
+            free = tuple(i for i in range(len(active)) if i not in pivot_set)
+            out = self._quotients[m] = active, red_rows, free
+        return out
 
     def _component(self, m: IntVector) -> Component:
         return Component(len(self._data(m)[2]))
@@ -274,21 +289,6 @@ class FinitelyPresentedModule(HashOnce, GradedModule):
             rest = reduce_by_rref(red_t, vec)[1]
             cols.append([rest[g] for g in free_t])
         return Mat(len(free_s), len(free_t), cols).transpose()
-
-
-@lru_cache(maxsize=None)
-def _fp_quotient_data(module: FinitelyPresentedModule, m: IntVector):
-    active = tuple(i for i, g in enumerate(module.generators)
-                   if leq_sigma(module.cone, g, m))
-    rows = []
-    for rel in module.relations:
-        if leq_sigma(module.cone, rel.degree, m):
-            rows.append([rel.coeffs[i] for i in active])
-    red, pivots = rref(Mat.from_rows(rows, ncols=len(active)))
-    red_rows = tuple(tuple(red.rows[i]) for i in range(len(pivots)))
-    pivot_set = set(pivots)
-    free = tuple(i for i in range(len(active)) if i not in pivot_set)
-    return active, red_rows, free
 
 
 # --------------------------------------------------------------------------
@@ -384,13 +384,13 @@ class ReflexiveDescription:
         object.__setattr__(self, "filtrations", tuple(filts))
 
 
-@dataclass(frozen=True, eq=False)
-class FiltrationModule(HashOnce, GradedModule):
+@dataclass(frozen=True)
+class FiltrationModule(GradedModule):
     """Components are intersections of per-ray filtration spaces.
 
     The filtration data is a ``ReflexiveDescription``, with one
     filtration per cone ray.  A component depends on m only through the
-    step in force on each ray, so components and transports are cached
+    step in force on each ray, so components and transports are memoized
     by those step indices.
     """
 
@@ -402,47 +402,53 @@ class FiltrationModule(HashOnce, GradedModule):
             raise ValueError("exactly one filtration per cone ray is required")
         object.__setattr__(self, "_levels", tuple(tuple(st.level for st in rf.steps)
                                                   for _, rf in self.description.filtrations))
-        super().__post_init__()
+        object.__setattr__(self, "_subspaces", {})
+        object.__setattr__(self, "_transports", {})
+
+    def __reduce__(self):
+        # fields only: unpickling runs the constructor, and no memo travels
+        return type(self), (self.cone, self.description)
 
     def _steps(self, m: Sequence[int]) -> IntVector:
         """Per ray, the index of the step in force at L(m); -1 below the first jump."""
         return tuple(bisect_right(levels, v) - 1
                      for levels, v in zip(self._levels, self.cone.evaluate(m)))
 
+    def _subspace_at(self, steps: IntVector) -> tuple[Vector, ...]:
+        out = self._subspaces.get(steps)
+        if out is None:
+            if min(steps) < 0:
+                out = ()  # some ray is below its first jump
+            else:
+                desc = self.description
+                out = intersect_ray_spaces(((rf, rf.steps[i].level)
+                                            for (_, rf), i in zip(desc.filtrations, steps)),
+                                           desc.ambient_dim)
+            self._subspaces[steps] = out
+        return out
+
     def subspace(self, m: Sequence[int]) -> tuple[Vector, ...]:
         """Canonical basis of the component inside the ambient space."""
-        return _filtration_subspace(self, self._steps(int_vector(m)))
+        return self._subspace_at(self._steps(int_vector(m)))
 
     def _component(self, m: IntVector) -> Component:
-        return Component(len(_filtration_subspace(self, self._steps(m))))
+        return Component(len(self._subspace_at(self._steps(m))))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        return _filtration_transport(self, self._steps(m), self._steps(m_prime))
-
-
-@lru_cache(maxsize=None)
-def _filtration_subspace(module: FiltrationModule, steps: IntVector) -> tuple[Vector, ...]:
-    if min(steps) < 0:
-        return ()  # some ray is below its first jump
-    desc = module.description
-    return intersect_ray_spaces(((rf, rf.steps[i].level)
-                                 for (_, rf), i in zip(desc.filtrations, steps)),
-                                desc.ambient_dim)
-
-
-@lru_cache(maxsize=None)
-def _filtration_transport(module: FiltrationModule, source: IntVector,
-                          target: IntVector) -> Mat:
-    return matrix_in_basis(_filtration_subspace(module, target),
-                           _filtration_subspace(module, source))
+        key = (self._steps(m), self._steps(m_prime))
+        out = self._transports.get(key)
+        if out is None:
+            out = self._transports[key] = matrix_in_basis(self._subspace_at(key[1]),
+                                                          self._subspace_at(key[0]))
+        return out
 
 
 # --------------------------------------------------------------------------
 # shifts and sums
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftModule(HashOnce, GradedModule):
+@dataclass(frozen=True)
+class ShiftModule(GradedModule):
     base: GradedModule
     by: IntVector
 
@@ -450,7 +456,6 @@ class ShiftModule(HashOnce, GradedModule):
         object.__setattr__(self, "by", int_vector(self.by))
         if len(self.by) != self.base.cone.lattice_rank:
             raise ValueError("shift length differs from lattice rank")
-        super().__post_init__()
 
     @property
     def cone(self) -> Cone:
@@ -463,8 +468,8 @@ class ShiftModule(HashOnce, GradedModule):
         return self.base.action(_add(m, self.by), _add(m_prime, self.by))
 
 
-@dataclass(frozen=True, eq=False)
-class DirectSumModule(HashOnce, GradedModule):
+@dataclass(frozen=True)
+class DirectSumModule(GradedModule):
     parts: tuple[GradedModule, ...]
 
     def __post_init__(self):
@@ -474,7 +479,6 @@ class DirectSumModule(HashOnce, GradedModule):
         cone = self.parts[0].cone
         if any(p.cone != cone for p in self.parts):
             raise ValueError("direct sum parts live on different cones")
-        super().__post_init__()
 
     @property
     def cone(self) -> Cone:

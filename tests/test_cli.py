@@ -229,6 +229,10 @@ def test_missing_module_key_is_an_input_error(inputs, capsys):
     ("--module", line_filtration(0.5)),
     ("--module", line_filtration(True)),
     ("--diagram", dict(CROWN_JSON, dims={"a": 1.5, "b": 1, "c": 1, "d": 1})),
+    # an excluded point of the wrong length would silently exclude nothing
+    ("--module", {"type": "indicator", "style": "submodule",
+                  "constraints": [{"ray": r, "op": ">=", "bound": 0} for r in range(4)],
+                  "exclude": [[0, 0]]}),
 ])
 def test_wrongly_typed_json_is_an_input_error(inputs, capsys, flag, payload):
     bad = inputs / "bad.json"

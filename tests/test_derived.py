@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from coxlift import derived
 from coxlift.cones import Cone, minimal_elements
 from coxlift.derived import (
     FinitePosetDiagram,
@@ -163,14 +164,11 @@ def test_from_module_and_truncation_points_match_their_definitions(rng):
                 want.append(m)
         assert points == want
         diagram = FinitePosetDiagram.from_module(cone, random_module(cone, rng), points)
-        pairs = set()
         for i, p in enumerate(points):
-            for j, q in enumerate(points):
-                diff = [b - a for a, b in zip(p, q)]
-                if i != j and all(sum(r * x for r, x in zip(row, diff)) >= 0
-                                  for row in cone.rays):
-                    pairs.add((i, j))
-        assert diagram.relation == pairs | {(i, i) for i in range(len(points))}
+            above = [j for j, q in enumerate(points)
+                     if i != j and all(sum(r * (b - a) for r, a, b in zip(row, p, q)) >= 0
+                                       for row in cone.rays)]
+            assert diagram.strict_successors(i) == above
 
 
 def _det(rows):
@@ -226,8 +224,8 @@ def test_truncation_and_its_order_match_brute_force(case):
     below = {(i, j) for i in range(n) for j in range(n)
              if i != j and all(a <= b for a, b in zip(values[i], values[j]))}
     diagram = FinitePosetDiagram.from_module(cone, simple_module(cone), points)
-    assert diagram.relation == below | {(i, i) for i in range(n)}
     above = [{j for j in range(n) if (i, j) in below} for i in range(n)]
+    assert [set(diagram.strict_successors(i)) for i in range(n)] == above
     covers = {(i, j) for i, j in below if not any(j in above[k] for k in above[i])}
     assert sorted(diagram.covers()) == sorted(covers)
 
@@ -264,6 +262,21 @@ def test_truncated_oracle_simple(csq):
     rep2 = truncated_lift_oracle(csq, K, (-1, 0, 0, 0), rep.certification_bound)
     assert rep2.certified
     assert rep2.limit_dims[0] == lift_component(csq, K, (-1, 0, 0, 0)).dim
+
+
+def test_truncated_oracle_bound_defaults_to_the_certification_bound(csq, monkeypatch):
+    calls = []
+
+    def counting(cone, c):
+        calls.append(c)
+        return certification_bound(cone, c)
+
+    monkeypatch.setattr(derived, "certification_bound", counting)
+    K = simple_module(csq)
+    rep = truncated_lift_oracle(csq, K, (-1, 0, 0, 0))
+    assert rep == truncated_lift_oracle(csq, K, (-1, 0, 0, 0), 3)
+    assert rep.bound == rep.certification_bound == 3 and rep.certified
+    assert calls == [(-1, 0, 0, 0)] * 2
 
 
 def test_truncated_oracle_smooth(orthant, rng):

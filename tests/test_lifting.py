@@ -1,11 +1,16 @@
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from coxlift import lifting
-from coxlift.cones import minimal_common_upper_bounds, minimal_elements
+from coxlift.cones import Cone, minimal_common_upper_bounds, minimal_elements
+from coxlift.derived import FinitePosetDiagram
 from coxlift.instances import (
+    CONE_OVER_SQUARE,
     ORTHANT2,
     TEST_CONES,
     all_variant_modules,
@@ -32,11 +37,10 @@ from coxlift.lifting import (
 )
 from coxlift.linalg import Mat, is_isomorphism, kernel_basis, rank, row_space_basis
 from coxlift.modules import (
-    DirectSumModule,
     FiltrationModule,
+    FinitelyPresentedModule,
     GradedModule,
-    IndicatorConstraint,
-    IndicatorModule,
+    Relation,
     codivisorial_module,
     maximal_ideal_module,
     simple_module,
@@ -308,12 +312,36 @@ def test_lift_table_warns_once_when_the_pool_cannot_start(csq, monkeypatch, caps
     assert table.components == lift_table(csq, cod, box, jobs=1).components
 
 
-def test_lift_component_caches_list_built_modules(csq):
-    cons = [IndicatorConstraint(i, ">=", 0) for i in range(4)]
-    ring = IndicatorModule(csq, "submodule", cons)
-    assert lift_component(csq, ring, (0, 0, 0, 0)) is lift_component(csq, ring, (0, 0, 0, 0))
-    both = DirectSumModule([ring, simple_module(csq)])
-    assert lift_component(csq, both, (0, 0, 0, 0)) is lift_component(csq, both, (0, 0, 0, 0))
+def test_memos_are_freed_with_their_cone_and_modules():
+    cone = Cone(3, CONE_OVER_SQUARE.rays)
+    filtration = FiltrationModule(cone, random_reflexive_description(cone, random.Random(3)))
+    presented = FinitelyPresentedModule(cone, [(0, 0, 0), (1, 0, 0)],
+                                        [Relation((1, 0, 1), (1, Fraction(-1, 2)))])
+    lift_component(cone, filtration, (-1, 0, -1, 0))
+    lift_component(cone, presented, (-1, 0, -1, 0))
+    assert cone._minimal and filtration._subspaces and presented._quotients
+    refs = [weakref.ref(x) for x in (cone, filtration, presented)]
+    del cone, filtration, presented
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_pickles_carry_fields_and_no_memo(csq):
+    filtration = FiltrationModule(csq, random_reflexive_description(csq, random.Random(3)))
+    lift_component(csq, filtration, (-1, 0, -1, 0))
+    copy = pickle.loads(pickle.dumps(filtration))
+    assert copy == filtration
+    assert copy._subspaces == {} and copy.cone._minimal == {}
+
+
+def test_lift_entry_points_reject_a_module_on_another_cone(orthant, quotient2):
+    module = simple_module(quotient2)
+    with pytest.raises(ValueError, match="another cone"):
+        lift_component(orthant, module, (1, 0))
+    with pytest.raises(ValueError, match="another cone"):
+        lift_action(orthant, module, (0, 0), (1, 0))
+    with pytest.raises(ValueError, match="another cone"):
+        FinitePosetDiagram.from_module(orthant, module, [(0, 0)])
 
 
 def test_lift_component_runs_once_when_the_module_raises_type_error(orthant):

@@ -197,6 +197,13 @@ def test_degree_arguments_must_have_one_entry_per_ray(csq):
         codivisorial_module(csq, (0, 0), (1,))
 
 
+def test_indicator_exclude_points_must_have_the_lattice_rank(csq):
+    with pytest.raises(ValueError, match="lattice rank"):
+        IndicatorModule(csq, "submodule", (), ((0, 0),))
+    with pytest.raises(ValueError, match="lattice rank"):
+        IndicatorModule(csq, "submodule", (), ((0, 0, 0, 0),))
+
+
 def test_fp_no_relations_counts_generators(csq):
     gens = ((0, 0, 0), (1, 0, 1), (-1, 0, 0))
     mod = FinitelyPresentedModule(csq, gens)
