@@ -10,6 +10,11 @@ Runs, with this checkout's ``src`` on the path:
   on the cone over a square, for the four example modules of
   ``make_inputs.py``, a rank-2 module of four lines in general position
   and a finitely presented module with a ``"p/q"`` coefficient;
+* ``coxlift.cli lift-table --format tsv|json`` on two cones whose class
+  groups are not Z: the cone with rays (0, 1), (2, -1) (class group
+  Z/2) over ``--box=-3..3`` and the cone over a hexagon (class group
+  Z^3) over ``--box=-1..1``, each with a rank-2 filtration module, so
+  the minimal points of every degree come from those of its class;
 * ``coxlift.cli roos --diagram diagram_crown.json --imax 0|1|2``;
 * ``scripts/derived_evidence.py``, whose report prints the point count
   and limit dimensions of a truncation, which ``check roos`` does not.
@@ -50,6 +55,25 @@ PRESENTED = {
     "relations": [{"degree": [1, 0, 1], "coeffs": [1, "-3/2"]}],
 }
 
+FULL = [[1, 0], [0, 1]]
+# cones whose class groups are not Z, each with a filtration module of lines
+CLASS_GROUP_CASES = {
+    "quotient2": ("-3..3", {"lattice_rank": 2, "rays": [[0, 1], [2, -1]]}, {
+        "type": "filtration", "ambient_dim": 2,
+        "filtrations": {"0": [{"level": 0, "basis": [[1, 0]]}, {"level": 1, "basis": FULL}],
+                        "1": [{"level": -1, "basis": [[1, 1]]}, {"level": 1, "basis": FULL}]},
+    }),
+    "hexagon": ("-1..1", {"lattice_rank": 3,
+                          "rays": [[1, 0, 1], [1, 1, 1], [0, 1, 1],
+                                   [-1, 0, 1], [-1, -1, 1], [0, -1, 1]]}, {
+        "type": "filtration", "ambient_dim": 2,
+        "filtrations": {
+            str(r): [{"level": -1, "basis": [line]}, {"level": 0, "basis": FULL}]
+            for r, line in enumerate([[1, 0], [0, 1], [1, 1], [1, -1], [1, 2], [2, 1]])
+        },
+    }),
+}
+
 
 def commands(inputs: pathlib.Path):
     """``(name, arguments to the interpreter)`` for every contract command."""
@@ -63,6 +87,12 @@ def commands(inputs: pathlib.Path):
                        cli + ["lift-table", "--cone", str(inputs / "cone_square.json"),
                               "--module", str(inputs / f"module_{module}.json"),
                               "--format", fmt, "--jobs", jobs, "--box=-2..2"])
+    for case, (box, _, _) in CLASS_GROUP_CASES.items():
+        for fmt in ("tsv", "json"):
+            yield (f"lift-table-{case}-{fmt}",
+                   cli + ["lift-table", "--cone", str(inputs / f"cone_{case}.json"),
+                          "--module", str(inputs / f"module_{case}.json"),
+                          "--format", fmt, f"--box={box}"])
     for imax in ("0", "1", "2"):
         yield (f"roos-imax{imax}",
                cli + ["roos", "--diagram", str(inputs / "diagram_crown.json"),
@@ -84,6 +114,9 @@ def main() -> int:
                        check=True, stdout=subprocess.DEVNULL)
         (inputs / "module_generic_lines.json").write_text(json.dumps(GENERIC_LINES))
         (inputs / "module_presented.json").write_text(json.dumps(PRESENTED))
+        for case, (_, cone, module) in CLASS_GROUP_CASES.items():
+            (inputs / f"cone_{case}.json").write_text(json.dumps(cone))
+            (inputs / f"module_{case}.json").write_text(json.dumps(module))
         for name, args in commands(inputs):
             proc, other = [subprocess.run([sys.executable, *args],
                                           env=dict(env, PYTHONHASHSEED=seed),

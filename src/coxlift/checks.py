@@ -199,9 +199,11 @@ def check_exactness() -> CheckReport:
     seq = ideal_sequence(CONE_OVER_SQUARE)
     bad = []
     for c in Box((-2,) * 4, (2,) * 4).degrees():
-        g = lift_morphism(CONE_OVER_SQUARE, seq.project, c)
-        f = lift_morphism(CONE_OVER_SQUARE, seq.include, c)
-        dim_sub = lift_component(CONE_OVER_SQUARE, seq.sub, c).dim
+        sub, mid, quot = (lift_component(CONE_OVER_SQUARE, module, c)
+                          for module in (seq.sub, seq.mid, seq.quot))
+        g = lift_morphism(CONE_OVER_SQUARE, seq.project, c, source=mid, target=quot)
+        f = lift_morphism(CONE_OVER_SQUARE, seq.include, c, source=sub, target=mid)
+        dim_sub = sub.dim
         if g.mul(f).rows != Mat.zero(g.nrows, f.ncols).rows:
             bad.append(("composite", c))
         if dim_sub != f.ncols or rank(f) != dim_sub:

@@ -39,13 +39,25 @@ through each basis T, ``m = adj (c_T + y) / det`` with ``y >= 0`` of
 runs over the intersection of these boxes, against ``c <= L(m) <= c +
 bound``, and keeps the points whose ``sum_k l_k(m)`` is in range.
 
+The search runs once per class of ``Cl = Z^n / L(M)``, the grading
+group of the homogeneous coordinate ring.  For every ``h`` in M,
+``P_{c + L(h)} = P_c + h``, and the dual-cone order is translation
+invariant, so the minimal points at ``c + L(h)`` are those at ``c``
+moved by ``h``; translation keeps their lexicographic order.  With the
+Smith form ``U L V = D`` of the ray matrix, ``y = U c`` and
+``q_i = y_i // D_ii`` for ``i < d``, the degree ``c0 = c - L(V q)`` has
+``(U c0)_i = y_i mod D_ii`` for ``i < d`` and ``y_i`` beyond, so it is the
+same for every degree in the class of c and serves as its key.
+
 Each cone memoizes what it computes about itself, for as long as it
 lives: its Cox coordinates ``L(m)`` by point, whether it is
-full-dimensional, its search data, and its minimal points by degree.
-``leq_sigma`` compares two of those coordinate vectors: ``m <= m'``
-exactly when ``L(m) <= L(m')`` componentwise, since L is linear.  A
-pickled cone carries only its fields, so the memos never travel to a
-worker process; every output here is deterministic, so workers agree.
+full-dimensional, its search data, the Smith form of its ray matrix,
+the minimal points of each class by its key ``c0``, and its minimal
+points by degree.  ``leq_sigma`` compares two of those coordinate
+vectors: ``m <= m'`` exactly when ``L(m) <= L(m')`` componentwise, since
+L is linear.  A pickled cone carries only its fields, so the memos never
+travel to a worker process; every output here is deterministic, so
+workers agree.
 """
 
 from __future__ import annotations
@@ -59,11 +71,13 @@ from typing import Sequence
 from .lattice import (
     IntMatrix,
     IntVector,
+    SnfResult,
     imat_vec,
     int_matrix,
     int_vector,
     plain_int,
     rational_rank,
+    smith_normal_form,
 )
 
 
@@ -90,6 +104,7 @@ class Cone:
             if math.gcd(*[abs(x) for x in row]) != 1:
                 raise ValueError(f"ray {row} is not primitive")
         object.__setattr__(self, "_values", {})
+        object.__setattr__(self, "_classes", {})
         object.__setattr__(self, "_minimal", {})
 
     def __reduce__(self):
@@ -107,6 +122,10 @@ class Cone:
     @cached_property
     def _search(self) -> _SearchData:
         return _search_data(self)
+
+    @cached_property
+    def _smith(self) -> SnfResult:
+        return smith_normal_form(self.rays)
 
     def evaluate(self, m: Sequence[int]) -> IntVector:
         """The Cox coordinates L(m), memoized by point for the life of the cone."""
@@ -271,14 +290,34 @@ def _require_full_dimensional(cone: Cone) -> None:
         raise ValueError("cone must be full-dimensional; reduce degenerate cones first")
 
 
+def _class_shift(cone: Cone, c: IntVector) -> tuple[IntVector, IntVector]:
+    """``(c0, h)`` with ``c = c0 + L(h)``, where c0 is the same for every
+    degree in the class of c in ``Z^n / L(M)``."""
+    snf = cone._smith
+    y = imat_vec(snf.U, c)
+    h = imat_vec(snf.V, [y[i] // snf.D[i][i] for i in range(cone.lattice_rank)])
+    return tuple(a - b for a, b in zip(c, imat_vec(cone.rays, h))), h
+
+
 def minimal_elements(cone: Cone, c: Sequence[int]) -> MinimalElements:
-    """The complete finite antichain of order-minimal points of P_c,
-    memoized by degree for the life of the cone."""
+    """The complete finite antichain of order-minimal points of P_c.
+
+    Since ``P_{c + L(h)} = P_c + h`` for every h in M, the search runs
+    once per divisor class, at its key c0, and its points are moved by h
+    to every degree ``c0 + L(h)`` of the class.  Both are memoized for
+    the life of the cone: the points of each class by c0, the result by
+    degree.
+    """
     c = _degree(cone, c)
     out = cone._minimal.get(c)
     if out is None:
         _require_full_dimensional(cone)
-        out = cone._minimal[c] = MinimalElements(_minimal_points(cone, c), c)
+        c0, h = _class_shift(cone, c)
+        base = cone._classes.get(c0)
+        if base is None:
+            base = cone._classes[c0] = _minimal_points(cone, c0)
+        out = cone._minimal[c] = MinimalElements(
+            tuple(tuple(a + b for a, b in zip(m, h)) for m in base), c)
     return out
 
 

@@ -443,5 +443,5 @@ def connecting_cokernel(cone: Cone, seq: CanonicalSequence, c: Sequence[int]) ->
     witness there.
     """
     c = int_vector(c)
-    g = lift_morphism(cone, seq.project, c)
-    return lift_component(cone, seq.quot, c).dim - rank(g)
+    quot = lift_component(cone, seq.quot, c)
+    return quot.dim - rank(lift_morphism(cone, seq.project, c, target=quot))

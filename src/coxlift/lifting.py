@@ -164,11 +164,22 @@ def lift_action(
     return _blockwise(src, tgt, transports)
 
 
-def lift_morphism(cone: Cone, f: GradedMorphism, c: Sequence[int]) -> Mat:
-    """Matrix of the lifted morphism at Cox degree c."""
+def lift_morphism(
+    cone: Cone,
+    f: GradedMorphism,
+    c: Sequence[int],
+    source: Optional[LiftComponent] = None,
+    target: Optional[LiftComponent] = None,
+) -> Mat:
+    """Matrix of the lifted morphism at Cox degree c.
+
+    ``source`` and ``target``, when given, are the lifts of ``f.source``
+    and ``f.target`` at c, so a caller that already holds them does not
+    lift twice.
+    """
     c = int_vector(c)
-    src = lift_component(cone, f.source, c)
-    tgt = lift_component(cone, f.target, c)
+    src = source if source is not None else lift_component(cone, f.source, c)
+    tgt = target if target is not None else lift_component(cone, f.target, c)
     return _blockwise(src, tgt, [(i, f.matrix(m)) for i, m in enumerate(src.minimal_points)])
 
 

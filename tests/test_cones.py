@@ -1,9 +1,11 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from coxlift import cones
 from coxlift.cones import (
     Cone,
     leq_sigma,
@@ -12,6 +14,7 @@ from coxlift.cones import (
     strict_interior_point,
 )
 from coxlift.instances import CONE_OVER_SQUARE, ORTHANT2, QUOTIENT2, TEST_CONES
+from coxlift.lattice import reduce_by_sublattice
 from coxlift.lifting import colimit
 from coxlift.modules import structure_module
 
@@ -149,6 +152,10 @@ def test_minimal_elements_match_oracles(case):
         assert got == completion_minimal_elements(cone, c, max_level=12)
     except RuntimeError:  # past the level cap the box oracle alone checks the draw
         pass
+    assert_agrees_with_box_oracle(cone, c, got)
+
+
+def assert_agrees_with_box_oracle(cone, c, got):
     radius = min(BOX_RADIUS[cone.lattice_rank], max((abs(x) for m in got for x in m), default=1))
     box = box_minimal_oracle(cone, c, radius)
     inside = tuple(m for m in got if max(map(abs, m)) <= radius)
@@ -156,6 +163,47 @@ def test_minimal_elements_match_oracles(case):
     assert all(any(leq_sigma(cone, a, p) for a in got) for p in box)
     if inside == got:
         assert box == got
+
+
+@given(cones_and_degrees(), st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+@example((QUOTIENT2, (1, 0)), [1, -2, 0])  # class group Z/2
+@example((QUOTIENT2, (0, 1)), [2, 1, 0])
+@example((Cone(1, ((1,), (-1,))), (2, -3)), [2, 0, 0])  # a line: every point is minimal
+@example((NOT_STRICTLY_CONVEX, (1, 0, 0)), [1, 1, 0])  # P_c empty
+def test_minimal_points_move_with_the_degree_in_its_class(case, shift):
+    """``P_{c + L(h)} = P_c + h``: the memoized class search, moved by h,
+    is the search at ``c + L(h)`` itself and agrees with the box oracle."""
+    cone, c = case
+    h = tuple(shift[:cone.lattice_rank])
+    moved = tuple(a + b for a, b in zip(c, cone.evaluate(h)))
+    base = minimal_elements(cone, c).elements
+    got = minimal_elements(cone, moved).elements
+    assert got == tuple(tuple(a + b for a, b in zip(m, h)) for m in base)
+    assert got == cones._minimal_points(cone, moved)
+    assert_agrees_with_box_oracle(cone, c, base)
+    assert_agrees_with_box_oracle(cone, moved, got)
+
+
+@pytest.mark.parametrize("rays, radius, classes", [
+    (CONE_OVER_SQUARE.rays, 2, 17),  # Cl = Z by c1 - c2 + c3 - c4
+    (QUOTIENT2.rays, 3, 2),  # Cl = Z/2
+    (HEXAGON.rays, 1, 347),  # Cl = Z^3
+], ids=("square", "quotient2", "hexagon"))
+def test_minimal_points_are_searched_once_per_class(monkeypatch, rays, radius, classes):
+    searched = []
+    search = cones._minimal_points
+
+    def counting(cone, c):
+        searched.append(c)
+        return search(cone, c)
+
+    monkeypatch.setattr(cones, "_minimal_points", counting)
+    cone = Cone(len(rays[0]), rays)
+    quotient = reduce_by_sublattice(cone.ray_count, list(zip(*rays)))
+    box = list(product(range(-radius, radius + 1), repeat=cone.ray_count))
+    for c in box:
+        minimal_elements(cone, c)
+    assert len(searched) == len({quotient.project(c) for c in box}) == classes
 
 
 # minimal points on the hexagon cone, recorded with the completion search

@@ -156,6 +156,10 @@ def test_lift_morphism_values(csq):
     assert (neg.nrows, neg.ncols) == (1, 0)
     ident = lift_morphism(csq, identity_morphism(simple_module(csq)), (-2, 0, 0, 0))
     assert ident.rows == [[1]]
+    for c in [(0, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, -1, 0)]:
+        given = lift_morphism(csq, f, c, source=lift_component(csq, f.source, c),
+                              target=lift_component(csq, f.target, c))
+        assert given.rows == lift_morphism(csq, f, c).rows
 
 
 def test_smooth_cone_reindexing(orthant):
@@ -319,19 +323,22 @@ def test_memos_are_freed_with_their_cone_and_modules():
                                         [Relation((1, 0, 1), (1, Fraction(-1, 2)))])
     lift_component(cone, filtration, (-1, 0, -1, 0))
     lift_component(cone, presented, (-1, 0, -1, 0))
-    assert cone._minimal and filtration._subspaces and presented._quotients
-    refs = [weakref.ref(x) for x in (cone, filtration, presented)]
+    assert cone._minimal and cone._classes and filtration._subspaces and presented._quotients
+    # the Smith form is the cone's own, not the process-wide one of lattice
+    refs = [weakref.ref(x) for x in (cone, cone._smith, filtration, presented)]
     del cone, filtration, presented
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None, None, None, None]
 
 
 def test_pickles_carry_fields_and_no_memo(csq):
     filtration = FiltrationModule(csq, random_reflexive_description(csq, random.Random(3)))
     lift_component(csq, filtration, (-1, 0, -1, 0))
+    assert csq._classes and "_smith" in vars(csq)
     copy = pickle.loads(pickle.dumps(filtration))
     assert copy == filtration
-    assert copy._subspaces == {} and copy.cone._minimal == {}
+    assert copy._subspaces == {} and copy.cone._minimal == {} and copy.cone._classes == {}
+    assert "_smith" not in vars(copy.cone)
 
 
 def test_lift_entry_points_reject_a_module_on_another_cone(orthant, quotient2):
