@@ -51,13 +51,13 @@ same for every degree in the class of c and serves as its key.
 
 Each cone memoizes what it computes about itself, for as long as it
 lives: its Cox coordinates ``L(m)`` by point, whether it is
-full-dimensional, its search data, the Smith form of its ray matrix,
-the minimal points of each class by its key ``c0``, and its minimal
-points by degree.  ``leq_sigma`` compares two of those coordinate
-vectors: ``m <= m'`` exactly when ``L(m) <= L(m')`` componentwise, since
-L is linear.  A pickled cone carries only its fields, so the memos never
-travel to a worker process; every output here is deterministic, so
-workers agree.
+full-dimensional, its search data, the Smith form of its ray matrix
+(``Cone.smith``), the minimal points of each class by its key ``c0``,
+and its minimal points by degree.  ``leq_sigma`` compares two of those
+coordinate vectors: ``m <= m'`` exactly when ``L(m) <= L(m')``
+componentwise, since L is linear.  A pickled cone carries only its
+fields, so the memos never travel to a worker process; every output
+here is deterministic, so workers agree.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ class Cone:
         return _search_data(self)
 
     @cached_property
-    def _smith(self) -> SnfResult:
+    def smith(self) -> SnfResult:
+        """Smith form of the rays: ``smith.preimage(c)`` is an m with L(m) = c, or None."""
         return smith_normal_form(self.rays)
 
     def evaluate(self, m: Sequence[int]) -> IntVector:
@@ -293,7 +294,7 @@ def _require_full_dimensional(cone: Cone) -> None:
 def _class_shift(cone: Cone, c: IntVector) -> tuple[IntVector, IntVector]:
     """``(c0, h)`` with ``c = c0 + L(h)``, where c0 is the same for every
     degree in the class of c in ``Z^n / L(M)``."""
-    snf = cone._smith
+    snf = cone.smith
     y = imat_vec(snf.U, c)
     h = imat_vec(snf.V, [y[i] // snf.D[i][i] for i in range(cone.lattice_rank)])
     return tuple(a - b for a, b in zip(c, imat_vec(cone.rays, h))), h

@@ -237,10 +237,17 @@ def _strict_chains(diagram: FinitePosetDiagram, length: int) -> list[tuple[int, 
     return chains
 
 
-def roos_limits(diagram: FinitePosetDiagram, imax: int) -> RoosResult:
-    """Dimensions of the derived limits lim^0 .. lim^imax."""
+def _top_degree(imax: int) -> int:
+    """``imax`` if it is a nonnegative plain integer, else ``ValueError``."""
+    imax = plain_int(imax)
     if imax < 0:
         raise ValueError(f"imax must be nonnegative, got {imax}")
+    return imax
+
+
+def roos_limits(diagram: FinitePosetDiagram, imax: int) -> RoosResult:
+    """Dimensions of the derived limits lim^0 .. lim^imax."""
+    imax = _top_degree(imax)
     chain_levels = [_strict_chains(diagram, p + 1) for p in range(imax + 2)]
     offsets_per_level: list[dict[tuple[int, ...], int]] = []
     cochain_dims = []
@@ -370,6 +377,7 @@ def truncated_lift_oracle(cone: Cone, module: GradedModule, c: Sequence[int],
     larger one gives more truncation evidence.
     """
     c = int_vector(c)
+    imax = _top_degree(imax)
     cert = certification_bound(cone, c)
     if bound is None:
         bound = cert

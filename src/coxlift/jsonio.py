@@ -120,21 +120,31 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
         if len(index) < len(elements):
             dup = next(e for i, e in enumerate(elements) if index[e] != i)
             raise ValueError(f"diagram JSON repeats the element id {dup!r}")
-        pairs = [(index[str(i)], index[str(j)]) for i, j in obj["leq"]]
+
+        def element(e, where: str) -> int:
+            i = index.get(str(e))
+            if i is None:
+                raise ValueError(f"diagram JSON {where} names the unknown element id {str(e)!r}")
+            return i
+
+        pairs = [(element(i, "leq"), element(j, "leq")) for i, j in obj["leq"]]
         dims = [plain_int(obj["dims"][e]) for e in elements]
         unknown = sorted(set(obj["dims"]) - set(index))
         if unknown:
             raise ValueError(f"diagram JSON gives dims for unknown element ids {unknown}")
         maps = {}
         for key, rows in obj.get("maps", {}).items():
-            a, b = key.split("->")
+            ends = key.split("->")
+            if len(ends) != 2:
+                raise ValueError(f"diagram JSON map key {key!r} is not of the form 'a->b'")
+            a, b = (element(e.strip(), f"map {key}") for e in ends)
             # the width comes from the rows, so a wrong one is reported with the ids
             try:
                 mat = Mat.from_rows([[parse_fraction(x) for x in row] for row in rows],
-                                    ncols=None if rows else dims[index[a.strip()]])
+                                    ncols=None if rows else dims[a])
             except ValueError as exc:
                 raise ValueError(f"map {key}: {exc}") from None
-            maps[(index[a.strip()], index[b.strip()])] = mat
+            maps[(a, b)] = mat
     except KeyError as exc:
         raise ValueError(f"diagram JSON is missing {exc}") from exc
     except (TypeError, AttributeError) as exc:

@@ -5,10 +5,10 @@ fixed ambient space.  The datum, ``ReflexiveDescription``, and the
 module it defines, ``FiltrationModule(cone, desc)``, live in
 ``modules``, where the description is validated once, in its
 constructor; both are importable from here too.  The lift at a Cox
-degree ``c`` is simply the
-intersection of the ray spaces at levels ``c_rho``; this module
-computes that directly and verifies, degree by degree, that the general
-limit machinery produces the same subspaces.  It also compares the
+degree ``c`` is simply the intersection of the ray spaces at levels
+``c_rho``, which the description memoizes (``space``); this module
+verifies, degree by degree, that the general limit machinery produces
+the same subspaces.  It also compares the
 subspace arrangements realized on the base against those realized by
 the lift (the lift realizes every intersection; the base need not).
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cones import Cone
-from .lattice import int_vector, lattice_membership
+from .lattice import int_vector
 from .lifting import Box, LiftComponent, lift_component
 from .linalg import (
     Mat,
@@ -33,7 +33,6 @@ from .modules import (
     FiltrationModule,
     GradedMorphism,
     ReflexiveDescription,
-    intersect_ray_spaces,
 )
 
 IntVector = tuple[int, ...]
@@ -44,8 +43,7 @@ def filtration_lift_component(desc: ReflexiveDescription, c: Sequence[int]) -> t
     c = int_vector(c)
     if len(c) != len(desc.filtrations):
         raise ValueError("degree length differs from filtration count")
-    return intersect_ray_spaces(zip((rf for _, rf in desc.filtrations), c),
-                                desc.ambient_dim)
+    return desc.space(c)
 
 
 def lift_subspace_in_ambient(module: FiltrationModule,
@@ -103,7 +101,7 @@ def verify_equivalence(cone: Cone, desc: ReflexiveDescription, box: Box) -> Equi
         checked += 1
     roundtrip = 0
     for c in box.degrees():
-        m = lattice_membership(cone.rays, c)
+        m = cone.smith.preimage(c)
         if m is None:
             continue
         if not subspace_eq(module.subspace(m), filtration_lift_component(desc, c)):
@@ -132,7 +130,7 @@ def realized_components(cone: Cone, desc: ReflexiveDescription, box: Box) -> Rea
     for c in box.degrees():
         space = filtration_lift_component(desc, c)
         lift[space] = space
-        if lattice_membership(cone.rays, c) is not None:
+        if cone.smith.preimage(c) is not None:
             base[space] = space
     unrealized = tuple(sorted((s for key, s in lift.items() if key not in base),
                               key=lambda b: (len(b), b)))

@@ -6,13 +6,14 @@ with the torsion part split off.  All arithmetic uses Python's
 arbitrary-precision integers; rationals appear only transiently when a
 unimodular matrix is inverted.
 
-All functions here are pure and safe to call from concurrent workers.
+All functions here are pure and safe to call from concurrent workers,
+and none memoizes: a caller that solves against one matrix many times
+keeps its Smith form, as a cone keeps that of its rays (``Cone.smith``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .linalg import Mat, rank as q_rank, rref
@@ -236,18 +237,13 @@ def lattice_membership(b: IntMatrix, v: Sequence[int]) -> Optional[IntVector]:
     b = int_matrix(b)
     if len(v) != len(b):
         raise ValueError("vector length differs from row count")
-    return _snf_cached(b).preimage(int_vector(v))
-
-
-@lru_cache(maxsize=None)
-def _snf_cached(a: IntMatrix) -> SnfResult:
-    return smith_normal_form(a)
+    return smith_normal_form(b).preimage(int_vector(v))
 
 
 def int_kernel_basis(a: IntMatrix) -> tuple[IntVector, ...]:
     """Basis of the integer kernel {x : a @ x = 0}; a saturated lattice."""
     a = int_matrix(a)
-    snf = _snf_cached(a)
+    snf = smith_normal_form(a)
     m, n = len(a), len(a[0])
     cols = []
     for j in range(n):

@@ -128,6 +128,16 @@ def _blockwise(src: LiftComponent, tgt: LiftComponent,
     return matrix_in_basis(tgt.basis, images)
 
 
+def _given_or_lifted(cone: Cone, module: GradedModule, c: IntVector,
+                     given: Optional[LiftComponent]) -> LiftComponent:
+    """``given``, a caller's lift of the module at c, or else that lift."""
+    if given is None:
+        return lift_component(cone, module, c)
+    if given.degree != c:
+        raise ValueError(f"the component given for degree {c} is at degree {given.degree}")
+    return given
+
+
 def lift_action(
     cone: Cone,
     module: GradedModule,
@@ -140,7 +150,8 @@ def lift_action(
 
     Each minimal point of P_{c'} lies above a minimal point of P_c; the
     value there is transported from any dominated one, independent of
-    the choice by the limit constraints.
+    the choice by the limit constraints.  ``source`` and ``target``, when
+    given, are the lifts at c and c'; one of another degree is rejected.
     """
     c = int_vector(c)
     c_prime = int_vector(c_prime)
@@ -148,8 +159,8 @@ def lift_action(
         raise ValueError("degrees are not componentwise comparable")
     if module.cone != cone:
         raise ValueError("the module lives on another cone")
-    src = source if source is not None else lift_component(cone, module, c)
-    tgt = target if target is not None else lift_component(cone, module, c_prime)
+    src = _given_or_lifted(cone, module, c, source)
+    tgt = _given_or_lifted(cone, module, c_prime, target)
 
     transports = []
     for mk in tgt.minimal_points:
@@ -175,11 +186,11 @@ def lift_morphism(
 
     ``source`` and ``target``, when given, are the lifts of ``f.source``
     and ``f.target`` at c, so a caller that already holds them does not
-    lift twice.
+    lift twice; a component of another degree is rejected.
     """
     c = int_vector(c)
-    src = source if source is not None else lift_component(cone, f.source, c)
-    tgt = target if target is not None else lift_component(cone, f.target, c)
+    src = _given_or_lifted(cone, f.source, c, source)
+    tgt = _given_or_lifted(cone, f.target, c, target)
     return _blockwise(src, tgt, [(i, f.matrix(m)) for i, m in enumerate(src.minimal_points)])
 
 
@@ -376,21 +387,17 @@ def minimal_generators_in_box(cone: Cone, module: GradedModule, box: Box) -> tup
     all restriction maps from its in-box predecessors do not span the
     component.
     """
+    table = lift_table(cone, module, box)
     found = []
-    comps = {c: lift_component(cone, module, c) for c in box.degrees()}
-    for c in box.degrees():
-        tgt = comps[c]
+    for c, tgt in table.components.items():
         if tgt.dim == 0:
             continue
         incoming = []
         for axis in range(cone.ray_count):
             prev = tuple(x - (1 if i == axis else 0) for i, x in enumerate(c))
-            if prev not in box:
-                continue
-            mat = lift_action(cone, module, prev, c,
-                              source=comps[prev], target=tgt)
-            for j in range(mat.ncols):
-                incoming.append(mat.col(j))
+            mat = table.steps.get((prev, axis))
+            if mat is not None:
+                incoming.extend(mat.col(j) for j in range(mat.ncols))
         if not incoming or rank(Mat(len(incoming), tgt.dim, incoming)) < tgt.dim:
             found.append(c)
     return tuple(found)

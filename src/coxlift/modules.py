@@ -12,25 +12,27 @@ chains.  Variants:
   quotients and codivisorial quotients.
 * ``FiltrationModule`` - a cone plus a ``ReflexiveDescription``, the
   one representation of per-ray filtration data, validated once in its
-  constructor; components are intersections of the filtration steps in
-  force inside the ambient space, transports are inclusions.
+  constructor; the component at m is the description's intersection of
+  the filtration steps in force at ``L(m)``, transports are inclusions.
 * ``ShiftModule`` / ``DirectSumModule`` - degree shifts and sums.
 
 Everything is immutable and hashable, with structural equality, so
 evaluation is pure and modules may be shipped to worker processes
 freely.
 
-Memos.  A module that memoizes keeps its memos on itself, so they live
-exactly as long as the module, and a pickle carries only its fields:
+Memos.  An object that memoizes keeps its memos on itself, so they live
+exactly as long as it does, and a pickle carries only its fields:
 
 * ``FinitelyPresentedModule``: the reduced relations at each point m;
-* ``FiltrationModule``: its component by step key, the filtration steps
-  in force on each ray at ``L(m)`` (-1 below the first jump), at most
-  the product over the rays of one plus the number of steps; and the
-  inclusion between two such components,
-  ``matrix_in_basis(target, source)``, by the pair of step keys.
+* ``ReflexiveDescription``: the intersection of the ray spaces by step
+  key, the number of filtration jumps at or below each ray's level (0
+  below the first jump), at most the product over the rays of one plus
+  the number of steps; and the inclusion between two such intersections,
+  ``matrix_in_basis(target, source)``, by the pair of step keys.  Every
+  ``FiltrationModule`` over the description, and
+  ``klyachko.filtration_lift_component``, read these.
 
-A memoized transport is the very ``Mat`` that every later ``action``
+A memoized inclusion is the very ``Mat`` that every later ``action``
 call returns: callers read it and must not mutate it.
 """
 
@@ -193,7 +195,9 @@ def validate_indicator_style(module: IndicatorModule, radius: int = 2) -> None:
 
     Submodule-style supports must be up-closed; quotient-style supports
     must be order-convex (the closure condition that makes the
-    identity-inside/zero-outside transports compose).
+    identity-inside/zero-outside transports compose).  This is sampled
+    evidence, not a decision: only points of the cube
+    ``[-radius, radius]^d`` are tested, so a violation outside it passes.
     """
     pts = [tuple(p) for p in product(range(-radius, radius + 1),
                                      repeat=module.cone.lattice_rank)]
@@ -382,6 +386,38 @@ class ReflexiveDescription:
             if len(rf.steps[-1].basis) != ambient:
                 raise ValueError(f"ray {ray}: filtration is not full")
         object.__setattr__(self, "filtrations", tuple(filts))
+        object.__setattr__(self, "_levels", tuple(tuple(st.level for st in rf.steps)
+                                                  for _, rf in filts))
+        object.__setattr__(self, "_spaces", {})
+        object.__setattr__(self, "_inclusions", {})
+
+    def __reduce__(self):
+        # fields only: unpickling runs the constructor, and no memo travels
+        return type(self), (self.ambient_dim, self.filtrations)
+
+    def _steps(self, levels: Sequence[int]) -> IntVector:
+        """Per ray, the number of jumps at or below its level: 0 below the first jump."""
+        return tuple(map(bisect_right, self._levels, levels))
+
+    def space(self, levels: Sequence[int]) -> tuple[Vector, ...]:
+        """Canonical basis of the intersection of the ray spaces, ray i at ``levels[i]``."""
+        key = self._steps(levels)
+        out = self._spaces.get(key)
+        if out is None:
+            # some ray below its first jump: nothing to intersect
+            out = self._spaces[key] = () if 0 in key else intersect_ray_spaces(
+                zip((rf for _, rf in self.filtrations), levels), self.ambient_dim)
+        return out
+
+    def inclusion(self, levels: Sequence[int], levels_prime: Sequence[int]) -> Mat:
+        """``space(levels)`` written in the basis of ``space(levels_prime)``;
+        ``levels`` must be below ``levels_prime``."""
+        key = (self._steps(levels), self._steps(levels_prime))
+        out = self._inclusions.get(key)
+        if out is None:
+            out = self._inclusions[key] = matrix_in_basis(self.space(levels_prime),
+                                                          self.space(levels))
+        return out
 
 
 @dataclass(frozen=True)
@@ -389,9 +425,8 @@ class FiltrationModule(GradedModule):
     """Components are intersections of per-ray filtration spaces.
 
     The filtration data is a ``ReflexiveDescription``, with one
-    filtration per cone ray.  A component depends on m only through the
-    step in force on each ray, so components and transports are memoized
-    by those step indices.
+    filtration per cone ray: the component at m is its space at the
+    levels L(m), and a transport is its inclusion between two of them.
     """
 
     cone: Cone
@@ -400,47 +435,16 @@ class FiltrationModule(GradedModule):
     def __post_init__(self):
         if len(self.description.filtrations) != self.cone.ray_count:
             raise ValueError("exactly one filtration per cone ray is required")
-        object.__setattr__(self, "_levels", tuple(tuple(st.level for st in rf.steps)
-                                                  for _, rf in self.description.filtrations))
-        object.__setattr__(self, "_subspaces", {})
-        object.__setattr__(self, "_transports", {})
-
-    def __reduce__(self):
-        # fields only: unpickling runs the constructor, and no memo travels
-        return type(self), (self.cone, self.description)
-
-    def _steps(self, m: Sequence[int]) -> IntVector:
-        """Per ray, the index of the step in force at L(m); -1 below the first jump."""
-        return tuple(bisect_right(levels, v) - 1
-                     for levels, v in zip(self._levels, self.cone.evaluate(m)))
-
-    def _subspace_at(self, steps: IntVector) -> tuple[Vector, ...]:
-        out = self._subspaces.get(steps)
-        if out is None:
-            if min(steps) < 0:
-                out = ()  # some ray is below its first jump
-            else:
-                desc = self.description
-                out = intersect_ray_spaces(((rf, rf.steps[i].level)
-                                            for (_, rf), i in zip(desc.filtrations, steps)),
-                                           desc.ambient_dim)
-            self._subspaces[steps] = out
-        return out
 
     def subspace(self, m: Sequence[int]) -> tuple[Vector, ...]:
         """Canonical basis of the component inside the ambient space."""
-        return self._subspace_at(self._steps(int_vector(m)))
+        return self.description.space(self.cone.evaluate(int_vector(m)))
 
     def _component(self, m: IntVector) -> Component:
-        return Component(len(self._subspace_at(self._steps(m))))
+        return Component(len(self.description.space(self.cone.evaluate(m))))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        key = (self._steps(m), self._steps(m_prime))
-        out = self._transports.get(key)
-        if out is None:
-            out = self._transports[key] = matrix_in_basis(self._subspace_at(key[1]),
-                                                          self._subspace_at(key[0]))
-        return out
+        return self.description.inclusion(self.cone.evaluate(m), self.cone.evaluate(m_prime))
 
 
 # --------------------------------------------------------------------------
@@ -519,7 +523,12 @@ class GradedMorphism:
 def morphism(source: GradedModule, target: GradedModule,
              rule: Callable[[IntVector], Mat],
              validate_radius: Optional[int] = 2) -> GradedMorphism:
-    """Wrap a matrix rule, checking naturality on a sampled cube."""
+    """Wrap a matrix rule, checking naturality on a sampled cube.
+
+    The check is sampled evidence, not a decision: naturality is tested
+    only on comparable pairs within ``[-validate_radius, validate_radius]^d``,
+    so a rule that fails outside the cube is accepted; ``None`` skips it.
+    """
     f = GradedMorphism(source, target, rule)
     if validate_radius is not None:
         d = source.cone.lattice_rank

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from coxlift.cones import Cone, leq_sigma
 from coxlift.lattice import (
     int_vector,
-    lattice_membership,
     reduce_by_sublattice,
     smith_normal_form,
 )
@@ -114,11 +113,12 @@ def completion_minimal_elements(cone: Cone, c, max_level: int = 512):
             columns.append(tuple(col))
     sols = minimal_nonneg_solutions(columns, caps={n: 1}, max_level=max_level)
     us = sorted({sol[:n] for sol in sols if sol[n] == 1})
+    snf = smith_normal_form(cone.rays)
     out = []
     for u in us:
         if any(w != u and all(a <= b for a, b in zip(w, u)) for w in us):
             continue
-        m = lattice_membership(cone.rays, tuple(a + b for a, b in zip(u, c)))
+        m = snf.preimage(tuple(a + b for a, b in zip(u, c)))
         assert m is not None, "coset solution left the image lattice"
         out.append(m)
     return tuple(sorted(out))

@@ -264,6 +264,13 @@ PAIR_AB = {"elements": ["a", "b"], "dims": {"a": 2, "b": 2}}
       "maps": {"a->b": [[1], [2]]}}, "map a->b has shape 2x1, expected 1x1"),
     ({"elements": ["a", "b"], "leq": [["a", "b"]], "dims": {"a": 1, "b": 1},
       "maps": {"a->b": [[1, 2]]}}, "map a->b has shape 1x2, expected 1x1"),
+    (dict(PAIR_AB, leq=[["a", "z"]], maps={}), "leq names the unknown element id 'z'"),
+    (dict(PAIR_AB, leq=[["a", "b"]], maps={"a->z": [[1, 0], [0, 1]]}),
+     "map a->z names the unknown element id 'z'"),
+    (dict(PAIR_AB, leq=[["a", "b"]], maps={"a": [[1, 0], [0, 1]]}),
+     "map key 'a' is not of the form 'a->b'"),
+    (dict(PAIR_AB, leq=[["a", "b"]], maps={"a->b->a": [[1, 0], [0, 1]]}),
+     "map key 'a->b->a' is not of the form 'a->b'"),
 ])
 def test_invalid_diagram_is_an_input_error(inputs, capsys, payload, message):
     bad = inputs / "bad.json"

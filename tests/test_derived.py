@@ -241,6 +241,14 @@ def test_truncation_points_reject_bad_arguments(csq, c, bound, message):
         truncation_points(csq, c, bound)
 
 
+@pytest.mark.parametrize("imax", [-1, -2])
+def test_imax_must_be_nonnegative(csq, imax):
+    with pytest.raises(ValueError, match="imax must be nonnegative"):
+        truncated_lift_oracle(csq, simple_module(csq), (0, 0, 0, 0), 2, imax=imax)
+    with pytest.raises(ValueError, match="imax must be nonnegative"):
+        roos_limits(FinitePosetDiagram.from_maps(["a"], [], [1], {}), imax)
+
+
 def test_truncation_points_need_a_full_dimensional_cone():
     flat = Cone(3, ((1, 0, 0), (0, 1, 0)))
     with pytest.raises(ValueError, match="full-dimensional"):

@@ -1,4 +1,9 @@
+import random
+import sys
+
+from coxlift.cones import Cone
 from coxlift.instances import (
+    CONE_OVER_SQUARE,
     generic_plane_description,
     random_reflexive_description,
 )
@@ -11,9 +16,10 @@ from coxlift.klyachko import (
     respects_filtrations,
     verify_equivalence,
 )
+from coxlift.lattice import smith_normal_form
 from coxlift.lifting import Box, lift_action, lift_component, lift_morphism
 from coxlift.linalg import Mat, row_space_basis, subspace_eq, subspace_le
-from coxlift.modules import FiltrationModule, full_at, ray_filtration
+from coxlift.modules import FiltrationModule, full_at, intersect_ray_spaces, ray_filtration
 
 
 def rank1_description(shift):
@@ -85,6 +91,35 @@ def test_verify_equivalence_random_quotient_cone(quotient2, rng):
     for _ in range(5):
         desc = random_reflexive_description(quotient2, rng)
         assert verify_equivalence(quotient2, desc, Box((-2, -2), (2, 2))).ok
+
+
+def patch_everywhere(monkeypatch, func, wrapper):
+    """Replace ``func`` in every coxlift namespace that holds it by name."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("coxlift") and getattr(mod, func.__name__, None) is func:
+            monkeypatch.setattr(mod, func.__name__, wrapper)
+
+
+def test_verify_equivalence_intersects_once_per_step_key_and_factors_once(monkeypatch):
+    intersections, smith_forms = [], []
+
+    def counting_intersect(levels, ambient):
+        levels = tuple(levels)
+        intersections.append(desc._steps([level for _, level in levels]))
+        return intersect_ray_spaces(levels, ambient)
+
+    def counting_smith(a):
+        smith_forms.append(a)
+        return smith_normal_form(a)
+
+    patch_everywhere(monkeypatch, intersect_ray_spaces, counting_intersect)
+    patch_everywhere(monkeypatch, smith_normal_form, counting_smith)
+    cone = Cone(3, CONE_OVER_SQUARE.rays)
+    desc = random_reflexive_description(cone, random.Random(5))
+    assert verify_equivalence(cone, desc, Box((-1,) * 4, (1,) * 4)).ok
+    assert intersections and len(intersections) == len(set(intersections))
+    assert len(intersections) <= len(desc._spaces)
+    assert smith_forms == [cone.rays]
 
 
 def test_realized_components_generic(csq):

@@ -1,11 +1,15 @@
+import functools
 import gc
+import importlib
 import pickle
+import pkgutil
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
 
+import coxlift
 from coxlift import lifting
 from coxlift.cones import Cone, minimal_common_upper_bounds, minimal_elements
 from coxlift.derived import FinitePosetDiagram
@@ -323,22 +327,50 @@ def test_memos_are_freed_with_their_cone_and_modules():
                                         [Relation((1, 0, 1), (1, Fraction(-1, 2)))])
     lift_component(cone, filtration, (-1, 0, -1, 0))
     lift_component(cone, presented, (-1, 0, -1, 0))
-    assert cone._minimal and cone._classes and filtration._subspaces and presented._quotients
-    # the Smith form is the cone's own, not the process-wide one of lattice
-    refs = [weakref.ref(x) for x in (cone, cone._smith, filtration, presented)]
-    del cone, filtration, presented
+    desc = filtration.description
+    assert cone._minimal and cone._classes and desc._spaces and presented._quotients
+    # the Smith form is the cone's own; lattice keeps no Smith form
+    refs = [weakref.ref(x) for x in (cone, cone.smith, filtration, desc, presented)]
+    del cone, filtration, desc, presented
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None, None]
+    assert [ref() for ref in refs] == [None] * 5
 
 
 def test_pickles_carry_fields_and_no_memo(csq):
     filtration = FiltrationModule(csq, random_reflexive_description(csq, random.Random(3)))
     lift_component(csq, filtration, (-1, 0, -1, 0))
-    assert csq._classes and "_smith" in vars(csq)
+    assert csq._classes and "smith" in vars(csq) and filtration.description._spaces
     copy = pickle.loads(pickle.dumps(filtration))
     assert copy == filtration
-    assert copy._subspaces == {} and copy.cone._minimal == {} and copy.cone._classes == {}
-    assert "_smith" not in vars(copy.cone)
+    assert copy.description._spaces == {} and copy.description._inclusions == {}
+    assert copy.cone._minimal == {} and copy.cone._classes == {}
+    assert "smith" not in vars(copy.cone)
+
+
+def test_no_module_holds_a_process_wide_functools_cache():
+    # memos live on the objects they describe, never at module level
+    cache_type = type(functools.lru_cache(maxsize=None)(lambda: None))
+    held = [f"{info.name}.{name}"
+            for info in pkgutil.iter_modules(coxlift.__path__)
+            for name, obj in vars(importlib.import_module(f"coxlift.{info.name}")).items()
+            if isinstance(obj, cache_type)]
+    assert held == []
+
+
+def test_lift_maps_reject_given_components_of_another_degree(csq):
+    R = structure_module(csq)
+    zero, one = (0, 0, 0, 0), (1, 0, 0, 0)
+    at_zero, at_one = lift_component(csq, R, zero), lift_component(csq, R, one)
+    with pytest.raises(ValueError, match="is at degree"):
+        lift_morphism(csq, identity_morphism(R), zero, source=at_one, target=at_one)
+    with pytest.raises(ValueError, match="is at degree"):
+        lift_morphism(csq, identity_morphism(R), zero, target=at_one)
+    with pytest.raises(ValueError, match="is at degree"):
+        lift_action(csq, R, zero, one, source=at_one)
+    with pytest.raises(ValueError, match="is at degree"):
+        lift_action(csq, R, zero, one, target=at_zero)
+    assert (lift_action(csq, R, zero, one, source=at_zero, target=at_one)
+            == lift_action(csq, R, zero, one))
 
 
 def test_lift_entry_points_reject_a_module_on_another_cone(orthant, quotient2):

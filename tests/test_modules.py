@@ -13,6 +13,7 @@ from coxlift.derived import (
     FinitePosetDiagram,
     connecting_cokernel,
     ideal_sequence,
+    roos_limits,
     truncated_lift_oracle,
 )
 from coxlift.fans import FanData, chart_section, global_reflexive_lift
@@ -168,6 +169,13 @@ NON_INTEGER_DEGREES = {
     "truncated oracle": lambda C: truncated_lift_oracle(C, simple_module(C), (0.5, 0, 0, 0), 2),
     "truncated oracle bound": lambda C: truncated_lift_oracle(
         C, simple_module(C), (0, 0, 0, 0), 2.0),
+    "truncated oracle imax": lambda C: truncated_lift_oracle(
+        C, simple_module(C), (0, 0, 0, 0), 2, imax=0.5),
+    "truncated oracle imax bool": lambda C: truncated_lift_oracle(
+        C, simple_module(C), (0, 0, 0, 0), 2, imax=True),
+    "roos imax": lambda C: roos_limits(FinitePosetDiagram.from_maps(["a"], [], [1], {}), 0.5),
+    "roos imax bool": lambda C: roos_limits(
+        FinitePosetDiagram.from_maps(["a"], [], [1], {}), True),
     "truncation points": lambda C: truncation_points(C, (0.5, 0, 0, 0), 2),
     "truncation bound": lambda C: truncation_points(C, (0, 0, 0, 0), 2.5),
     "connecting cokernel": lambda C: connecting_cokernel(C, ideal_sequence(C), (0.5, 0, 0, 0)),
