@@ -9,10 +9,12 @@ Subcommands:
 * ``roos``        derived limit dimensions of a finite poset diagram.
 
 Exit codes: 0 success, 1 assertion failure, 2 input error, 3 internal
-error (a bug, reported on one line).  Identical
-inputs produce byte-identical output at any ``--jobs`` width: workers
-only compute per-degree components and the coordinator merges them in
-degree order.
+error (a bug, reported on one line; also a ``lift-table`` worker that
+exits without a result).  ``--jobs N`` shares the degrees out over this
+process and up to N - 1 forked children, at most one process per degree
+and per usable CPU.  Identical inputs produce byte-identical output at
+any width: each process only computes per-degree components, and the
+shares are merged in degree order.
 """
 
 from __future__ import annotations
@@ -108,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help='degree box, e.g. "-2..2" or "-2..2,-1..1,..."')
     p_table.add_argument("--out", default=None, help="output file (default stdout)")
     p_table.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p_table.add_argument("--jobs", type=int, default=1, help="worker pool width")
+    p_table.add_argument("--jobs", type=int, default=1,
+                         help="processes sharing the degrees (capped at the degree "
+                              "and CPU counts)")
     p_table.set_defaults(func=cmd_lift_table)
 
     p_check = sub.add_parser("check", help="run a named verification suite")

@@ -56,8 +56,8 @@ full-dimensional, its search data, the Smith form of its ray matrix
 and its minimal points by degree.  ``leq_sigma`` compares two of those
 coordinate vectors: ``m <= m'`` exactly when ``L(m) <= L(m')``
 componentwise, since L is linear.  A pickled cone carries only its
-fields, so the memos never travel to a worker process; every output
-here is deterministic, so workers agree.
+fields, so the memos never travel in a pickle; every output here is
+deterministic, so processes that compute it apart agree.
 """
 
 from __future__ import annotations

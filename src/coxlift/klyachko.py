@@ -33,6 +33,7 @@ from .modules import (
     FiltrationModule,
     GradedMorphism,
     ReflexiveDescription,
+    intersect_ray_spaces,
 )
 
 IntVector = tuple[int, ...]
@@ -86,9 +87,11 @@ class EquivalenceReport:
 def verify_equivalence(cone: Cone, desc: ReflexiveDescription, box: Box) -> EquivalenceReport:
     """Limit machinery versus direct intersection, as subspaces, over a box.
 
-    Also confirms the round trip: at degrees in the image of the grading
-    map, the intersection formula restricted to the base reproduces the
-    module's own components.
+    Also confirms the round trip: at degrees ``c = L(m)`` in the image
+    of the grading map, the module's component at m equals the
+    intersection of the raw filtrations at the levels ``<m, rho_i> = c_i``,
+    built afresh rather than read from the description's memo, which the
+    module reads too.
     """
     module = FiltrationModule(cone, desc)
     checked = 0
@@ -104,7 +107,9 @@ def verify_equivalence(cone: Cone, desc: ReflexiveDescription, box: Box) -> Equi
         m = cone.smith.preimage(c)
         if m is None:
             continue
-        if not subspace_eq(module.subspace(m), filtration_lift_component(desc, c)):
+        fresh = intersect_ray_spaces(zip((rf for _, rf in desc.filtrations), c),
+                                     desc.ambient_dim)
+        if not subspace_eq(module.subspace(m), fresh):
             return EquivalenceReport(False, checked, tuple(c), roundtrip)
         roundtrip += 1
     return EquivalenceReport(True, checked, None, roundtrip)

@@ -24,14 +24,18 @@ detection also live here.
 
 Degree computations are independent and not memoized here: the cone
 memoizes its minimal points and the module its components and
-transports.  Sweeps can fan out over a worker pool and are merged in
-degree order, so output is byte-identical at any pool width.  A sweep
-computes only the components; its one-step restriction maps are built
-the first time they are read.
+transports.  A sweep can share its degrees out over forked child
+processes: the coordinator lifts one share itself, each child lifts
+another and pipes it back pickled, and the shares are merged in degree
+order, so output is byte-identical at any width.  The width is capped
+at the number of degrees and of usable CPUs.  A sweep computes only the
+components; its one-step restriction maps are built the first time
+they are read.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -150,8 +154,10 @@ def lift_action(
 
     Each minimal point of P_{c'} lies above a minimal point of P_c; the
     value there is transported from any dominated one, independent of
-    the choice by the limit constraints.  ``source`` and ``target``, when
-    given, are the lifts at c and c'; one of another degree is rejected.
+    the choice by the limit constraints.  When either lift is zero the
+    map is zero and no transport is read.  ``source`` and ``target``,
+    when given, are the lifts at c and c'; one of another degree is
+    rejected.
     """
     c = int_vector(c)
     c_prime = int_vector(c_prime)
@@ -162,7 +168,7 @@ def lift_action(
     src = _given_or_lifted(cone, module, c, source)
     tgt = _given_or_lifted(cone, module, c_prime, target)
 
-    transports = []
+    bases = []
     for mk in tgt.minimal_points:
         base = None
         for i, mi in enumerate(src.minimal_points):
@@ -171,8 +177,11 @@ def lift_action(
                 break
         if base is None:
             raise AssertionError("minimal point has no dominated predecessor")
-        transports.append((base, module.action(src.minimal_points[base], mk)))
-    return _blockwise(src, tgt, transports)
+        bases.append(base)
+    if not (src.dim and tgt.dim):
+        return Mat.zero(tgt.dim, src.dim)
+    return _blockwise(src, tgt, [(i, module.action(src.minimal_points[i], mk))
+                                 for i, mk in zip(bases, tgt.minimal_points)])
 
 
 def lift_morphism(
@@ -441,42 +450,138 @@ class LiftTable:
                            source=self.component(c), target=self.component(c_prime))
 
 
-def _table_chunk(args):
-    cone, module, degrees = args
+def _lift_share(cone: Cone, module: GradedModule,
+                degrees: Sequence[IntVector]) -> list[tuple[IntVector, LiftComponent]]:
     return [(c, lift_component(cone, module, c)) for c in degrees]
 
 
-def lift_table(cone: Cone, module: GradedModule, box: Box, jobs: int = 1) -> LiftTable:
-    """Sweep a degree box; components may be computed by a worker pool.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Workers get disjoint degree chunks and the coordinator merges in
-    degree order, so output does not depend on the pool width.  The
-    restriction maps are left to ``LiftTable.steps``, built on first read.
-    The pool starts all its workers at once, so it is never wider than
-    the number of degrees.  If the pool cannot start (``OSError``), one
-    ``RuntimeWarning`` names the error and the degrees are computed
-    serially.
+
+def _fork_share(cone: Cone, module: GradedModule,
+                degrees: Sequence[IntVector]) -> tuple[int, int]:
+    """Fork a child that lifts ``degrees``; its pid and the read end of its pipe.
+
+    The child pickles ``(True, pairs)`` or ``(False, exception)`` to the
+    pipe and leaves through ``os._exit``, so it never returns here and
+    runs none of the coordinator's exit handlers; a result it cannot
+    pickle leaves the pipe empty and the exit status 1.
+    """
+    import pickle
+
+    if not hasattr(os, "fork"):
+        raise OSError("os.fork is not available on this platform")
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            result = (True, _lift_share(cone, module, degrees))
+        except BaseException as exc:  # the coordinator raises it again
+            result = (False, exc)
+        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(pid: int, read_fd: int) -> list[tuple[IntVector, LiftComponent]]:
+    """Read a child's share to the end of its pipe and reap the child.
+
+    Re-raises the exception the child's share raised; a child that left
+    no result raises ``RuntimeError`` naming its exit status.
+    """
+    import pickle
+
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            data = fh.read()
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not data:
+        raise RuntimeError(f"lift worker {pid} left no result (exit status {status})")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
+def _fan_out(cone: Cone, module: GradedModule, degrees: list[IntVector],
+             workers: int) -> dict[IntVector, LiftComponent]:
+    """Lift ``degrees`` in ``workers`` shares, merged in degree order.
+
+    Share 0 and every share whose fork is refused are lifted here.  Every
+    child is reaped before this returns or raises; if this process fails
+    first, the children still running are killed.
+    """
+    shares = [degrees[i::workers] for i in range(workers)]
+    own = shares[0]
+    pending: list[tuple[int, int]] = []
+    refused = None
+    try:
+        for share in shares[1:]:
+            try:
+                pending.append(_fork_share(cone, module, share))
+            except OSError as exc:
+                refused = refused or exc
+                own.extend(share)
+        if refused is not None:
+            warnings.warn(f"cannot fork a worker ({refused}); computing {len(own)} of the "
+                          f"{len(degrees)} degrees in this process", RuntimeWarning,
+                          stacklevel=3)
+        found = dict(_lift_share(cone, module, own))
+        while pending:
+            pid, read_fd = pending.pop(0)
+            found.update(_collect(pid, read_fd))
+    finally:
+        if pending:
+            import signal
+
+            for pid, read_fd in pending:
+                os.close(read_fd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return {c: found[c] for c in degrees}
+
+
+def lift_table(cone: Cone, module: GradedModule, box: Box, jobs: int = 1) -> LiftTable:
+    """Sweep a degree box; ``jobs > 1`` shares the degrees out over forked children.
+
+    The width is ``jobs`` capped at the number of degrees and of usable
+    CPUs.  The degrees are dealt round-robin into one share per worker;
+    this process lifts the first share while forked children lift the
+    others and pipe them back pickled, and the shares are merged in
+    degree order, so the table does not depend on the width.  An
+    exception raised in a child is raised again here; a child that exits
+    without a result raises ``RuntimeError``.  If a fork is refused
+    (``OSError``, or no ``os.fork`` on this platform), one
+    ``RuntimeWarning`` names the error and this process lifts that share
+    too.  At width 1 nothing is forked; above it, call from a process
+    that runs no other thread, since a fork copies only the calling one.
+    The restriction maps are left to ``LiftTable.steps``, built on first
+    read.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     degrees = list(box.degrees())
-    workers = min(jobs, len(degrees))
-    components: dict[IntVector, LiftComponent] = {}
+    workers = min(jobs, len(degrees), _usable_cpus()) if jobs > 1 else 1
     if workers > 1:
-        try:
-            import concurrent.futures as cf
-
-            chunks = [degrees[i::workers] for i in range(workers)]
-            with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_table_chunk,
-                                     [(cone, module, ch) for ch in chunks]):
-                    for c, comp in part:
-                        components[c] = comp
-        except OSError as exc:
-            warnings.warn(f"worker pool unavailable ({exc}); computing the "
-                          f"{len(degrees)} degrees serially", RuntimeWarning, stacklevel=2)
-            components = {}
-    if not components:
-        for c in degrees:
-            components[c] = lift_component(cone, module, c)
+        components = _fan_out(cone, module, degrees, workers)
+    else:
+        components = dict(_lift_share(cone, module, degrees))
     return LiftTable(cone, module, box, components)

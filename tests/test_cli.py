@@ -1,5 +1,5 @@
-import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from coxlift import checks, cli
+from coxlift import checks, cli, lifting
 from coxlift.cli import main, parse_box
 from coxlift.instances import simple_lift_law
 from coxlift.jsonio import load_cone, load_diagram, load_module, parse_fraction
@@ -92,7 +92,9 @@ def test_lift_table_tsv_matches_law(inputs):
         assert int(dim) == simple_lift_law(tuple(int(x) for x in deg))
 
 
-def test_lift_table_deterministic_across_jobs(inputs):
+def test_lift_table_deterministic_across_jobs(inputs, monkeypatch):
+    # two usable CPUs, so that --jobs 2 forks on a one-CPU host too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     a = inputs / "a.tsv"
     b = inputs / "b.tsv"
     assert main(["lift-table", "--cone", str(inputs / "cone.json"),
@@ -149,26 +151,49 @@ def test_roos_command(inputs, capsys):
 
 
 def test_lift_table_pool_is_no_wider_than_the_box(inputs, monkeypatch):
-    widths = []
+    forks = []
 
-    class RecordingPool:  # runs the chunks in this process, so no worker starts
-        def __init__(self, max_workers):
-            widths.append(max_workers)
+    def refuse():  # counts the children asked for; none starts
+        forks.append(1)
+        raise OSError("refused in a test")
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     args = ["lift-table", "--cone", str(inputs / "cone.json"),
             "--module", str(inputs / "simple.json"), "--box=0..0,0..0,0..0,0..1"]
-    assert main(args + ["--jobs", "8"]) == 0
-    assert widths == [2]
+    with pytest.warns(RuntimeWarning, match="refused in a test"):
+        assert main(args + ["--jobs", "8"]) == 0
+    # width 2: this process lifts one degree, one child the other
+    assert len(forks) == 1
+
+
+def test_importing_the_cli_loads_no_pool_and_no_pickle():
+    code = ("import sys, coxlift.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'pickle') "
+            "if m in sys.modules))")
+    src = Path(__file__).resolve().parent.parent / "src"  # first on the path of ``-c``
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_a_child_without_a_result_is_an_internal_error(inputs, monkeypatch, capsys):
+    real = lifting.lift_component
+
+    def exit_in_child(cone, module, c):
+        if c == (0, 0, 0, 1):  # the child's degree at width 2
+            os._exit(1)
+        return real(cone, module, c)
+
+    monkeypatch.setattr(lifting, "lift_component", exit_in_child)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(["lift-table", "--cone", str(inputs / "cone.json"),
+                 "--module", str(inputs / "simple.json"), "--box=0..0,0..0,0..0,0..1",
+                 "--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError:") and "exit status 1" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_check_command(capsys):

@@ -1,6 +1,8 @@
 import random
 import sys
+from fractions import Fraction
 
+from coxlift import klyachko
 from coxlift.cones import Cone
 from coxlift.instances import (
     CONE_OVER_SQUARE,
@@ -101,25 +103,43 @@ def patch_everywhere(monkeypatch, func, wrapper):
 
 
 def test_verify_equivalence_intersects_once_per_step_key_and_factors_once(monkeypatch):
-    intersections, smith_forms = [], []
+    intersections, fresh, smith_forms = [], [], []
 
-    def counting_intersect(levels, ambient):
-        levels = tuple(levels)
-        intersections.append(desc._steps([level for _, level in levels]))
-        return intersect_ray_spaces(levels, ambient)
+    def counting(into):
+        def intersect(levels, ambient):
+            levels = tuple(levels)
+            into.append(desc._steps([level for _, level in levels]))
+            return intersect_ray_spaces(levels, ambient)
+        return intersect
 
     def counting_smith(a):
         smith_forms.append(a)
         return smith_normal_form(a)
 
-    patch_everywhere(monkeypatch, intersect_ray_spaces, counting_intersect)
+    patch_everywhere(monkeypatch, intersect_ray_spaces, counting(intersections))
+    # the round trip's own intersections, built apart from the memo
+    monkeypatch.setattr(klyachko, "intersect_ray_spaces", counting(fresh))
     patch_everywhere(monkeypatch, smith_normal_form, counting_smith)
     cone = Cone(3, CONE_OVER_SQUARE.rays)
     desc = random_reflexive_description(cone, random.Random(5))
-    assert verify_equivalence(cone, desc, Box((-1,) * 4, (1,) * 4)).ok
+    out = verify_equivalence(cone, desc, Box((-1,) * 4, (1,) * 4))
+    assert out.ok
     assert intersections and len(intersections) == len(set(intersections))
     assert len(intersections) <= len(desc._spaces)
+    assert len(fresh) == out.roundtrip_checked > 0
     assert smith_forms == [cone.rays]
+
+
+def test_verify_equivalence_catches_a_corrupted_memo_entry(csq):
+    f0 = ray_filtration([(0, [[1, 0]]), (1, [[1, 0], [0, 1]])], 2)
+    desc = ReflexiveDescription(2, (
+        (0, f0), (1, full_at(0, 2)), (2, full_at(0, 2)), (3, full_at(0, 2))))
+    c = (0, 0, 0, 0)
+    assert desc.space(c) == ((1, 0),)
+    # a wrong line of the right dimension, read by the lift and the module alike
+    desc._spaces[desc._steps(c)] = ((Fraction(0), Fraction(1)),)
+    out = verify_equivalence(csq, desc, Box((-1,) * 4, (1,) * 4))
+    assert not out.ok and out.first_mismatch == c
 
 
 def test_realized_components_generic(csq):

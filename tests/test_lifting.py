@@ -1,9 +1,11 @@
 import functools
 import gc
 import importlib
+import os
 import pickle
 import pkgutil
 import random
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import pytest
 
 import coxlift
 from coxlift import lifting
-from coxlift.cones import Cone, minimal_common_upper_bounds, minimal_elements
+from coxlift.cones import Cone, leq_sigma, minimal_common_upper_bounds, minimal_elements
 from coxlift.derived import FinitePosetDiagram
 from coxlift.instances import (
     CONE_OVER_SQUARE,
@@ -303,21 +305,149 @@ def test_lift_table_builds_restriction_maps_only_when_read(csq, monkeypatch):
         assert mat == lift_action(csq, cod, c, nxt)
 
 
+def allow_cpus(monkeypatch, n):
+    """Make ``n`` CPUs usable to ``lift_table``, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def refuse_forks(monkeypatch, message="no process slots"):
+    """Refuse every fork, so no child starts; returns the list of attempts."""
+    attempts = []
+
+    def refuse():
+        attempts.append(message)
+        raise OSError(message)
+
+    monkeypatch.setattr(os, "fork", refuse)
+    return attempts
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_lift_table_warns_once_when_the_pool_cannot_start(csq, monkeypatch, capsys):
-    import concurrent.futures
-
-    def refuse(*args, **kwargs):
-        raise OSError("no process slots")
-
-    # the pool raises before any worker starts
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    allow_cpus(monkeypatch, 2)
+    refuse_forks(monkeypatch)
     cod = codivisorial_module(csq, (0, 0, 0, 0), (1, 3))
     box = Box((-1, 0, -1, 0), (0, 1, 0, 1))
-    with pytest.warns(RuntimeWarning, match="no process slots") as record:
-        table = lift_table(csq, cod, box, jobs=2)
-    assert len(record) == 1
-    assert capsys.readouterr().out == ""
-    assert table.components == lift_table(csq, cod, box, jobs=1).components
+    for jobs in (2, 8):
+        allow_cpus(monkeypatch, jobs)
+        with pytest.warns(RuntimeWarning, match="no process slots") as record:
+            table = lift_table(csq, cod, box, jobs=jobs)
+        assert len(record) == 1
+        assert capsys.readouterr().out == ""
+        assert table.components == lift_table(csq, cod, box, jobs=1).components
+
+
+def test_lift_table_width_is_capped_at_the_degrees_and_the_usable_cpus(csq, monkeypatch):
+    attempts = refuse_forks(monkeypatch)
+    cod = codivisorial_module(csq, (0, 0, 0, 0), (1, 3))
+    box = Box((-1, 0, -1, 0), (0, 1, 0, 1))  # 16 degrees
+    # each refused fork is one child the width asked for
+    for cpus, jobs, width in ((3, 8, 3), (8, 5, 5), (1, 8, 1), (64, 1000, 16)):
+        allow_cpus(monkeypatch, cpus)
+        attempts.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            lift_table(csq, cod, box, jobs=jobs)
+        assert len(attempts) == width - 1
+    # without an affinity set the CPU count caps the width
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    attempts.clear()
+    with pytest.warns(RuntimeWarning):
+        lift_table(csq, cod, box, jobs=8)
+    assert len(attempts) == 1
+
+
+def test_lift_table_components_are_in_degree_order_at_every_width(csq, monkeypatch):
+    allow_cpus(monkeypatch, 2)
+    cod = codivisorial_module(csq, (0, 0, 0, 0), (1, 3))
+    box = Box((-1, 0, -1, 0), (0, 1, 0, 1))
+    tables = [lift_table(csq, cod, box, jobs=jobs) for jobs in (1, 2)]
+    for table in tables:
+        assert list(table.components) == list(box.degrees())
+    assert tables[0].components == tables[1].components
+    assert_no_child_left()
+
+
+# two degrees at width 2: this process lifts the first, one forked child the second
+TWO_DEGREES = Box((0, 0, 0, 0), (0, 0, 0, 1))
+
+
+def fail_at(monkeypatch, degree, fail):
+    """Make ``lift_component`` call ``fail()`` at ``degree``, in this process and in children."""
+    def lift(cone, module, c):
+        if c == degree:
+            fail()
+        return lift_component(cone, module, c)
+
+    monkeypatch.setattr(lifting, "lift_component", lift)
+
+
+def test_lift_table_reraises_an_exception_from_a_child(csq, monkeypatch):
+    allow_cpus(monkeypatch, 2)
+
+    def fail():
+        raise ValueError("raised in a child")
+
+    fail_at(monkeypatch, (0, 0, 0, 1), fail)
+    with pytest.raises(ValueError, match="raised in a child"):
+        lift_table(csq, simple_module(csq), TWO_DEGREES, jobs=2)
+    assert_no_child_left()
+
+
+def test_lift_table_reports_a_child_that_leaves_no_result(csq, monkeypatch):
+    allow_cpus(monkeypatch, 2)
+    fail_at(monkeypatch, (0, 0, 0, 1), lambda: os._exit(1))
+    with pytest.raises(RuntimeError, match="exit status 1"):
+        lift_table(csq, simple_module(csq), TWO_DEGREES, jobs=2)
+    assert_no_child_left()
+
+
+def test_lift_table_reaps_its_children_when_its_own_share_raises(csq, monkeypatch):
+    allow_cpus(monkeypatch, 2)
+
+    def fail():
+        raise ValueError("raised in the coordinator")
+
+    fail_at(monkeypatch, (0, 0, 0, 0), fail)
+    with pytest.raises(ValueError, match="raised in the coordinator"):
+        lift_table(csq, simple_module(csq), TWO_DEGREES, jobs=2)
+    assert_no_child_left()
+
+
+def every_transport_lift_action(cone, module, src, tgt):
+    """Reference: each target block transported from its first dominated
+    source block, whatever the dimensions of the two lifts."""
+    blocks = []
+    for mk in tgt.minimal_points:
+        i = next(i for i, mi in enumerate(src.minimal_points) if leq_sigma(cone, mi, mk))
+        blocks.append((i, module.action(src.minimal_points[i], mk)))
+    return lifting._blockwise(src, tgt, blocks)
+
+
+def test_restriction_maps_touching_a_zero_lift_read_no_transport(csq, monkeypatch):
+    cod = codivisorial_module(csq, (0, 0, 0, 0), (1, 3))
+    box = Box((-1,) * 4, (1,) * 4)
+    table = lift_table(csq, cod, box)
+    calls = []
+    action = type(cod).action
+
+    def counting(self, m, m_prime):
+        calls.append((m, m_prime))
+        return action(self, m, m_prime)
+
+    monkeypatch.setattr(type(cod), "action", counting)
+    steps = table.steps
+    zero_sided = [(c, axis) for c, axis in steps
+                  if table.dim(c) == 0 or table.dim(tuple(x + (i == axis) for i, x in enumerate(c))) == 0]
+    assert (len(steps), len(zero_sided), len(calls)) == (216, 168, 84)
+    for (c, axis), mat in steps.items():
+        nxt = tuple(x + (i == axis) for i, x in enumerate(c))
+        assert mat == every_transport_lift_action(csq, cod, table.component(c), table.component(nxt))
 
 
 def test_memos_are_freed_with_their_cone_and_modules():
