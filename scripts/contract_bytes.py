@@ -16,6 +16,10 @@ Runs, with this checkout's ``src`` on the path:
   Z^3) over ``--box=-1..1``, each with a rank-2 filtration module, so
   the minimal points of every degree come from those of its class;
 * ``coxlift.cli roos --diagram diagram_crown.json --imax 0|1|2``;
+* ``coxlift.cli roos --imax 2`` on a truncation diagram written here
+  without the library: the maximal ideal on the cone over a square, on
+  the up-set of ``(-1, 0, -1, 0)`` truncated at 1-norm 9 (50 points,
+  lim = (0, 2, 0)), whose differentials have more rows than columns;
 * ``scripts/derived_evidence.py``, whose report prints the point count
   and limit dimensions of a truncation, which ``check roos`` does not.
 
@@ -33,6 +37,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from itertools import product
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SUITES = ("classgroups", "colimit", "exactness", "ideal", "klifting", "klyachko",
@@ -74,6 +79,31 @@ CLASS_GROUP_CASES = {
     }),
 }
 
+SQUARE_RAYS = ((1, 0, 0), (0, 1, 0), (-1, 1, 1), (0, 0, 1))
+
+
+def square_ideal_truncation(c=(-1, 0, -1, 0), bound=9) -> dict:
+    """Diagram JSON of the maximal ideal on the cone over a square over the
+    points m with L(m) >= c and |L(m) - c|_1 <= bound, ordered by L.
+
+    A point has dimension 1 when L(m) >= 0 and m != 0, else 0; the maps
+    between points of dimension 1 are the identity.  Rays 0, 1 and 3 are
+    unit vectors, so the box of m is read off c and the bound.
+    """
+    values = {m: tuple(sum(r * x for r, x in zip(ray, m)) for ray in SQUARE_RAYS)
+              for m in product(*(range(c[k], c[k] + bound + 1) for k in (0, 1, 3)))}
+    points = sorted(m for m, v in values.items()
+                    if min(a - b for a, b in zip(v, c)) >= 0
+                    and sum(a - b for a, b in zip(v, c)) <= bound)
+    name = {m: "m" + "_".join(map(str, m)) for m in points}
+    dim = {m: int(min(values[m]) >= 0 and any(m)) for m in points}
+    leq = [(p, q) for p in points for q in points
+           if p != q and all(a <= b for a, b in zip(values[p], values[q]))]
+    return {"elements": [name[m] for m in points],
+            "leq": [[name[p], name[q]] for p, q in leq],
+            "dims": {name[m]: dim[m] for m in points},
+            "maps": {f"{name[p]}->{name[q]}": [[1] * dim[p]] * dim[q] for p, q in leq}}
+
 
 def commands(inputs: pathlib.Path):
     """``(name, arguments to the interpreter)`` for every contract command."""
@@ -97,6 +127,9 @@ def commands(inputs: pathlib.Path):
         yield (f"roos-imax{imax}",
                cli + ["roos", "--diagram", str(inputs / "diagram_crown.json"),
                       "--imax", imax])
+    yield ("roos-square-ideal-imax2",
+           cli + ["roos", "--diagram", str(inputs / "diagram_square_ideal.json"),
+                  "--imax", "2"])
     yield "derived-evidence", [str(ROOT / "scripts" / "derived_evidence.py")]
 
 
@@ -114,6 +147,8 @@ def main() -> int:
                        check=True, stdout=subprocess.DEVNULL)
         (inputs / "module_generic_lines.json").write_text(json.dumps(GENERIC_LINES))
         (inputs / "module_presented.json").write_text(json.dumps(PRESENTED))
+        (inputs / "diagram_square_ideal.json").write_text(
+            json.dumps(square_ideal_truncation()))
         for case, (_, cone, module) in CLASS_GROUP_CASES.items():
             (inputs / f"cone_{case}.json").write_text(json.dumps(cone))
             (inputs / f"module_{case}.json").write_text(json.dumps(module))

@@ -5,7 +5,10 @@ poset are the cohomology of the cochain complex on strictly increasing
 chains (the combinatorial analog of the Cech complex going back to
 Roos): C^p collects the space at the top of every p-chain, and the
 differential alternates face deletions, transporting along the last
-arrow when the top is dropped.  H^0 is the limit.
+arrow when the top is dropped.  H^0 is the limit.  The chains of each
+length extend those one shorter, and the differentials, tall and very
+sparse, are ranked by ``sparse_rank`` along their shorter side, sparsest
+lines first; ``RoosResult.differential_ranks`` holds those ranks.
 
 For the infinite up-sets behind the lift, the module is truncated to a
 finite sub-poset by a 1-norm bound on the Cox coordinates.  The points
@@ -127,14 +130,18 @@ class FinitePosetDiagram:
         return out
 
     def validate_composition(self) -> None:
-        n = len(self.elements)
-        for i in range(n):
-            for j in self.strict_successors(i):
-                for k in self.strict_successors(j):
-                    lhs = self.transport(j, k).mul(self.transport(i, j))
-                    if lhs != self.transport(i, k):
-                        raise ValueError(
-                            f"transports fail to compose on {i} <= {j} <= {k}")
+        """Check ``T(j,k) T(i,j) = T(i,k)`` on every chain ``i < j < k``.
+
+        Only the chains whose first step is a cover ``i ⋖ j`` are read;
+        the rest follow by induction on the length of ``i -> j``: with a
+        cover ``i ⋖ i' < j``, ``T(j,k) T(i',j) T(i,i') = T(i',k) T(i,i')
+        = T(i,k)``.
+        """
+        for i, j in self.covers():
+            for k in self.strict_successors(j):
+                lhs = self.transport(j, k).mul(self.transport(i, j))
+                if lhs != self.transport(i, k):
+                    raise ValueError(f"transports fail to compose on {i} <= {j} <= {k}")
 
     @classmethod
     def from_maps(cls, elements: Sequence, pairs: Sequence[tuple[int, int]],
@@ -223,18 +230,14 @@ class RoosResult:
     differential_ranks: tuple[int, ...]
 
 
-def _strict_chains(diagram: FinitePosetDiagram, length: int) -> list[tuple[int, ...]]:
-    """All strictly increasing chains with ``length`` elements."""
-    if length == 0:
-        return []
-    chains: list[tuple[int, ...]] = [(i,) for i in range(len(diagram.elements))]
-    for _ in range(length - 1):
-        nxt = []
-        for ch in chains:
-            for j in diagram.strict_successors(ch[-1]):
-                nxt.append(ch + (j,))
-        chains = nxt
-    return chains
+def _chain_levels(diagram: FinitePosetDiagram, count: int) -> list[list[tuple[int, ...]]]:
+    """The strictly increasing chains with 1, ..., ``count`` elements, one
+    list per length, ``count >= 1``.  Each level extends the one below it,
+    so once a level is empty no successors are read for the levels above."""
+    levels = [[(i,) for i in range(len(diagram.elements))]]
+    while len(levels) < count:
+        levels.append([ch + (j,) for ch in levels[-1] for j in diagram.strict_successors(ch[-1])])
+    return levels
 
 
 def _top_degree(imax: int) -> int:
@@ -248,7 +251,7 @@ def _top_degree(imax: int) -> int:
 def roos_limits(diagram: FinitePosetDiagram, imax: int) -> RoosResult:
     """Dimensions of the derived limits lim^0 .. lim^imax."""
     imax = _top_degree(imax)
-    chain_levels = [_strict_chains(diagram, p + 1) for p in range(imax + 2)]
+    chain_levels = _chain_levels(diagram, imax + 2)
     offsets_per_level: list[dict[tuple[int, ...], int]] = []
     cochain_dims = []
     for chains in chain_levels:

@@ -8,15 +8,18 @@ elimination, the sparse pivot table of ``_pivot_table``, and it is
 fraction-free: each row is scaled to integers once, a row is cleared by
 an integer combination ``a*row - f*pivot``, and stored rows are primitive
 (content 1, positive leading entry), which keeps the integers small.
-It reads its rows lazily, one at a time.  Ranks count its pivots and
-read every row; reduced forms back-substitute it and divide each row
-once by its leading entry.  Kernels (``sparse_kernel_basis``, which
-``kernel_basis`` calls) stop pulling rows once the table holds a pivot
-in every column, so rows after full rank are never built.  There is one
-change of basis, ``matrix_in_basis``: every map between components
-(transports, restriction maps, lifted morphisms, unit and counit) writes
-its images in the target's RREF basis there.  A matrix has
-exactly one RREF, so every pivot list, kernel, solution and row-space
+It reads its rows lazily, one at a time.  Ranks (``sparse_rank``, which
+``rank`` calls) count its pivots; they read the whole matrix and
+eliminate its shorter side, sparsest lines first, since the rank does
+not depend on that order.  Reduced forms back-substitute the table of
+the rows as given and divide each row once by its leading entry.
+Kernels (``sparse_kernel_basis``, which ``kernel_basis`` calls) take
+the rows in order too, and stop pulling them once the table holds a
+pivot in every column, so rows after full rank are never built.  There
+is one change of basis, ``matrix_in_basis``: every map between
+components (transports, restriction maps, lifted morphisms, unit and
+counit) writes its images in the target's RREF basis there.  A matrix
+has exactly one RREF, so every pivot list, kernel, solution and row-space
 basis read from it is fixed by the input whatever order the elimination
 runs in: equal subspaces get identical bases, and output is reproducible
 bit for bit.
@@ -153,8 +156,8 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
 
 
 def rank(m: Mat) -> int:
-    """Number of pivots; no back-substitution."""
-    return len(_pivot_table(_sparse_rows(m)))
+    """Number of pivots, by ``sparse_rank``."""
+    return sparse_rank(_sparse_rows(m))
 
 
 def kernel_basis(m: Mat) -> list[Vector]:
@@ -286,10 +289,26 @@ def is_isomorphism(m: Mat) -> bool:
 def sparse_rank(rows: Iterable[dict]) -> int:
     """Rank of a sparse rational matrix given as dicts ``col -> value``.
 
-    Counts pivots without back-substitution; built for the large, very
-    sparse differentials of cochain complexes.
+    Counts pivots without back-substitution.  The rank does not depend
+    on the order of elimination, so the matrix is eliminated along its
+    shorter side (its columns when there are fewer of them than nonzero
+    rows) and its lines are fed to the pivot table sparsest first, in a
+    stable order.  On the tall, very sparse differentials of cochain
+    complexes this keeps the fill-in small.
     """
-    return len(_pivot_table(rows))
+    lines: list[dict] = []
+    cols: dict[int, dict] = {}
+    for r in rows:
+        line = {}
+        for c, v in r.items():
+            if v:
+                line[c] = v
+                cols.setdefault(c, {})[len(lines)] = v
+        if line:
+            lines.append(line)
+    if len(cols) < len(lines):
+        lines = list(cols.values())
+    return len(_pivot_table(sorted(lines, key=len)))
 
 
 def _pivot_table(rows: Iterable[dict],

@@ -1,11 +1,13 @@
 import math
+import re
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coxlift import derived
+from coxlift import derived, linalg
 from coxlift.cones import Cone, minimal_elements
 from coxlift.derived import (
     FinitePosetDiagram,
@@ -23,7 +25,7 @@ from coxlift.derived import (
 from coxlift.instances import TEST_CONES, random_module
 from coxlift.lifting import lift_component, lift_morphism
 from coxlift.linalg import Mat, rank
-from coxlift.modules import codivisorial_module, simple_module
+from coxlift.modules import codivisorial_module, maximal_ideal_module, simple_module
 
 from cone_oracles import preimage_truncation_points
 
@@ -73,6 +75,48 @@ def test_order_complex_matches_roos_on_random_posets(rng):
         assert roos_limits(diag, 2).limit_dims == order_complex_cohomology(n, rel, 2)
 
 
+def test_chain_levels_stop_at_the_height_of_the_poset():
+    # height 3: 0 < 2 < 3 and 1 < 2 < 3; past imax 2 every cochain group is 0
+    diag = constant_diagram(4, {(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})
+    calls = []
+    successors = diag.strict_successors
+
+    def counting(i):
+        calls.append(i)
+        return successors(i)
+
+    diag.strict_successors = counting
+    counts = []
+    for imax in (2, 3, 10, 200):
+        calls.clear()
+        assert roos_limits(diag, imax).limit_dims == (1,) + (0,) * imax
+        counts.append(len(calls))
+    # one call per chain of each length 1, 2, 3: 4 + 5 + 2
+    assert counts == [11] * 4
+
+
+def test_roos_differentials_clear_few_entries(csq, monkeypatch):
+    # the maximal ideal on the up-set of (-1,0,-1,0), truncated at 1-norm 9;
+    # eliminating the rows of each differential in the order given took
+    # 3084 clears at imax 1 (d^1 is 344 x 201 of rank 170)
+    points = truncation_points(csq, (-1, 0, -1, 0), 9)
+    diag = FinitePosetDiagram.from_module(csq, maximal_ideal_module(csq), points)
+    assert len(points) == 50
+    calls = []
+    clear = linalg._clear
+
+    def counting(row, c, prow):
+        calls.append(c)
+        clear(row, c, prow)
+
+    monkeypatch.setattr(linalg, "_clear", counting)
+    res = roos_limits(diag, 1)
+    assert res.limit_dims == (0, 2)
+    assert res.differential_ranks == (29, 170)
+    assert len(calls) <= 3084 // 5
+    assert roos_limits(diag, 2).limit_dims == (0, 2, 0)
+
+
 def test_equalizer_matches_roos_on_module_diagrams(rng):
     for _ in range(6):
         cone = TEST_CONES[rng.randrange(len(TEST_CONES))]
@@ -89,6 +133,70 @@ def test_diagram_validation_rejects_bad_composition():
     with pytest.raises(ValueError):
         FinitePosetDiagram.from_maps(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)],
                                      [1, 1, 1], maps)
+
+
+def full_grid_composes(diagram) -> bool:
+    """Reference oracle: ``T(j,k) T(i,j) = T(i,k)`` on every chain ``i < j < k``."""
+    return all(diagram.transport(j, k).mul(diagram.transport(i, j)) == diagram.transport(i, k)
+               for i in range(len(diagram.elements))
+               for j in diagram.strict_successors(i)
+               for k in diagram.strict_successors(j))
+
+
+@st.composite
+def corrupted_diagrams(draw):
+    """A random poset on up to 7 elements, ordered compatibly with their
+    indices, with the composing transports ``T(i,j) = B_j B_i^-1`` of
+    invertible upper triangular ``B_i``, and one strict pair's transport
+    changed in one entry.  The change breaks composition exactly when the
+    pair lies on a chain of three elements."""
+    n = draw(st.integers(2, 7))
+    d = draw(st.integers(1, 2))
+    rel = transitive_closure((i, j) for i in range(n) for j in range(i + 1, n)
+                             if draw(st.booleans()))
+    unit = st.sampled_from([-2, -1, 1, 2, 3]).map(Fraction)
+    small = st.integers(-2, 2).map(Fraction)
+    b, b_inv = [], []
+    for _ in range(n):
+        x, y, z = draw(unit), draw(small), draw(unit)
+        if d == 1:
+            b.append(Mat(1, 1, [[x]]))
+            b_inv.append(Mat(1, 1, [[1 / x]]))
+        else:
+            b.append(Mat(2, 2, [[x, y], [0, z]]))
+            b_inv.append(Mat(2, 2, [[1 / x, -y / (x * z)], [0, 1 / z]]))
+    bad = draw(st.sampled_from(sorted(rel))) if rel else None
+    r, c, delta = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)), draw(unit)
+
+    def provider(i, j):
+        out = b[j].mul(b_inv[i])
+        if (i, j) == bad:
+            out.rows[r][c] += delta
+        return out
+
+    return FinitePosetDiagram(list(range(n)), rel, [d] * n, provider)
+
+
+def chain_with_a_wrong_long_arrow():
+    """0 < 1 < 2 < 3 with identity transports but T(0,3) = 2: no chain of
+    covers shows it, only 0 < 1 < 3 and 0 < 2 < 3."""
+    return FinitePosetDiagram(list(range(4)), transitive_closure([(0, 1), (1, 2), (2, 3)]),
+                              [1] * 4, lambda i, j: Mat.from_rows([[2 if (i, j) == (0, 3) else 1]]))
+
+
+@settings(max_examples=100)
+@given(corrupted_diagrams())
+@example(chain_with_a_wrong_long_arrow())
+def test_cover_triples_reject_what_the_full_grid_rejects(diagram):
+    if full_grid_composes(diagram):
+        diagram.validate_composition()
+        return
+    with pytest.raises(ValueError, match="fail to compose") as info:
+        diagram.validate_composition()
+    # the message names a chain on which the transports do fail
+    i, j, k = map(int, re.findall(r"\d+", str(info.value)))
+    assert (i, j) in diagram.covers()
+    assert diagram.transport(j, k).mul(diagram.transport(i, j)) != diagram.transport(i, k)
 
 
 def test_diagram_fills_composites():

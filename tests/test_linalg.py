@@ -267,6 +267,45 @@ def test_fraction_free_elimination_matches_oracles(shape_rows):
     assert rref(m) == (red, pivots)
 
 
+@st.composite
+def wide_or_tall_rows(draw):
+    """Up to 10x10, wide or tall, about half zeros, and a reordering of the
+    rows; some rows are zero and some are combinations of two earlier
+    rows, so both sides lose rank."""
+    nrows, ncols = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    rows: list[list] = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("random", "zero", "combination")))
+        if kind == "combination" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        else:
+            rows.append([draw(entry) for _ in range(ncols)])
+    return ncols, rows, draw(st.permutations(range(nrows)))
+
+
+@given(wide_or_tall_rows(), st.booleans())
+@example((3, [list(map(Fraction, row)) for row in
+             ([1, 0, 0], [0, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0])], [4, 2, 0, 3, 1]), True)
+def test_sparse_rank_ignores_side_and_order(shape_rows, keep_zeros):
+    # the rows, their transpose and a permutation of them have one rank,
+    # with or without explicit Fraction(0) entries in the dicts
+    ncols, rows, order = shape_rows
+
+    def sparse(matrix):
+        return [{j: v for j, v in enumerate(row) if v or keep_zeros} for row in matrix]
+
+    expected = len(dense_rref(Mat(len(rows), ncols, rows))[1])
+    transpose = [[row[j] for row in rows] for j in range(ncols)]
+    assert sparse_rank(sparse(rows)) == expected
+    assert sparse_rank(sparse(transpose)) == expected
+    assert sparse_rank(iter(sparse([rows[i] for i in order]))) == expected
+    assert rank(Mat(len(rows), ncols, rows)) == expected
+
+
 def rows_until_full_rank(rows: list[dict], ncols: int):
     """Yield the rows in order; a pull past the row that completes rank
     ``ncols`` (by the ``Fraction`` oracle) raises instead."""
