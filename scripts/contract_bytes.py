@@ -20,6 +20,10 @@ Runs, with this checkout's ``src`` on the path:
   without the library: the maximal ideal on the cone over a square, on
   the up-set of ``(-1, 0, -1, 0)`` truncated at 1-norm 9 (50 points,
   lim = (0, 2, 0)), whose differentials have more rows than columns;
+  once with every relation and its map, once with only the 104 covers
+  and their maps, which the library closes and composes itself;
+* ``coxlift.cli roos --imax 2`` on a diagram with ``a < b`` and
+  ``b < a``, which exits 2 as not antisymmetric;
 * ``scripts/derived_evidence.py``, whose report prints the point count
   and limit dimensions of a truncation, which ``check roos`` does not.
 
@@ -80,15 +84,20 @@ CLASS_GROUP_CASES = {
 }
 
 SQUARE_RAYS = ((1, 0, 0), (0, 1, 0), (-1, 1, 1), (0, 0, 1))
+# a < b and b < a: closing the relation must not hide the cycle
+CYCLE = {"elements": ["a", "b"], "leq": [["a", "b"], ["b", "a"]], "dims": {"a": 1, "b": 1},
+         "maps": {"a->b": [[1]], "b->a": [[1]]}}
 
 
-def square_ideal_truncation(c=(-1, 0, -1, 0), bound=9) -> dict:
+def square_ideal_truncation(covers_only=False, c=(-1, 0, -1, 0), bound=9) -> dict:
     """Diagram JSON of the maximal ideal on the cone over a square over the
     points m with L(m) >= c and |L(m) - c|_1 <= bound, ordered by L.
 
     A point has dimension 1 when L(m) >= 0 and m != 0, else 0; the maps
     between points of dimension 1 are the identity.  Rays 0, 1 and 3 are
-    unit vectors, so the box of m is read off c and the bound.
+    unit vectors, so the box of m is read off c and the bound.  With
+    ``covers_only`` the relation and the maps are given on the covering
+    pairs alone.
     """
     values = {m: tuple(sum(r * x for r, x in zip(ray, m)) for ray in SQUARE_RAYS)
               for m in product(*(range(c[k], c[k] + bound + 1) for k in (0, 1, 3)))}
@@ -99,6 +108,10 @@ def square_ideal_truncation(c=(-1, 0, -1, 0), bound=9) -> dict:
     dim = {m: int(min(values[m]) >= 0 and any(m)) for m in points}
     leq = [(p, q) for p in points for q in points
            if p != q and all(a <= b for a, b in zip(values[p], values[q]))]
+    if covers_only:
+        strict = set(leq)
+        leq = [(p, q) for p, q in leq
+               if not any((p, r) in strict and (r, q) in strict for r in points)]
     return {"elements": [name[m] for m in points],
             "leq": [[name[p], name[q]] for p, q in leq],
             "dims": {name[m]: dim[m] for m in points},
@@ -127,9 +140,10 @@ def commands(inputs: pathlib.Path):
         yield (f"roos-imax{imax}",
                cli + ["roos", "--diagram", str(inputs / "diagram_crown.json"),
                       "--imax", imax])
-    yield ("roos-square-ideal-imax2",
-           cli + ["roos", "--diagram", str(inputs / "diagram_square_ideal.json"),
-                  "--imax", "2"])
+    for name in ("square_ideal", "square_ideal_covers", "cycle"):
+        yield (f"roos-{name.replace('_', '-')}-imax2",
+               cli + ["roos", "--diagram", str(inputs / f"diagram_{name}.json"),
+                      "--imax", "2"])
     yield "derived-evidence", [str(ROOT / "scripts" / "derived_evidence.py")]
 
 
@@ -149,6 +163,9 @@ def main() -> int:
         (inputs / "module_presented.json").write_text(json.dumps(PRESENTED))
         (inputs / "diagram_square_ideal.json").write_text(
             json.dumps(square_ideal_truncation()))
+        (inputs / "diagram_square_ideal_covers.json").write_text(
+            json.dumps(square_ideal_truncation(covers_only=True)))
+        (inputs / "diagram_cycle.json").write_text(json.dumps(CYCLE))
         for case, (_, cone, module) in CLASS_GROUP_CASES.items():
             (inputs / f"cone_{case}.json").write_text(json.dumps(cone))
             (inputs / f"module_{case}.json").write_text(json.dumps(module))

@@ -12,7 +12,6 @@ posets.
 
 from .cones import (
     Cone,
-    MinimalElements,
     leq_sigma,
     minimal_common_upper_bounds,
     minimal_elements,
@@ -29,7 +28,7 @@ from .derived import (
     roos_limits,
     truncated_lift_oracle,
 )
-from .fans import ChartData, ClassGroupData, FanData, affine_chart, class_group, global_reflexive_lift
+from .fans import ChartData, FanData, affine_chart, class_group, global_reflexive_lift
 from .klyachko import filtration_lift_component, realized_components, verify_equivalence
 from .lattice import (
     LatticeQuotient,

@@ -140,14 +140,6 @@ class Cone:
         return out
 
 
-@dataclass(frozen=True)
-class MinimalElements:
-    """A complete antichain of order-minimal lattice points of P_c."""
-
-    elements: tuple[IntVector, ...]
-    for_degree: IntVector
-
-
 def leq_sigma(cone: Cone, m: Sequence[int], m_prime: Sequence[int]) -> bool:
     """Dual-cone order: every ray form nondecreasing from m to m_prime."""
     return all(a <= b for a, b in zip(cone.evaluate(m), cone.evaluate(m_prime)))
@@ -300,8 +292,8 @@ def _class_shift(cone: Cone, c: IntVector) -> tuple[IntVector, IntVector]:
     return tuple(a - b for a, b in zip(c, imat_vec(cone.rays, h))), h
 
 
-def minimal_elements(cone: Cone, c: Sequence[int]) -> MinimalElements:
-    """The complete finite antichain of order-minimal points of P_c.
+def minimal_elements(cone: Cone, c: Sequence[int]) -> tuple[IntVector, ...]:
+    """The complete finite antichain of order-minimal points of P_c, sorted.
 
     Since ``P_{c + L(h)} = P_c + h`` for every h in M, the search runs
     once per divisor class, at its key c0, and its points are moved by h
@@ -317,8 +309,7 @@ def minimal_elements(cone: Cone, c: Sequence[int]) -> MinimalElements:
         base = cone._classes.get(c0)
         if base is None:
             base = cone._classes[c0] = _minimal_points(cone, c0)
-        out = cone._minimal[c] = MinimalElements(
-            tuple(tuple(a + b for a, b in zip(m, h)) for m in base), c)
+        out = cone._minimal[c] = tuple(tuple(a + b for a, b in zip(m, h)) for m in base)
     return out
 
 
@@ -357,7 +348,7 @@ def truncation_points(cone: Cone, c: Sequence[int], bound: int) -> list[IntVecto
 
 def minimal_common_upper_bounds(
     cone: Cone, m: Sequence[int], m_prime: Sequence[int]
-) -> MinimalElements:
+) -> tuple[IntVector, ...]:
     """Minimal points dominating both arguments in the dual-cone order."""
     top = tuple(max(a, b) for a, b in zip(cone.evaluate(m), cone.evaluate(m_prime)))
     return minimal_elements(cone, top)
@@ -365,7 +356,7 @@ def minimal_common_upper_bounds(
 
 def strict_interior_point(cone: Cone) -> IntVector:
     """Some m with every ray form at least one: an interior dual-cone point."""
-    points = minimal_elements(cone, (1,) * cone.ray_count).elements
+    points = minimal_elements(cone, (1,) * cone.ray_count)
     if not points:
         raise ValueError("the dual cone has no interior lattice point: "
                          "the cone is not strictly convex")

@@ -37,24 +37,6 @@ from .modules import GradedModule, GradedMorphism
 IntVector = tuple[int, ...]
 
 
-def transitive_closure(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Strict pairs ``(a, b)``, ``a != b``, of the transitive closure of a relation."""
-    succ: dict[int, set[int]] = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    out = set()
-    for a, direct in succ.items():
-        seen: set[int] = set()
-        stack = list(direct)
-        while stack:
-            b = stack.pop()
-            if b not in seen:
-                seen.add(b)
-                stack.extend(succ.get(b, ()))
-        out.update((a, b) for b in seen if b != a)
-    return out
-
-
 def _bits(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, ascending."""
     out = []
@@ -65,6 +47,17 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _masks(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Per element i < n, the bitmask of the j != i with ``(i, j)`` in ``pairs``."""
+    up = [0] * n
+    for i, j in pairs:
+        if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+            raise ValueError(f"relation pair {(i, j)} names no element by index")
+        if i != j:
+            up[i] |= 1 << j
+    return up
+
+
 class FinitePosetDiagram:
     """A finite poset with a space per element and a transport per relation.
 
@@ -72,17 +65,12 @@ class FinitePosetDiagram:
     when i < j strictly; validation, successors and covers read it.
     """
 
-    def __init__(self, elements: Sequence, relation: set[tuple[int, int]],
+    def __init__(self, elements: Sequence, relation: Iterable[tuple[int, int]],
                  dims: Sequence[int],
                  map_provider: Callable[[int, int], Mat]):
         self.elements = tuple(elements)
         n = len(self.elements)
-        up = [0] * n
-        for i, j in relation:
-            if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
-                raise ValueError(f"relation pair {(i, j)} names no element by index")
-            if i != j:
-                up[i] |= 1 << j
+        up = _masks(n, relation)
         self._up = up
         self._succ = [_bits(mask) for mask in up]
         if any(up[j] >> i & 1 for i in range(n) for j in self._succ[i]):
@@ -149,18 +137,25 @@ class FinitePosetDiagram:
                   maps: dict[tuple[int, int], Mat]) -> "FinitePosetDiagram":
         """Build from explicit relation pairs and matrices.
 
-        The relation is closed transitively, and every given map must lie
-        on a strict pair of it and have the shape its two dimensions fix.
-        A missing map i -> j is the composite along given maps, leaving i
-        by its lowest-numbered given map that still lies below j, so it
-        does not depend on the order in which transports are asked for;
-        then the whole square grid of compositions is validated.
+        The relation is closed transitively on bitmasks (Warshall), and
+        every given map must lie on a strict pair of it and have the shape
+        its two dimensions fix.  A missing map i -> j is the composite
+        along given maps, leaving i by its lowest-numbered given map that
+        still lies below j, so it does not depend on the order in which
+        transports are asked for; then the compositions are validated.
         """
-        rel = transitive_closure((plain_int(i), plain_int(j)) for i, j in pairs)
+        n = len(elements)
+        up = _masks(n, ((plain_int(i), plain_int(j)) for i, j in pairs))
+        for k in range(n):
+            for i in range(n):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        # strict pairs only; the constructor rejects a cycle as not antisymmetric
+        up = [mask & ~(1 << i) for i, mask in enumerate(up)]
         filled = dict(maps)
         given: dict[int, list[int]] = {}
         for i, k in sorted(maps):
-            if (i, k) not in rel:
+            if not (0 <= k < n and up[i] >> k & 1):
                 raise ValueError(f"map {elements[i]}->{elements[k]} is given, but "
                                  f"{elements[i]} < {elements[k]} is not in the relation")
             given.setdefault(i, []).append(k)
@@ -168,7 +163,7 @@ class FinitePosetDiagram:
         def provider(i: int, j: int) -> Mat:
             path = [i]
             while (path[-1], j) not in filled:
-                step = next((k for k in given.get(path[-1], ()) if (k, j) in rel), None)
+                step = next((k for k in given.get(path[-1], ()) if up[k] >> j & 1), None)
                 if step is None:
                     raise ValueError(f"no transport data for {i} -> {j}")
                 path.append(step)
@@ -178,6 +173,7 @@ class FinitePosetDiagram:
                 filled[(a, j)] = out
             return out
 
+        rel = [(i, j) for i in range(n) for j in _bits(up[i])]
         diagram = cls(elements, rel, dims, provider)
         for (i, k), mat in sorted(maps.items()):
             want = (diagram.dims[k], diagram.dims[i])
@@ -215,8 +211,8 @@ class FinitePosetDiagram:
                     mask |= 1 << i
                 for i in group:
                     up[i] &= mask
-        rel = {(i, j) for i in range(n) for j in _bits(up[i]) if j != i}
-        dims = [module.component(p).dim for p in points]
+        rel = [(i, j) for i in range(n) for j in _bits(up[i])]
+        dims = [module.component(p) for p in points]
         return cls(points, rel, dims,
                    lambda i, j: module.action(points[i], points[j]))
 
@@ -359,13 +355,13 @@ class TruncationReport:
 
 def certification_bound(cone: Cone, c: IntVector) -> int:
     """1-norm bound that brings all minimal points and their pairwise bounds inside."""
-    mins = minimal_elements(cone, c).elements
+    mins = minimal_elements(cone, c)
     worst = 0
     for m in mins:
         worst = max(worst, sum(v - x for v, x in zip(cone.evaluate(m), c)))
     for i in range(len(mins)):
         for j in range(i + 1, len(mins)):
-            for u in minimal_common_upper_bounds(cone, mins[i], mins[j]).elements:
+            for u in minimal_common_upper_bounds(cone, mins[i], mins[j]):
                 worst = max(worst, sum(v - x for v, x in zip(cone.evaluate(u), c)))
     return worst
 

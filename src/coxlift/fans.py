@@ -139,26 +139,14 @@ def _check_shared_faces(rays: IntMatrix, cones) -> None:
             raise ValueError(f"no separating functional for cones {a} and {b}")
 
 
-@dataclass(frozen=True)
-class ClassGroupData:
-    """Cokernel of the grading map with an explicit degree map."""
-
-    free_rank: int
-    torsion: tuple[int, ...]
-    quotient: LatticeQuotient
-
-    def degree(self, c: Sequence[int]) -> tuple[IntVector, IntVector]:
-        return self.quotient.project(c)
-
-
-def class_group(fan: FanData) -> ClassGroupData:
-    """Z^rays modulo the image of the character lattice, split via SNF."""
+def class_group(fan: FanData) -> LatticeQuotient:
+    """Z^rays modulo the image of the character lattice, split via SNF:
+    ``project`` sends a Cox degree to its class."""
     if rational_rank(fan.rays) != fan.lattice_rank:
         raise ValueError("rays do not span the lattice; class group undefined")
     columns = [[fan.rays[i][j] for i in range(fan.ray_count)]
                for j in range(fan.lattice_rank)]
-    quot = reduce_by_sublattice(fan.ray_count, columns)
-    return ClassGroupData(quot.free_rank, quot.torsion_moduli, quot)
+    return reduce_by_sublattice(fan.ray_count, columns)
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def random_module(cone: Cone, rng: random.Random) -> GradedModule:
             touched = rng.sample(range(len(gens)), rng.randint(1, len(gens)))
             top = gens[touched[0]]
             for t in touched[1:]:
-                top = minimal_common_upper_bounds(cone, top, gens[t]).elements[0]
+                top = minimal_common_upper_bounds(cone, top, gens[t])[0]
             coeffs = [Fraction(0)] * len(gens)
             for t in touched:
                 coeffs[t] = Fraction(rng.choice([-2, -1, 1, 2]))

@@ -41,10 +41,7 @@ IntVector = tuple[int, ...]
 
 def filtration_lift_component(desc: ReflexiveDescription, c: Sequence[int]) -> tuple[Vector, ...]:
     """Direct intersection of the ray spaces at levels c_rho."""
-    c = int_vector(c)
-    if len(c) != len(desc.filtrations):
-        raise ValueError("degree length differs from filtration count")
-    return desc.space(c)
+    return desc.space(int_vector(c))
 
 
 def lift_subspace_in_ambient(module: FiltrationModule,

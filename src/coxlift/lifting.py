@@ -23,14 +23,15 @@ map), colimits along interior rays, and box-relative generator
 detection also live here.
 
 Degree computations are independent and not memoized here: the cone
-memoizes its minimal points and the module its components and
-transports.  A sweep can share its degrees out over forked child
-processes: the coordinator lifts one share itself, each child lifts
-another and pipes it back pickled, and the shares are merged in degree
-order, so output is byte-identical at any width.  The width is capped
-at the number of degrees and of usable CPUs.  A sweep computes only the
-components; its one-step restriction maps are built the first time
-they are read.
+memoizes its minimal points, a finitely presented module its reduced
+relations, and a reflexive description its intersections and the
+inclusions between them.  A sweep can share its degrees out over
+forked child processes: the coordinator lifts one share itself, each
+child lifts another and pipes it back pickled, and the shares are
+merged in degree order, so output is byte-identical at any width.  The
+width is capped at the number of degrees and of usable CPUs.  A sweep
+computes only the components; its one-step restriction maps are built
+the first time they are read.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .linalg import (
     row_space_basis,
     sparse_kernel_basis,
 )
-from .modules import Component, GradedModule, GradedMorphism
+from .modules import GradedModule, GradedMorphism
 
 IntVector = tuple[int, ...]
 
@@ -90,8 +91,8 @@ def lift_component(cone: Cone, module: GradedModule, c: Sequence[int]) -> LiftCo
         raise ValueError("degree length differs from ray count")
     if module.cone != cone:
         raise ValueError("the module lives on another cone")
-    mins = minimal_elements(cone, c).elements
-    dims = tuple(module.component(m).dim for m in mins)
+    mins = minimal_elements(cone, c)
+    dims = tuple(module.component(m) for m in mins)
     total = sum(dims)
     kernel = sparse_kernel_basis(_constraint_rows(cone, module, mins, dims), total)
     return LiftComponent(c, mins, dims, row_space_basis(kernel, total))
@@ -110,7 +111,7 @@ def _constraint_rows(cone: Cone, module: GradedModule, mins: Sequence[IntVector]
         if dims[i] == 0 and dims[j] == 0:
             continue
         oi, oj = offsets[i], offsets[j]
-        for u in minimal_common_upper_bounds(cone, mins[i], mins[j]).elements:
+        for u in minimal_common_upper_bounds(cone, mins[i], mins[j]):
             ai = module.action(mins[i], u)
             aj = module.action(mins[j], u)
             for ri, rj in zip(ai.rows, aj.rows):
@@ -263,6 +264,10 @@ class DirectSumRule(CoxRule):
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
+        if not self.parts:
+            raise ValueError("empty direct sum")
+        if len({p.ray_count for p in self.parts}) > 1:
+            raise ValueError("direct sum parts have different ray counts")
 
     @property
     def ray_count(self) -> int:  # type: ignore[override]
@@ -286,8 +291,13 @@ class SheafifiedModule(GradedModule):
     cone: Cone
     rule: CoxRule
 
-    def _component(self, m: IntVector) -> Component:
-        return Component(self.rule.dim(self.cone.evaluate(m)))
+    def __post_init__(self):
+        if self.rule.ray_count != self.cone.ray_count:
+            raise ValueError(f"the Cox rule has {self.rule.ray_count} rays, "
+                             f"but the cone has {self.cone.ray_count}")
+
+    def _component(self, m: IntVector) -> int:
+        return self.rule.dim(self.cone.evaluate(m))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
         return self.rule.act(self.cone.evaluate(m), self.cone.evaluate(m_prime))
@@ -335,9 +345,11 @@ def colimit(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResul
     consecutive dimensions agree and both connecting maps are
     isomorphisms.  Reports honestly when the horizon is exhausted.
     """
+    if module.cone != cone:
+        raise ValueError("the module lives on another cone")
     w = strict_interior_point(cone)
     points = [tuple(k * x for x in w) for k in range(horizon + 1)]
-    return _stabilize(tuple(module.component(p).dim for p in points),
+    return _stabilize(tuple(module.component(p) for p in points),
                       lambda k: module.action(points[k], points[k + 1]))
 
 
@@ -425,6 +437,10 @@ class LiftTable:
     module: GradedModule
     box: Box
     components: dict[IntVector, LiftComponent]
+
+    @property
+    def ray_count(self) -> int:
+        return self.cone.ray_count
 
     @cached_property
     def steps(self) -> dict[tuple[IntVector, int], Mat]:

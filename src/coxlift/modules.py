@@ -62,13 +62,6 @@ from .linalg import (
 IntVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Component:
-    """A graded component, known by its dimension."""
-
-    dim: int
-
-
 def _add(m: Sequence[int], by: Sequence[int]) -> IntVector:
     return tuple(a + b for a, b in zip(m, by))
 
@@ -78,7 +71,8 @@ class GradedModule:
 
     cone: Cone
 
-    def component(self, m: Sequence[int]) -> Component:
+    def component(self, m: Sequence[int]) -> int:
+        """The dimension of the component at m."""
         m = int_vector(m)
         if len(m) != self.cone.lattice_rank:
             raise ValueError("degree length differs from lattice rank")
@@ -91,7 +85,7 @@ class GradedModule:
             raise ValueError(f"{m} is not below {m_prime} in the dual-cone order")
         return self._action(m, m_prime)
 
-    def _component(self, m: IntVector) -> Component:
+    def _component(self, m: IntVector) -> int:
         raise NotImplementedError
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
@@ -155,8 +149,8 @@ class IndicatorModule(GradedModule):
             return False
         return m not in self.exclude
 
-    def _component(self, m: IntVector) -> Component:
-        return Component(int(self.in_support(m)))
+    def _component(self, m: IntVector) -> int:
+        return int(self.in_support(m))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
         return Mat.ones(int(self.in_support(m_prime)), int(self.in_support(m)))
@@ -279,8 +273,8 @@ class FinitelyPresentedModule(GradedModule):
             out = self._quotients[m] = active, red_rows, free
         return out
 
-    def _component(self, m: IntVector) -> Component:
-        return Component(len(self._data(m)[2]))
+    def _component(self, m: IntVector) -> int:
+        return len(self._data(m)[2])
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
         active_s, _, free_s = self._data(m)
@@ -397,6 +391,8 @@ class ReflexiveDescription:
 
     def _steps(self, levels: Sequence[int]) -> IntVector:
         """Per ray, the number of jumps at or below its level: 0 below the first jump."""
+        if len(levels) != len(self._levels):
+            raise ValueError(f"{len(levels)} levels for {len(self._levels)} rays")
         return tuple(map(bisect_right, self._levels, levels))
 
     def space(self, levels: Sequence[int]) -> tuple[Vector, ...]:
@@ -440,8 +436,8 @@ class FiltrationModule(GradedModule):
         """Canonical basis of the component inside the ambient space."""
         return self.description.space(self.cone.evaluate(int_vector(m)))
 
-    def _component(self, m: IntVector) -> Component:
-        return Component(len(self.description.space(self.cone.evaluate(m))))
+    def _component(self, m: IntVector) -> int:
+        return len(self.description.space(self.cone.evaluate(m)))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
         return self.description.inclusion(self.cone.evaluate(m), self.cone.evaluate(m_prime))
@@ -465,7 +461,7 @@ class ShiftModule(GradedModule):
     def cone(self) -> Cone:
         return self.base.cone
 
-    def _component(self, m: IntVector) -> Component:
+    def _component(self, m: IntVector) -> int:
         return self.base.component(_add(m, self.by))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
@@ -488,8 +484,8 @@ class DirectSumModule(GradedModule):
     def cone(self) -> Cone:
         return self.parts[0].cone
 
-    def _component(self, m: IntVector) -> Component:
-        return Component(sum(p.component(m).dim for p in self.parts))
+    def _component(self, m: IntVector) -> int:
+        return sum(p.component(m) for p in self.parts)
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
         return block_diagonal([p.action(m, m_prime) for p in self.parts])
@@ -513,7 +509,7 @@ class GradedMorphism:
     def matrix(self, m: Sequence[int]) -> Mat:
         m = int_vector(m)
         out = self._rule(m)
-        want = (self.target.component(m).dim, self.source.component(m).dim)
+        want = (self.target.component(m), self.source.component(m))
         if (out.nrows, out.ncols) != want:
             raise ValueError(f"morphism matrix at {m} has shape "
                              f"{(out.nrows, out.ncols)}, expected {want}")
@@ -548,7 +544,7 @@ def morphism(source: GradedModule, target: GradedModule,
 
 def identity_morphism(module: GradedModule) -> GradedMorphism:
     return GradedMorphism(module, module,
-                          lambda m: Mat.identity(module.component(m).dim))
+                          lambda m: Mat.identity(module.component(m)))
 
 
 def indicator_morphism(source: GradedModule, target: GradedModule) -> GradedMorphism:
@@ -558,7 +554,7 @@ def indicator_morphism(source: GradedModule, target: GradedModule) -> GradedMorp
     a submodule included into the structure ring or a quotient of it.
     """
     return GradedMorphism(source, target,
-                          lambda m: Mat.ones(target.component(m).dim, source.component(m).dim))
+                          lambda m: Mat.ones(target.component(m), source.component(m)))
 
 
 def structure_to_simple(cone: Cone) -> GradedMorphism:

@@ -69,7 +69,7 @@ def test_parse_fraction():
 def test_jsonio_roundtrip():
     cone = load_cone(CONE_JSON)
     module = load_module(SIMPLE_JSON, cone)
-    assert module.component((0, 0, 0)).dim == 1
+    assert module.component((0, 0, 0)) == 1
     diagram = load_diagram(CROWN_JSON)
     assert diagram.dims == (1, 1, 1, 1)
     with pytest.raises(ValueError):

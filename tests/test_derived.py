@@ -19,7 +19,6 @@ from coxlift.derived import (
     order_complex_cohomology,
     roos_limits,
     truncated_lift_oracle,
-    transitive_closure,
     truncation_points,
 )
 from coxlift.instances import TEST_CONES, random_module
@@ -143,6 +142,15 @@ def full_grid_composes(diagram) -> bool:
                for k in diagram.strict_successors(j))
 
 
+def _warshall(n, pairs):
+    reach = [[(i, j) in pairs for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    return {(i, j) for i in range(n) for j in range(n) if reach[i][j] and i != j}
+
+
 @st.composite
 def corrupted_diagrams(draw):
     """A random poset on up to 7 elements, ordered compatibly with their
@@ -152,8 +160,8 @@ def corrupted_diagrams(draw):
     pair lies on a chain of three elements."""
     n = draw(st.integers(2, 7))
     d = draw(st.integers(1, 2))
-    rel = transitive_closure((i, j) for i in range(n) for j in range(i + 1, n)
-                             if draw(st.booleans()))
+    rel = _warshall(n, {(i, j) for i in range(n) for j in range(i + 1, n)
+                        if draw(st.booleans())})
     unit = st.sampled_from([-2, -1, 1, 2, 3]).map(Fraction)
     small = st.integers(-2, 2).map(Fraction)
     b, b_inv = [], []
@@ -180,7 +188,7 @@ def corrupted_diagrams(draw):
 def chain_with_a_wrong_long_arrow():
     """0 < 1 < 2 < 3 with identity transports but T(0,3) = 2: no chain of
     covers shows it, only 0 < 1 < 3 and 0 < 2 < 3."""
-    return FinitePosetDiagram(list(range(4)), transitive_closure([(0, 1), (1, 2), (2, 3)]),
+    return FinitePosetDiagram(list(range(4)), _warshall(4, {(0, 1), (1, 2), (2, 3)}),
                               [1] * 4, lambda i, j: Mat.from_rows([[2 if (i, j) == (0, 3) else 1]]))
 
 
@@ -219,30 +227,27 @@ def test_transitivity_enforced():
                            lambda i, j: Mat.identity(1))
 
 
-def _warshall(n, pairs):
-    reach = [[(i, j) in pairs for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
-    return {(i, j) for i in range(n) for j in range(n) if reach[i][j] and i != j}
-
-
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.just(n),
     st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
             .filter(lambda p: p[0] < p[1])))))
 def test_transitive_closure_matches_warshall(case):
     n, pairs = case
-    closed = transitive_closure(pairs)
+    diagram = FinitePosetDiagram.from_maps(list(range(n)), sorted(pairs), [1] * n,
+                                           {pair: Mat.identity(1) for pair in pairs})
+    closed = {(i, j) for i in range(n) for j in diagram.strict_successors(i)}
     assert closed == _warshall(n, pairs)
-    assert all(a != b for a, b in closed)
 
 
 def test_antisymmetry_enforced():
     with pytest.raises(ValueError):
         FinitePosetDiagram(["a", "b"], {(0, 1), (1, 0)}, [1, 1],
                            lambda i, j: Mat.identity(1))
+    # the closure of a < b < c < a puts every element below itself
+    cycle = [(0, 1), (1, 2), (2, 0)]
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        FinitePosetDiagram.from_maps(["a", "b", "c"], cycle, [1] * 3,
+                                     {pair: Mat.identity(1) for pair in cycle})
 
 
 @pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (0.0, 1), (True, 0)])
@@ -401,7 +406,7 @@ def test_truncated_oracle_smooth(orthant, rng):
         c = tuple(rng.randint(-2, 2) for _ in range(2))
         rep = truncated_lift_oracle(orthant, module, c, 0, imax=0)
         assert rep.certified
-        assert rep.limit_dims[0] == module.component(c).dim
+        assert rep.limit_dims[0] == module.component(c)
 
 
 def test_truncated_oracle_codivisorial(csq):
@@ -419,11 +424,11 @@ def test_certification_bound_contains_geometry(csq):
     pts = set(truncation_points(csq, c, bound))
     from coxlift.cones import minimal_common_upper_bounds, minimal_elements
 
-    mins = minimal_elements(csq, c).elements
+    mins = minimal_elements(csq, c)
     assert set(mins) <= pts
     for i in range(len(mins)):
         for j in range(i + 1, len(mins)):
-            assert set(minimal_common_upper_bounds(csq, mins[i], mins[j]).elements) <= pts
+            assert set(minimal_common_upper_bounds(csq, mins[i], mins[j])) <= pts
 
 
 def test_connecting_cokernels(csq):

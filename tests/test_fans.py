@@ -46,7 +46,7 @@ WIDE_RAYS = ((1000, 1), (-1, 0), (0, -1))
 
 def test_fans_past_any_search_bound():
     cg = class_group(FanData(2, P11_600_RAYS, ((0, 1), (1, 2), (0, 2))))
-    assert cg.free_rank == 1 and cg.torsion == ()
+    assert cg.free_rank == 1 and cg.torsion_moduli == ()
     with pytest.raises(ValueError, match="not strictly convex"):
         FanData(2, WIDE_RAYS, ((0, 1, 2),))
 
@@ -171,32 +171,32 @@ def test_fan_validation_rejects_a_face_listed_as_maximal(rays, cones):
 
 def test_class_group_projective_plane():
     cg = class_group(P2)
-    assert cg.free_rank == 1 and cg.torsion == ()
-    d = [cg.degree(e)[0] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    assert cg.free_rank == 1 and cg.torsion_moduli == ()
+    d = [cg.project(e)[0] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     assert d[0] == d[1] == d[2]
     v = d[0][0]
     assert abs(v) == 1
-    assert cg.degree((1, 1, 1))[0][0] == 3 * v
+    assert cg.project((1, 1, 1))[0][0] == 3 * v
 
 
 def test_class_group_product_of_lines():
     cg = class_group(P1P1)
-    assert cg.free_rank == 2 and cg.torsion == ()
-    assert cg.degree((1, 0, 0, 0)) == cg.degree((0, 1, 0, 0))
-    assert cg.degree((0, 0, 1, 0)) == cg.degree((0, 0, 0, 1))
-    assert cg.degree((1, 0, 0, 0)) != cg.degree((0, 0, 1, 0))
+    assert cg.free_rank == 2 and cg.torsion_moduli == ()
+    assert cg.project((1, 0, 0, 0)) == cg.project((0, 1, 0, 0))
+    assert cg.project((0, 0, 1, 0)) == cg.project((0, 0, 0, 1))
+    assert cg.project((1, 0, 0, 0)) != cg.project((0, 0, 1, 0))
 
 
 def test_class_group_affine_chart():
     cg = class_group(ONE_CONE)
-    assert cg.free_rank == 1 and cg.torsion == ()
+    assert cg.free_rank == 1 and cg.torsion_moduli == ()
 
 
 def test_class_group_kills_image():
     cg = class_group(P2)
     for m in [(1, 0), (0, 1), (2, -3)]:
         image = tuple(sum(r * x for r, x in zip(row, m)) for row in P2.rays)
-        assert cg.degree(image) == (((0,), ()))
+        assert cg.project(image) == (((0,), ()))
 
 
 def test_class_group_needs_spanning_rays():
@@ -243,11 +243,11 @@ def test_global_lift_rank1_law():
 def test_global_sections_degree_one_twist():
     cg = class_group(P2)
     desc = rank1_twist(P2, (0, 0, 0))
-    target = cg.degree((1, 0, 0))
+    target = cg.project((1, 0, 0))
     count = sum(
         1
         for c in Box((0, 0, 0), (3, 3, 3)).degrees()
-        if cg.degree(c) == target and len(global_reflexive_lift(P2, desc, c)) == 1
+        if cg.project(c) == target and len(global_reflexive_lift(P2, desc, c)) == 1
     )
     assert count == 3
 

@@ -59,9 +59,8 @@ from coxlift.modules import (
 def all_rows_lift_component(cone, module, c):
     """Reference engine: every compatibility row built, dense, before any
     elimination; the kernel of the whole matrix."""
-    mins = minimal_elements(cone, c).elements
-    comps = [module.component(m) for m in mins]
-    dims = tuple(comp.dim for comp in comps)
+    mins = minimal_elements(cone, c)
+    dims = tuple(module.component(m) for m in mins)
     offsets = [0]
     for d in dims:
         offsets.append(offsets[-1] + d)
@@ -72,7 +71,7 @@ def all_rows_lift_component(cone, module, c):
         for j in range(i + 1, len(mins)):
             if dims[i] == 0 and dims[j] == 0:
                 continue
-            for u in minimal_common_upper_bounds(cone, mins[i], mins[j]).elements:
+            for u in minimal_common_upper_bounds(cone, mins[i], mins[j]):
                 ai = module.action(mins[i], u)
                 aj = module.action(mins[j], u)
                 for r in range(ai.nrows):
@@ -172,7 +171,7 @@ def test_smooth_cone_reindexing(orthant):
     for module in all_variant_modules(orthant):
         for c in Box((-2, -2), (2, 2)).degrees():
             comp = lift_component(orthant, module, c)
-            assert comp.dim == module.component(c).dim
+            assert comp.dim == module.component(c)
             assert comp.minimal_points == (c,)
 
 
@@ -183,14 +182,14 @@ def test_counit_isomorphism(csq, quotient2, rng):
                 m = tuple(rng.randint(-2, 2) for _ in range(cone.lattice_rank))
                 cm = counit_matrix(cone, module, m)
                 assert is_isomorphism(cm)
-                assert cm.nrows == module.component(m).dim
+                assert cm.nrows == module.component(m)
 
 
 def test_sheafify_component(csq):
     sheaf = SheafifiedModule(csq, ShiftedCoxRule(4, (0, 0, 0, 0)))
-    assert sheaf.component((0, 0, 0)).dim == 1
-    assert sheaf.component((1, 0, 1)).dim == 1
-    assert sheaf.component((-1, 0, 0)).dim == 0
+    assert sheaf.component((0, 0, 0)) == 1
+    assert sheaf.component((1, 0, 1)) == 1
+    assert sheaf.component((-1, 0, 0)) == 0
 
 
 def test_sheafify_of_table_matches_module(csq):
@@ -199,7 +198,7 @@ def test_sheafify_of_table_matches_module(csq):
     for m in [(0, 0, 0), (1, 0, 1), (0, 1, 0)]:
         c = csq.evaluate(m)
         if c in table.box:
-            assert SheafifiedModule(csq, table).component(m).dim == K.component(m).dim
+            assert SheafifiedModule(csq, table).component(m) == K.component(m)
 
 
 def test_unit_map_shifted_rules(csq, rng):
@@ -222,7 +221,27 @@ def test_sheafified_module_reads_image_degrees(csq):
     rule = SpikeRule(4, (1, 0, 0, 0))
     shf = SheafifiedModule(csq, rule)
     for m in [(0, 0, 0), (1, 0, 1), (1, 1, 1)]:
-        assert shf.component(m).dim == 0
+        assert shf.component(m) == 0
+
+
+# each was accepted, the first two reading a 3-ray rule at 4-ray degrees
+WRONG_RAY_COUNTS = {
+    "sheafified module": (lambda C: SheafifiedModule(C, ShiftedCoxRule(3, (0, 0, 0))),
+                          "the Cox rule has 3 rays, but the cone has 4"),
+    "unit map": (lambda C: unit_map(C, ShiftedCoxRule(3, (0, 0, 0)), (0, 0, 0, -5)),
+                 "the Cox rule has 3 rays, but the cone has 4"),
+    "empty sum": (lambda C: DirectSumRule(()), "empty direct sum"),
+    "mixed sum": (lambda C: DirectSumRule((ShiftedCoxRule(2, (0, 0)),
+                                           ShiftedCoxRule(4, (0, 0, 0, 0)))),
+                  "different ray counts"),
+}
+
+
+@pytest.mark.parametrize("build, message", WRONG_RAY_COUNTS.values(),
+                         ids=WRONG_RAY_COUNTS.keys())
+def test_cox_rules_reject_another_ray_count(csq, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(csq)
 
 
 def test_colimits(csq):
@@ -511,6 +530,8 @@ def test_lift_entry_points_reject_a_module_on_another_cone(orthant, quotient2):
         lift_action(orthant, module, (0, 0), (1, 0))
     with pytest.raises(ValueError, match="another cone"):
         FinitePosetDiagram.from_module(orthant, module, [(0, 0)])
+    with pytest.raises(ValueError, match="another cone"):
+        colimit(orthant, structure_module(quotient2))
 
 
 def test_lift_component_runs_once_when_the_module_raises_type_error(orthant):

@@ -21,6 +21,7 @@ from coxlift.instances import (
     CONE_OVER_SQUARE,
     TEST_CONES,
     all_variant_modules,
+    generic_plane_description,
     random_reflexive_description,
 )
 from coxlift.klyachko import filtration_lift_component
@@ -77,16 +78,16 @@ def sigma_points(cone, radius=2):
 
 def test_simple_module_components(csq):
     K = simple_module(csq)
-    assert K.component((0, 0, 0)).dim == 1
+    assert K.component((0, 0, 0)) == 1
     for m in [(1, 0, 1), (0, 1, 0), (-1, 0, 0)]:
-        assert K.component(m).dim == 0
+        assert K.component(m) == 0
 
 
 def test_ideal_components(csq):
     mm = maximal_ideal_module(csq)
-    assert mm.component((1, 0, 1)).dim == 1
-    assert mm.component((1, -1, 2)).dim == 0
-    assert mm.component((0, 0, 0)).dim == 0
+    assert mm.component((1, 0, 1)) == 1
+    assert mm.component((1, -1, 2)) == 0
+    assert mm.component((0, 0, 0)) == 0
 
 
 def test_indicator_action_rules(csq):
@@ -219,7 +220,7 @@ def test_fp_no_relations_counts_generators(csq):
 
     for m in [(0, 0, 0), (1, 0, 1), (2, 1, 1), (-1, 0, 0)]:
         want = sum(1 for g in gens if leq_sigma(csq, g, m))
-        assert mod.component(m).dim == want
+        assert mod.component(m) == want
 
 
 def test_fp_relation_validity(csq):
@@ -235,18 +236,18 @@ def test_fp_quotient_dims(csq):
     gens = ((0, 0, 0), (1, 0, 1))
     rel = Relation((1, 0, 1), (Fraction(1), Fraction(-1)))
     mod = FinitelyPresentedModule(csq, gens, (rel,))
-    assert mod.component((0, 0, 0)).dim == 1
-    assert mod.component((1, 0, 1)).dim == 1
-    assert mod.component((2, 1, 1)).dim == 1
+    assert mod.component((0, 0, 0)) == 1
+    assert mod.component((1, 0, 1)) == 1
+    assert mod.component((2, 1, 1)) == 1
 
 
 def test_filtration_component_and_action(csq):
     f0 = ray_filtration([(0, [[1, 0]]), (1, [[1, 0], [0, 1]])], 2)
     mod = FiltrationModule(csq, ReflexiveDescription(2, (
         (0, f0), (1, full_at(0, 2)), (2, full_at(0, 2)), (3, full_at(0, 2)))))
-    assert mod.component((0, 0, 0)).dim == 1
-    assert mod.component((1, 0, 1)).dim == 2
-    assert mod.component((0, -1, 0)).dim == 0
+    assert mod.component((0, 0, 0)) == 1
+    assert mod.component((1, 0, 1)) == 2
+    assert mod.component((0, -1, 0)) == 0
     mat = mod.action((0, 0, 0), (1, 0, 1))
     assert (mat.nrows, mat.ncols) == (2, 1)
     assert is_injective(mat)
@@ -256,7 +257,7 @@ def test_filtration_all_full(csq):
     mod = FiltrationModule(
         csq, ReflexiveDescription(3, tuple((i, full_at(0, 3)) for i in range(4))))
     for m in sigma_points(csq, 2):
-        assert mod.component(m).dim == 3
+        assert mod.component(m) == 3
 
 
 def test_filtration_validation(csq):
@@ -308,6 +309,21 @@ def test_reflexive_description_stores_its_filtrations_by_ray():
     assert len(filtration_lift_component(desc, (0, 1))) == 1
 
 
+# each call read ray 0's plane, or ignored the fifth level, before levels were counted
+WRONG_LEVEL_COUNTS = {
+    "space of one level": lambda desc: desc.space((0,)),
+    "space of five levels": lambda desc: desc.space((0, 0, 0, 0, 5)),
+    "inclusion of one level": lambda desc: desc.inclusion((0,), (1,)),
+    "filtration lift of three levels": lambda desc: filtration_lift_component(desc, (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_LEVEL_COUNTS.values(), ids=WRONG_LEVEL_COUNTS.keys())
+def test_reflexive_description_rejects_a_level_per_ray_of_another_count(call):
+    with pytest.raises(ValueError, match="levels for 4 rays"):
+        call(generic_plane_description(4))
+
+
 def test_functoriality_on_chains(csq, rng):
     pts = sigma_points(csq, 2)
     for module in all_variant_modules(csq):
@@ -325,8 +341,8 @@ def test_functoriality_on_chains(csq, rng):
 def test_shift_module(csq):
     K = simple_module(csq)
     sh = ShiftModule(K, (1, 0, 0))
-    assert sh.component((-1, 0, 0)).dim == 1
-    assert sh.component((0, 0, 0)).dim == 0
+    assert sh.component((-1, 0, 0)) == 1
+    assert sh.component((0, 0, 0)) == 0
 
 
 def test_morphism_validation(csq):
@@ -344,7 +360,7 @@ def test_morphism_validation(csq):
     def broken(m):
         if m == (1, 0, 1):
             return Mat.zero(1, 1)
-        return Mat.identity(R.component(m).dim)
+        return Mat.identity(R.component(m))
 
     with pytest.raises(ValueError):
         morphism(R, R, broken, validate_radius=2)
@@ -371,7 +387,7 @@ def test_cached_filtration_components_and_transports_match_a_fresh_computation(r
             m2 = tuple(a + b for a, b in zip(m, rng.choice(pts)))
             source, target = fresh_subspace(module, m), fresh_subspace(module, m2)
             assert module.subspace(m) == source
-            assert module.component(m2).dim == len(target)
+            assert module.component(m2) == len(target)
             assert module.action(m, m2) == matrix_in_basis(target, source)
 
 
