@@ -5,6 +5,10 @@ Usage: python scripts/contract_bytes.py OUTDIR
 
 Runs, with this checkout's ``src`` on the path:
 
+* ``coxlift.cli --help`` and ``coxlift.cli check --help``, and
+  ``coxlift.cli check nosuchsuite``, which exits 2 with the usage and
+  the list of suites on stderr: the argparse surface, whose suite
+  choices come from ``checks.SUITES``;
 * ``coxlift.cli check S`` for every suite;
 * ``coxlift.cli lift-table --box=-2..2 --format tsv|json --jobs 1|2``
   on the cone over a square, for the four example modules of
@@ -27,7 +31,8 @@ Runs, with this checkout's ``src`` on the path:
 * ``scripts/derived_evidence.py``, whose report prints the point count
   and limit dimensions of a truncation, which ``check roos`` does not.
 
-Each command runs twice, under ``PYTHONHASHSEED=1`` and ``=2``; its
+Each command runs twice, under ``PYTHONHASHSEED=1`` and ``=2`` and with
+``COLUMNS=80``, so the help text wraps the same on every terminal; its
 stdout, stderr and exit code under the first go to
 ``OUTDIR/<name>.stdout``, ``.stderr`` and ``.exit``.  Two checkouts
 give the same bytes exactly when ``diff -r`` of their OUTDIRs is empty.
@@ -121,6 +126,9 @@ def square_ideal_truncation(covers_only=False, c=(-1, 0, -1, 0), bound=9) -> dic
 def commands(inputs: pathlib.Path):
     """``(name, arguments to the interpreter)`` for every contract command."""
     cli = ["-m", "coxlift.cli"]
+    yield "help", cli + ["--help"]
+    yield "check-help", cli + ["check", "--help"]
+    yield "check-nosuchsuite", cli + ["check", "nosuchsuite"]
     for suite in SUITES:
         yield f"check-{suite}", cli + ["check", suite]
     for module in MODULES:
@@ -153,7 +161,7 @@ def main() -> int:
         return 2
     outdir = pathlib.Path(sys.argv[1])
     outdir.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
     seed_dependent = []
     with tempfile.TemporaryDirectory() as tmp:
         inputs = pathlib.Path(tmp)

@@ -8,65 +8,49 @@ construction on concrete instances: adjunction round trips,
 left-exactness, preservation of torsion-freeness, the filtration
 intersection formula for reflexive data, and derived limits over finite
 posets.
+
+``import coxlift`` loads no layer.  Each name in ``__all__`` resolves on
+first use (``from coxlift import Cone``, ``coxlift.roos_limits``) by
+importing the layer that defines it, so a program pays only for the
+layers it reads.
 """
 
-from .cones import (
-    Cone,
-    leq_sigma,
-    minimal_common_upper_bounds,
-    minimal_elements,
-    strict_interior_point,
-)
-from .derived import (
-    CanonicalSequence,
-    FinitePosetDiagram,
-    RoosResult,
-    connecting_cokernel,
-    equalizer_limit_dim,
-    ideal_sequence,
-    order_complex_cohomology,
-    roos_limits,
-    truncated_lift_oracle,
-)
-from .fans import ChartData, FanData, affine_chart, class_group, global_reflexive_lift
-from .klyachko import filtration_lift_component, realized_components, verify_equivalence
-from .lattice import (
-    LatticeQuotient,
-    SnfResult,
-    lattice_membership,
-    reduce_by_sublattice,
-    smith_normal_form,
-)
-from .lifting import (
-    Box,
-    ColimitResult,
-    LiftComponent,
-    LiftTable,
-    ShiftedCoxRule,
-    colimit,
-    colimit_of_lift,
-    counit_matrix,
-    lift_action,
-    lift_component,
-    lift_morphism,
-    lift_table,
-    minimal_generators_in_box,
-    unit_map,
-)
-from .modules import (
-    DirectSumModule,
-    FiltrationModule,
-    FinitelyPresentedModule,
-    GradedModule,
-    GradedMorphism,
-    IndicatorModule,
-    ReflexiveDescription,
-    ShiftModule,
-    codivisorial_module,
-    maximal_ideal_module,
-    morphism,
-    simple_module,
-    structure_module,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_LAYER_NAMES = {
+    "cones": ("Cone", "leq_sigma", "minimal_common_upper_bounds", "minimal_elements",
+              "strict_interior_point"),
+    "derived": ("CanonicalSequence", "FinitePosetDiagram", "RoosResult",
+                "connecting_cokernel", "equalizer_limit_dim", "ideal_sequence",
+                "order_complex_cohomology", "roos_limits", "truncated_lift_oracle"),
+    "fans": ("ChartData", "FanData", "affine_chart", "class_group", "global_reflexive_lift"),
+    "klyachko": ("filtration_lift_component", "realized_components", "verify_equivalence"),
+    "lattice": ("LatticeQuotient", "SnfResult", "lattice_membership",
+                "reduce_by_sublattice", "smith_normal_form"),
+    "lifting": ("Box", "ColimitResult", "LiftComponent", "LiftTable", "ShiftedCoxRule",
+                "colimit", "colimit_of_lift", "counit_matrix", "lift_action",
+                "lift_component", "lift_morphism", "lift_table",
+                "minimal_generators_in_box", "unit_map"),
+    "modules": ("DirectSumModule", "FiltrationModule", "FinitelyPresentedModule",
+                "GradedModule", "GradedMorphism", "IndicatorModule", "ReflexiveDescription",
+                "ShiftModule", "codivisorial_module", "maximal_ideal_module", "morphism",
+                "simple_module", "structure_module"),
+}
+_HOME = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name: str):
+    layer = _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))

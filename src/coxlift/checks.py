@@ -22,6 +22,10 @@ These suites are the only encoding of the acceptance criteria;
 * c07 smooth identity and round trips: ``roundtrip``;
 * c09 class groups: ``classgroups``;
 * c10 colimit ranks: ``colimit``.
+
+The ``derived``, ``fans`` and ``klyachko`` layers are imported inside
+the suites that read them, so a process that runs none of those suites
+(``coxlift lift-table``, say) never loads them.
 """
 
 from __future__ import annotations
@@ -30,21 +34,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .derived import (
-    FinitePosetDiagram,
-    connecting_cokernel,
-    equalizer_limit_dim,
-    ideal_sequence,
-    indicator_sequence,
-    order_complex_cohomology,
-    roos_limits,
-    truncated_lift_oracle,
-)
-from .fans import FanData, class_group
 from .instances import (
     CONE_OVER_SQUARE,
     ORTHANT2,
     QUOTIENT2,
+    TEST_CONES,
     all_variant_modules,
     codivisorial_lift_law,
     generic_plane_description,
@@ -54,7 +48,6 @@ from .instances import (
     simple_lift_law,
     structure_lift_law,
 )
-from .klyachko import realized_components, verify_equivalence
 from .lifting import (
     Box,
     ShiftedCoxRule,
@@ -194,6 +187,8 @@ def check_roundtrip() -> CheckReport:
 def check_exactness() -> CheckReport:
     """Left-exactness degree-wise, and the nonzero cokernels witnessing
     that right-exactness fails."""
+    from .derived import connecting_cokernel, ideal_sequence, indicator_sequence
+
     rep = CheckReport("exactness")
     seq = ideal_sequence(CONE_OVER_SQUARE)
     bad = []
@@ -230,6 +225,8 @@ def check_exactness() -> CheckReport:
 def check_klyachko() -> CheckReport:
     """Filtration intersection formula, torsion-free transports, and the
     intersection completion of the realized arrangement."""
+    from .klyachko import realized_components, verify_equivalence
+
     rep = CheckReport("klyachko")
     rng = random.Random(6)
     failures = []
@@ -269,6 +266,8 @@ def check_klyachko() -> CheckReport:
 
 
 def check_classgroups() -> CheckReport:
+    from .fans import FanData, class_group
+
     rep = CheckReport("classgroups")
     p2 = FanData(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
     cg = class_group(p2)
@@ -292,6 +291,9 @@ def check_classgroups() -> CheckReport:
 
 def check_roos() -> CheckReport:
     """Derived-limit engine, plus oracle agreement for the lift components."""
+    from .derived import (FinitePosetDiagram, equalizer_limit_dim, order_complex_cohomology,
+                          roos_limits, truncated_lift_oracle, truncation_points)
+
     rep = CheckReport("roos")
     rng = random.Random(8)
 
@@ -302,9 +304,6 @@ def check_roos() -> CheckReport:
 
     # up-sets of a single lattice point have that point as their minimum,
     # so module diagrams over them are valid tests of the initial-object law
-    from .derived import truncation_points
-    from .instances import TEST_CONES
-
     bad_min = []
     for trial in range(5):
         cone = TEST_CONES[trial % len(TEST_CONES)]

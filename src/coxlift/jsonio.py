@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .cones import Cone
-from .derived import FinitePosetDiagram
 from .lattice import int_matrix, int_vector, plain_int
 from .lifting import LiftComponent
 from .linalg import Mat
@@ -41,6 +40,9 @@ from .modules import (
     Relation,
     ray_filtration,
 )
+
+if TYPE_CHECKING:
+    from .derived import FinitePosetDiagram
 
 
 def parse_fraction(x) -> Fraction:
@@ -114,6 +116,9 @@ def load_module(obj: dict, cone: Cone) -> GradedModule:
 
 
 def load_diagram(obj: dict) -> FinitePosetDiagram:
+    # only diagrams read the derived layer; cones and modules load without it
+    from .derived import FinitePosetDiagram
+
     try:
         elements = [str(e) for e in obj["elements"]]
         index = {e: i for i, e in enumerate(elements)}

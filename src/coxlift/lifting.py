@@ -213,6 +213,10 @@ class CoxRule:
 
     ray_count: int
 
+    def _wrong_length(self, c: Sequence[int]) -> ValueError:
+        return ValueError(f"degree {tuple(c)} has length {len(c)}, "
+                          f"but the rule has {self.ray_count} rays")
+
     def dim(self, c: Sequence[int]) -> int:
         raise NotImplementedError
 
@@ -233,6 +237,8 @@ class ShiftedCoxRule(CoxRule):
             raise ValueError("shift length differs from ray count")
 
     def dim(self, c: Sequence[int]) -> int:
+        if len(c) != self.ray_count:
+            raise self._wrong_length(c)
         return 1 if all(a + s >= 0 for a, s in zip(c, self.shift)) else 0
 
     def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
@@ -252,6 +258,8 @@ class SpikeRule(CoxRule):
             raise ValueError("degree length differs from ray count")
 
     def dim(self, c: Sequence[int]) -> int:
+        if len(c) != self.ray_count:
+            raise self._wrong_length(c)
         return 1 if tuple(c) == self.degree else 0
 
     def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
@@ -456,7 +464,12 @@ class LiftTable:
         return out
 
     def component(self, c: Sequence[int]) -> LiftComponent:
-        return self.components[int_vector(c)]
+        c = int_vector(c)
+        comp = self.components.get(c)
+        if comp is None:
+            raise ValueError(f"degree {c} lies outside the lift table's box "
+                             f"{self.box.lo}..{self.box.hi}")
+        return comp
 
     def dim(self, c: Sequence[int]) -> int:
         return self.component(c).dim

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import coxlift
 from coxlift import checks, cli, lifting
 from coxlift.cli import main, parse_box
 from coxlift.instances import simple_lift_law
@@ -167,14 +168,38 @@ def test_lift_table_pool_is_no_wider_than_the_box(inputs, monkeypatch):
     assert len(forks) == 1
 
 
-def test_importing_the_cli_loads_no_pool_and_no_pickle():
-    code = ("import sys, coxlift.cli; "
-            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'pickle') "
-            "if m in sys.modules))")
+def _loaded_after(statement: str) -> set[str]:
+    """Names of the modules a fresh interpreter holds after running ``statement``."""
+    code = f"import sys; {statement}; print(*sys.modules)"
     src = Path(__file__).resolve().parent.parent / "src"  # first on the path of ``-c``
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n"
+    return set(out.split())
+
+
+def test_importing_the_cli_loads_no_pool_and_no_pickle():
+    loaded = _loaded_after("import coxlift.cli")
+    assert not {"concurrent.futures", "multiprocessing", "pickle"} & loaded
+
+
+def test_importing_loads_only_the_layers_a_command_reads():
+    assert {m for m in _loaded_after("import coxlift") if m.startswith("coxlift.")} == set()
+    loaded = _loaded_after("import coxlift.cli")
+    assert {"coxlift.checks", "coxlift.jsonio", "coxlift.lifting"} <= loaded
+    assert not {"coxlift.derived", "coxlift.fans", "coxlift.klyachko"} & loaded
+
+
+def test_the_package_names_resolve_to_their_layers():
+    names = [n for n in coxlift.__all__ if n != "__version__"]
+    for name in names:
+        obj = getattr(coxlift, name)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+    star: dict = {}
+    exec("from coxlift import *", star)
+    assert set(star) - {"__builtins__"} == set(coxlift.__all__)
+    assert set(names) <= set(dir(coxlift))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        coxlift.no_such_name
 
 
 def test_a_child_without_a_result_is_an_internal_error(inputs, monkeypatch, capsys):

@@ -201,6 +201,15 @@ def test_sheafify_of_table_matches_module(csq):
             assert SheafifiedModule(csq, table).component(m) == K.component(m)
 
 
+def test_a_table_rejects_a_degree_outside_its_box(csq):
+    table = lift_table(csq, simple_module(csq), Box((-1,) * 4, (1,) * 4))
+    box = r"\(-1, -1, -1, -1\)\.\.\(1, 1, 1, 1\)"
+    with pytest.raises(ValueError, match=r"degree \(2, 0, -2, 0\) lies outside .*" + box):
+        SheafifiedModule(csq, table).component((2, 0, 0))  # was a bare KeyError
+    with pytest.raises(ValueError, match="outside"):
+        table.act((1, 1, 1, 1), (2, 1, 1, 1))
+
+
 def test_unit_map_shifted_rules(csq, rng):
     for shift in [(0, 0, 0, 0), (2, -1, 0, 1)]:
         rule = ShiftedCoxRule(4, shift)
@@ -242,6 +251,23 @@ WRONG_RAY_COUNTS = {
 def test_cox_rules_reject_another_ray_count(csq, build, message):
     with pytest.raises(ValueError, match=message):
         build(csq)
+
+
+# each returned a dimension, zipping the degree against the shift or comparing it whole
+WRONG_LENGTH_DEGREES = {
+    "shifted, too short": (lambda: ShiftedCoxRule(4, (0, 0, 0, 0)).dim((0,)), 1),
+    "shifted, too long": (lambda: ShiftedCoxRule(4, (0, 0, 0, 0)).dim((0, 0, 0, 0, -5)), 5),
+    "shifted action": (lambda: ShiftedCoxRule(4, (0, 0, 0, 0)).act((0, 0, 0, 0), (0,)), 1),
+    "spike, too short": (lambda: SpikeRule(2, (0, 0)).dim((0,)), 1),
+    "spike, too long": (lambda: SpikeRule(2, (0, 0)).dim((0, 0, 1)), 3),
+}
+
+
+@pytest.mark.parametrize("call, length", WRONG_LENGTH_DEGREES.values(),
+                         ids=WRONG_LENGTH_DEGREES.keys())
+def test_cox_rules_reject_a_degree_of_another_length(call, length):
+    with pytest.raises(ValueError, match=f"has length {length}, but the rule has"):
+        call()
 
 
 def test_colimits(csq):
