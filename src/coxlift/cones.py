@@ -55,9 +55,7 @@ full-dimensional, its search data, the Smith form of its ray matrix
 (``Cone.smith``), the minimal points of each class by its key ``c0``,
 and its minimal points by degree.  ``leq_sigma`` compares two of those
 coordinate vectors: ``m <= m'`` exactly when ``L(m) <= L(m')``
-componentwise, since L is linear.  A pickled cone carries only its
-fields, so the memos never travel in a pickle; every output here is
-deterministic, so processes that compute it apart agree.
+componentwise, since L is linear.
 """
 
 from __future__ import annotations
@@ -106,10 +104,6 @@ class Cone:
         object.__setattr__(self, "_values", {})
         object.__setattr__(self, "_classes", {})
         object.__setattr__(self, "_minimal", {})
-
-    def __reduce__(self):
-        # fields only: unpickling runs the constructor, and no memo travels
-        return type(self), (self.lattice_rank, self.rays)
 
     @property
     def ray_count(self) -> int:

@@ -32,7 +32,18 @@ from .cones import Cone, minimal_common_upper_bounds, minimal_elements, truncati
 from .lattice import int_vector, plain_int
 from .lifting import lift_component, lift_morphism
 from .linalg import Mat, rank, sparse_rank
-from .modules import GradedModule, GradedMorphism
+from .modules import (
+    GradedModule,
+    GradedMorphism,
+    IndicatorConstraint,
+    IndicatorModule,
+    ideal_to_structure,
+    indicator_morphism,
+    maximal_ideal_module,
+    simple_module,
+    structure_module,
+    structure_to_simple,
+)
 
 IntVector = tuple[int, ...]
 
@@ -250,7 +261,7 @@ def roos_limits(diagram: FinitePosetDiagram, imax: int) -> RoosResult:
     chain_levels = _chain_levels(diagram, imax + 2)
     offsets_per_level: list[dict[tuple[int, ...], int]] = []
     cochain_dims = []
-    for chains in chain_levels:
+    for chains in chain_levels[:-1]:
         offs: dict[tuple[int, ...], int] = {}
         total = 0
         for ch in chains:
@@ -258,6 +269,9 @@ def roos_limits(diagram: FinitePosetDiagram, imax: int) -> RoosResult:
             total += diagram.dims[ch[-1]]
         offsets_per_level.append(offs)
         cochain_dims.append(total)
+    # the top level's chains index only rows of the last differential, never
+    # columns, so it needs no offsets: only its total is read
+    cochain_dims.append(sum(diagram.dims[ch[-1]] for ch in chain_levels[-1]))
 
     # the faces of a strict chain are distinct, so their column blocks are
     # disjoint and every entry of a row is written once
@@ -408,9 +422,6 @@ class CanonicalSequence:
 
 def ideal_sequence(cone: Cone) -> CanonicalSequence:
     """0 -> maximal ideal -> structure ring -> simple module -> 0."""
-    from .modules import (ideal_to_structure, maximal_ideal_module, simple_module,
-                          structure_module, structure_to_simple)
-
     return CanonicalSequence(
         sub=maximal_ideal_module(cone),
         mid=structure_module(cone),
@@ -422,9 +433,6 @@ def ideal_sequence(cone: Cone) -> CanonicalSequence:
 
 def indicator_sequence(cone: Cone, ray: int, threshold: int = 1) -> CanonicalSequence:
     """0 -> {l_ray >= threshold} -> structure ring -> quotient slab -> 0."""
-    from .modules import (IndicatorConstraint, IndicatorModule, indicator_morphism,
-                          structure_module)
-
     sub = IndicatorModule(
         cone, "submodule",
         tuple(IndicatorConstraint(i, ">=", threshold if i == ray else 0)

@@ -39,7 +39,6 @@ from .lattice import (
     reduce_by_sublattice,
 )
 from .linalg import Mat, Vector, rank, solve
-from .klyachko import filtration_lift_component
 from .modules import ReflexiveDescription, intersect_ray_spaces
 
 
@@ -204,7 +203,7 @@ def global_reflexive_lift(fan: FanData, desc: ReflexiveDescription,
                           c: Sequence[int]) -> tuple[Vector, ...]:
     """Intersection of all ray spaces at levels c_rho over the whole fan."""
     _check_description(fan, desc)
-    return filtration_lift_component(desc, c)
+    return desc.space(int_vector(c))
 
 
 def chart_section(fan: FanData, desc: ReflexiveDescription, cone_index: int,

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 from .cones import Cone
 from .lattice import int_matrix, int_vector, plain_int
 from .lifting import LiftComponent
-from .linalg import Mat
+from .linalg import Mat, _fraction
 from .modules import (
     FiltrationModule,
     FinitelyPresentedModule,
@@ -46,16 +46,9 @@ if TYPE_CHECKING:
 
 
 def parse_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"{x!r} has a zero denominator") from None
-    if isinstance(x, bool):
-        raise ValueError("booleans are not numbers here")
-    if isinstance(x, int):
-        return Fraction(x)
-    raise ValueError(f"cannot read {x!r} as an exact rational")
+    """A JSON rational, an integer or a ``"p/q"`` string, read by the
+    library's one exactness rule: floats and booleans are rejected."""
+    return _fraction(x)
 
 
 def fraction_out(x: Fraction):

@@ -50,7 +50,7 @@ from .cones import (
     minimal_elements,
     strict_interior_point,
 )
-from .lattice import int_vector
+from .lattice import int_vector, plain_int
 from .linalg import (
     Mat,
     Vector,
@@ -356,7 +356,7 @@ def colimit(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResul
     if module.cone != cone:
         raise ValueError("the module lives on another cone")
     w = strict_interior_point(cone)
-    points = [tuple(k * x for x in w) for k in range(horizon + 1)]
+    points = [tuple(k * x for x in w) for k in range(_horizon(horizon) + 1)]
     return _stabilize(tuple(module.component(p) for p in points),
                       lambda k: module.action(points[k], points[k + 1]))
 
@@ -364,11 +364,19 @@ def colimit(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResul
 def colimit_of_lift(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResult:
     """Colimit of the lifted module along the all-ones Cox direction."""
     ones = (1,) * cone.ray_count
-    degrees = [tuple(k * x for x in ones) for k in range(horizon + 1)]
+    degrees = [tuple(k * x for x in ones) for k in range(_horizon(horizon) + 1)]
     comps = [lift_component(cone, module, c) for c in degrees]
     return _stabilize(tuple(comp.dim for comp in comps),
                       lambda k: lift_action(cone, module, degrees[k], degrees[k + 1],
                                             source=comps[k], target=comps[k + 1]))
+
+
+def _horizon(horizon: int) -> int:
+    """``horizon`` if it is a nonnegative plain integer, else ``ValueError``."""
+    horizon = plain_int(horizon)
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    return horizon
 
 
 def _stabilize(dims: tuple[int, ...], step: Callable[[int], Mat]) -> ColimitResult:
@@ -605,12 +613,9 @@ def lift_table(cone: Cone, module: GradedModule, box: Box, jobs: int = 1) -> Lif
     The restriction maps are left to ``LiftTable.steps``, built on first
     read.
     """
+    jobs = plain_int(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     degrees = list(box.degrees())
-    workers = min(jobs, len(degrees), _usable_cpus()) if jobs > 1 else 1
-    if workers > 1:
-        components = _fan_out(cone, module, degrees, workers)
-    else:
-        components = dict(_lift_share(cone, module, degrees))
-    return LiftTable(cone, module, box, components)
+    workers = min(jobs, len(degrees), _usable_cpus())
+    return LiftTable(cone, module, box, _fan_out(cone, module, degrees, workers))

@@ -41,8 +41,26 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _fraction(x) -> Fraction:
+    """``x`` as an exact rational: an integer, a ``Fraction`` or rational
+    text such as ``"2/3"``; floats and booleans are rejected with
+    ``ValueError``, never rounded."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
+    if isinstance(x, bool):
+        raise ValueError("booleans are not numbers here")
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise ValueError(f"cannot read {x!r} as an exact rational")
+
+
 def frac_vector(values: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in values)
+    return tuple(_fraction(x) for x in values)
 
 
 class Mat:
@@ -61,7 +79,7 @@ class Mat:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ncols: Optional[int] = None) -> "Mat":
-        rows = [[Fraction(x) for x in row] for row in rows]
+        rows = [[_fraction(x) for x in row] for row in rows]
         if ncols is None:
             if not rows:
                 raise ValueError("ncols required for a matrix with no rows")

@@ -17,11 +17,10 @@ chains.  Variants:
 * ``ShiftModule`` / ``DirectSumModule`` - degree shifts and sums.
 
 Everything is immutable and hashable, with structural equality, so
-evaluation is pure and modules may be shipped to worker processes
-freely.
+evaluation is pure.
 
 Memos.  An object that memoizes keeps its memos on itself, so they live
-exactly as long as it does, and a pickle carries only its fields:
+exactly as long as it does:
 
 * ``FinitelyPresentedModule``: the reduced relations at each point m;
 * ``ReflexiveDescription``: the intersection of the ray spaces by step
@@ -42,7 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cones import Cone, leq_sigma
 from .lattice import int_vector, plain_int
@@ -60,6 +59,14 @@ from .linalg import (
 )
 
 IntVector = tuple[int, ...]
+
+# half-width of the cube on which the sampled checks (``morphism``,
+# ``validate_indicator_style``) test their condition
+SAMPLE_RADIUS = 2
+
+
+def _sample_cube(d: int) -> list[IntVector]:
+    return list(product(range(-SAMPLE_RADIUS, SAMPLE_RADIUS + 1), repeat=d))
 
 
 def _add(m: Sequence[int], by: Sequence[int]) -> IntVector:
@@ -180,21 +187,25 @@ def codivisorial_module(cone: Cone, c: Sequence[int], rays: Sequence[int]) -> In
     c = int_vector(c)
     if len(c) != cone.ray_count:
         raise ValueError("degree length differs from ray count")
-    cons = tuple(IndicatorConstraint(r, "<=", -c[plain_int(r)]) for r in rays)
+    rays = tuple(plain_int(r) for r in rays)
+    for r in rays:
+        if not 0 <= r < cone.ray_count:
+            raise ValueError(f"ray index {r} is outside 0..{cone.ray_count - 1}")
+    cons = tuple(IndicatorConstraint(r, "<=", -c[r]) for r in rays)
     return IndicatorModule(cone, "quotient", cons)
 
 
-def validate_indicator_style(module: IndicatorModule, radius: int = 2) -> None:
+def validate_indicator_style(module: IndicatorModule) -> None:
     """Check the style rule on all comparable pairs within a cube.
 
     Submodule-style supports must be up-closed; quotient-style supports
     must be order-convex (the closure condition that makes the
     identity-inside/zero-outside transports compose).  This is sampled
     evidence, not a decision: only points of the cube
-    ``[-radius, radius]^d`` are tested, so a violation outside it passes.
+    ``[-SAMPLE_RADIUS, SAMPLE_RADIUS]^d`` are tested, so a violation
+    outside it passes.
     """
-    pts = [tuple(p) for p in product(range(-radius, radius + 1),
-                                     repeat=module.cone.lattice_rank)]
+    pts = _sample_cube(module.cone.lattice_rank)
     inside = [p for p in pts if module.in_support(p)]
     if module.style == "submodule":
         for m in inside:
@@ -253,10 +264,6 @@ class FinitelyPresentedModule(GradedModule):
             rels.append(Relation(deg, coeffs))
         object.__setattr__(self, "relations", tuple(rels))
         object.__setattr__(self, "_quotients", {})
-
-    def __reduce__(self):
-        # fields only: unpickling runs the constructor, and no memo travels
-        return type(self), (self.cone, self.generators, self.relations)
 
     def _data(self, m: IntVector):
         """``(active generators, reduced relation rows, free columns)`` at m."""
@@ -317,7 +324,8 @@ def ray_filtration(jumps: Sequence[tuple[int, Sequence[Sequence]]], ambient: int
     """Build a filtration from (level, spanning vectors) jump data."""
     steps = []
     for level, vectors in sorted(jumps, key=lambda j: j[0]):
-        steps.append(FiltrationStep(plain_int(level), row_space_basis(vectors, ambient)))
+        steps.append(FiltrationStep(plain_int(level), row_space_basis(
+            [frac_vector(v) for v in vectors], ambient)))
     out = []
     for st in steps:
         if out and st.level == out[-1].level:
@@ -374,6 +382,7 @@ class ReflexiveDescription:
                 for v in st.basis:
                     if len(v) != ambient:
                         raise ValueError("basis vector length differs from ambient dim")
+                    frac_vector(v)  # exact entries only: a float or boolean raises
                 if not subspace_le(prev, st.basis):
                     raise ValueError(f"ray {ray}: filtration is not nondecreasing")
                 prev = st.basis
@@ -384,10 +393,6 @@ class ReflexiveDescription:
                                                   for _, rf in filts))
         object.__setattr__(self, "_spaces", {})
         object.__setattr__(self, "_inclusions", {})
-
-    def __reduce__(self):
-        # fields only: unpickling runs the constructor, and no memo travels
-        return type(self), (self.ambient_dim, self.filtrations)
 
     def _steps(self, levels: Sequence[int]) -> IntVector:
         """Per ray, the number of jumps at or below its level: 0 below the first jump."""
@@ -517,28 +522,24 @@ class GradedMorphism:
 
 
 def morphism(source: GradedModule, target: GradedModule,
-             rule: Callable[[IntVector], Mat],
-             validate_radius: Optional[int] = 2) -> GradedMorphism:
+             rule: Callable[[IntVector], Mat]) -> GradedMorphism:
     """Wrap a matrix rule, checking naturality on a sampled cube.
 
     The check is sampled evidence, not a decision: naturality is tested
-    only on comparable pairs within ``[-validate_radius, validate_radius]^d``,
-    so a rule that fails outside the cube is accepted; ``None`` skips it.
+    only on comparable pairs within ``[-SAMPLE_RADIUS, SAMPLE_RADIUS]^d``,
+    so a rule that fails outside the cube is accepted.
     """
     f = GradedMorphism(source, target, rule)
-    if validate_radius is not None:
-        d = source.cone.lattice_rank
-        pts = [tuple(p) for p in product(range(-validate_radius, validate_radius + 1),
-                                         repeat=d)]
-        for m in pts:
-            fm = f.matrix(m)
-            for m2 in pts:
-                if m2 == m or not leq_sigma(source.cone, m, m2):
-                    continue
-                lhs = target.action(m, m2).mul(fm)
-                rhs = f.matrix(m2).mul(source.action(m, m2))
-                if lhs != rhs:
-                    raise ValueError(f"naturality fails on {m} <= {m2}")
+    pts = _sample_cube(source.cone.lattice_rank)
+    for m in pts:
+        fm = f.matrix(m)
+        for m2 in pts:
+            if m2 == m or not leq_sigma(source.cone, m, m2):
+                continue
+            lhs = target.action(m, m2).mul(fm)
+            rhs = f.matrix(m2).mul(source.action(m, m2))
+            if lhs != rhs:
+                raise ValueError(f"naturality fails on {m} <= {m2}")
     return f
 
 

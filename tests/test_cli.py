@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -151,7 +152,7 @@ def test_roos_command(inputs, capsys):
     assert payload["limit_dims"] == [1, 1]
 
 
-def test_lift_table_pool_is_no_wider_than_the_box(inputs, monkeypatch):
+def test_lift_table_fans_out_no_wider_than_the_box(inputs, monkeypatch):
     forks = []
 
     def refuse():  # counts the children asked for; none starts
@@ -407,6 +408,15 @@ def test_internal_errors_exit_3(inputs, capsys, monkeypatch, exc):
     err = capsys.readouterr().err
     assert err.startswith(f"internal error: {type(exc).__name__}: ")
     assert err.count("\n") == 1
+
+
+def test_contract_bytes_runs_every_check_suite():
+    # a suite missing from the script's tuple would skip the byte contract unnoticed
+    path = Path(__file__).resolve().parent.parent / "scripts" / "contract_bytes.py"
+    spec = importlib.util.spec_from_file_location("contract_bytes", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.SUITES == tuple(sorted(checks.SUITES))
 
 
 def test_make_inputs_feeds_the_cli(tmp_path, capsys):

@@ -278,6 +278,24 @@ def test_colimits(csq):
     assert not short.stabilized and short.dim is None
 
 
+# integer arguments that are counts, not degrees; each is read by plain_int
+BAD_COUNTS = {
+    "jobs float": lambda C: lift_table(C, simple_module(C), Box((0,) * 4, (0,) * 4), jobs=1.5),
+    "jobs str": lambda C: lift_table(C, simple_module(C), Box((0,) * 4, (0,) * 4), jobs="2"),
+    "jobs bool": lambda C: lift_table(C, simple_module(C), Box((0,) * 4, (0,) * 4), jobs=True),
+    "colimit horizon float": lambda C: colimit(C, simple_module(C), horizon=2.5),
+    "colimit negative horizon": lambda C: colimit(C, simple_module(C), horizon=-1),
+    "lift colimit horizon float": lambda C: colimit_of_lift(C, simple_module(C), horizon=2.5),
+    "lift colimit negative horizon": lambda C: colimit_of_lift(C, simple_module(C), horizon=-1),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_jobs_and_horizon_reject_non_integers_and_negatives(csq, call):
+    with pytest.raises(ValueError, match="expected an integer|must be nonnegative"):
+        call(csq)
+
+
 def test_colimit_of_lift_matches(csq):
     for module in (simple_module(csq), maximal_ideal_module(csq),
                    structure_module(csq)):
@@ -372,7 +390,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_lift_table_warns_once_when_the_pool_cannot_start(csq, monkeypatch, capsys):
+def test_lift_table_warns_once_when_a_fork_is_refused(csq, monkeypatch, capsys):
     allow_cpus(monkeypatch, 2)
     refuse_forks(monkeypatch)
     cod = codivisorial_module(csq, (0, 0, 0, 0), (1, 3))
@@ -511,15 +529,19 @@ def test_memos_are_freed_with_their_cone_and_modules():
     assert [ref() for ref in refs] == [None] * 5
 
 
-def test_pickles_carry_fields_and_no_memo(csq):
+def test_memoized_modules_survive_a_pickle_round_trip(csq):
     filtration = FiltrationModule(csq, random_reflexive_description(csq, random.Random(3)))
     lift_component(csq, filtration, (-1, 0, -1, 0))
     assert csq._classes and "smith" in vars(csq) and filtration.description._spaces
     copy = pickle.loads(pickle.dumps(filtration))
-    assert copy == filtration
-    assert copy.description._spaces == {} and copy.description._inclusions == {}
-    assert copy.cone._minimal == {} and copy.cone._classes == {}
-    assert "smith" not in vars(copy.cone)
+    assert copy == filtration and hash(copy) == hash(filtration)
+    assert copy.cone == csq and hash(copy.cone) == hash(csq)
+    assert copy.description == filtration.description
+    assert hash(copy.description) == hash(filtration.description)
+    # the memos travel with the copy and still give the same lift
+    for c in ((-1, 0, -1, 0), (0, 1, 0, 1)):
+        assert (lift_component(copy.cone, copy, c)
+                == lift_component(csq, filtration, c))
 
 
 def test_no_module_holds_a_process_wide_functools_cache():

@@ -199,6 +199,33 @@ def test_degree_arguments_reject_non_integers(csq, call):
         call(csq)
 
 
+# each rational is read exactly: a float would be stored as its binary
+# value (0.1 as 3602879701896397/36028797018963968) and a boolean as 0 or 1
+INEXACT_RATIONALS = {
+    "relation float": lambda C: FinitelyPresentedModule(
+        C, [(0, 0, 0)], [Relation((0, 0, 0), (0.1,))]),
+    "relation bool": lambda C: FinitelyPresentedModule(
+        C, [(0, 0, 0)], [Relation((0, 0, 0), (True,))]),
+    "matrix float": lambda C: Mat.from_rows([[1, 0.5]]),
+    "matrix bool": lambda C: Mat.from_rows([[False]]),
+    "filtration basis": lambda C: ray_filtration([(0, [[0.1, 1]])], 2),
+    "description basis": lambda C: ReflexiveDescription(
+        1, ((0, RayFiltration((FiltrationStep(0, ((0.5,),)),))),)),
+}
+
+
+@pytest.mark.parametrize("build", INEXACT_RATIONALS.values(), ids=INEXACT_RATIONALS.keys())
+def test_rational_inputs_reject_floats_and_booleans(csq, build):
+    with pytest.raises(ValueError, match="exact rational|booleans"):
+        build(csq)
+
+
+def test_codivisorial_module_names_a_ray_index_out_of_range(csq):
+    for ray in (4, -1):
+        with pytest.raises(ValueError, match=f"ray index {ray} is outside 0..3"):
+            codivisorial_module(csq, (0, 0, 0, 0), (ray,))
+
+
 def test_degree_arguments_must_have_one_entry_per_ray(csq):
     with pytest.raises(ValueError):
         SpikeRule(4, (1, 0))
@@ -363,12 +390,12 @@ def test_morphism_validation(csq):
         return Mat.identity(R.component(m))
 
     with pytest.raises(ValueError):
-        morphism(R, R, broken, validate_radius=2)
+        morphism(R, R, broken)
 
 
 def test_morphism_naturality_sampled(csq):
     f = morphism(maximal_ideal_module(csq), structure_module(csq),
-                 ideal_to_structure(csq).matrix, validate_radius=2)
+                 ideal_to_structure(csq).matrix)
     assert f.matrix((1, 0, 1)).rows == [[1]]
 
 
