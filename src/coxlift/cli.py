@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -35,9 +36,15 @@ from .jsonio import (
 )
 from .lifting import Box, lift_table
 
+_RANGE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
+
 
 def parse_box(text: str, width: int) -> Box:
-    """Parse ``lo..hi`` (every coordinate) or comma-separated per-coordinate ranges."""
+    """Parse ``lo..hi`` (every coordinate) or comma-separated per-coordinate ranges.
+
+    Each bound is an optional ``-`` followed by ASCII digits; anything else
+    (``1_0``, ``+1``, other scripts' digits) is a ``ValueError`` naming the range.
+    """
     parts = [p.strip() for p in text.split(",")]
     if len(parts) == 1:
         parts = parts * width
@@ -45,11 +52,11 @@ def parse_box(text: str, width: int) -> Box:
         raise ValueError(f"box needs 1 or {width} ranges, got {len(parts)}")
     lo, hi = [], []
     for p in parts:
-        if ".." not in p:
-            raise ValueError(f"range {p!r} must look like lo..hi")
-        a, b = p.split("..", 1)
-        lo.append(int(a))
-        hi.append(int(b))
+        bounds = _RANGE.fullmatch(p)
+        if bounds is None:
+            raise ValueError(f"range {p!r} must look like lo..hi with integer bounds")
+        lo.append(int(bounds[1]))
+        hi.append(int(bounds[2]))
     return Box(tuple(lo), tuple(hi))
 
 

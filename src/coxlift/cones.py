@@ -64,6 +64,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import le, mul
 from typing import Sequence
 
 from .lattice import (
@@ -129,14 +130,13 @@ class Cone:
         if out is None:
             if len(m) != self.lattice_rank:
                 raise ValueError("vector length differs from lattice rank")
-            out = self._values[m] = tuple(sum(r * x for r, x in zip(row, m))
-                                          for row in self.rays)
+            out = self._values[m] = tuple(sum(map(mul, row, m)) for row in self.rays)
         return out
 
 
 def leq_sigma(cone: Cone, m: Sequence[int], m_prime: Sequence[int]) -> bool:
     """Dual-cone order: every ray form nondecreasing from m to m_prime."""
-    return all(a <= b for a, b in zip(cone.evaluate(m), cone.evaluate(m_prime)))
+    return all(map(le, cone.evaluate(m), cone.evaluate(m_prime)))
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -260,7 +260,7 @@ def _minimal_points(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
     found.sort()
     kept: list[tuple[IntVector, IntVector]] = []
     for _, vals, m in found:
-        if not any(all(a <= b for a, b in zip(k, vals)) for k, _ in kept):
+        if not any(all(map(le, k, vals)) for k, _ in kept):
             kept.append((vals, m))
     return tuple(sorted(m for _, m in kept))
 

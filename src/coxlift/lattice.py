@@ -14,6 +14,7 @@ keeps its Smith form, as a cone keeps that of its rays (``Cone.smith``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import Mat, rank as q_rank, rref
@@ -33,7 +34,7 @@ def plain_int(x) -> int:
 def int_vector(values: Sequence[int]) -> IntVector:
     """``values`` as a tuple of plain integers, each one checked by ``plain_int``."""
     t = tuple(values)
-    if all(type(x) is int for x in t):
+    if set(map(type, t)) == {int}:
         return t
     return tuple(plain_int(x) for x in t)
 
@@ -57,7 +58,7 @@ def int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
 def imat_vec(a: IntMatrix, v: Sequence[int]) -> IntVector:
     if len(v) != len(a[0]):
         raise ValueError("vector length differs from column count")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def imat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -41,6 +41,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, product
+from operator import ge, neg
 from typing import Callable, Optional, Sequence
 
 from .cones import (
@@ -239,7 +240,7 @@ class ShiftedCoxRule(CoxRule):
     def dim(self, c: Sequence[int]) -> int:
         if len(c) != self.ray_count:
             raise self._wrong_length(c)
-        return 1 if all(a + s >= 0 for a, s in zip(c, self.shift)) else 0
+        return 1 if all(map(ge, c, map(neg, self.shift))) else 0
 
     def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
         return Mat.ones(self.dim(c_prime), self.dim(c))

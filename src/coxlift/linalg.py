@@ -27,6 +27,13 @@ bit for bit.
 Matrices carry explicit shape (``Mat``) because zero-dimensional blocks
 are everywhere in graded-module arithmetic and bare lists of rows lose
 the column count.
+
+Every entry point reads the rationals it is given through ``_fraction``
+(``Mat.from_rows``, ``Mat.vec``, ``solve``, ``row_space_basis``,
+``reduce_by_rref`` and with it ``matrix_in_basis`` and
+``subspace_contains``): an integer, a ``Fraction`` or ``"p/q"`` text is
+read exactly, and a float or a boolean raises ``ValueError``.  Only the
+internal constructor ``Mat(nrows, ncols, rows)`` takes its rows as given.
 """
 
 from __future__ import annotations
@@ -60,18 +67,22 @@ def _fraction(x) -> Fraction:
 
 
 def frac_vector(values: Iterable) -> Vector:
-    return tuple(_fraction(x) for x in values)
+    return tuple(map(_fraction, values))
 
 
 class Mat:
-    """Dense rational matrix with explicit shape."""
+    """Dense rational matrix with explicit shape.
+
+    The constructor is the internal one: it checks the shape and keeps
+    ``rows`` as given.  ``Mat.from_rows`` is the checked one.
+    """
 
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows: int, ncols: int, rows: Optional[list] = None):
         if rows is None:
             rows = [[ZERO] * ncols for _ in range(nrows)]
-        if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        if len(rows) != nrows or not set(map(len, rows)) <= {ncols}:
             raise ValueError("matrix shape mismatch")
         self.nrows = nrows
         self.ncols = ncols
@@ -117,7 +128,8 @@ class Mat:
     def vec(self, v: Sequence) -> list:
         if len(v) != self.ncols:
             raise ValueError("vector length differs from column count")
-        return [sum((a * Fraction(x) for a, x in zip(row, v)), ZERO) for row in self.rows]
+        v = frac_vector(v)
+        return [sum([a * x for a, x in zip(row, v) if a], ZERO) for row in self.rows]
 
     def col(self, j: int) -> list:
         return [row[j] for row in self.rows]
@@ -208,7 +220,7 @@ def sparse_kernel_basis(rows: Iterable[dict], ncols: int) -> list[Vector]:
 
 def solve(m: Mat, b: Sequence) -> Optional[list]:
     """One solution of ``m x = b``, or None when inconsistent."""
-    aug = m.hstack(Mat(m.nrows, 1, [[Fraction(x)] for x in b]))
+    aug = m.hstack(Mat(m.nrows, 1, [[x] for x in frac_vector(b)]))
     red, pivots = rref(aug)
     if m.ncols in pivots:
         return None
@@ -220,7 +232,7 @@ def solve(m: Mat, b: Sequence) -> Optional[list]:
 
 def row_space_basis(vectors: Iterable[Sequence], ambient: int) -> tuple[Vector, ...]:
     """Canonical (RREF) basis of the span of the given vectors."""
-    rows = [list(map(Fraction, v)) for v in vectors]
+    rows = [frac_vector(v) for v in vectors]
     if not rows:
         return ()
     red, pivots = rref(Mat(len(rows), ambient, rows))
@@ -241,13 +253,17 @@ def reduce_by_rref(basis: Sequence[Vector], v: Sequence) -> tuple[list, list]:
     row's pivot) and the remainder, which is zero exactly when ``v`` lies
     in the span.
     """
-    work = [Fraction(x) for x in v]
+    work = list(frac_vector(v))
     coeffs = []
     for row in basis:
+        if len(row) != len(work):
+            raise ValueError("basis row length differs from vector length")
         c = work[_leading_index(row)]
         coeffs.append(c)
         if c:
-            work = [w - c * r for w, r in zip(work, row)]
+            for j, r in enumerate(row):
+                if r:
+                    work[j] -= c * r
     return coeffs, work
 
 

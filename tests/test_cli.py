@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -59,6 +60,11 @@ def test_parse_box():
         parse_box("0..1,0..1", 3)
     with pytest.raises(ValueError):
         parse_box("nonsense", 1)
+    # a bound is an optional '-' and ASCII digits: no underscores, no sign '+',
+    # no other scripts' digits, no inner blanks; the error names the range
+    for bad in ("1_0..1_0", "\u0663..\u0663", "a..b", "+1..2", "--1..2", "-2 .. 2", "1..", "..1"):
+        with pytest.raises(ValueError, match=re.escape(f"range {bad!r} must look like lo..hi")):
+            parse_box(f"0..0,{bad}", 2)
 
 
 def test_parse_fraction():
@@ -251,6 +257,9 @@ def test_error_exit_codes(inputs, capsys):
     assert main(["check", "nosuchsuite"]) == 2
     assert main(["lift-table", "--cone", str(inputs / "cone.json"),
                  "--module", str(inputs / "simple.json"), "--box=0..1,0..1"]) == 2
+    assert main(["lift-table", "--cone", str(inputs / "cone.json"),
+                 "--module", str(inputs / "simple.json"), "--box=a..b"]) == 2
+    assert "range 'a..b' must look like lo..hi" in capsys.readouterr().err
     for jobs in ("0", "-1"):
         assert main(["lift-table", "--cone", str(inputs / "cone.json"),
                      "--module", str(inputs / "simple.json"), "--box=0..0",

@@ -1,7 +1,8 @@
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coxlift.lattice import (
@@ -9,7 +10,9 @@ from coxlift.lattice import (
     imat_vec,
     int_kernel_basis,
     int_matrix,
+    int_vector,
     lattice_membership,
+    plain_int,
     rational_rank,
     reduce_by_sublattice,
     smith_normal_form,
@@ -178,3 +181,35 @@ def test_int_kernel():
         assert v[0] + v[1] == 0
     # kernel spans the full rank-two solution lattice
     assert rational_rank(int_matrix(kern)) == 2
+
+
+class Sign(IntEnum):
+    MINUS = -1
+    PLUS = 1
+
+
+def generator_int_vector(values):
+    """Reference: the fast test written as a generator over the entries."""
+    t = tuple(values)
+    if all(type(x) is int for x in t):
+        return t
+    return tuple(plain_int(x) for x in t)
+
+
+def _outcome(f, values):
+    try:
+        out = f(values)
+    except ValueError as exc:
+        return "raises", str(exc)
+    return "returns", repr(out)
+
+
+odd_entry = st.sampled_from([True, False, 0.0, 1.5, "1", Sign.MINUS, Sign.PLUS, None])
+
+
+@given(st.lists(st.one_of(st.integers(-5, 5), odd_entry), max_size=6))
+@example([])
+@example([Sign.PLUS, 0])
+@example([0, 0, True])
+def test_int_vector_matches_its_generator_form(values):
+    assert _outcome(int_vector, values) == _outcome(generator_int_vector, values)

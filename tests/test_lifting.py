@@ -10,6 +10,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import coxlift
 from coxlift import lifting
@@ -268,6 +270,18 @@ WRONG_LENGTH_DEGREES = {
 def test_cox_rules_reject_a_degree_of_another_length(call, length):
     with pytest.raises(ValueError, match=f"has length {length}, but the rule has"):
         call()
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n))), st.integers(0, 7))
+def test_shifted_rule_dim_matches_its_sum_form(degree_shift, other_length):
+    c, shift = degree_shift
+    rule = ShiftedCoxRule(len(shift), shift)
+    assert rule.dim(c) == (1 if all(a + s >= 0 for a, s in zip(c, shift)) else 0)
+    if other_length != len(c):
+        with pytest.raises(ValueError, match=f"has length {other_length}, but the rule has"):
+            rule.dim(c[:other_length] + [0] * (other_length - len(c)))
 
 
 def test_colimits(csq):

@@ -10,6 +10,7 @@ from coxlift.linalg import (
     kernel_basis,
     matrix_in_basis,
     rank,
+    reduce_by_rref,
     row_space_basis,
     rref,
     solve,
@@ -337,3 +338,91 @@ def test_zero_dimensional_shapes():
     assert rank(z2) == 0
     assert kernel_basis(z2) == []
     assert Mat.zero(0, 2).mul(Mat.zero(2, 5)).ncols == 5
+
+
+ONE, ZERO = Fraction(1), Fraction(0)
+
+# each public entry point that reads rationals, handed x as one entry of a
+# valid call; every entry it reads goes through ``_fraction``
+ENTRY_POINTS = {
+    "Mat.from_rows": lambda x: Mat.from_rows([[x, 1]]).rows,
+    "Mat.vec": lambda x: Mat.identity(2).vec([x, 1]),
+    "row_space_basis": lambda x: row_space_basis([[1, x]], 2),
+    "solve": lambda x: solve(Mat.from_rows([[1]]), [x]),
+    "reduce_by_rref": lambda x: reduce_by_rref([(ONE, ZERO)], [x, 1]),
+    "matrix_in_basis": lambda x: matrix_in_basis([(ONE, ZERO), (ZERO, ONE)], [[x, 1]]).rows,
+    "subspace_contains": lambda x: subspace_contains([(ONE, ZERO)], [x, 0]),
+}
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0, True, False, None])
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_entry_points_reject_floats_and_booleans(call, x):
+    with pytest.raises(ValueError):
+        call(x)
+
+
+@pytest.mark.parametrize("x", [2, Fraction(2, 3), "2/3", "-4"])
+def test_entry_points_read_rationals_exactly(x):
+    q = Fraction(x)
+    expected = {
+        "Mat.from_rows": [[q, ONE]],
+        "Mat.vec": [q, ONE],
+        "row_space_basis": ((ONE, q),),
+        "solve": [q],
+        "reduce_by_rref": ([q], [ZERO, ONE]),
+        "matrix_in_basis": [[q], [ONE]],
+        "subspace_contains": True,
+    }
+    for name, call in ENTRY_POINTS.items():
+        # equal reprs: the same values, every entry a Fraction
+        assert repr(call(x)) == repr(expected[name]), name
+
+
+def dense_reduce(basis, v):
+    """Reference: reduce ``v`` by each RREF row over every entry, zeros included."""
+    work = [Fraction(x) for x in v]
+    coeffs = []
+    for row in basis:
+        c = work[next(j for j, x in enumerate(row) if x)]
+        coeffs.append(c)
+        if c:
+            work = [w - c * r for w, r in zip(work, row)]
+    return coeffs, work
+
+
+@given(sparse_rational_matrix(), st.data())
+def test_reduce_and_vec_match_the_dense_formulas(m, data):
+    # bases and vectors with many zeros, in and out of the span
+    basis = row_space_basis(m.rows, m.ncols)
+    v = data.draw(st.lists(entry, min_size=m.ncols, max_size=m.ncols))
+    got = reduce_by_rref(basis, v)
+    assert got == dense_reduce(basis, v)
+    assert all(type(x) is Fraction for part in got for x in part)
+    assert subspace_contains(basis, v) == (not any(dense_reduce(basis, v)[1]))
+
+    out = m.vec(v)
+    assert out == [sum((a * Fraction(x) for a, x in zip(row, v)), ZERO) for row in m.rows]
+    assert all(type(x) is Fraction for x in out)
+
+
+def test_reduce_by_rref_rejects_a_basis_of_another_length():
+    with pytest.raises(ValueError, match="basis row length"):
+        reduce_by_rref([(ONE, ZERO, ZERO)], [1, 1])
+    with pytest.raises(ValueError, match="basis row length"):
+        subspace_contains([(ONE,)], [1, 1])
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(-1, 1), st.data())
+def test_mat_shape_check(nrows, ncols, surplus, data):
+    # zero rows or columns, one row too few or too many, one row of a drawn length
+    lengths = [ncols] * max(0, nrows + surplus)
+    if lengths and data.draw(st.booleans()):
+        lengths[data.draw(st.integers(0, len(lengths) - 1))] = data.draw(st.integers(0, 5))
+    rows = [[ZERO] * n for n in lengths]
+    well_shaped = len(rows) == nrows and all(len(r) == ncols for r in rows)
+    if well_shaped:
+        assert Mat(nrows, ncols, rows).rows is rows
+    else:
+        with pytest.raises(ValueError, match="matrix shape mismatch"):
+            Mat(nrows, ncols, rows)
