@@ -27,7 +27,11 @@ Runs, with this checkout's ``src`` on the path:
   once with every relation and its map, once with only the 104 covers
   and their maps, which the library closes and composes itself;
 * ``coxlift.cli roos --imax 2`` on a diagram with ``a < b`` and
-  ``b < a``, which exits 2 as not antisymmetric;
+  ``b < a``, which exits 2 as not antisymmetric, and on one with
+  ``a < b < c`` and only the map ``a->b``, which exits 2 naming ``b -> c``
+  as having no transport data;
+* ``coxlift.cli lift-table --box=-2..2`` on the cone over a square with a
+  filtration module that gives ray 0 the level 0 twice, which exits 2;
 * ``scripts/derived_evidence.py``, whose report prints the point count
   and limit dimensions of a truncation, which ``check roos`` does not.
 
@@ -92,6 +96,15 @@ SQUARE_RAYS = ((1, 0, 0), (0, 1, 0), (-1, 1, 1), (0, 0, 1))
 # a < b and b < a: closing the relation must not hide the cycle
 CYCLE = {"elements": ["a", "b"], "leq": [["a", "b"], ["b", "a"]], "dims": {"a": 1, "b": 1},
          "maps": {"a->b": [[1]], "b->a": [[1]]}}
+# a < b < c with no map out of b: the transport b -> c has no data
+MISSING_MAP = {"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"]],
+               "dims": {"a": 1, "b": 1, "c": 1}, "maps": {"a->b": [[1]]}}
+# ray 0 lists the level 0 twice, a line and then the plane
+REPEATED_LEVEL = {
+    "type": "filtration", "ambient_dim": 2,
+    "filtrations": {"0": [{"level": 0, "basis": [[1, 0]]}, {"level": 0, "basis": FULL}],
+                    **{str(r): [{"level": 0, "basis": FULL}] for r in (1, 2, 3)}},
+}
 
 
 def square_ideal_truncation(covers_only=False, c=(-1, 0, -1, 0), bound=9) -> dict:
@@ -148,7 +161,10 @@ def commands(inputs: pathlib.Path):
         yield (f"roos-imax{imax}",
                cli + ["roos", "--diagram", str(inputs / "diagram_crown.json"),
                       "--imax", imax])
-    for name in ("square_ideal", "square_ideal_covers", "cycle"):
+    yield ("lift-table-repeated-level",
+           cli + ["lift-table", "--cone", str(inputs / "cone_square.json"),
+                  "--module", str(inputs / "module_repeated_level.json"), "--box=-2..2"])
+    for name in ("square_ideal", "square_ideal_covers", "cycle", "missing_map"):
         yield (f"roos-{name.replace('_', '-')}-imax2",
                cli + ["roos", "--diagram", str(inputs / f"diagram_{name}.json"),
                       "--imax", "2"])
@@ -174,6 +190,8 @@ def main() -> int:
         (inputs / "diagram_square_ideal_covers.json").write_text(
             json.dumps(square_ideal_truncation(covers_only=True)))
         (inputs / "diagram_cycle.json").write_text(json.dumps(CYCLE))
+        (inputs / "diagram_missing_map.json").write_text(json.dumps(MISSING_MAP))
+        (inputs / "module_repeated_level.json").write_text(json.dumps(REPEATED_LEVEL))
         for case, (_, cone, module) in CLASS_GROUP_CASES.items():
             (inputs / f"cone_{case}.json").write_text(json.dumps(cone))
             (inputs / f"module_{case}.json").write_text(json.dumps(module))

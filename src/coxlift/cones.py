@@ -55,7 +55,8 @@ full-dimensional, its search data, the Smith form of its ray matrix
 (``Cone.smith``), the minimal points of each class by its key ``c0``,
 and its minimal points by degree.  ``leq_sigma`` compares two of those
 coordinate vectors: ``m <= m'`` exactly when ``L(m) <= L(m')``
-componentwise, since L is linear.
+componentwise, since L is linear.  ``cox_degree`` is the one check of a
+Cox degree; the lift and ``codivisorial_module`` read theirs through it.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from .lattice import (
     imat_vec,
     int_matrix,
     int_vector,
+    nonnegative_int,
     plain_int,
     rational_rank,
     smith_normal_form,
@@ -265,7 +267,8 @@ def _minimal_points(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
     return tuple(sorted(m for _, m in kept))
 
 
-def _degree(cone: Cone, c: Sequence[int]) -> IntVector:
+def cox_degree(cone: Cone, c: Sequence[int]) -> IntVector:
+    """``c`` as a Cox degree of the cone: one plain integer per ray."""
     c = int_vector(c)
     if len(c) != cone.ray_count:
         raise ValueError("degree length differs from ray count")
@@ -295,7 +298,7 @@ def minimal_elements(cone: Cone, c: Sequence[int]) -> tuple[IntVector, ...]:
     the life of the cone: the points of each class by c0, the result by
     degree.
     """
-    c = _degree(cone, c)
+    c = cox_degree(cone, c)
     out = cone._minimal.get(c)
     if out is None:
         _require_full_dimensional(cone)
@@ -318,10 +321,8 @@ def truncation_points(cone: Cone, c: Sequence[int], bound: int) -> list[IntVecto
     ``(adj_j c_T + bound max(0, max adj_j)) / det``; the scan runs over
     the intersection of these ranges over all bases.
     """
-    c = _degree(cone, c)
-    bound = plain_int(bound)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    c = cox_degree(cone, c)
+    bound = nonnegative_int(bound, "bound")
     _require_full_dimensional(cone)
     bases = cone._search.bases
     low, high = [], []

@@ -29,7 +29,7 @@ from itertools import groupby
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cones import Cone, minimal_common_upper_bounds, minimal_elements, truncation_points
-from .lattice import int_vector, plain_int
+from .lattice import int_vector, nonnegative_int, plain_int
 from .lifting import lift_component, lift_morphism
 from .linalg import Mat, rank, sparse_rank
 from .modules import (
@@ -176,7 +176,7 @@ class FinitePosetDiagram:
             while (path[-1], j) not in filled:
                 step = next((k for k in given.get(path[-1], ()) if up[k] >> j & 1), None)
                 if step is None:
-                    raise ValueError(f"no transport data for {i} -> {j}")
+                    raise ValueError(f"no transport data for {elements[i]} -> {elements[j]}")
                 path.append(step)
             out = filled[(path[-1], j)]
             for a, k in zip(path[-2::-1], path[:0:-1]):
@@ -247,17 +247,9 @@ def _chain_levels(diagram: FinitePosetDiagram, count: int) -> list[list[tuple[in
     return levels
 
 
-def _top_degree(imax: int) -> int:
-    """``imax`` if it is a nonnegative plain integer, else ``ValueError``."""
-    imax = plain_int(imax)
-    if imax < 0:
-        raise ValueError(f"imax must be nonnegative, got {imax}")
-    return imax
-
-
 def roos_limits(diagram: FinitePosetDiagram, imax: int) -> RoosResult:
     """Dimensions of the derived limits lim^0 .. lim^imax."""
-    imax = _top_degree(imax)
+    imax = nonnegative_int(imax, "imax")
     chain_levels = _chain_levels(diagram, imax + 2)
     offsets_per_level: list[dict[tuple[int, ...], int]] = []
     cochain_dims = []
@@ -390,7 +382,7 @@ def truncated_lift_oracle(cone: Cone, module: GradedModule, c: Sequence[int],
     larger one gives more truncation evidence.
     """
     c = int_vector(c)
-    imax = _top_degree(imax)
+    imax = nonnegative_int(imax, "imax")
     cert = certification_bound(cone, c)
     if bound is None:
         bound = cert

@@ -45,10 +45,7 @@ if TYPE_CHECKING:
     from .derived import FinitePosetDiagram
 
 
-def parse_fraction(x) -> Fraction:
-    """A JSON rational, an integer or a ``"p/q"`` string, read by the
-    library's one exactness rule: floats and booleans are rejected."""
-    return _fraction(x)
+parse_fraction = _fraction  # a JSON rational: an integer or "p/q"; floats and booleans raise
 
 
 def fraction_out(x: Fraction):
@@ -138,8 +135,7 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
             a, b = (element(e.strip(), f"map {key}") for e in ends)
             # the width comes from the rows, so a wrong one is reported with the ids
             try:
-                mat = Mat.from_rows([[parse_fraction(x) for x in row] for row in rows],
-                                    ncols=None if rows else dims[a])
+                mat = Mat.from_rows(rows, ncols=None if rows else dims[a])
             except ValueError as exc:
                 raise ValueError(f"map {key}: {exc}") from None
             maps[(a, b)] = mat

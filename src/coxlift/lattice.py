@@ -31,6 +31,13 @@ def plain_int(x) -> int:
     return x
 
 
+def nonnegative_int(x, name: str) -> int:
+    """``x`` if it is a plain integer and not negative; ``name`` labels the error."""
+    if plain_int(x) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {x}")
+    return x
+
+
 def int_vector(values: Sequence[int]) -> IntVector:
     """``values`` as a tuple of plain integers, each one checked by ``plain_int``."""
     t = tuple(values)

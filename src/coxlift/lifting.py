@@ -46,12 +46,13 @@ from typing import Callable, Optional, Sequence
 
 from .cones import (
     Cone,
+    cox_degree,
     leq_sigma,
     minimal_common_upper_bounds,
     minimal_elements,
     strict_interior_point,
 )
-from .lattice import int_vector, plain_int
+from .lattice import int_vector, nonnegative_int, plain_int
 from .linalg import (
     Mat,
     Vector,
@@ -87,9 +88,7 @@ class LiftComponent:
 
 def lift_component(cone: Cone, module: GradedModule, c: Sequence[int]) -> LiftComponent:
     """Inverse limit of the module over P_c, with a canonical echelon basis."""
-    c = int_vector(c)
-    if len(c) != cone.ray_count:
-        raise ValueError("degree length differs from ray count")
+    c = cox_degree(cone, c)
     if module.cone != cone:
         raise ValueError("the module lives on another cone")
     mins = minimal_elements(cone, c)
@@ -222,7 +221,8 @@ class CoxRule:
         raise NotImplementedError
 
     def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
-        raise NotImplementedError
+        """``Mat.ones``, the transport of the 0/1 rules; larger rules override it."""
+        return Mat.ones(self.dim(c_prime), self.dim(c))
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,6 @@ class ShiftedCoxRule(CoxRule):
             raise self._wrong_length(c)
         return 1 if all(map(ge, c, map(neg, self.shift))) else 0
 
-    def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
-        return Mat.ones(self.dim(c_prime), self.dim(c))
-
 
 @dataclass(frozen=True)
 class SpikeRule(CoxRule):
@@ -262,9 +259,6 @@ class SpikeRule(CoxRule):
         if len(c) != self.ray_count:
             raise self._wrong_length(c)
         return 1 if tuple(c) == self.degree else 0
-
-    def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
-        return Mat.ones(self.dim(c_prime), self.dim(c))
 
 
 @dataclass(frozen=True)
@@ -357,7 +351,7 @@ def colimit(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResul
     if module.cone != cone:
         raise ValueError("the module lives on another cone")
     w = strict_interior_point(cone)
-    points = [tuple(k * x for x in w) for k in range(_horizon(horizon) + 1)]
+    points = [tuple(k * x for x in w) for k in range(nonnegative_int(horizon, "horizon") + 1)]
     return _stabilize(tuple(module.component(p) for p in points),
                       lambda k: module.action(points[k], points[k + 1]))
 
@@ -365,19 +359,11 @@ def colimit(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResul
 def colimit_of_lift(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResult:
     """Colimit of the lifted module along the all-ones Cox direction."""
     ones = (1,) * cone.ray_count
-    degrees = [tuple(k * x for x in ones) for k in range(_horizon(horizon) + 1)]
+    degrees = [tuple(k * x for x in ones) for k in range(nonnegative_int(horizon, "horizon") + 1)]
     comps = [lift_component(cone, module, c) for c in degrees]
     return _stabilize(tuple(comp.dim for comp in comps),
                       lambda k: lift_action(cone, module, degrees[k], degrees[k + 1],
                                             source=comps[k], target=comps[k + 1]))
-
-
-def _horizon(horizon: int) -> int:
-    """``horizon`` if it is a nonnegative plain integer, else ``ValueError``."""
-    horizon = plain_int(horizon)
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    return horizon
 
 
 def _stabilize(dims: tuple[int, ...], step: Callable[[int], Mat]) -> ColimitResult:

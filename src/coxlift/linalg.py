@@ -30,8 +30,8 @@ the column count.
 
 Every entry point reads the rationals it is given through ``_fraction``
 (``Mat.from_rows``, ``Mat.vec``, ``solve``, ``row_space_basis``,
-``reduce_by_rref`` and with it ``matrix_in_basis`` and
-``subspace_contains``): an integer, a ``Fraction`` or ``"p/q"`` text is
+``reduce_by_rref``, ``matrix_in_basis`` and ``subspace_le``, basis rows
+included, once per call): an integer, a ``Fraction`` or ``"p/q"`` text is
 read exactly, and a float or a boolean raises ``ValueError``.  Only the
 internal constructor ``Mat(nrows, ncols, rows)`` takes its rows as given.
 """
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -239,11 +239,29 @@ def row_space_basis(vectors: Iterable[Sequence], ambient: int) -> tuple[Vector, 
     return tuple(tuple(red.rows[i]) for i in range(len(pivots)))
 
 
-def _leading_index(row: Sequence[Fraction]) -> int:
-    for j, x in enumerate(row):
-        if x:
-            return j
-    raise ValueError("zero row has no leading index")
+def _reducer(basis: Sequence[Sequence]) -> Callable[[Sequence], tuple[list, list]]:
+    """``reduce_by_rref`` by a fixed RREF basis, whose rows are read through
+    ``_fraction`` once, here, and kept as their nonzero entries."""
+    rows = [frac_vector(row) for row in basis]
+    widths = set(map(len, rows))
+    entries = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    if not all(entries):
+        raise ValueError("zero row has no leading index")
+
+    def reduce(v: Sequence) -> tuple[list, list]:
+        work = list(frac_vector(v))
+        if not widths <= {len(work)}:
+            raise ValueError("basis row length differs from vector length")
+        coeffs = []
+        for row in entries:
+            c = work[row[0][0]]
+            coeffs.append(c)
+            if c:
+                for j, r in row:
+                    work[j] -= c * r
+        return coeffs, work
+
+    return reduce
 
 
 def reduce_by_rref(basis: Sequence[Vector], v: Sequence) -> tuple[list, list]:
@@ -253,29 +271,19 @@ def reduce_by_rref(basis: Sequence[Vector], v: Sequence) -> tuple[list, list]:
     row's pivot) and the remainder, which is zero exactly when ``v`` lies
     in the span.
     """
-    work = list(frac_vector(v))
-    coeffs = []
-    for row in basis:
-        if len(row) != len(work):
-            raise ValueError("basis row length differs from vector length")
-        c = work[_leading_index(row)]
-        coeffs.append(c)
-        if c:
-            for j, r in enumerate(row):
-                if r:
-                    work[j] -= c * r
-    return coeffs, work
+    return _reducer(basis)(v)
 
 
 def matrix_in_basis(basis: Sequence[Vector], images: Iterable[Sequence]) -> Mat:
     """The matrix whose column j holds the coordinates of ``images[j]`` in an RREF basis.
 
-    The one place vectors are written in a basis.  Raises ``AssertionError``
-    when an image leaves the span.
+    The one place vectors are written in a basis; the basis is read once
+    per call.  Raises ``AssertionError`` when an image leaves the span.
     """
+    reduce = _reducer(basis)
     cols = []
     for v in images:
-        coeffs, rest = reduce_by_rref(basis, v)
+        coeffs, rest = reduce(v)
         if any(rest):
             raise AssertionError("image left the span of the target basis")
         cols.append(coeffs)
@@ -287,7 +295,8 @@ def subspace_contains(basis: Sequence[Vector], v: Sequence) -> bool:
 
 
 def subspace_le(inner: Sequence[Vector], outer: Sequence[Vector]) -> bool:
-    return all(subspace_contains(outer, v) for v in inner)
+    reduce = _reducer(outer)
+    return all(not any(reduce(v)[1]) for v in inner)
 
 
 def subspace_eq(a: Sequence[Vector], b: Sequence[Vector]) -> bool:

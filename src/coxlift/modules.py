@@ -12,7 +12,8 @@ chains.  Variants:
   quotients and codivisorial quotients.
 * ``FiltrationModule`` - a cone plus a ``ReflexiveDescription``, the
   one representation of per-ray filtration data, validated once in its
-  constructor; the component at m is the description's intersection of
+  constructor, the one place that rules on levels (a level given twice
+  is rejected); the component at m is the description's intersection of
   the filtration steps in force at ``L(m)``, transports are inclusions.
 * ``ShiftModule`` / ``DirectSumModule`` - degree shifts and sums.
 
@@ -41,9 +42,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
-from .cones import Cone, leq_sigma
+from .cones import Cone, cox_degree, leq_sigma
 from .lattice import int_vector, plain_int
 from .linalg import (
     Mat,
@@ -184,9 +186,7 @@ def simple_module(cone: Cone) -> IndicatorModule:
 
 def codivisorial_module(cone: Cone, c: Sequence[int], rays: Sequence[int]) -> IndicatorModule:
     """Quotient supported on {m : l_rho(m) <= -c_rho for rho in rays}."""
-    c = int_vector(c)
-    if len(c) != cone.ray_count:
-        raise ValueError("degree length differs from ray count")
+    c = cox_degree(cone, c)
     rays = tuple(plain_int(r) for r in rays)
     for r in rays:
         if not 0 <= r < cone.ray_count:
@@ -313,26 +313,15 @@ class RayFiltration:
     steps: tuple[FiltrationStep, ...]
 
     def space_at(self, level: int) -> tuple[Vector, ...]:
-        levels = [s.level for s in self.steps]
-        idx = bisect_right(levels, level) - 1
-        if idx < 0:
-            return ()
-        return self.steps[idx].basis
+        idx = bisect_right(self.steps, level, key=attrgetter("level"))
+        return self.steps[idx - 1].basis if idx else ()
 
 
 def ray_filtration(jumps: Sequence[tuple[int, Sequence[Sequence]]], ambient: int) -> RayFiltration:
-    """Build a filtration from (level, spanning vectors) jump data."""
-    steps = []
-    for level, vectors in sorted(jumps, key=lambda j: j[0]):
-        steps.append(FiltrationStep(plain_int(level), row_space_basis(
-            [frac_vector(v) for v in vectors], ambient)))
-    out = []
-    for st in steps:
-        if out and st.level == out[-1].level:
-            out[-1] = st
-        else:
-            out.append(st)
-    return RayFiltration(tuple(out))
+    """Build a filtration from (level, spanning vectors) jump data, sorted by level."""
+    return RayFiltration(tuple(
+        FiltrationStep(plain_int(level), row_space_basis(vectors, ambient))
+        for level, vectors in sorted(jumps, key=lambda j: j[0])))
 
 
 def intersect_ray_spaces(levels: Iterable[tuple[RayFiltration, int]],
@@ -382,7 +371,7 @@ class ReflexiveDescription:
                 for v in st.basis:
                     if len(v) != ambient:
                         raise ValueError("basis vector length differs from ambient dim")
-                    frac_vector(v)  # exact entries only: a float or boolean raises
+                # reads the basis through ``_fraction``: a float or boolean raises
                 if not subspace_le(prev, st.basis):
                     raise ValueError(f"ray {ray}: filtration is not nondecreasing")
                 prev = st.basis

@@ -331,6 +331,10 @@ PAIR_AB = {"elements": ["a", "b"], "dims": {"a": 2, "b": 2}}
      "map key 'a' is not of the form 'a->b'"),
     (dict(PAIR_AB, leq=[["a", "b"]], maps={"a->b->a": [[1, 0], [0, 1]]}),
      "map key 'a->b->a' is not of the form 'a->b'"),
+    # no map leaves b, so b -> c cannot be composed; named by ids, not indices
+    ({"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"]],
+      "dims": {"a": 1, "b": 1, "c": 1}, "maps": {"a->b": [[1]]}},
+     "error: no transport data for b -> c\n"),
 ])
 def test_invalid_diagram_is_an_input_error(inputs, capsys, payload, message):
     bad = inputs / "bad.json"
@@ -348,6 +352,19 @@ def test_zero_denominator_in_a_module_is_an_input_error(inputs, capsys):
     assert main(["lift-table", "--cone", str(inputs / "cone.json"),
                  "--module", str(module), "--box=0..0"]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_repeated_filtration_level_is_an_input_error(inputs, capsys):
+    # the second step at level 0 used to replace the first, and the table was printed
+    module = line_filtration(0)
+    module["filtrations"]["0"].append({"level": 0, "basis": [[2]]})
+    bad = inputs / "bad.json"
+    bad.write_text(json.dumps(module))
+    assert main(["lift-table", "--cone", str(inputs / "cone.json"),
+                 "--module", str(bad), "--box=0..0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ray 0: filtration levels are not increasing\n"
 
 
 @pytest.mark.parametrize("old, new, message", [

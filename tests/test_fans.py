@@ -58,8 +58,10 @@ def test_fans_past_any_search_bound():
     (((1, 0), (0, 1), (0, 0)), ((0, 1),), "zero ray"),
     (((1, 0), (0, 1), (-1, -1)), ((0, 1),), r"rays \[2\] lie in no maximal cone"),
     (((1, 0), (0, 1)), ((0, 0, 1),), "repeats a ray index"),
+    (((1, 0), (0, 1)), ((0, 1), ()), "empty maximal cone"),
+    (((1, 0), (0, 1)), ((0, 2),), "out-of-range ray index"),
 ], ids=["interior ray", "non-primitive ray", "non-primitive ray of one cone",
-        "unused zero ray", "unused ray", "repeated index"])
+        "unused zero ray", "unused ray", "repeated index", "empty cone", "ray index"])
 def test_fan_validation_rejects_what_class_group_assumes(rays, cones, message):
     # class_group assumes each of these away: read as a fan, the orthant with
     # (1, 1) listed as a ray has free rank 1, and with (2, 0) torsion (2,);

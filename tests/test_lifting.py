@@ -45,6 +45,7 @@ from coxlift.lifting import (
 )
 from coxlift.linalg import Mat, is_isomorphism, kernel_basis, rank, row_space_basis
 from coxlift.modules import (
+    DirectSumModule,
     FiltrationModule,
     FinitelyPresentedModule,
     GradedModule,
@@ -126,6 +127,19 @@ def test_structure_lift_spot_values(csq):
     assert lift_component(csq, rr, (0, 0, 0, 0)).dim == 1
     assert lift_component(csq, rr, (-1, 0, 0, 0)).dim == 0
     assert lift_component(csq, rr, (2, 1, 0, 3)).dim == 1
+
+
+def test_lift_is_additive_on_a_direct_sum(csq):
+    parts = (simple_module(csq), structure_module(csq))
+    both = DirectSumModule(parts)
+    for c in Box((-1,) * 4, (1,) * 4).degrees():
+        assert lift_component(csq, both, c).dim == sum(
+            lift_component(csq, p, c).dim for p in parts)
+    # the simple lift is 1 -> 0 along this step, the structure lift 1 -> 1
+    c, c_prime = (0, 0, 0, 0), (1, 0, 1, 0)
+    ranks = [rank(lift_action(csq, p, c, c_prime)) for p in parts]
+    assert ranks == [0, 1]
+    assert rank(lift_action(csq, both, c, c_prime)) == sum(ranks)
 
 
 def test_lift_action_identity_and_steps(csq):
@@ -245,6 +259,10 @@ WRONG_RAY_COUNTS = {
     "mixed sum": (lambda C: DirectSumRule((ShiftedCoxRule(2, (0, 0)),
                                            ShiftedCoxRule(4, (0, 0, 0, 0)))),
                   "different ray counts"),
+    "shift length": (lambda C: ShiftedCoxRule(4, (0, 0, 0)),
+                     "shift length differs from ray count"),
+    "lift degree": (lambda C: lift_component(C, simple_module(C), (0, 0, 0)),
+                    "degree length differs from ray count"),
 }
 
 

@@ -352,6 +352,12 @@ ENTRY_POINTS = {
     "reduce_by_rref": lambda x: reduce_by_rref([(ONE, ZERO)], [x, 1]),
     "matrix_in_basis": lambda x: matrix_in_basis([(ONE, ZERO), (ZERO, ONE)], [[x, 1]]).rows,
     "subspace_contains": lambda x: subspace_contains([(ONE, ZERO)], [x, 0]),
+    # x in a basis row, which was read unchecked: at x = 0.5 the first returned
+    # the remainder [0, 0.5], and at x = True the last returned True
+    "reduce_by_rref basis": lambda x: reduce_by_rref([(ONE, x)], [1, 1]),
+    "matrix_in_basis basis": lambda x: matrix_in_basis([(ONE, ZERO), (ZERO, x)],
+                                                       [[1, 0]]).rows,
+    "subspace_contains basis": lambda x: subspace_contains([(ONE, x)], [1, 1]),
 }
 
 
@@ -373,6 +379,9 @@ def test_entry_points_read_rationals_exactly(x):
         "reduce_by_rref": ([q], [ZERO, ONE]),
         "matrix_in_basis": [[q], [ONE]],
         "subspace_contains": True,
+        "reduce_by_rref basis": ([ONE], [ZERO, ONE - q]),
+        "matrix_in_basis basis": [[ONE], [ZERO]],
+        "subspace_contains basis": False,
     }
     for name, call in ENTRY_POINTS.items():
         # equal reprs: the same values, every entry a Fraction

@@ -233,6 +233,26 @@ def test_degree_arguments_must_have_one_entry_per_ray(csq):
         codivisorial_module(csq, (0, 0), (1,))
 
 
+# arguments of a wrong count or length, each rejected before it is read
+WRONG_SHAPES = {
+    "relation coefficient count": (lambda C: FinitelyPresentedModule(
+        C, [(0, 0, 0)], [Relation((0, 0, 0), (1, 1))]),
+        "relation coefficient count differs from generators"),
+    "chart section cone index": (lambda C: chart_section(
+        FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 1, (0, 0, 0)),
+        "cone index out of range"),
+    "chart section point length": (lambda C: chart_section(
+        FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 0, (0, 0)),
+        "lattice point length differs from lattice rank"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_SHAPES.values(), ids=WRONG_SHAPES.keys())
+def test_arguments_of_a_wrong_count_or_length_are_rejected(csq, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(csq)
+
+
 def test_indicator_exclude_points_must_have_the_lattice_rank(csq):
     with pytest.raises(ValueError, match="lattice rank"):
         IndicatorModule(csq, "submodule", (), ((0, 0),))
@@ -314,6 +334,9 @@ REFLEXIVE_REJECTS = {
                         "levels are not increasing"),
     "not nested": (2, [(0, ray_filtration([(0, [[1, 0]]), (1, [[0, 1]]),
                                           (2, [[1, 0], [0, 1]])], 2))], "not nondecreasing"),
+    # ray_filtration keeps both steps at level 0; the later one used to replace the first
+    "repeated level": (2, [(0, ray_filtration([(0, [[1, 0]]), (0, [[1, 0], [0, 1]])], 2))],
+                       "levels are not increasing"),
     "not full": (2, [(0, FULL2), (1, LINE2)], "not full"),
     "vector length": (3, [(0, FULL2)], "vector length"),
     "float ambient": (2.0, [(0, FULL2)], "expected an integer"),
