@@ -30,8 +30,12 @@ Runs, with this checkout's ``src`` on the path:
   ``b < a``, which exits 2 as not antisymmetric, and on one with
   ``a < b < c`` and only the map ``a->b``, which exits 2 naming ``b -> c``
   as having no transport data;
+* ``coxlift.cli roos --imax 2`` on a diagram with ``a < b < c``, maps
+  ``a->b`` and ``b->c`` the identity and ``a->c`` twice it, which exits 2
+  naming ``a <= b <= c`` as failing to compose;
 * ``coxlift.cli lift-table --box=-2..2`` on the cone over a square with a
-  filtration module that gives ray 0 the level 0 twice, which exits 2;
+  filtration module that gives ray 0 the level 0 twice, and with one of
+  three filtrations for the four rays, each of which exits 2;
 * ``scripts/derived_evidence.py``, whose report prints the point count
   and limit dimensions of a truncation, which ``check roos`` does not.
 
@@ -99,12 +103,19 @@ CYCLE = {"elements": ["a", "b"], "leq": [["a", "b"], ["b", "a"]], "dims": {"a": 
 # a < b < c with no map out of b: the transport b -> c has no data
 MISSING_MAP = {"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"]],
                "dims": {"a": 1, "b": 1, "c": 1}, "maps": {"a->b": [[1]]}}
+# a < b < c whose long arrow is twice the composite of the short ones
+NOT_COMPOSING = {"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"]],
+                 "dims": {"a": 1, "b": 1, "c": 1},
+                 "maps": {"a->b": [[1]], "b->c": [[1]], "a->c": [[2]]}}
 # ray 0 lists the level 0 twice, a line and then the plane
 REPEATED_LEVEL = {
     "type": "filtration", "ambient_dim": 2,
     "filtrations": {"0": [{"level": 0, "basis": [[1, 0]]}, {"level": 0, "basis": FULL}],
                     **{str(r): [{"level": 0, "basis": FULL}] for r in (1, 2, 3)}},
 }
+# a filtration for three of the square's four rays
+THREE_RAYS = {"type": "filtration", "ambient_dim": 2,
+              "filtrations": {str(r): [{"level": 0, "basis": FULL}] for r in range(3)}}
 
 
 def square_ideal_truncation(covers_only=False, c=(-1, 0, -1, 0), bound=9) -> dict:
@@ -161,10 +172,12 @@ def commands(inputs: pathlib.Path):
         yield (f"roos-imax{imax}",
                cli + ["roos", "--diagram", str(inputs / "diagram_crown.json"),
                       "--imax", imax])
-    yield ("lift-table-repeated-level",
-           cli + ["lift-table", "--cone", str(inputs / "cone_square.json"),
-                  "--module", str(inputs / "module_repeated_level.json"), "--box=-2..2"])
-    for name in ("square_ideal", "square_ideal_covers", "cycle", "missing_map"):
+    for name in ("repeated_level", "three_rays"):
+        yield (f"lift-table-{name.replace('_', '-')}",
+               cli + ["lift-table", "--cone", str(inputs / "cone_square.json"),
+                      "--module", str(inputs / f"module_{name}.json"), "--box=-2..2"])
+    for name in ("square_ideal", "square_ideal_covers", "cycle", "missing_map",
+                 "not_composing"):
         yield (f"roos-{name.replace('_', '-')}-imax2",
                cli + ["roos", "--diagram", str(inputs / f"diagram_{name}.json"),
                       "--imax", "2"])
@@ -191,7 +204,9 @@ def main() -> int:
             json.dumps(square_ideal_truncation(covers_only=True)))
         (inputs / "diagram_cycle.json").write_text(json.dumps(CYCLE))
         (inputs / "diagram_missing_map.json").write_text(json.dumps(MISSING_MAP))
+        (inputs / "diagram_not_composing.json").write_text(json.dumps(NOT_COMPOSING))
         (inputs / "module_repeated_level.json").write_text(json.dumps(REPEATED_LEVEL))
+        (inputs / "module_three_rays.json").write_text(json.dumps(THREE_RAYS))
         for case, (_, cone, module) in CLASS_GROUP_CASES.items():
             (inputs / f"cone_{case}.json").write_text(json.dumps(cone))
             (inputs / f"module_{case}.json").write_text(json.dumps(module))

@@ -29,14 +29,13 @@ _LAYER_NAMES = {
     "klyachko": ("filtration_lift_component", "realized_components", "verify_equivalence"),
     "lattice": ("LatticeQuotient", "SnfResult", "lattice_membership",
                 "reduce_by_sublattice", "smith_normal_form"),
-    "lifting": ("Box", "ColimitResult", "LiftComponent", "LiftTable", "ShiftedCoxRule",
-                "colimit", "colimit_of_lift", "counit_matrix", "lift_action",
-                "lift_component", "lift_morphism", "lift_table",
-                "minimal_generators_in_box", "unit_map"),
+    "lifting": ("Box", "ColimitResult", "LiftComponent", "LiftTable", "colimit",
+                "colimit_of_lift", "counit_matrix", "lift_action", "lift_component",
+                "lift_morphism", "lift_table", "minimal_generators_in_box", "unit_map"),
     "modules": ("DirectSumModule", "FiltrationModule", "FinitelyPresentedModule",
                 "GradedModule", "GradedMorphism", "IndicatorModule", "ReflexiveDescription",
-                "ShiftModule", "codivisorial_module", "maximal_ideal_module", "morphism",
-                "simple_module", "structure_module"),
+                "ShiftModule", "ShiftedCoxRule", "codivisorial_module",
+                "maximal_ideal_module", "morphism", "simple_module", "structure_module"),
 }
 _HOME = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
 

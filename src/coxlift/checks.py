@@ -50,7 +50,6 @@ from .instances import (
 )
 from .lifting import (
     Box,
-    ShiftedCoxRule,
     colimit,
     colimit_of_lift,
     counit_matrix,
@@ -62,6 +61,7 @@ from .lifting import (
 from .linalg import Mat, is_injective, is_isomorphism, rank
 from .modules import (
     FiltrationModule,
+    ShiftedCoxRule,
     codivisorial_module,
     maximal_ideal_module,
     simple_module,

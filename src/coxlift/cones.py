@@ -126,10 +126,12 @@ class Cone:
         return smith_normal_form(self.rays)
 
     def evaluate(self, m: Sequence[int]) -> IntVector:
-        """The Cox coordinates L(m), memoized by point for the life of the cone."""
+        """The Cox coordinates L(m), memoized by point for the life of the cone;
+        a point not yet memoized is read through ``int_vector``."""
         m = tuple(m)
         out = self._values.get(m)
         if out is None:
+            m = int_vector(m)
             if len(m) != self.lattice_rank:
                 raise ValueError("vector length differs from lattice rank")
             out = self._values[m] = tuple(sum(map(mul, row, m)) for row in self.rays)

@@ -110,7 +110,8 @@ class FinitePosetDiagram:
         if out is None:
             out = self._provider(i, j)
             if (out.nrows, out.ncols) != (self.dims[j], self.dims[i]):
-                raise ValueError(f"transport {i}->{j} has the wrong shape")
+                raise ValueError(f"transport {self.elements[i]}->{self.elements[j]} "
+                                 f"has the wrong shape")
             self._cache[key] = out
         return out
 
@@ -140,7 +141,8 @@ class FinitePosetDiagram:
             for k in self.strict_successors(j):
                 lhs = self.transport(j, k).mul(self.transport(i, j))
                 if lhs != self.transport(i, k):
-                    raise ValueError(f"transports fail to compose on {i} <= {j} <= {k}")
+                    e = self.elements
+                    raise ValueError(f"transports fail to compose on {e[i]} <= {e[j]} <= {e[k]}")
 
     @classmethod
     def from_maps(cls, elements: Sequence, pairs: Sequence[tuple[int, int]],

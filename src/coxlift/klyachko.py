@@ -4,13 +4,14 @@ A reflexive description is a family of full per-ray filtrations of a
 fixed ambient space.  The datum, ``ReflexiveDescription``, and the
 module it defines, ``FiltrationModule(cone, desc)``, live in
 ``modules``, where the description is validated once, in its
-constructor; both are importable from here too.  The lift at a Cox
-degree ``c`` is simply the intersection of the ray spaces at levels
-``c_rho``, which the description memoizes (``space``); this module
-verifies, degree by degree, that the general limit machinery produces
-the same subspaces.  It also compares the
-subspace arrangements realized on the base against those realized by
-the lift (the lift realizes every intersection; the base need not).
+constructor; both are importable from here too.  The description is a
+Cox rule and the module its sheafification.  The lift at a Cox degree
+``c`` is simply the intersection of the ray spaces at levels ``c_rho``,
+which the description memoizes (``space``): the unit of the adjunction
+is an isomorphism.  This module verifies that, degree by degree,
+through the general limit machinery.  It also compares the subspace
+arrangements realized on the base against those realized by the lift
+(the lift realizes every intersection; the base need not).
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from typing import Optional, Sequence
 
 from .cones import Cone
 from .lattice import int_vector
-from .lifting import Box, LiftComponent, lift_component
+from .lifting import Box, unit_map
 from .linalg import (
     Mat,
     Vector,
+    is_isomorphism,
     matrix_in_basis,
     row_space_basis,
     subspace_eq,
@@ -44,35 +46,6 @@ def filtration_lift_component(desc: ReflexiveDescription, c: Sequence[int]) -> t
     return desc.space(int_vector(c))
 
 
-def lift_subspace_in_ambient(module: FiltrationModule,
-                             comp: LiftComponent) -> tuple[Vector, ...]:
-    """Embed a lift component of a filtration module into the ambient space.
-
-    Transports of filtration modules are inclusions, so every block of a
-    limit vector expands to the same ambient vector; all nonzero blocks
-    are expanded and checked for agreement.
-    """
-    ambient_dim = module.description.ambient_dim
-    out = []
-    for vec in comp.basis:
-        ambient: Optional[list] = None
-        for i, m in enumerate(comp.minimal_points):
-            if comp.block_dims[i] == 0:
-                continue
-            basis = module.subspace(m)
-            coords = list(vec[comp.block_slice(i)])
-            value = [sum(c * row[j] for c, row in zip(coords, basis))
-                     for j in range(ambient_dim)]
-            if ambient is None:
-                ambient = value
-            elif ambient != value:
-                raise AssertionError("limit blocks disagree in the ambient space")
-        if ambient is None:
-            raise AssertionError("nonzero limit vector with all blocks zero")
-        out.append(ambient)
-    return row_space_basis(out, ambient_dim)
-
-
 @dataclass
 class EquivalenceReport:
     ok: bool
@@ -84,21 +57,20 @@ class EquivalenceReport:
 def verify_equivalence(cone: Cone, desc: ReflexiveDescription, box: Box) -> EquivalenceReport:
     """Limit machinery versus direct intersection, as subspaces, over a box.
 
-    Also confirms the round trip: at degrees ``c = L(m)`` in the image
-    of the grading map, the module's component at m equals the
-    intersection of the raw filtrations at the levels ``<m, rho_i> = c_i``,
-    built afresh rather than read from the description's memo, which the
-    module reads too.
+    At each degree c the unit of the adjunction, which sends
+    ``desc.space(c)`` into every block of the general engine's lift by
+    inclusions, must be an isomorphism.  Also confirms the round trip: at
+    degrees ``c = L(m)`` in the image of the grading map, the module's
+    component at m equals the intersection of the raw filtrations at the
+    levels ``<m, rho_i> = c_i``, built afresh rather than read from the
+    description's memo, which the module reads too.
     """
-    module = FiltrationModule(cone, desc)
     checked = 0
     for c in box.degrees():
-        comp = lift_component(cone, module, c)
-        via_limit = lift_subspace_in_ambient(module, comp)
-        direct = filtration_lift_component(desc, c)
-        if not subspace_eq(via_limit, direct):
+        if not is_isomorphism(unit_map(cone, desc, c)):
             return EquivalenceReport(False, checked, tuple(c), 0)
         checked += 1
+    module = FiltrationModule(cone, desc)
     roundtrip = 0
     for c in box.degrees():
         m = cone.smith.preimage(c)

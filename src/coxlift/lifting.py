@@ -17,10 +17,10 @@ between lift components (restriction maps along ``c <= c'`` and lifted
 morphisms) send each block of a limit vector through a module matrix
 and write the stacked image in the target's basis; the unit and counit
 of the adjunction are read off the same presentation.  All of them
-change basis through ``linalg.matrix_in_basis``.  Sheafification in the
-opposite direction (reading off the degrees in the image of the grading
-map), colimits along interior rays, and box-relative generator
-detection also live here.
+change basis through ``linalg.matrix_in_basis``.  Sheafification, the
+other direction, is ``modules.SheafifiedModule``: a Cox rule read off
+along the grading map.  Colimits along interior rays and box-relative
+generator detection also live here.
 
 Degree computations are independent and not memoized here: the cone
 memoizes its minimal points, a finitely presented module its reduced
@@ -41,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, product
-from operator import ge, neg
 from typing import Callable, Optional, Sequence
 
 from .cones import (
@@ -56,14 +55,13 @@ from .lattice import int_vector, nonnegative_int, plain_int
 from .linalg import (
     Mat,
     Vector,
-    block_diagonal,
     is_isomorphism,
     matrix_in_basis,
     rank,
     row_space_basis,
     sparse_kernel_basis,
 )
-from .modules import GradedModule, GradedMorphism
+from .modules import GradedModule, GradedMorphism, SheafifiedModule
 
 IntVector = tuple[int, ...]
 
@@ -205,105 +203,7 @@ def lift_morphism(
 
 
 # --------------------------------------------------------------------------
-# Cox-degree rules (Z^n-graded data) and sheafification
-
-
-class CoxRule:
-    """Protocol for Z^rays-graded data: a dim and an action per degree pair."""
-
-    ray_count: int
-
-    def _wrong_length(self, c: Sequence[int]) -> ValueError:
-        return ValueError(f"degree {tuple(c)} has length {len(c)}, "
-                          f"but the rule has {self.ray_count} rays")
-
-    def dim(self, c: Sequence[int]) -> int:
-        raise NotImplementedError
-
-    def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
-        """``Mat.ones``, the transport of the 0/1 rules; larger rules override it."""
-        return Mat.ones(self.dim(c_prime), self.dim(c))
-
-
-@dataclass(frozen=True)
-class ShiftedCoxRule(CoxRule):
-    """Rule of the shifted Cox ring: dim 1 exactly when c + shift >= 0."""
-
-    ray_count: int
-    shift: IntVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "shift", int_vector(self.shift))
-        if len(self.shift) != self.ray_count:
-            raise ValueError("shift length differs from ray count")
-
-    def dim(self, c: Sequence[int]) -> int:
-        if len(c) != self.ray_count:
-            raise self._wrong_length(c)
-        return 1 if all(map(ge, c, map(neg, self.shift))) else 0
-
-
-@dataclass(frozen=True)
-class SpikeRule(CoxRule):
-    """One-dimensional component at a single Cox degree, zero transports."""
-
-    ray_count: int
-    degree: IntVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "degree", int_vector(self.degree))
-        if len(self.degree) != self.ray_count:
-            raise ValueError("degree length differs from ray count")
-
-    def dim(self, c: Sequence[int]) -> int:
-        if len(c) != self.ray_count:
-            raise self._wrong_length(c)
-        return 1 if tuple(c) == self.degree else 0
-
-
-@dataclass(frozen=True)
-class DirectSumRule(CoxRule):
-    parts: tuple[CoxRule, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise ValueError("empty direct sum")
-        if len({p.ray_count for p in self.parts}) > 1:
-            raise ValueError("direct sum parts have different ray counts")
-
-    @property
-    def ray_count(self) -> int:  # type: ignore[override]
-        return self.parts[0].ray_count
-
-    def dim(self, c: Sequence[int]) -> int:
-        return sum(p.dim(c) for p in self.parts)
-
-    def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
-        return block_diagonal([p.act(c, c_prime) for p in self.parts])
-
-
-@dataclass(frozen=True)
-class SheafifiedModule(GradedModule):
-    """The graded module read off a Cox rule along the grading map.
-
-    Component at m is the rule's component at L(m); only degrees in the
-    image of L are visible.
-    """
-
-    cone: Cone
-    rule: CoxRule
-
-    def __post_init__(self):
-        if self.rule.ray_count != self.cone.ray_count:
-            raise ValueError(f"the Cox rule has {self.rule.ray_count} rays, "
-                             f"but the cone has {self.cone.ray_count}")
-
-    def _component(self, m: IntVector) -> int:
-        return self.rule.dim(self.cone.evaluate(m))
-
-    def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        return self.rule.act(self.cone.evaluate(m), self.cone.evaluate(m_prime))
+# the unit and counit of the adjunction
 
 
 def counit_matrix(cone: Cone, module: GradedModule, m: Sequence[int]) -> Mat:

@@ -10,11 +10,13 @@ chains.  Variants:
 * ``IndicatorModule`` - zero/one-dimensional components cut out by ray
   inequalities; covers the structure ring, its maximal ideal, simple
   quotients and codivisorial quotients.
-* ``FiltrationModule`` - a cone plus a ``ReflexiveDescription``, the
-  one representation of per-ray filtration data, validated once in its
-  constructor, the one place that rules on levels (a level given twice
-  is rejected); the component at m is the description's intersection of
-  the filtration steps in force at ``L(m)``, transports are inclusions.
+* ``SheafifiedModule`` - a Cox rule (a ``dim`` and an ``act`` per Cox
+  degree) read off at ``L(m)``.  ``FiltrationModule`` is the one of a
+  ``ReflexiveDescription``, the one representation of per-ray
+  filtration data, validated once in its constructor, the one place
+  that rules on levels (a level given twice is rejected); its component
+  at c is the intersection of the filtration steps in force at c, its
+  transports are inclusions.
 * ``ShiftModule`` / ``DirectSumModule`` - degree shifts and sums.
 
 Everything is immutable and hashable, with structural equality, so
@@ -27,9 +29,9 @@ exactly as long as it does:
 * ``ReflexiveDescription``: the intersection of the ray spaces by step
   key, the number of filtration jumps at or below each ray's level (0
   below the first jump), at most the product over the rays of one plus
-  the number of steps; and the inclusion between two such intersections,
-  ``matrix_in_basis(target, source)``, by the pair of step keys.  Every
-  ``FiltrationModule`` over the description, and
+  the number of steps; and the inclusion between two such intersections
+  (``act``), ``matrix_in_basis(target, source)``, by the pair of step
+  keys.  Every module over the description, and
   ``klyachko.filtration_lift_component``, read these.
 
 A memoized inclusion is the very ``Mat`` that every later ``action``
@@ -42,7 +44,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import attrgetter
+from operator import attrgetter, ge, neg
 from typing import Callable, Iterable, Sequence
 
 from .cones import Cone, cox_degree, leq_sigma
@@ -297,7 +299,105 @@ class FinitelyPresentedModule(GradedModule):
 
 
 # --------------------------------------------------------------------------
-# filtration modules
+# Cox-degree rules (Z^n-graded data), sheafification and filtrations
+
+
+class CoxRule:
+    """Protocol for Z^rays-graded data: a dim and an action per degree pair."""
+
+    ray_count: int
+
+    def _wrong_length(self, c: Sequence[int]) -> ValueError:
+        return ValueError(f"degree {tuple(c)} has length {len(c)}, "
+                          f"but the rule has {self.ray_count} rays")
+
+    def dim(self, c: Sequence[int]) -> int:
+        raise NotImplementedError
+
+    def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
+        """``Mat.ones``, the transport of the 0/1 rules; larger rules override it."""
+        return Mat.ones(self.dim(c_prime), self.dim(c))
+
+
+@dataclass(frozen=True)
+class ShiftedCoxRule(CoxRule):
+    """Rule of the shifted Cox ring: dim 1 exactly when c + shift >= 0."""
+
+    ray_count: int
+    shift: IntVector
+
+    def __post_init__(self):
+        object.__setattr__(self, "shift", int_vector(self.shift))
+        if len(self.shift) != self.ray_count:
+            raise ValueError("shift length differs from ray count")
+
+    def dim(self, c: Sequence[int]) -> int:
+        if len(c) != self.ray_count:
+            raise self._wrong_length(c)
+        return 1 if all(map(ge, c, map(neg, self.shift))) else 0
+
+
+@dataclass(frozen=True)
+class SpikeRule(CoxRule):
+    """One-dimensional component at a single Cox degree, zero transports."""
+
+    ray_count: int
+    degree: IntVector
+
+    def __post_init__(self):
+        object.__setattr__(self, "degree", int_vector(self.degree))
+        if len(self.degree) != self.ray_count:
+            raise ValueError("degree length differs from ray count")
+
+    def dim(self, c: Sequence[int]) -> int:
+        if len(c) != self.ray_count:
+            raise self._wrong_length(c)
+        return 1 if tuple(c) == self.degree else 0
+
+
+@dataclass(frozen=True)
+class DirectSumRule(CoxRule):
+    parts: tuple[CoxRule, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
+        if not self.parts:
+            raise ValueError("empty direct sum")
+        if len({p.ray_count for p in self.parts}) > 1:
+            raise ValueError("direct sum parts have different ray counts")
+
+    @property
+    def ray_count(self) -> int:  # type: ignore[override]
+        return self.parts[0].ray_count
+
+    def dim(self, c: Sequence[int]) -> int:
+        return sum(p.dim(c) for p in self.parts)
+
+    def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
+        return block_diagonal([p.act(c, c_prime) for p in self.parts])
+
+
+@dataclass(frozen=True)
+class SheafifiedModule(GradedModule):
+    """The graded module read off a Cox rule along the grading map.
+
+    Component at m is the rule's component at L(m); only degrees in the
+    image of L are visible.
+    """
+
+    cone: Cone
+    rule: CoxRule
+
+    def __post_init__(self):
+        if self.rule.ray_count != self.cone.ray_count:
+            raise ValueError(f"the Cox rule has {self.rule.ray_count} rays, "
+                             f"but the cone has {self.cone.ray_count}")
+
+    def _component(self, m: IntVector) -> int:
+        return self.rule.dim(self.cone.evaluate(m))
+
+    def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
+        return self.rule.act(self.cone.evaluate(m), self.cone.evaluate(m_prime))
 
 
 @dataclass(frozen=True)
@@ -342,14 +442,14 @@ def full_at(level: int, ambient: int) -> RayFiltration:
 
 
 @dataclass(frozen=True)
-class ReflexiveDescription:
+class ReflexiveDescription(CoxRule):
     """Ambient dimension plus one full filtration per ray index 0..n-1.
 
     The one home of per-ray filtration data, validated here: the ray
     indices are 0..n-1, each given once, and each filtration is zero
     below its first jump, nested, and the whole ambient space at its top
     jump.  ``filtrations`` is stored sorted by ray, so entry ``i`` is ray
-    ``i``'s.
+    ``i``'s.  As a Cox rule, its component at c is ``space(c)``.
     """
 
     ambient_dim: int
@@ -383,6 +483,10 @@ class ReflexiveDescription:
         object.__setattr__(self, "_spaces", {})
         object.__setattr__(self, "_inclusions", {})
 
+    @property
+    def ray_count(self) -> int:  # type: ignore[override]
+        return len(self._levels)
+
     def _steps(self, levels: Sequence[int]) -> IntVector:
         """Per ray, the number of jumps at or below its level: 0 below the first jump."""
         if len(levels) != len(self._levels):
@@ -399,9 +503,12 @@ class ReflexiveDescription:
                 zip((rf for _, rf in self.filtrations), levels), self.ambient_dim)
         return out
 
-    def inclusion(self, levels: Sequence[int], levels_prime: Sequence[int]) -> Mat:
-        """``space(levels)`` written in the basis of ``space(levels_prime)``;
-        ``levels`` must be below ``levels_prime``."""
+    def dim(self, levels: Sequence[int]) -> int:
+        return len(self.space(levels))
+
+    def act(self, levels: Sequence[int], levels_prime: Sequence[int]) -> Mat:
+        """The inclusion: ``space(levels)`` written in the basis of
+        ``space(levels_prime)``; ``levels`` must be below ``levels_prime``."""
         key = (self._steps(levels), self._steps(levels_prime))
         out = self._inclusions.get(key)
         if out is None:
@@ -410,31 +517,19 @@ class ReflexiveDescription:
         return out
 
 
-@dataclass(frozen=True)
-class FiltrationModule(GradedModule):
-    """Components are intersections of per-ray filtration spaces.
-
-    The filtration data is a ``ReflexiveDescription``, with one
+class FiltrationModule(SheafifiedModule):
+    """The sheafification of a ``ReflexiveDescription``, with one
     filtration per cone ray: the component at m is its space at the
     levels L(m), and a transport is its inclusion between two of them.
     """
 
-    cone: Cone
-    description: ReflexiveDescription
-
-    def __post_init__(self):
-        if len(self.description.filtrations) != self.cone.ray_count:
-            raise ValueError("exactly one filtration per cone ray is required")
+    @property
+    def description(self) -> ReflexiveDescription:
+        return self.rule
 
     def subspace(self, m: Sequence[int]) -> tuple[Vector, ...]:
         """Canonical basis of the component inside the ambient space."""
-        return self.description.space(self.cone.evaluate(int_vector(m)))
-
-    def _component(self, m: IntVector) -> int:
-        return len(self.description.space(self.cone.evaluate(m)))
-
-    def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        return self.description.inclusion(self.cone.evaluate(m), self.cone.evaluate(m_prime))
+        return self.rule.space(self.cone.evaluate(int_vector(m)))
 
 
 # --------------------------------------------------------------------------

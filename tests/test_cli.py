@@ -151,6 +151,33 @@ def test_lift_table_json_bytes_are_pinned(inputs, capsys):
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
+# generators at 0 and at (1, 0, 0); from (1, 0, 1) on, the first is 3/2 times the second
+PRESENTED_JSON = {
+    "type": "finitely_presented",
+    "generators": [{"degree": [0, 0, 0]}, {"degree": [1, 0, 0]}],
+    "relations": [{"degree": [1, 0, 1], "coeffs": [1, "-3/2"]}],
+}
+
+
+def test_lift_table_reads_a_finitely_presented_module(inputs, capsys):
+    module = inputs / "presented.json"
+    module.write_text(json.dumps(PRESENTED_JSON))
+    assert main(["lift-table", "--cone", str(inputs / "cone.json"), "--module", str(module),
+                 "--format", "json", "--box=0..1,0..0,-1..0,0..1"]) == 0
+    rows = {tuple(r["degree"]): r for r in json.loads(capsys.readouterr().out)}
+    # at L(m) the component at m: one per generator below m, less the relation above (1, 0, 1)
+    assert {c: r["dim"] for c, r in rows.items()} == {
+        (0, 0, -1, 0): 0, (0, 0, -1, 1): 1, (0, 0, 0, 0): 1, (0, 0, 0, 1): 1,
+        (1, 0, -1, 0): 1, (1, 0, -1, 1): 1, (1, 0, 0, 0): 2, (1, 0, 0, 1): 1}
+    # (1, 1, 0) holds both generators, (1, 0, 1) their quotient
+    assert rows[(1, 0, 0, 0)]["basis"] == [[1, 0, 1], [0, 1, "-3/2"]]
+    module.write_text(json.dumps(dict(PRESENTED_JSON, relations=[
+        {"degree": [1, 0, 1], "coeffs": [1, 0.5]}])))
+    assert main(["lift-table", "--cone", str(inputs / "cone.json"), "--module", str(module),
+                 "--box=0..0"]) == 2
+    assert capsys.readouterr().err == "error: cannot read 0.5 as an exact rational\n"
+
+
 def test_roos_command(inputs, capsys):
     assert main(["roos", "--diagram", str(inputs / "crown.json"),
                  "--imax", "1"]) == 0
@@ -335,6 +362,9 @@ PAIR_AB = {"elements": ["a", "b"], "dims": {"a": 2, "b": 2}}
     ({"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"]],
       "dims": {"a": 1, "b": 1, "c": 1}, "maps": {"a->b": [[1]]}},
      "error: no transport data for b -> c\n"),
+    ({"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"]],
+      "dims": {"a": 1, "b": 1, "c": 1}, "maps": {"a->b": [[1]], "b->c": [[1]], "a->c": [[2]]}},
+     "error: transports fail to compose on a <= b <= c\n"),
 ])
 def test_invalid_diagram_is_an_input_error(inputs, capsys, payload, message):
     bad = inputs / "bad.json"

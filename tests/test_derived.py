@@ -259,7 +259,7 @@ def test_relation_pairs_must_name_elements(pair):
 @pytest.mark.parametrize("dims, message", [
     ([1, -2], "negative"), ([1, 1.5], "integer"), ([1], "1 dimensions for 2 elements"),
     # the provider's 1x1 transport does not map the plane at a to the line at b
-    ([2, 1], "transport 0->1 has the wrong shape")])
+    ([2, 1], "transport a->b has the wrong shape")])
 def test_dimensions_are_checked(dims, message):
     with pytest.raises(ValueError, match=message):
         FinitePosetDiagram(["a", "b"], {(0, 1)}, dims,

@@ -13,15 +13,14 @@ from coxlift.klyachko import (
     ReflexiveDescription,
     filtration_lift_component,
     induced_morphism,
-    lift_subspace_in_ambient,
     realized_components,
     respects_filtrations,
     verify_equivalence,
 )
 from coxlift.lattice import smith_normal_form
-from coxlift.lifting import Box, lift_action, lift_component, lift_morphism
-from coxlift.linalg import Mat, row_space_basis, subspace_eq, subspace_le
-from coxlift.modules import FiltrationModule, full_at, intersect_ray_spaces, ray_filtration
+from coxlift.lifting import Box, lift_action, lift_morphism, unit_map
+from coxlift.linalg import Mat, is_isomorphism, row_space_basis, subspace_eq, subspace_le
+from coxlift.modules import full_at, intersect_ray_spaces, ray_filtration
 
 
 def rank1_description(shift):
@@ -65,13 +64,15 @@ def test_monotone_in_degree(csq, rng):
 
 
 def test_lift_subspace_embedding(csq):
+    # the unit sends the intersection into every block of the lift by
+    # inclusions; off the image of L as well, it is an isomorphism
     f0 = ray_filtration([(0, [[1, 0]]), (1, [[1, 0], [0, 1]])], 2)
     desc = ReflexiveDescription(2, (
         (0, f0), (1, full_at(0, 2)), (2, full_at(0, 2)), (3, full_at(0, 2))))
-    module = FiltrationModule(csq, desc)
-    comp = lift_component(csq, module, (0, 0, -1, 0))
-    embedded = lift_subspace_in_ambient(module, comp)
-    assert subspace_eq(embedded, filtration_lift_component(desc, (0, 0, -1, 0)))
+    for c in ((0, 0, -1, 0), (0, 0, 0, 1)):
+        unit = unit_map(csq, desc, c)
+        assert unit.ncols == len(filtration_lift_component(desc, c)) == c[3]
+        assert is_isomorphism(unit)
 
 
 def test_verify_equivalence_rank1(csq):

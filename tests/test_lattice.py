@@ -1,5 +1,7 @@
+import math
 from enum import IntEnum
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given
@@ -75,7 +77,24 @@ def test_square_cone_matrix_snf():
     assert tuple(row) in ((1, -1, 1, -1), (-1, 1, -1, 1))
 
 
+def minor_gcd_factors(a):
+    """Invariant factors from their definition: d_k is the gcd of the k x k
+    minors over that of the (k-1) x (k-1) minors, 0 once all minors vanish."""
+    out, prev = [], 1
+    for k in range(1, min(len(a), len(a[0])) + 1):
+        g = math.gcd(*(int(_det([[a[i][j] for j in cols] for i in rows]))
+                       for rows in combinations(range(len(a)), k)
+                       for cols in combinations(range(len(a[0])), k)))
+        out.append(g // prev if prev else 0)
+        prev = g
+    return tuple(out)
+
+
 @given(int_mat)
+# diagonal but not divisible along it, so the reduction mixes in a row:
+# the factors are (1, 6) and (2, 12)
+@example([[2, 0], [0, 3]])
+@example([[4, 0], [0, 6]])
 def test_snf_invariants(rows):
     a = int_matrix(rows)
     snf = smith_normal_form(a)
@@ -90,6 +109,7 @@ def test_snf_invariants(rows):
         else:
             assert y == 0
     assert sum(1 for f in factors if f) == rational_rank(a)
+    assert factors == minor_gcd_factors(a)
     # off-diagonal zero
     for i, row in enumerate(snf.D):
         for j, v in enumerate(row):
@@ -98,6 +118,8 @@ def test_snf_invariants(rows):
 
 
 @given(int_mat)
+@example([[2, 0], [0, 3]])
+@example([[4, 0], [0, 6]])
 def test_snf_reconstruction(rows):
     a = int_matrix(rows)
     snf = smith_normal_form(a)

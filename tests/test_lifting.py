@@ -29,10 +29,6 @@ from coxlift.instances import (
 )
 from coxlift.lifting import (
     Box,
-    DirectSumRule,
-    SheafifiedModule,
-    ShiftedCoxRule,
-    SpikeRule,
     colimit,
     colimit_of_lift,
     counit_matrix,
@@ -46,16 +42,20 @@ from coxlift.lifting import (
 from coxlift.linalg import Mat, is_isomorphism, kernel_basis, rank, row_space_basis
 from coxlift.modules import (
     DirectSumModule,
+    DirectSumRule,
     FiltrationModule,
     FinitelyPresentedModule,
     GradedModule,
     Relation,
+    SheafifiedModule,
+    ShiftedCoxRule,
+    SpikeRule,
     codivisorial_module,
+    identity_morphism,
     maximal_ideal_module,
     simple_module,
     structure_module,
     structure_to_simple,
-    identity_morphism,
 )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coxlift.cones import Cone, minimal_elements, truncation_points
+from coxlift.cones import Cone, leq_sigma, minimal_elements, truncation_points
 from coxlift.derived import (
     FinitePosetDiagram,
     connecting_cokernel,
@@ -28,10 +28,6 @@ from coxlift.klyachko import filtration_lift_component
 from coxlift.lattice import int_matrix, lattice_membership, reduce_by_sublattice
 from coxlift.lifting import (
     Box,
-    DirectSumRule,
-    SheafifiedModule,
-    ShiftedCoxRule,
-    SpikeRule,
     counit_matrix,
     lift_action,
     lift_component,
@@ -42,6 +38,7 @@ from coxlift.lifting import (
 from coxlift.linalg import Mat, is_injective, matrix_in_basis
 from coxlift.modules import (
     DirectSumModule,
+    DirectSumRule,
     FiltrationModule,
     FiltrationStep,
     FinitelyPresentedModule,
@@ -50,7 +47,10 @@ from coxlift.modules import (
     RayFiltration,
     ReflexiveDescription,
     Relation,
+    SheafifiedModule,
     ShiftModule,
+    ShiftedCoxRule,
+    SpikeRule,
     codivisorial_module,
     full_at,
     ideal_to_structure,
@@ -154,6 +154,9 @@ NON_INTEGER_DEGREES = {
     "counit_matrix": lambda C: counit_matrix(C, simple_module(C), (0.5, 0, 0)),
     "unit_map": lambda C: unit_map(C, ShiftedCoxRule(4, (0, 0, 0, 0)), (0.5, 0, 0, 0)),
     "component": lambda C: simple_module(C).component((0.5, 0, 0)),
+    # a point the cone has not memoized yet
+    "cone evaluate": lambda C: C.evaluate((0.5, 0, 0)),
+    "leq_sigma": lambda C: leq_sigma(C, (0.5, 0, 0), (1, 0, 0)),
     "action": lambda C: structure_module(C).action((0, 0, 0), (0, 0, 1.5)),
     "in_support": lambda C: simple_module(C).in_support((0.5, 0, 0)),
     "filtration subspace": lambda C: FiltrationModule(
@@ -238,6 +241,8 @@ WRONG_SHAPES = {
     "relation coefficient count": (lambda C: FinitelyPresentedModule(
         C, [(0, 0, 0)], [Relation((0, 0, 0), (1, 1))]),
         "relation coefficient count differs from generators"),
+    "module degree": (lambda C: structure_module(C).component((0, 0)),
+                      "degree length differs from lattice rank"),
     "chart section cone index": (lambda C: chart_section(
         FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 1, (0, 0, 0)),
         "cone index out of range"),
@@ -263,8 +268,6 @@ def test_indicator_exclude_points_must_have_the_lattice_rank(csq):
 def test_fp_no_relations_counts_generators(csq):
     gens = ((0, 0, 0), (1, 0, 1), (-1, 0, 0))
     mod = FinitelyPresentedModule(csq, gens)
-    from coxlift.cones import leq_sigma
-
     for m in [(0, 0, 0), (1, 0, 1), (2, 1, 1), (-1, 0, 0)]:
         want = sum(1 for g in gens if leq_sigma(csq, g, m))
         assert mod.component(m) == want
@@ -363,7 +366,8 @@ def test_reflexive_description_stores_its_filtrations_by_ray():
 WRONG_LEVEL_COUNTS = {
     "space of one level": lambda desc: desc.space((0,)),
     "space of five levels": lambda desc: desc.space((0, 0, 0, 0, 5)),
-    "inclusion of one level": lambda desc: desc.inclusion((0,), (1,)),
+    "inclusion of one level": lambda desc: desc.act((0,), (1,)),
+    "dim of one level": lambda desc: desc.dim((0,)),
     "filtration lift of three levels": lambda desc: filtration_lift_component(desc, (0, 0, 0)),
 }
 

@@ -19,9 +19,6 @@ from coxlift.instances import CONE_OVER_SQUARE as CSQ, all_variant_modules
 from coxlift.klyachko import ReflexiveDescription, induced_morphism
 from coxlift.lifting import (
     Box,
-    DirectSumRule,
-    ShiftedCoxRule,
-    SpikeRule,
     counit_matrix,
     lift_action,
     lift_morphism,
@@ -30,9 +27,12 @@ from coxlift.lifting import (
 )
 from coxlift.linalg import Mat
 from coxlift.modules import (
+    DirectSumRule,
     FiltrationModule,
     FinitelyPresentedModule,
     Relation,
+    ShiftedCoxRule,
+    SpikeRule,
     codivisorial_module,
     ray_filtration,
     structure_to_simple,
