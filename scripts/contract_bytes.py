@@ -36,6 +36,12 @@ Runs, with this checkout's ``src`` on the path:
 * ``coxlift.cli lift-table --box=-2..2`` on the cone over a square with a
   filtration module that gives ray 0 the level 0 twice, and with one of
   three filtrations for the four rays, each of which exits 2;
+* ``coxlift.cli lift-table``, each exiting 2 with its loader's message:
+  on an indicator module of style ``"other"``, on one with a constraint
+  on ray 9 of the square's four, over ``--box=2..1``, and on a cone
+  whose rays are ragged and on one with no rays;
+* ``coxlift.cli roos --imax 2`` on a diagram with no ``leq`` key, which
+  exits 2;
 * ``scripts/derived_evidence.py``, whose report prints the point count
   and limit dimensions of a truncation, which ``check roos`` does not.
 
@@ -116,6 +122,17 @@ REPEATED_LEVEL = {
 # a filtration for three of the square's four rays
 THREE_RAYS = {"type": "filtration", "ambient_dim": 2,
               "filtrations": {str(r): [{"level": 0, "basis": FULL}] for r in range(3)}}
+# inputs each loader rejects with its own message: an unknown indicator
+# style, a constraint on a ray the square does not have, cones with ragged
+# and with no rays, and a diagram with no order relation
+BAD_MODULES = {
+    "style_other": {"type": "indicator", "style": "other", "constraints": []},
+    "ray_out_of_range": {"type": "indicator", "style": "quotient",
+                         "constraints": [{"ray": 9, "op": "<=", "bound": 0}]},
+}
+BAD_CONES = {"ragged": {"lattice_rank": 3, "rays": [[1, 0, 0], [0, 1]]},
+             "empty": {"lattice_rank": 3, "rays": []}}
+MISSING_LEQ = {"elements": ["a", "b"], "dims": {"a": 1, "b": 1}, "maps": {"a->b": [[1]]}}
 
 
 def square_ideal_truncation(covers_only=False, c=(-1, 0, -1, 0), bound=9) -> dict:
@@ -172,12 +189,19 @@ def commands(inputs: pathlib.Path):
         yield (f"roos-imax{imax}",
                cli + ["roos", "--diagram", str(inputs / "diagram_crown.json"),
                       "--imax", imax])
-    for name in ("repeated_level", "three_rays"):
+    for name in ("repeated_level", "three_rays", *BAD_MODULES):
         yield (f"lift-table-{name.replace('_', '-')}",
                cli + ["lift-table", "--cone", str(inputs / "cone_square.json"),
                       "--module", str(inputs / f"module_{name}.json"), "--box=-2..2"])
+    yield ("lift-table-reversed-box",
+           cli + ["lift-table", "--cone", str(inputs / "cone_square.json"),
+                  "--module", str(inputs / "module_simple.json"), "--box=2..1"])
+    for name in BAD_CONES:
+        yield (f"lift-table-{name}-cone",
+               cli + ["lift-table", "--cone", str(inputs / f"cone_{name}.json"),
+                      "--module", str(inputs / "module_simple.json"), "--box=-2..2"])
     for name in ("square_ideal", "square_ideal_covers", "cycle", "missing_map",
-                 "not_composing"):
+                 "not_composing", "missing_leq"):
         yield (f"roos-{name.replace('_', '-')}-imax2",
                cli + ["roos", "--diagram", str(inputs / f"diagram_{name}.json"),
                       "--imax", "2"])
@@ -207,6 +231,11 @@ def main() -> int:
         (inputs / "diagram_not_composing.json").write_text(json.dumps(NOT_COMPOSING))
         (inputs / "module_repeated_level.json").write_text(json.dumps(REPEATED_LEVEL))
         (inputs / "module_three_rays.json").write_text(json.dumps(THREE_RAYS))
+        (inputs / "diagram_missing_leq.json").write_text(json.dumps(MISSING_LEQ))
+        for name, module in BAD_MODULES.items():
+            (inputs / f"module_{name}.json").write_text(json.dumps(module))
+        for name, cone in BAD_CONES.items():
+            (inputs / f"cone_{name}.json").write_text(json.dumps(cone))
         for case, (_, cone, module) in CLASS_GROUP_CASES.items():
             (inputs / f"cone_{case}.json").write_text(json.dumps(cone))
             (inputs / f"module_{case}.json").write_text(json.dumps(module))

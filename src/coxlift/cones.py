@@ -51,9 +51,10 @@ same for every degree in the class of c and serves as its key.
 
 Each cone memoizes what it computes about itself, for as long as it
 lives: its Cox coordinates ``L(m)`` by point, whether it is
-full-dimensional, its search data, the Smith form of its ray matrix
-(``Cone.smith``), the minimal points of each class by its key ``c0``,
-and its minimal points by degree.  ``leq_sigma`` compares two of those
+full-dimensional (the rank of its rays, read off their Smith form), its
+search data, the Smith form of its ray matrix (``Cone.smith``), the
+minimal points of each class by its key ``c0``, and its minimal points
+by degree.  ``leq_sigma`` compares two of those
 coordinate vectors: ``m <= m'`` exactly when ``L(m) <= L(m')``
 componentwise, since L is linear.  ``cox_degree`` is the one check of a
 Cox degree; the lift and ``codivisorial_module`` read theirs through it.
@@ -77,7 +78,6 @@ from .lattice import (
     int_vector,
     nonnegative_int,
     plain_int,
-    rational_rank,
     smith_normal_form,
 )
 
@@ -114,7 +114,7 @@ class Cone:
 
     @cached_property
     def full_dimensional(self) -> bool:
-        return rational_rank(self.rays) == self.lattice_rank
+        return self.smith.rank == self.lattice_rank
 
     @cached_property
     def _search(self) -> _SearchData:
@@ -127,11 +127,11 @@ class Cone:
 
     def evaluate(self, m: Sequence[int]) -> IntVector:
         """The Cox coordinates L(m), memoized by point for the life of the cone;
-        a point not yet memoized is read through ``int_vector``."""
-        m = tuple(m)
+        every point is read through ``int_vector``, memoized or not, since
+        ``1.0`` and ``True`` hash and compare equal to ``1``."""
+        m = int_vector(m)
         out = self._values.get(m)
         if out is None:
-            m = int_vector(m)
             if len(m) != self.lattice_rank:
                 raise ValueError("vector length differs from lattice rank")
             out = self._values[m] = tuple(sum(map(mul, row, m)) for row in self.rays)

@@ -35,7 +35,6 @@ from .lattice import (
     int_kernel_basis,
     int_vector,
     plain_int,
-    rational_rank,
     reduce_by_sublattice,
 )
 from .linalg import Mat, Vector, rank, solve
@@ -141,11 +140,10 @@ def _check_shared_faces(rays: IntMatrix, cones) -> None:
 def class_group(fan: FanData) -> LatticeQuotient:
     """Z^rays modulo the image of the character lattice, split via SNF:
     ``project`` sends a Cox degree to its class."""
-    if rational_rank(fan.rays) != fan.lattice_rank:
-        raise ValueError("rays do not span the lattice; class group undefined")
-    columns = [[fan.rays[i][j] for i in range(fan.ray_count)]
-               for j in range(fan.lattice_rank)]
-    return reduce_by_sublattice(fan.ray_count, columns)
+    try:
+        return reduce_by_sublattice(fan.ray_count, list(zip(*fan.rays)))
+    except ValueError:  # the columns are dependent
+        raise ValueError("rays do not span the lattice; class group undefined") from None
 
 
 @dataclass(frozen=True)

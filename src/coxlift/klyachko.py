@@ -27,7 +27,6 @@ from .linalg import (
     Vector,
     is_isomorphism,
     matrix_in_basis,
-    row_space_basis,
     subspace_eq,
     subspace_le,
 )
@@ -99,20 +98,17 @@ def realized_components(cone: Cone, desc: ReflexiveDescription, box: Box) -> Rea
     The base set is always contained in the lift set; the difference is
     reported (the lift's arrangement is intersection-complete).
     """
-    base: dict[tuple, tuple[Vector, ...]] = {}
-    lift: dict[tuple, tuple[Vector, ...]] = {}
+    base, lift = set(), set()
     for c in box.degrees():
         space = filtration_lift_component(desc, c)
-        lift[space] = space
+        lift.add(space)
         if cone.smith.preimage(c) is not None:
-            base[space] = space
-    unrealized = tuple(sorted((s for key, s in lift.items() if key not in base),
-                              key=lambda b: (len(b), b)))
-    return RealizedReport(
-        tuple(sorted(base.values(), key=lambda b: (len(b), b))),
-        tuple(sorted(lift.values(), key=lambda b: (len(b), b))),
-        unrealized,
-    )
+            base.add(space)
+
+    def ordered(spaces) -> tuple[tuple[Vector, ...], ...]:
+        return tuple(sorted(spaces, key=lambda b: (len(b), b)))
+
+    return RealizedReport(ordered(base), ordered(lift), ordered(lift - base))
 
 
 def induced_morphism(cone: Cone, src: ReflexiveDescription,
@@ -142,7 +138,7 @@ def respects_filtrations(matrix: Mat, src: ReflexiveDescription,
         return False
     for (_, rf), (_, rg) in zip(src.filtrations, tgt.filtrations):
         for level in sorted({st.level for st in rf.steps + rg.steps}):
-            image = [matrix.vec(list(v)) for v in rf.space_at(level)]
-            if not subspace_le(row_space_basis(image, matrix.nrows), rg.space_at(level)):
+            image = [matrix.vec(v) for v in rf.space_at(level)]
+            if not subspace_le(image, rg.space_at(level)):
                 return False
     return True

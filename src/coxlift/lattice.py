@@ -2,9 +2,10 @@
 
 Smith normal form by row/column reduction with pivot-norm minimization,
 lattice membership (exact preimages), and quotient-lattice projections
-with the torsion part split off.  All arithmetic uses Python's
-arbitrary-precision integers; rationals appear only transiently when a
-unimodular matrix is inverted.
+with the torsion part split off; ranks are read off the Smith form
+(``SnfResult.rank``).  All arithmetic uses Python's arbitrary-precision
+integers; rationals appear only transiently when a unimodular matrix is
+inverted.
 
 All functions here are pure and safe to call from concurrent workers,
 and none memoizes: a caller that solves against one matrix many times
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Optional, Sequence
 
-from .linalg import Mat, rank as q_rank, rref
+from .linalg import Mat, rref
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -38,10 +39,13 @@ def nonnegative_int(x, name: str) -> int:
     return x
 
 
+_INT = frozenset((int,))
+
+
 def int_vector(values: Sequence[int]) -> IntVector:
     """``values`` as a tuple of plain integers, each one checked by ``plain_int``."""
     t = tuple(values)
-    if set(map(type, t)) == {int}:
+    if _INT.issuperset(map(type, t)):
         return t
     return tuple(plain_int(x) for x in t)
 
@@ -82,10 +86,6 @@ def i_identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def rational_rank(a: IntMatrix) -> int:
-    return q_rank(Mat.from_rows(a))
-
-
 @dataclass(frozen=True)
 class SnfResult:
     """Decomposition U*A*V = D with U, V unimodular and D diagonal.
@@ -98,6 +98,11 @@ class SnfResult:
     D: IntMatrix
     V: IntMatrix
     invariant_factors: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        """The rank of A over the rationals: its nonzero invariant factors."""
+        return sum(1 for d in self.invariant_factors if d)
 
     def preimage(self, v: IntVector) -> Optional[IntVector]:
         """An integer ``x`` with ``A @ x == v``, or None; ``v`` must have one
@@ -249,15 +254,10 @@ def lattice_membership(b: IntMatrix, v: Sequence[int]) -> Optional[IntVector]:
 
 
 def int_kernel_basis(a: IntMatrix) -> tuple[IntVector, ...]:
-    """Basis of the integer kernel {x : a @ x = 0}; a saturated lattice."""
-    a = int_matrix(a)
+    """Basis of the integer kernel {x : a @ x = 0}; a saturated lattice:
+    the columns of V past the rank, where the diagonal of D is zero."""
     snf = smith_normal_form(a)
-    m, n = len(a), len(a[0])
-    cols = []
-    for j in range(n):
-        if j >= min(m, n) or snf.D[j][j] == 0:
-            cols.append(tuple(snf.V[i][j] for i in range(n)))
-    return tuple(cols)
+    return tuple(tuple(row[j] for row in snf.V) for j in range(snf.rank, len(snf.V)))
 
 
 @dataclass(frozen=True)
@@ -303,9 +303,9 @@ def reduce_by_sublattice(ambient_rank: int, generators: Sequence[Sequence[int]])
         return LatticeQuotient(ambient_rank, (), i_identity(ambient_rank), ())
     cols = int_matrix([[g[i] for g in gens] for i in range(ambient_rank)])
     k = len(gens)
-    if rational_rank(cols) != k:
-        raise ValueError("dependent generators")
     snf = smith_normal_form(cols)
+    if snf.rank != k:
+        raise ValueError("dependent generators")
     free_rows = tuple(snf.U[i] for i in range(k, ambient_rank))
     torsion = tuple(
         (snf.U[i], snf.D[i][i]) for i in range(k) if snf.D[i][i] != 1

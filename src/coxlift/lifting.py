@@ -154,9 +154,9 @@ def lift_action(
     Each minimal point of P_{c'} lies above a minimal point of P_c; the
     value there is transported from any dominated one, independent of
     the choice by the limit constraints.  When either lift is zero the
-    map is zero and no transport is read.  ``source`` and ``target``,
-    when given, are the lifts at c and c'; one of another degree is
-    rejected.
+    map is zero, returned before any predecessor is searched.
+    ``source`` and ``target``, when given, are the lifts at c and c';
+    one of another degree is rejected.
     """
     c = int_vector(c)
     c_prime = int_vector(c_prime)
@@ -166,21 +166,15 @@ def lift_action(
         raise ValueError("the module lives on another cone")
     src = _given_or_lifted(cone, module, c, source)
     tgt = _given_or_lifted(cone, module, c_prime, target)
-
-    bases = []
-    for mk in tgt.minimal_points:
-        base = None
-        for i, mi in enumerate(src.minimal_points):
-            if leq_sigma(cone, mi, mk):
-                base = i
-                break
-        if base is None:
-            raise AssertionError("minimal point has no dominated predecessor")
-        bases.append(base)
     if not (src.dim and tgt.dim):
         return Mat.zero(tgt.dim, src.dim)
-    return _blockwise(src, tgt, [(i, module.action(src.minimal_points[i], mk))
-                                 for i, mk in zip(bases, tgt.minimal_points)])
+    blocks = []
+    for mk in tgt.minimal_points:
+        i = next((i for i, mi in enumerate(src.minimal_points) if leq_sigma(cone, mi, mk)), None)
+        if i is None:
+            raise AssertionError("minimal point has no dominated predecessor")
+        blocks.append((i, module.action(src.minimal_points[i], mk)))
+    return _blockwise(src, tgt, blocks)
 
 
 def lift_morphism(

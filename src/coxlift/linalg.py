@@ -15,8 +15,9 @@ not depend on that order.  Reduced forms back-substitute the table of
 the rows as given and divide each row once by its leading entry.
 Kernels (``sparse_kernel_basis``, which ``kernel_basis`` calls) take
 the rows in order too, and stop pulling them once the table holds a
-pivot in every column, so rows after full rank are never built.  There
-is one change of basis, ``matrix_in_basis``: every map between
+pivot in every column, so rows after full rank are never built.  An
+intersection of two subspaces is one RREF too (``intersect_row_spaces``).
+There is one change of basis, ``matrix_in_basis``: every map between
 components (transports, restriction maps, lifted morphisms, unit and
 counit) writes its images in the target's RREF basis there.  A matrix
 has exactly one RREF, so every pivot list, kernel, solution and row-space
@@ -304,21 +305,19 @@ def subspace_eq(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
 
 
 def intersect_row_spaces(a: Sequence[Vector], b: Sequence[Vector], ambient: int) -> tuple[Vector, ...]:
-    """Canonical basis of span(a) ∩ span(b)."""
+    """Canonical basis of span(a) ∩ span(b), by one RREF (Zassenhaus).
+
+    The rows ``(u | u)``, u in a, and ``(v | 0)``, v in b, span the
+    ``(s + t | s)`` with s in span(a), t in span(b); those with left half
+    0 have ``s = -t`` in both.  They are the RREF rows with a pivot in the
+    right half, whose right halves are the RREF basis of the intersection.
+    """
     if not a or not b:
         return ()
-    cols = []
-    for j in range(ambient):
-        cols.append([v[j] for v in a] + [-v[j] for v in b])
-    m = Mat(ambient, len(a) + len(b), cols)
-    vectors = []
-    for k in kernel_basis(m):
-        vec = [ZERO] * ambient
-        for coeff, basis_vec in zip(k[: len(a)], a):
-            if coeff:
-                vec = [x + coeff * y for x, y in zip(vec, basis_vec)]
-        vectors.append(vec)
-    return row_space_basis(vectors, ambient)
+    zero = [ZERO] * ambient
+    rows = [[*u, *u] for u in a] + [[*v, *zero] for v in b]
+    red, pivots = rref(Mat(len(rows), 2 * ambient, rows))
+    return tuple(tuple(row[ambient:]) for row, p in zip(red.rows, pivots) if p >= ambient)
 
 
 def is_injective(m: Mat) -> bool:

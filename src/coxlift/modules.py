@@ -90,8 +90,8 @@ class GradedModule:
         return self._component(m)
 
     def action(self, m: Sequence[int], m_prime: Sequence[int]) -> Mat:
-        m = int_vector(m)
-        m_prime = int_vector(m_prime)
+        # leq_sigma reads both points through ``int_vector``
+        m, m_prime = tuple(m), tuple(m_prime)
         if not leq_sigma(self.cone, m, m_prime):
             raise ValueError(f"{m} is not below {m_prime} in the dual-cone order")
         return self._action(m, m_prime)
@@ -154,8 +154,8 @@ class IndicatorModule(GradedModule):
                                  f"not the lattice rank {self.cone.lattice_rank}")
 
     def in_support(self, m: Sequence[int]) -> bool:
-        m = int_vector(m)
-        values = self.cone.evaluate(m)
+        m = tuple(m)
+        values = self.cone.evaluate(m)  # reads m through ``int_vector``
         if not all(c.holds(values[c.ray]) for c in self.constraints):
             return False
         return m not in self.exclude
@@ -307,9 +307,13 @@ class CoxRule:
 
     ray_count: int
 
-    def _wrong_length(self, c: Sequence[int]) -> ValueError:
-        return ValueError(f"degree {tuple(c)} has length {len(c)}, "
-                          f"but the rule has {self.ray_count} rays")
+    def _degree(self, c: Sequence[int]) -> IntVector:
+        """``c`` read through ``int_vector``, checked to have one entry per ray."""
+        c = int_vector(c)
+        if len(c) != self.ray_count:
+            raise ValueError(f"degree {c} has length {len(c)}, "
+                             f"but the rule has {self.ray_count} rays")
+        return c
 
     def dim(self, c: Sequence[int]) -> int:
         raise NotImplementedError
@@ -332,9 +336,7 @@ class ShiftedCoxRule(CoxRule):
             raise ValueError("shift length differs from ray count")
 
     def dim(self, c: Sequence[int]) -> int:
-        if len(c) != self.ray_count:
-            raise self._wrong_length(c)
-        return 1 if all(map(ge, c, map(neg, self.shift))) else 0
+        return 1 if all(map(ge, self._degree(c), map(neg, self.shift))) else 0
 
 
 @dataclass(frozen=True)
@@ -350,9 +352,7 @@ class SpikeRule(CoxRule):
             raise ValueError("degree length differs from ray count")
 
     def dim(self, c: Sequence[int]) -> int:
-        if len(c) != self.ray_count:
-            raise self._wrong_length(c)
-        return 1 if tuple(c) == self.degree else 0
+        return 1 if self._degree(c) == self.degree else 0
 
 
 @dataclass(frozen=True)
@@ -427,8 +427,7 @@ def ray_filtration(jumps: Sequence[tuple[int, Sequence[Sequence]]], ambient: int
 def intersect_ray_spaces(levels: Iterable[tuple[RayFiltration, int]],
                          ambient: int) -> tuple[Vector, ...]:
     """Intersection of each filtration's space at its level, inside the ambient space."""
-    current = row_space_basis(
-        [[1 if i == j else 0 for j in range(ambient)] for i in range(ambient)], ambient)
+    current = tuple(map(tuple, Mat.identity(ambient).rows))
     for rf, level in levels:
         current = intersect_row_spaces(current, rf.space_at(level), ambient)
         if not current:
@@ -437,8 +436,7 @@ def intersect_ray_spaces(levels: Iterable[tuple[RayFiltration, int]],
 
 
 def full_at(level: int, ambient: int) -> RayFiltration:
-    return ray_filtration([(level, [[1 if i == j else 0 for j in range(ambient)]
-                                    for i in range(ambient)])], ambient)
+    return ray_filtration([(level, Mat.identity(ambient).rows)], ambient)
 
 
 @dataclass(frozen=True)
@@ -489,12 +487,11 @@ class ReflexiveDescription(CoxRule):
 
     def _steps(self, levels: Sequence[int]) -> IntVector:
         """Per ray, the number of jumps at or below its level: 0 below the first jump."""
-        if len(levels) != len(self._levels):
-            raise ValueError(f"{len(levels)} levels for {len(self._levels)} rays")
-        return tuple(map(bisect_right, self._levels, levels))
+        return tuple(map(bisect_right, self._levels, self._degree(levels)))
 
     def space(self, levels: Sequence[int]) -> tuple[Vector, ...]:
         """Canonical basis of the intersection of the ray spaces, ray i at ``levels[i]``."""
+        levels = tuple(levels)  # read twice: by ``_steps`` and, on a miss, by the intersection
         key = self._steps(levels)
         out = self._spaces.get(key)
         if out is None:
@@ -509,6 +506,7 @@ class ReflexiveDescription(CoxRule):
     def act(self, levels: Sequence[int], levels_prime: Sequence[int]) -> Mat:
         """The inclusion: ``space(levels)`` written in the basis of
         ``space(levels_prime)``; ``levels`` must be below ``levels_prime``."""
+        levels, levels_prime = tuple(levels), tuple(levels_prime)
         key = (self._steps(levels), self._steps(levels_prime))
         out = self._inclusions.get(key)
         if out is None:
@@ -529,7 +527,7 @@ class FiltrationModule(SheafifiedModule):
 
     def subspace(self, m: Sequence[int]) -> tuple[Vector, ...]:
         """Canonical basis of the component inside the ambient space."""
-        return self.rule.space(self.cone.evaluate(int_vector(m)))
+        return self.rule.space(self.cone.evaluate(m))
 
 
 # --------------------------------------------------------------------------

@@ -375,6 +375,34 @@ def test_invalid_diagram_is_an_input_error(inputs, capsys, payload, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+# inputs each loader rejects with its own message
+@pytest.mark.parametrize("flag, payload, message", [
+    ("--module", dict(SIMPLE_JSON, style="other"), "style must be 'submodule' or 'quotient'"),
+    ("--module", dict(SIMPLE_JSON, constraints=[{"ray": 9, "op": "<=", "bound": 0}]),
+     "constraint ray index out of range"),
+    ("--box", "2..1", "box needs lo <= hi componentwise"),
+    ("--cone", dict(CONE_JSON, rays=[[1, 0, 0], [0, 1]]), "ragged matrix"),
+    ("--cone", dict(CONE_JSON, rays=[]), "matrix must be nonempty"),
+    ("--diagram", {key: CROWN_JSON[key] for key in ("elements", "dims", "maps")},
+     "diagram JSON is missing 'leq'"),
+])
+def test_rejected_input_exits_2_naming_the_fault(inputs, capsys, flag, payload, message):
+    bad = inputs / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if flag == "--diagram":
+        argv = ["roos", "--diagram", str(bad)]
+    else:
+        files = {"--cone": inputs / "cone.json", "--module": inputs / "simple.json",
+                 flag: bad}
+        box = payload if flag == "--box" else "0..0"
+        argv = ["lift-table", "--cone", str(files["--cone"]),
+                "--module", str(files["--module"]), f"--box={box}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_zero_denominator_in_a_module_is_an_input_error(inputs, capsys):
     module = inputs / "bad.json"
     module.write_text(json.dumps({"type": "filtration", "ambient_dim": 1,

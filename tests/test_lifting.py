@@ -545,6 +545,35 @@ def test_restriction_maps_touching_a_zero_lift_read_no_transport(csq, monkeypatc
         assert mat == every_transport_lift_action(csq, cod, table.component(c), table.component(nxt))
 
 
+def test_a_restriction_map_with_a_zero_side_searches_no_predecessor(csq, monkeypatch):
+    cod = codivisorial_module(csq, (0, 0, 0, 0), (1, 3))
+    box = Box((-1,) * 4, (1,) * 4)
+    table = lift_table(csq, cod, box)
+    calls = []
+
+    def counting(cone, m, m_prime):
+        calls.append((m, m_prime))
+        return leq_sigma(cone, m, m_prime)
+
+    monkeypatch.setattr(lifting, "leq_sigma", counting)
+    zero_sided = searched = 0
+    for c in box.degrees():
+        for axis in range(4):
+            nxt = tuple(x + (i == axis) for i, x in enumerate(c))
+            if nxt not in box:
+                continue
+            calls.clear()
+            src, tgt = table.component(c), table.component(nxt)
+            mat = lift_action(csq, cod, c, nxt, source=src, target=tgt)
+            if src.dim and tgt.dim:
+                searched += bool(calls)
+            else:
+                zero_sided += 1
+                assert mat == Mat.zero(tgt.dim, src.dim) and calls == []
+    # each of the 216 - 168 maps with two nonzero sides searches
+    assert (zero_sided, searched) == (168, 48)
+
+
 def test_memos_are_freed_with_their_cone_and_modules():
     cone = Cone(3, CONE_OVER_SQUARE.rays)
     filtration = FiltrationModule(cone, random_reflexive_description(cone, random.Random(3)))

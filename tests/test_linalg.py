@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from coxlift import linalg
 from coxlift.linalg import (
     Mat,
     intersect_row_spaces,
@@ -229,6 +230,60 @@ def test_matrix_in_basis_recovers_coefficients(m, data):
         outside[data.draw(st.sampled_from(free))] += 1
         with pytest.raises(AssertionError):
             matrix_in_basis(basis, images + [outside])
+
+
+def kernel_intersection(a, b, ambient: int) -> tuple:
+    """Reference oracle: span(a) ∩ span(b) by a kernel and a second elimination.
+
+    The kernel of the ``ambient x (|a| + |b|)`` matrix with columns
+    ``a_i`` and ``-b_j`` holds the coefficients with ``sum x_i a_i =
+    sum y_j b_j``; the recombined ``sum x_i a_i`` span the intersection,
+    and their RREF is its canonical basis.
+    """
+    if not a or not b:
+        return ()
+    cols = [[v[j] for v in a] + [-v[j] for v in b] for j in range(ambient)]
+    vectors = [[sum((x * u[j] for x, u in zip(k, a)), Fraction(0)) for j in range(ambient)]
+               for k in dense_kernel(Mat(ambient, len(a) + len(b), cols))]
+    red, pivots = dense_rref(Mat(len(vectors), ambient, vectors))
+    return tuple(tuple(red.rows[i]) for i in range(len(pivots)))
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Spanning sets of two subspaces of Q^ambient, ambient 1 to 5: random
+    spans, each side now and then empty or the full space, and now and
+    then the second the first again."""
+    ambient = draw(st.integers(1, 5))
+    full = [tuple(Fraction(int(i == j)) for j in range(ambient)) for i in range(ambient)]
+    span = st.one_of(
+        st.lists(st.tuples(*[entry] * ambient), max_size=ambient + 1), st.just([]), st.just(full))
+    a = draw(span)
+    b = draw(st.one_of(span, st.just(a)))
+    return a, b, ambient
+
+
+@given(subspace_pairs())
+def test_intersection_matches_the_kernel_oracle(pair):
+    a, b, ambient = pair
+    meet = intersect_row_spaces(a, b, ambient)
+    assert meet == kernel_intersection(a, b, ambient)
+    red, pivots = dense_rref(Mat(len(meet), ambient, [list(v) for v in meet]))
+    assert len(pivots) == len(meet) and red.rows == [list(v) for v in meet]
+
+
+def test_intersection_eliminates_once(monkeypatch):
+    a = row_space_basis([[1, 0, 0], [0, 1, 0]], 3)
+    b = row_space_basis([[1, 0, 1], [0, 1, 1]], 3)
+    calls = []
+
+    def counting(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("rref", "kernel_basis", "sparse_kernel_basis", "row_space_basis"):
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
+    assert linalg.intersect_row_spaces(a, b, 3) == ((1, -1, 0),)
+    assert calls == ["rref"]
 
 
 @st.composite

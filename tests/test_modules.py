@@ -19,13 +19,19 @@ from coxlift.derived import (
 from coxlift.fans import FanData, chart_section, global_reflexive_lift
 from coxlift.instances import (
     CONE_OVER_SQUARE,
+    ORTHANT2,
     TEST_CONES,
     all_variant_modules,
     generic_plane_description,
     random_reflexive_description,
 )
 from coxlift.klyachko import filtration_lift_component
-from coxlift.lattice import int_matrix, lattice_membership, reduce_by_sublattice
+from coxlift.lattice import (
+    int_matrix,
+    lattice_membership,
+    reduce_by_sublattice,
+    unimodular_inverse,
+)
 from coxlift.lifting import (
     Box,
     counit_matrix,
@@ -42,6 +48,7 @@ from coxlift.modules import (
     FiltrationModule,
     FiltrationStep,
     FinitelyPresentedModule,
+    GradedMorphism,
     IndicatorConstraint,
     IndicatorModule,
     RayFiltration,
@@ -157,6 +164,12 @@ NON_INTEGER_DEGREES = {
     # a point the cone has not memoized yet
     "cone evaluate": lambda C: C.evaluate((0.5, 0, 0)),
     "leq_sigma": lambda C: leq_sigma(C, (0.5, 0, 0), (1, 0, 0)),
+    # a point the cone has memoized: 1.0 and True hash and compare equal to 1
+    "cone evaluate, memoized": lambda C: (C.evaluate((1, 0, 0)), C.evaluate((1.0, 0, 0))),
+    "cone evaluate, memoized boolean": lambda C: (
+        C.evaluate((1, 0, 0)), C.evaluate((True, 0, 0))),
+    "leq_sigma, memoized": lambda C: (
+        C.evaluate((1, 0, 0)), leq_sigma(C, (0, 0, 0), (1.0, 0, 0))),
     "action": lambda C: structure_module(C).action((0, 0, 0), (0, 0, 1.5)),
     "in_support": lambda C: simple_module(C).in_support((0.5, 0, 0)),
     "filtration subspace": lambda C: FiltrationModule(
@@ -236,7 +249,8 @@ def test_degree_arguments_must_have_one_entry_per_ray(csq):
         codivisorial_module(csq, (0, 0), (1,))
 
 
-# arguments of a wrong count or length, each rejected before it is read
+# arguments of a wrong count, length, shape or cone, each rejected before it is
+# read, and integer matrices with no integer inverse
 WRONG_SHAPES = {
     "relation coefficient count": (lambda C: FinitelyPresentedModule(
         C, [(0, 0, 0)], [Relation((0, 0, 0), (1, 1))]),
@@ -249,6 +263,23 @@ WRONG_SHAPES = {
     "chart section point length": (lambda C: chart_section(
         FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 0, (0, 0)),
         "lattice point length differs from lattice rank"),
+    "module shift length": (lambda C: ShiftModule(simple_module(C), (0, 0)),
+                            "shift length differs from lattice rank"),
+    "empty module sum": (lambda C: DirectSumModule(()), "empty direct sum"),
+    "module sum over two cones": (lambda C: DirectSumModule(
+        (simple_module(C), simple_module(ORTHANT2))), "parts live on different cones"),
+    "morphism over two cones": (lambda C: GradedMorphism(
+        simple_module(C), simple_module(ORTHANT2), lambda m: Mat.identity(1)),
+        "endpoints live on different cones"),
+    "morphism matrix shape": (lambda C: GradedMorphism(
+        simple_module(C), simple_module(C), lambda m: Mat.identity(2)).matrix((0, 0, 0)),
+        r"at \(0, 0, 0\) has shape \(2, 2\), expected \(1, 1\)"),
+    "quotient projection length": (lambda C: reduce_by_sublattice(2, [(1, 0)]).project(
+        (1, 0, 0)), "vector length differs from ambient rank"),
+    "singular inverse": (lambda C: unimodular_inverse(((1, 2), (2, 4))),
+                         "matrix is not invertible"),
+    "non-unimodular inverse": (lambda C: unimodular_inverse(((2, 0), (0, 1))),
+                               "matrix is not unimodular"),
 }
 
 
@@ -362,20 +393,37 @@ def test_reflexive_description_stores_its_filtrations_by_ray():
     assert len(filtration_lift_component(desc, (0, 1))) == 1
 
 
-# each call read ray 0's plane, or ignored the fifth level, before levels were counted
+# each call read ray 0's plane, or ignored the fifth level, before levels were
+# counted; each non-integer degree returned a dimension or an empty inclusion
 WRONG_LEVEL_COUNTS = {
     "space of one level": lambda desc: desc.space((0,)),
     "space of five levels": lambda desc: desc.space((0, 0, 0, 0, 5)),
     "inclusion of one level": lambda desc: desc.act((0,), (1,)),
     "dim of one level": lambda desc: desc.dim((0,)),
     "filtration lift of three levels": lambda desc: filtration_lift_component(desc, (0, 0, 0)),
+    "dim of a float level": lambda desc: desc.dim((0.5, 0, 0, 0)),
+    "inclusion from a float level": lambda desc: desc.act((0.5, 0, 0, 0), (1, 0, 0, 0)),
+    "space of a boolean level": lambda desc: desc.space((True, 0, 0, 0)),
+    "shifted rule of a float degree": lambda desc: ShiftedCoxRule(4, (0,) * 4).dim(
+        (0.5, 0, 0, 0)),
+    "spike rule of a float degree": lambda desc: SpikeRule(4, (1, 0, 0, 0)).dim(
+        (1.0, 0, 0, 0)),
 }
 
 
 @pytest.mark.parametrize("call", WRONG_LEVEL_COUNTS.values(), ids=WRONG_LEVEL_COUNTS.keys())
 def test_reflexive_description_rejects_a_level_per_ray_of_another_count(call):
-    with pytest.raises(ValueError, match="levels for 4 rays"):
+    with pytest.raises(ValueError, match="but the rule has 4 rays|expected an integer"):
         call(generic_plane_description(4))
+
+
+def test_reflexive_description_reads_iterated_levels_once():
+    # the levels are read for the step key and again for the intersection
+    desc = generic_plane_description(4)
+    low, high = (1, 1, 0, 0), (1, 1, 1, 0)
+    fresh = generic_plane_description(4)
+    assert fresh.space(iter(low)) == desc.space(low) and len(desc.space(low)) == 1
+    assert fresh.act(iter(low), iter(high)) == desc.act(low, high)
 
 
 def test_functoriality_on_chains(csq, rng):
