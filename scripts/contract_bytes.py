@@ -14,6 +14,9 @@ Runs, with this checkout's ``src`` on the path:
   on the cone over a square, for the four example modules of
   ``make_inputs.py``, a rank-2 module of four lines in general position
   and a finitely presented module with a ``"p/q"`` coefficient;
+* ``coxlift.cli lift-table --box=-3..3 --format json --jobs 1|2`` on the
+  cone over a square for those last two modules: 2,401 lift bases each,
+  which pin the bytes of the kernel elimination;
 * ``coxlift.cli lift-table --format tsv|json`` on two cones whose class
   groups are not Z: the cone with rays (0, 1), (2, -1) (class group
   Z/2) over ``--box=-3..3`` and the cone over a hexagon (class group
@@ -66,6 +69,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SUITES = ("classgroups", "colimit", "exactness", "ideal", "klifting", "klyachko",
           "liftex", "roos", "roundtrip")
 MODULES = ("simple", "ideal", "codivisorial", "filtration", "generic_lines", "presented")
+# swept over the wider box -3..3 as well
+WIDE_BOX_MODULES = ("generic_lines", "presented")
 # four lines in general position in Q^2, one per ray, each filling up at level 1
 GENERIC_LINES = {
     "type": "filtration", "ambient_dim": 2,
@@ -179,6 +184,12 @@ def commands(inputs: pathlib.Path):
                        cli + ["lift-table", "--cone", str(inputs / "cone_square.json"),
                               "--module", str(inputs / f"module_{module}.json"),
                               "--format", fmt, "--jobs", jobs, "--box=-2..2"])
+    for module in WIDE_BOX_MODULES:
+        for jobs in ("1", "2"):
+            yield (f"lift-table-{module}-json-jobs{jobs}-box3",
+                   cli + ["lift-table", "--cone", str(inputs / "cone_square.json"),
+                          "--module", str(inputs / f"module_{module}.json"),
+                          "--format", "json", "--jobs", jobs, "--box=-3..3"])
     for case, (box, _, _) in CLASS_GROUP_CASES.items():
         for fmt in ("tsv", "json"):
             yield (f"lift-table-{case}-{fmt}",

@@ -54,8 +54,10 @@ lives: its Cox coordinates ``L(m)`` by point, whether it is
 full-dimensional (the rank of its rays, read off their Smith form), its
 search data, the Smith form of its ray matrix (``Cone.smith``), the
 minimal points of each class by its key ``c0``, and its minimal points
-by degree.  ``leq_sigma`` compares two of those
-coordinate vectors: ``m <= m'`` exactly when ``L(m) <= L(m')``
+by degree.  ``Cone.evaluate`` reads a point and looks up its coordinates
+through ``Cone._cox``, which the modules call directly on points they
+have already read.  ``leq_sigma`` compares two of those coordinate
+vectors by ``cox_le``: ``m <= m'`` exactly when ``L(m) <= L(m')``
 componentwise, since L is linear.  ``cox_degree`` is the one check of a
 Cox degree; the lift and ``codivisorial_module`` read theirs through it.
 """
@@ -126,10 +128,17 @@ class Cone:
         return smith_normal_form(self.rays)
 
     def evaluate(self, m: Sequence[int]) -> IntVector:
-        """The Cox coordinates L(m), memoized by point for the life of the cone;
-        every point is read through ``int_vector``, memoized or not, since
-        ``1.0`` and ``True`` hash and compare equal to ``1``."""
-        m = int_vector(m)
+        """The Cox coordinates L(m), memoized by point for the life of the cone.
+
+        Every point is read through ``int_vector``, memoized or not, since
+        ``1.0`` and ``True`` hash and compare equal to ``1``; ``_cox`` then
+        looks it up.
+        """
+        return self._cox(int_vector(m))
+
+    def _cox(self, m: IntVector) -> IntVector:
+        """L(m) of a point already read through ``int_vector``: the memo, or on a
+        miss the length check and the product, memoized."""
         out = self._values.get(m)
         if out is None:
             if len(m) != self.lattice_rank:
@@ -138,9 +147,14 @@ class Cone:
         return out
 
 
+def cox_le(c: Sequence[int], c_prime: Sequence[int]) -> bool:
+    """The componentwise order on Cox degrees of one length."""
+    return all(map(le, c, c_prime))
+
+
 def leq_sigma(cone: Cone, m: Sequence[int], m_prime: Sequence[int]) -> bool:
     """Dual-cone order: every ray form nondecreasing from m to m_prime."""
-    return all(map(le, cone.evaluate(m), cone.evaluate(m_prime)))
+    return cox_le(cone.evaluate(m), cone.evaluate(m_prime))
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:

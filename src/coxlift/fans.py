@@ -201,7 +201,7 @@ def global_reflexive_lift(fan: FanData, desc: ReflexiveDescription,
                           c: Sequence[int]) -> tuple[Vector, ...]:
     """Intersection of all ray spaces at levels c_rho over the whole fan."""
     _check_description(fan, desc)
-    return desc.space(int_vector(c))
+    return desc.space(c)
 
 
 def chart_section(fan: FanData, desc: ReflexiveDescription, cone_index: int,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cones import Cone
-from .lattice import int_vector
 from .lifting import Box, unit_map
 from .linalg import (
     Mat,
@@ -42,7 +41,7 @@ IntVector = tuple[int, ...]
 
 def filtration_lift_component(desc: ReflexiveDescription, c: Sequence[int]) -> tuple[Vector, ...]:
     """Direct intersection of the ray spaces at levels c_rho."""
-    return desc.space(int_vector(c))
+    return desc.space(c)
 
 
 @dataclass

@@ -10,7 +10,8 @@ presentation on purpose: their constraints can annihilate other
 coordinates.  The constraint rows are streamed, sparse and in pair
 order, into ``linalg.sparse_kernel_basis``; once they have full rank the
 lift is zero, and the pairs after that point are never visited (no
-upper-bound search, no transport).
+upper-bound search, no transport).  Their columns are numbered from the
+right, so the kernel comes out in RREF from that one elimination.
 
 The lift is a functor, right adjoint to sheafification.  Its maps
 between lift components (restriction maps along ``c <= c'`` and lifted
@@ -46,6 +47,7 @@ from typing import Callable, Optional, Sequence
 from .cones import (
     Cone,
     cox_degree,
+    cox_le,
     leq_sigma,
     minimal_common_upper_bounds,
     minimal_elements,
@@ -58,10 +60,9 @@ from .linalg import (
     is_isomorphism,
     matrix_in_basis,
     rank,
-    row_space_basis,
     sparse_kernel_basis,
 )
-from .modules import GradedModule, GradedMorphism, SheafifiedModule
+from .modules import CoxRule, GradedModule, GradedMorphism, SheafifiedModule
 
 IntVector = tuple[int, ...]
 
@@ -85,7 +86,14 @@ class LiftComponent:
 
 
 def lift_component(cone: Cone, module: GradedModule, c: Sequence[int]) -> LiftComponent:
-    """Inverse limit of the module over P_c, with a canonical echelon basis."""
+    """Inverse limit of the module over P_c, with its canonical RREF basis.
+
+    The constraint columns are numbered from the right, so each kernel
+    vector of ``sparse_kernel_basis`` has its 1 at a free column and its
+    other entries at pivot columns to the right of it in the lift's own
+    order: reversed entrywise and listed in reverse, they are the RREF
+    basis, from one elimination.
+    """
     c = cox_degree(cone, c)
     if module.cone != cone:
         raise ValueError("the module lives on another cone")
@@ -93,7 +101,7 @@ def lift_component(cone: Cone, module: GradedModule, c: Sequence[int]) -> LiftCo
     dims = tuple(module.component(m) for m in mins)
     total = sum(dims)
     kernel = sparse_kernel_basis(_constraint_rows(cone, module, mins, dims), total)
-    return LiftComponent(c, mins, dims, row_space_basis(kernel, total))
+    return LiftComponent(c, mins, dims, tuple(v[::-1] for v in reversed(kernel)))
 
 
 def _constraint_rows(cone: Cone, module: GradedModule, mins: Sequence[IntVector],
@@ -102,19 +110,21 @@ def _constraint_rows(cone: Cone, module: GradedModule, mins: Sequence[IntVector]
 
     For minimal points ``i < j`` and each minimal common upper bound ``u``
     of the pair, a row of the transport of block ``i`` to ``u`` minus the
-    same row for block ``j``.
+    same row for block ``j``.  The lift's column ``k`` is the row's column
+    ``total - 1 - k``.
     """
-    offsets = list(accumulate(dims, initial=0))
+    last = sum(dims) - 1
+    ends = [last - offset for offset in accumulate(dims, initial=0)]
     for i, j in combinations(range(len(mins)), 2):
         if dims[i] == 0 and dims[j] == 0:
             continue
-        oi, oj = offsets[i], offsets[j]
+        ei, ej = ends[i], ends[j]
         for u in minimal_common_upper_bounds(cone, mins[i], mins[j]):
             ai = module.action(mins[i], u)
             aj = module.action(mins[j], u)
             for ri, rj in zip(ai.rows, aj.rows):
-                row = {oi + col: x for col, x in enumerate(ri) if x}
-                row.update((oj + col, -x) for col, x in enumerate(rj) if x)
+                row = {ei - col: x for col, x in enumerate(ri) if x}
+                row.update((ej - col, -x) for col, x in enumerate(rj) if x)
                 yield row
 
 
@@ -160,7 +170,7 @@ def lift_action(
     """
     c = int_vector(c)
     c_prime = int_vector(c_prime)
-    if not all(a <= b for a, b in zip(c, c_prime)):
+    if not cox_le(c, c_prime):
         raise ValueError("degrees are not componentwise comparable")
     if module.cone != cone:
         raise ValueError("the module lives on another cone")
@@ -215,11 +225,11 @@ def counit_matrix(cone: Cone, module: GradedModule, m: Sequence[int]) -> Mat:
 
 def unit_map(cone: Cone, rule, c: Sequence[int]) -> Mat:
     """Natural map F_c -> lift(sheafify F)_c for a Cox rule F."""
-    c = int_vector(c)
     tgt = lift_component(cone, SheafifiedModule(cone, rule), c)
+    c = tgt.degree  # read and checked by the lift, and below L(m) at each minimal point
     # the rule's maps from c to each minimal point, stacked; column j is e_j's image
-    stacked = [row for m in tgt.minimal_points for row in rule.act(c, cone.evaluate(m)).rows]
-    images = Mat(len(stacked), rule.dim(c), stacked).transpose().rows
+    stacked = [row for m in tgt.minimal_points for row in rule._act(c, cone._cox(m)).rows]
+    images = Mat(len(stacked), rule._dim(c), stacked).transpose().rows
     return matrix_in_basis(tgt.basis, images)
 
 
@@ -322,12 +332,12 @@ def minimal_generators_in_box(cone: Cone, module: GradedModule, box: Box) -> tup
 
 
 @dataclass(eq=False)
-class LiftTable:
+class LiftTable(CoxRule):
     """Lift components over a degree box; one-step restriction maps on demand.
 
-    Compared and hashed by identity, so a table, whose components are a
-    dict, can still serve as the Cox rule of a ``SheafifiedModule``, whose
-    hash covers its rule.
+    A Cox rule: its component at c is the lift's.  Compared and hashed by
+    identity, so a table, whose components are a dict, can still serve as
+    the Cox rule of a ``SheafifiedModule``, whose hash covers its rule.
     """
 
     cone: Cone
@@ -353,19 +363,21 @@ class LiftTable:
         return out
 
     def component(self, c: Sequence[int]) -> LiftComponent:
-        c = int_vector(c)
+        return self._component(int_vector(c))
+
+    def _component(self, c: IntVector) -> LiftComponent:
         comp = self.components.get(c)
         if comp is None:
             raise ValueError(f"degree {c} lies outside the lift table's box "
                              f"{self.box.lo}..{self.box.hi}")
         return comp
 
-    def dim(self, c: Sequence[int]) -> int:
-        return self.component(c).dim
+    def _dim(self, c: IntVector) -> int:
+        return self._component(c).dim
 
-    def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
+    def _act(self, c: IntVector, c_prime: IntVector) -> Mat:
         return lift_action(self.cone, self.module, c, c_prime,
-                           source=self.component(c), target=self.component(c_prime))
+                           source=self._component(c), target=self._component(c_prime))
 
 
 def _lift_share(cone: Cone, module: GradedModule,

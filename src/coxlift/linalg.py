@@ -15,7 +15,12 @@ not depend on that order.  Reduced forms back-substitute the table of
 the rows as given and divide each row once by its leading entry.
 Kernels (``sparse_kernel_basis``, which ``kernel_basis`` calls) take
 the rows in order too, and stop pulling them once the table holds a
-pivot in every column, so rows after full rank are never built.  An
+pivot in every column, so rows after full rank are never built.  Each
+kernel vector ends in the 1 at its free column, and no other kernel
+vector is nonzero there: read with its columns in reverse order, the
+basis, listed in reverse, is the RREF basis of the kernel.  So a caller
+that numbers its columns from the right (``lifting.lift_component``)
+gets the RREF kernel from this one elimination.  An
 intersection of two subspaces is one RREF too (``intersect_row_spaces``).
 There is one change of basis, ``matrix_in_basis``: every map between
 components (transports, restriction maps, lifted morphisms, unit and
@@ -201,7 +206,7 @@ def sparse_kernel_basis(rows: Iterable[dict], ncols: int) -> list[Vector]:
 
     One vector per free column ``f``, in column order: 1 at ``f`` and, at
     each pivot column, minus the entry at ``f`` of that pivot's reduced
-    row.  Rows are pulled one at a time, and none once the table holds
+    row, which is nonzero only at pivot columns left of ``f``.  Rows are pulled one at a time, and none once the table holds
     ``ncols`` pivots: the kernel is then zero, and the rest of a lazy
     iterable is never built.
     """

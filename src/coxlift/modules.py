@@ -19,6 +19,15 @@ chains.  Variants:
   transports are inclusions.
 * ``ShiftModule`` / ``DirectSumModule`` - degree shifts and sums.
 
+Reading.  The public methods (``component`` and ``action`` of a module,
+``dim`` and ``act`` of a Cox rule, ``ReflexiveDescription.space`` and
+``IndicatorModule.in_support``) read each point once through
+``int_vector`` and check its length and, for a transport, its order.
+The hooks under them (``_component``, ``_action``, ``_dim``, ``_act``,
+``_space``, ``_in_support``) take points so read and check nothing
+again; a module looks up the Cox coordinates of a read point through
+``Cone._cox``, and shifts and sums call their parts' hooks.
+
 Everything is immutable and hashable, with structural equality, so
 evaluation is pure.
 
@@ -47,7 +56,7 @@ from itertools import product
 from operator import attrgetter, ge, neg
 from typing import Callable, Iterable, Sequence
 
-from .cones import Cone, cox_degree, leq_sigma
+from .cones import Cone, cox_degree, cox_le, leq_sigma
 from .lattice import int_vector, plain_int
 from .linalg import (
     Mat,
@@ -73,12 +82,28 @@ def _sample_cube(d: int) -> list[IntVector]:
     return list(product(range(-SAMPLE_RADIUS, SAMPLE_RADIUS + 1), repeat=d))
 
 
+def _lattice_point(cone: Cone, m: Sequence[int], what: str) -> IntVector:
+    """``m`` read through ``int_vector``; a length other than the lattice
+    rank raises, naming ``what`` and the point."""
+    m = int_vector(m)
+    if len(m) != cone.lattice_rank:
+        raise ValueError(f"{what} {m} has length {len(m)}, "
+                         f"not the lattice rank {cone.lattice_rank}")
+    return m
+
+
 def _add(m: Sequence[int], by: Sequence[int]) -> IntVector:
     return tuple(a + b for a, b in zip(m, by))
 
 
 class GradedModule:
-    """Common interface; concrete variants implement the two hooks."""
+    """Common interface; concrete variants implement the two hooks.
+
+    The public methods read each point once, through ``int_vector``, and
+    check it; the hooks ``_component`` and ``_action`` take points so read
+    (of the lattice rank, and ``m <= m'`` for ``_action``) and check
+    nothing again.
+    """
 
     cone: Cone
 
@@ -90,9 +115,10 @@ class GradedModule:
         return self._component(m)
 
     def action(self, m: Sequence[int], m_prime: Sequence[int]) -> Mat:
-        # leq_sigma reads both points through ``int_vector``
-        m, m_prime = tuple(m), tuple(m_prime)
-        if not leq_sigma(self.cone, m, m_prime):
+        """The transport from m to m', for m below m' in the dual-cone order."""
+        m, m_prime = int_vector(m), int_vector(m_prime)
+        cox = self.cone._cox  # checks the lengths on a memo miss
+        if not cox_le(cox(m), cox(m_prime)):
             raise ValueError(f"{m} is not below {m_prime} in the dual-cone order")
         return self._action(m, m_prime)
 
@@ -145,26 +171,23 @@ class IndicatorModule(GradedModule):
         for c in self.constraints:
             if not 0 <= c.ray < self.cone.ray_count:
                 raise ValueError("constraint ray index out of range")
-        object.__setattr__(
-            self, "exclude", tuple(int_vector(p) for p in self.exclude)
-        )
-        for p in self.exclude:
-            if len(p) != self.cone.lattice_rank:
-                raise ValueError(f"excluded point {p} has length {len(p)}, "
-                                 f"not the lattice rank {self.cone.lattice_rank}")
+        object.__setattr__(self, "exclude", tuple(
+            _lattice_point(self.cone, p, "excluded point") for p in self.exclude))
 
     def in_support(self, m: Sequence[int]) -> bool:
-        m = tuple(m)
-        values = self.cone.evaluate(m)  # reads m through ``int_vector``
+        return self._in_support(int_vector(m))
+
+    def _in_support(self, m: IntVector) -> bool:
+        values = self.cone._cox(m)
         if not all(c.holds(values[c.ray]) for c in self.constraints):
             return False
         return m not in self.exclude
 
     def _component(self, m: IntVector) -> int:
-        return int(self.in_support(m))
+        return int(self._in_support(m))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        return Mat.ones(int(self.in_support(m_prime)), int(self.in_support(m)))
+        return Mat.ones(int(self._in_support(m_prime)), int(self._in_support(m)))
 
 
 def structure_module(cone: Cone) -> IndicatorModule:
@@ -251,11 +274,11 @@ class FinitelyPresentedModule(GradedModule):
     relations: tuple[Relation, ...] = ()
 
     def __post_init__(self):
-        gens = tuple(int_vector(g) for g in self.generators)
+        gens = tuple(_lattice_point(self.cone, g, "generator") for g in self.generators)
         object.__setattr__(self, "generators", gens)
         rels = []
         for rel in self.relations:
-            deg = int_vector(rel.degree)
+            deg = _lattice_point(self.cone, rel.degree, "relation degree")
             coeffs = frac_vector(rel.coeffs)
             if len(coeffs) != len(gens):
                 raise ValueError("relation coefficient count differs from generators")
@@ -271,10 +294,11 @@ class FinitelyPresentedModule(GradedModule):
         """``(active generators, reduced relation rows, free columns)`` at m."""
         out = self._quotients.get(m)
         if out is None:
+            cox, top = self.cone._cox, self.cone._cox(m)
             active = tuple(i for i, g in enumerate(self.generators)
-                           if leq_sigma(self.cone, g, m))
+                           if cox_le(cox(g), top))
             rows = [[rel.coeffs[i] for i in active] for rel in self.relations
-                    if leq_sigma(self.cone, rel.degree, m)]
+                    if cox_le(cox(rel.degree), top)]
             red, pivots = rref(Mat.from_rows(rows, ncols=len(active)))
             red_rows = tuple(tuple(red.rows[i]) for i in range(len(pivots)))
             pivot_set = set(pivots)
@@ -303,7 +327,13 @@ class FinitelyPresentedModule(GradedModule):
 
 
 class CoxRule:
-    """Protocol for Z^rays-graded data: a dim and an action per degree pair."""
+    """Protocol for Z^rays-graded data: a dim and an action per degree pair.
+
+    As in ``GradedModule``, the public methods read each degree once and
+    check it; the hooks ``_dim`` and ``_act`` take degrees so read (one
+    entry per ray, and ``c <= c'`` componentwise for ``_act``), and the
+    rules implement only the hooks.
+    """
 
     ray_count: int
 
@@ -316,11 +346,22 @@ class CoxRule:
         return c
 
     def dim(self, c: Sequence[int]) -> int:
-        raise NotImplementedError
+        """The dimension of the component at Cox degree c."""
+        return self._dim(self._degree(c))
 
     def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
+        """The transport from c to c', for c below c' componentwise."""
+        c, c_prime = self._degree(c), self._degree(c_prime)
+        if not cox_le(c, c_prime):
+            raise ValueError(f"{c} is not below {c_prime} componentwise")
+        return self._act(c, c_prime)
+
+    def _dim(self, c: IntVector) -> int:
+        raise NotImplementedError
+
+    def _act(self, c: IntVector, c_prime: IntVector) -> Mat:
         """``Mat.ones``, the transport of the 0/1 rules; larger rules override it."""
-        return Mat.ones(self.dim(c_prime), self.dim(c))
+        return Mat.ones(self._dim(c_prime), self._dim(c))
 
 
 @dataclass(frozen=True)
@@ -335,8 +376,8 @@ class ShiftedCoxRule(CoxRule):
         if len(self.shift) != self.ray_count:
             raise ValueError("shift length differs from ray count")
 
-    def dim(self, c: Sequence[int]) -> int:
-        return 1 if all(map(ge, self._degree(c), map(neg, self.shift))) else 0
+    def _dim(self, c: IntVector) -> int:
+        return 1 if all(map(ge, c, map(neg, self.shift))) else 0
 
 
 @dataclass(frozen=True)
@@ -351,8 +392,8 @@ class SpikeRule(CoxRule):
         if len(self.degree) != self.ray_count:
             raise ValueError("degree length differs from ray count")
 
-    def dim(self, c: Sequence[int]) -> int:
-        return 1 if self._degree(c) == self.degree else 0
+    def _dim(self, c: IntVector) -> int:
+        return 1 if c == self.degree else 0
 
 
 @dataclass(frozen=True)
@@ -370,11 +411,11 @@ class DirectSumRule(CoxRule):
     def ray_count(self) -> int:  # type: ignore[override]
         return self.parts[0].ray_count
 
-    def dim(self, c: Sequence[int]) -> int:
-        return sum(p.dim(c) for p in self.parts)
+    def _dim(self, c: IntVector) -> int:
+        return sum(p._dim(c) for p in self.parts)
 
-    def act(self, c: Sequence[int], c_prime: Sequence[int]) -> Mat:
-        return block_diagonal([p.act(c, c_prime) for p in self.parts])
+    def _act(self, c: IntVector, c_prime: IntVector) -> Mat:
+        return block_diagonal([p._act(c, c_prime) for p in self.parts])
 
 
 @dataclass(frozen=True)
@@ -394,10 +435,11 @@ class SheafifiedModule(GradedModule):
                              f"but the cone has {self.cone.ray_count}")
 
     def _component(self, m: IntVector) -> int:
-        return self.rule.dim(self.cone.evaluate(m))
+        return self.rule._dim(self.cone._cox(m))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        return self.rule.act(self.cone.evaluate(m), self.cone.evaluate(m_prime))
+        # L keeps the order, and the rule has one entry per cone ray
+        return self.rule._act(self.cone._cox(m), self.cone._cox(m_prime))
 
 
 @dataclass(frozen=True)
@@ -485,13 +527,15 @@ class ReflexiveDescription(CoxRule):
     def ray_count(self) -> int:  # type: ignore[override]
         return len(self._levels)
 
-    def _steps(self, levels: Sequence[int]) -> IntVector:
+    def _steps(self, levels: IntVector) -> IntVector:
         """Per ray, the number of jumps at or below its level: 0 below the first jump."""
-        return tuple(map(bisect_right, self._levels, self._degree(levels)))
+        return tuple(map(bisect_right, self._levels, levels))
 
     def space(self, levels: Sequence[int]) -> tuple[Vector, ...]:
         """Canonical basis of the intersection of the ray spaces, ray i at ``levels[i]``."""
-        levels = tuple(levels)  # read twice: by ``_steps`` and, on a miss, by the intersection
+        return self._space(self._degree(levels))
+
+    def _space(self, levels: IntVector) -> tuple[Vector, ...]:
         key = self._steps(levels)
         out = self._spaces.get(key)
         if out is None:
@@ -500,18 +544,17 @@ class ReflexiveDescription(CoxRule):
                 zip((rf for _, rf in self.filtrations), levels), self.ambient_dim)
         return out
 
-    def dim(self, levels: Sequence[int]) -> int:
-        return len(self.space(levels))
+    def _dim(self, levels: IntVector) -> int:
+        return len(self._space(levels))
 
-    def act(self, levels: Sequence[int], levels_prime: Sequence[int]) -> Mat:
+    def _act(self, levels: IntVector, levels_prime: IntVector) -> Mat:
         """The inclusion: ``space(levels)`` written in the basis of
-        ``space(levels_prime)``; ``levels`` must be below ``levels_prime``."""
-        levels, levels_prime = tuple(levels), tuple(levels_prime)
+        ``space(levels_prime)``."""
         key = (self._steps(levels), self._steps(levels_prime))
         out = self._inclusions.get(key)
         if out is None:
-            out = self._inclusions[key] = matrix_in_basis(self.space(levels_prime),
-                                                          self.space(levels))
+            out = self._inclusions[key] = matrix_in_basis(self._space(levels_prime),
+                                                          self._space(levels))
         return out
 
 
@@ -527,7 +570,7 @@ class FiltrationModule(SheafifiedModule):
 
     def subspace(self, m: Sequence[int]) -> tuple[Vector, ...]:
         """Canonical basis of the component inside the ambient space."""
-        return self.rule.space(self.cone.evaluate(m))
+        return self.rule._space(self.cone.evaluate(m))
 
 
 # --------------------------------------------------------------------------
@@ -548,11 +591,12 @@ class ShiftModule(GradedModule):
     def cone(self) -> Cone:
         return self.base.cone
 
+    # a translation keeps the order, so the base's hooks take the moved points
     def _component(self, m: IntVector) -> int:
-        return self.base.component(_add(m, self.by))
+        return self.base._component(_add(m, self.by))
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        return self.base.action(_add(m, self.by), _add(m_prime, self.by))
+        return self.base._action(_add(m, self.by), _add(m_prime, self.by))
 
 
 @dataclass(frozen=True)
@@ -571,11 +615,12 @@ class DirectSumModule(GradedModule):
     def cone(self) -> Cone:
         return self.parts[0].cone
 
+    # the parts share one cone, so their hooks take the points as read
     def _component(self, m: IntVector) -> int:
-        return sum(p.component(m) for p in self.parts)
+        return sum(p._component(m) for p in self.parts)
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
-        return block_diagonal([p.action(m, m_prime) for p in self.parts])
+        return block_diagonal([p._action(m, m_prime) for p in self.parts])
 
 
 # --------------------------------------------------------------------------

@@ -385,6 +385,8 @@ def test_invalid_diagram_is_an_input_error(inputs, capsys, payload, message):
     ("--cone", dict(CONE_JSON, rays=[]), "matrix must be nonempty"),
     ("--diagram", {key: CROWN_JSON[key] for key in ("elements", "dims", "maps")},
      "diagram JSON is missing 'leq'"),
+    ("--module", {"type": "finitely_presented", "generators": [{"degree": [0, 0]}]},
+     "generator (0, 0) has length 2, not the lattice rank 3"),
 ])
 def test_rejected_input_exits_2_naming_the_fault(inputs, capsys, flag, payload, message):
     bad = inputs / "bad.json"

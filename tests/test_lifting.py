@@ -14,15 +14,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import coxlift
-from coxlift import lifting
+from coxlift import linalg, lifting
 from coxlift.cones import Cone, leq_sigma, minimal_common_upper_bounds, minimal_elements
 from coxlift.derived import FinitePosetDiagram
 from coxlift.instances import (
     CONE_OVER_SQUARE,
     ORTHANT2,
+    QUOTIENT2,
     TEST_CONES,
     all_variant_modules,
     codivisorial_lift_law,
+    generic_plane_description,
     random_reflexive_description,
     simple_lift_law,
     structure_lift_law,
@@ -683,3 +685,96 @@ def test_quotient_cone_lift_dims(quotient2):
     rr = structure_module(quotient2)
     for c in Box((-2, -2), (2, 2)).degrees():
         assert lift_component(quotient2, rr, c).dim == structure_lift_law(c)
+
+
+def presented_with_rational_relations(cone, rng):
+    """A finitely presented module whose relations have ``"p/q"`` coefficients,
+    each relation touching every generator below its degree."""
+    d = cone.lattice_rank
+    gens = tuple(tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(rng.randint(2, 4)))
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        top = tuple(rng.randint(-1, 2) for _ in range(d))
+        coeffs = [f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}" if leq_sigma(cone, g, top)
+                  else "0" for g in gens]
+        rels.append(Relation(top, tuple(coeffs)))
+    return FinitelyPresentedModule(cone, gens, tuple(rels))
+
+
+# the kernel comes out of one elimination of columns numbered from the
+# right; the oracle eliminates in the lift's own order and row-reduces
+# the kernel again, so a wrong reversal or fill-in shows as a mismatch
+@given(st.sampled_from([QUOTIENT2, CONE_OVER_SQUARE]).flatmap(lambda cone: st.tuples(
+    st.just(cone), st.sampled_from(["filtration", "presented"]), st.integers(0, 2**32),
+    st.tuples(*[st.integers(-2, 2)] * cone.ray_count))))
+def test_reversed_elimination_matches_the_all_rows_oracle(case):
+    cone, kind, seed, c = case
+    rng = random.Random(seed)
+    module = (FiltrationModule(cone, random_reflexive_description(cone, rng, 3))
+              if kind == "filtration" else presented_with_rational_relations(cone, rng))
+    assert lift_component(cone, module, c) == all_rows_lift_component(cone, module, c)
+
+
+EDGE_KERNELS = {
+    # every block zero: no column at all
+    "total 0": (lambda C: simple_module(C), (-1, -1, -1, 0), (0, 0), 0),
+    # two nonzero blocks whose constraints leave nothing
+    "zero kernel": (lambda C: maximal_ideal_module(C), (-1, 0, -1, 1), (0, 1, 1, 0), 0),
+    # one minimal point and no constraint: every column free
+    "full kernel": (lambda C: FiltrationModule(C, generic_plane_description(4)),
+                    (1, 1, 1, 1), (3,), 3),
+    "full kernel beside zero blocks": (lambda C: simple_module(C), (-1, 0, -1, 0), (0, 1, 0), 1),
+    "proper kernel": (lambda C: FiltrationModule(C, generic_plane_description(4)),
+                      (0, 1, 0, 1), (2, 3, 2), 1),
+}
+
+
+@pytest.mark.parametrize("build, c, dims, dim", EDGE_KERNELS.values(), ids=EDGE_KERNELS.keys())
+def test_reversed_elimination_matches_the_oracle_at_the_edges(csq, build, c, dims, dim):
+    module = build(csq)
+    comp = lift_component(csq, module, c)
+    assert (comp.block_dims, comp.dim) == (dims, dim)
+    assert comp == all_rows_lift_component(csq, module, c)
+
+
+def test_a_lift_component_eliminates_once(csq, monkeypatch):
+    calls = {"rref": 0, "row_space_basis": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    module = FiltrationModule(csq, generic_plane_description(4))
+    c = (0, 1, 0, 1)
+    expected = lift_component(csq, module, c)  # fills the description's memos
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(lifting, "row_space_basis",
+                        counted("row_space_basis", linalg.row_space_basis), raising=False)
+    comp = lift_component(csq, module, c)
+    assert comp == expected and comp.dim == 1 and sum(comp.block_dims) == 7
+    assert calls == {"rref": 0, "row_space_basis": 0}
+
+
+# each returned a matrix, or failed inside the change of basis, for a
+# transport that goes downward
+DOWNWARD_ACTS = {
+    "shifted rule": lambda C: ShiftedCoxRule(4, (0,) * 4).act((1, 1, 1, 1), (0, 0, 0, 0)),
+    "spike rule": lambda C: SpikeRule(4, (0,) * 4).act((1, 1, 1, 1), (0, 0, 0, 0)),
+    "sum rule": lambda C: DirectSumRule((ShiftedCoxRule(4, (0,) * 4),)).act(
+        (1, 1, 1, 1), (0, 0, 0, 0)),
+    "reflexive description": lambda C: random_reflexive_description(C, random.Random(3)).act(
+        (3, 3, 3, 3), (0, 0, 0, 0)),
+    "one entry above": lambda C: generic_plane_description(4).act(
+        (0, 0, 0, 0), (1, 1, -1, 1)),
+    "lift table": lambda C: lift_table(C, simple_module(C), Box((0,) * 4, (1,) * 4)).act(
+        (1, 0, 0, 0), (0, 1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("call", DOWNWARD_ACTS.values(), ids=DOWNWARD_ACTS.keys())
+def test_a_cox_rule_rejects_a_transport_that_goes_downward(csq, call):
+    with pytest.raises(ValueError, match=r"\(.*\) is not below \(.*\) componentwise"):
+        call(csq)
+

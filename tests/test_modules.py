@@ -28,6 +28,7 @@ from coxlift.instances import (
 from coxlift.klyachko import filtration_lift_component
 from coxlift.lattice import (
     int_matrix,
+    int_vector,
     lattice_membership,
     reduce_by_sublattice,
     unimodular_inverse,
@@ -206,6 +207,29 @@ NON_INTEGER_DEGREES = {
     "morphism matrix": lambda C: identity_morphism(simple_module(C)).matrix((0.5, 0, 0)),
     "table component": lambda C: lift_table(
         C, simple_module(C), Box((0,) * 4, (0,) * 4)).component((0.0, 0, 0, 0)),
+    # the public methods read their degrees before any memo is consulted;
+    # "memoized" calls first fill the memo at the integer value
+    "rule act": lambda C: ShiftedCoxRule(4, (0,) * 4).act((0, 0, 0, 0), (1.0, 1, 1, 1)),
+    "description act": lambda C: random_reflexive_description(C, random.Random(1)).act(
+        (0.5, 0, 0, 0), (1, 0, 0, 0)),
+    "description act, memoized": lambda C: (
+        desc := random_reflexive_description(C, random.Random(1)),
+        desc.act((0, 0, 0, 0), (1, 0, 0, 0)), desc.act((0, 0, 0, 0), (1.0, 0, 0, 0))),
+    "description space": lambda C: random_reflexive_description(C, random.Random(1)).space(
+        (0, 0, 0.5, 0)),
+    "description space, memoized": lambda C: (
+        desc := random_reflexive_description(C, random.Random(1)),
+        desc.space((1, 0, 0, 0)), desc.space((True, 0, 0, 0))),
+    "in_support, memoized": lambda C: (
+        C.evaluate((1, 0, 0)), simple_module(C).in_support((1.0, 0, 0))),
+    "sheafified table component": lambda C: SheafifiedModule(C, lift_table(
+        C, simple_module(C), Box((0,) * 4, (0,) * 4))).component((0.5, 0, 0)),
+    "sheafified table component, memoized": lambda C: (
+        shf := SheafifiedModule(C, lift_table(C, simple_module(C), Box((0,) * 4, (0,) * 4))),
+        shf.component((0, 0, 0)), shf.component((0.0, 0, 0))),
+    "sheafified table action, memoized": lambda C: (
+        shf := SheafifiedModule(C, lift_table(C, simple_module(C), Box((0,) * 4, (0,) * 4))),
+        shf.action((0, 0, 0), (0, 0, 0)), shf.action((0, 0, 0), (False, 0, 0))),
 }
 
 
@@ -255,6 +279,12 @@ WRONG_SHAPES = {
     "relation coefficient count": (lambda C: FinitelyPresentedModule(
         C, [(0, 0, 0)], [Relation((0, 0, 0), (1, 1))]),
         "relation coefficient count differs from generators"),
+    # each constructed, and failed at the first component with a generic message
+    "generator length": (lambda C: FinitelyPresentedModule(C, [(0, 0)]),
+                         r"generator \(0, 0\) has length 2, not the lattice rank 3"),
+    "zero relation degree length": (lambda C: FinitelyPresentedModule(
+        C, [(0, 0, 0)], [Relation((0, 0, 0, 0), (0,))]),
+        r"relation degree \(0, 0, 0, 0\) has length 4, not the lattice rank 3"),
     "module degree": (lambda C: structure_module(C).component((0, 0)),
                       "degree length differs from lattice rank"),
     "chart section cone index": (lambda C: chart_section(
@@ -287,6 +317,27 @@ WRONG_SHAPES = {
 def test_arguments_of_a_wrong_count_or_length_are_rejected(csq, call, message):
     with pytest.raises(ValueError, match=message):
         call(csq)
+
+
+def test_a_transport_reads_each_point_once(monkeypatch):
+    import coxlift.cones
+    import coxlift.modules
+
+    cone = Cone(3, CONE_OVER_SQUARE.rays)  # a fresh cone: nothing memoized
+    module = FiltrationModule(cone, random_reflexive_description(cone, random.Random(4)))
+    m, u = (0, 0, 0), (1, 1, 1)
+    reads = []
+
+    def counted(values):
+        values = tuple(values)
+        reads.append(values)
+        return int_vector(values)
+
+    for namespace in (coxlift.cones, coxlift.modules):
+        monkeypatch.setattr(namespace, "int_vector", counted)
+    module.action(m, u)
+    assert reads.count(m) <= 1 and reads.count(u) <= 1
+    assert len(reads) == 2
 
 
 def test_indicator_exclude_points_must_have_the_lattice_rank(csq):
