@@ -54,12 +54,15 @@ lives: its Cox coordinates ``L(m)`` by point, whether it is
 full-dimensional (the rank of its rays, read off their Smith form), its
 search data, the Smith form of its ray matrix (``Cone.smith``), the
 minimal points of each class by its key ``c0``, and its minimal points
-by degree.  ``Cone.evaluate`` reads a point and looks up its coordinates
-through ``Cone._cox``, which the modules call directly on points they
-have already read.  ``leq_sigma`` compares two of those coordinate
-vectors by ``cox_le``: ``m <= m'`` exactly when ``L(m) <= L(m')``
-componentwise, since L is linear.  ``cox_degree`` is the one check of a
-Cox degree; the lift and ``codivisorial_module`` read theirs through it.
+by degree.
+
+Reading.  Each public function reads its values once, through
+``Cone.point`` (a lattice point) or ``Cone.degree`` (a Cox degree),
+which share ``_fixed_length``, the one check of a length; the private
+hooks under them take values so read: ``_cox`` (under ``evaluate``),
+``_leq`` (under ``leq_sigma``: ``m <= m'`` exactly when ``L(m) <= L(m')``
+componentwise, since L is linear), ``_minimal_elements`` and
+``_minimal_upper_bounds``, which takes the Cox coordinates of two points.
 """
 
 from __future__ import annotations
@@ -100,8 +103,7 @@ class Cone:
         rays = int_matrix(self.rays)
         object.__setattr__(self, "rays", rays)
         for row in rays:
-            if len(row) != self.lattice_rank:
-                raise ValueError("ray length differs from lattice rank")
+            _fixed_length(row, self.lattice_rank, "ray", "the lattice rank")
             if all(x == 0 for x in row):
                 raise ValueError("zero ray")
             if math.gcd(*[abs(x) for x in row]) != 1:
@@ -127,24 +129,35 @@ class Cone:
         """Smith form of the rays: ``smith.preimage(c)`` is an m with L(m) = c, or None."""
         return smith_normal_form(self.rays)
 
+    def point(self, m: Sequence[int], what: str = "point") -> IntVector:
+        """``m`` read as a lattice point; ``what`` names it in an error."""
+        return _fixed_length(m, self.lattice_rank, what, "the lattice rank")
+
+    def degree(self, c: Sequence[int]) -> IntVector:
+        """``c`` read as a Cox degree."""
+        return _fixed_length(c, self.ray_count, "degree", "the ray count")
+
     def evaluate(self, m: Sequence[int]) -> IntVector:
         """The Cox coordinates L(m), memoized by point for the life of the cone.
 
-        Every point is read through ``int_vector``, memoized or not, since
-        ``1.0`` and ``True`` hash and compare equal to ``1``; ``_cox`` then
-        looks it up.
+        The point is read first, memoized or not: ``1.0`` and ``True`` hash like ``1``.
         """
-        return self._cox(int_vector(m))
+        return self._cox(self.point(m))
 
     def _cox(self, m: IntVector) -> IntVector:
-        """L(m) of a point already read through ``int_vector``: the memo, or on a
-        miss the length check and the product, memoized."""
+        """L(m) of a point already read: the memo, or the product, memoized."""
         out = self._values.get(m)
         if out is None:
-            if len(m) != self.lattice_rank:
-                raise ValueError("vector length differs from lattice rank")
             out = self._values[m] = tuple(sum(map(mul, row, m)) for row in self.rays)
         return out
+
+
+def _fixed_length(values: Sequence[int], n: int, what: str, unit: str) -> IntVector:
+    """``values`` read through ``int_vector``, of length ``n`` (``unit``)."""
+    v = int_vector(values)
+    if len(v) != n:
+        raise ValueError(f"{what} {v} has length {len(v)}, not {unit} {n}")
+    return v
 
 
 def cox_le(c: Sequence[int], c_prime: Sequence[int]) -> bool:
@@ -154,7 +167,12 @@ def cox_le(c: Sequence[int], c_prime: Sequence[int]) -> bool:
 
 def leq_sigma(cone: Cone, m: Sequence[int], m_prime: Sequence[int]) -> bool:
     """Dual-cone order: every ray form nondecreasing from m to m_prime."""
-    return cox_le(cone.evaluate(m), cone.evaluate(m_prime))
+    return _leq(cone, cone.point(m), cone.point(m_prime))
+
+
+def _leq(cone: Cone, m: IntVector, m_prime: IntVector) -> bool:
+    """``leq_sigma`` on points already read."""
+    return cox_le(cone._cox(m), cone._cox(m_prime))
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -202,14 +220,14 @@ def _search_data(cone: Cone) -> _SearchData:
         # on that form: it spans an edge of the dual cone when no form is
         # negative on it
         for col in zip(*adj):
-            if min(cone.evaluate(col)) >= 0:
+            if min(cone._cox(col)) >= 0:
                 g = math.gcd(*col)
                 extreme.add(tuple(x // g for x in col))
 
     def top(values) -> int:
         return sum(sorted(values, reverse=True)[:d])
 
-    values = [cone.evaluate(r) for r in extreme]
+    values = [cone._cox(r) for r in extreme]
     return _SearchData(
         tuple(bases),
         tuple(top(v[k] for v in values) for k in range(cone.ray_count)),
@@ -283,14 +301,6 @@ def _minimal_points(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
     return tuple(sorted(m for _, m in kept))
 
 
-def cox_degree(cone: Cone, c: Sequence[int]) -> IntVector:
-    """``c`` as a Cox degree of the cone: one plain integer per ray."""
-    c = int_vector(c)
-    if len(c) != cone.ray_count:
-        raise ValueError("degree length differs from ray count")
-    return c
-
-
 def _require_full_dimensional(cone: Cone) -> None:
     if not cone.full_dimensional:
         raise ValueError("cone must be full-dimensional; reduce degenerate cones first")
@@ -314,7 +324,11 @@ def minimal_elements(cone: Cone, c: Sequence[int]) -> tuple[IntVector, ...]:
     the life of the cone: the points of each class by c0, the result by
     degree.
     """
-    c = cox_degree(cone, c)
+    return _minimal_elements(cone, cone.degree(c))
+
+
+def _minimal_elements(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
+    """``minimal_elements`` at a degree already read."""
     out = cone._minimal.get(c)
     if out is None:
         _require_full_dimensional(cone)
@@ -337,7 +351,7 @@ def truncation_points(cone: Cone, c: Sequence[int], bound: int) -> list[IntVecto
     ``(adj_j c_T + bound max(0, max adj_j)) / det``; the scan runs over
     the intersection of these ranges over all bases.
     """
-    c = cox_degree(cone, c)
+    c = cone.degree(c)
     bound = nonnegative_int(bound, "bound")
     _require_full_dimensional(cone)
     bases = cone._search.bases
@@ -361,13 +375,17 @@ def minimal_common_upper_bounds(
     cone: Cone, m: Sequence[int], m_prime: Sequence[int]
 ) -> tuple[IntVector, ...]:
     """Minimal points dominating both arguments in the dual-cone order."""
-    top = tuple(max(a, b) for a, b in zip(cone.evaluate(m), cone.evaluate(m_prime)))
-    return minimal_elements(cone, top)
+    return _minimal_upper_bounds(cone, cone.evaluate(m), cone.evaluate(m_prime))
+
+
+def _minimal_upper_bounds(cone: Cone, a: IntVector, b: IntVector) -> tuple[IntVector, ...]:
+    """The minimal points above two points of Cox coordinates a and b: of P_max(a, b)."""
+    return _minimal_elements(cone, tuple(map(max, a, b)))
 
 
 def strict_interior_point(cone: Cone) -> IntVector:
     """Some m with every ray form at least one: an interior dual-cone point."""
-    points = minimal_elements(cone, (1,) * cone.ray_count)
+    points = _minimal_elements(cone, (1,) * cone.ray_count)
     if not points:
         raise ValueError("the dual cone has no interior lattice point: "
                          "the cone is not strictly convex")

@@ -15,7 +15,8 @@ finite sub-poset by a 1-norm bound on the Cox coordinates.  The points
 are enumerated in M (``cones.truncation_points``) over the box that
 every basis of ray forms cuts out exactly, by the scan the minimal-point
 search uses, with no lattice equation solved; ``from_module`` orders
-them from per-form bitmasks of the points at or above each value.  The
+them from per-form bitmasks of the points at or above each value.  It
+and ``certification_bound`` read their values once, then call hooks.  The
 truncated limit is certified equal to the true lift component once the
 truncation contains every minimal point and every pairwise minimal
 common upper bound (transports factor through the truncation); higher
@@ -25,10 +26,10 @@ truncated limits are reported as evidence only, never certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cones import Cone, minimal_common_upper_bounds, minimal_elements, truncation_points
+from .cones import Cone, _minimal_elements, _minimal_upper_bounds, truncation_points
 from .lattice import int_vector, nonnegative_int, plain_int
 from .lifting import lift_component, lift_morphism
 from .linalg import Mat, rank, sparse_rank
@@ -209,11 +210,11 @@ class FinitePosetDiagram:
         """
         if module.cone != cone:
             raise ValueError("the module lives on another cone")
-        points = [int_vector(p) for p in points]
+        points = [cone.point(p) for p in points]
         n = len(points)
         if len(set(points)) < n:
             raise ValueError("the points of a diagram must be distinct")
-        values = [cone.evaluate(p) for p in points]
+        values = [cone._cox(p) for p in points]
         up = [(1 << n) - 1] * n
         for k in range(cone.ray_count):
             mask = 0
@@ -225,9 +226,9 @@ class FinitePosetDiagram:
                 for i in group:
                     up[i] &= mask
         rel = [(i, j) for i in range(n) for j in _bits(up[i])]
-        dims = [module.component(p) for p in points]
+        dims = [module._component(p) for p in points]
         return cls(points, rel, dims,
-                   lambda i, j: module.action(points[i], points[j]))
+                   lambda i, j: module._action(points[i], points[j]))
 
 
 @dataclass(frozen=True)
@@ -316,6 +317,7 @@ def order_complex_cohomology(n_elements: int, strict_pairs: set[tuple[int, int]]
     Independent cross-check for constant diagrams: simplices are the
     strict chains, boundary signs come from vertex positions.
     """
+    imax = nonnegative_int(imax, "imax")
     simplices: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(n_elements)]}
     for p in range(1, imax + 2):
         prev = simplices[p - 1]
@@ -361,17 +363,14 @@ class TruncationReport:
     point_count: int
 
 
-def certification_bound(cone: Cone, c: IntVector) -> int:
+def certification_bound(cone: Cone, c: Sequence[int]) -> int:
     """1-norm bound that brings all minimal points and their pairwise bounds inside."""
-    mins = minimal_elements(cone, c)
-    worst = 0
-    for m in mins:
-        worst = max(worst, sum(v - x for v, x in zip(cone.evaluate(m), c)))
-    for i in range(len(mins)):
-        for j in range(i + 1, len(mins)):
-            for u in minimal_common_upper_bounds(cone, mins[i], mins[j]):
-                worst = max(worst, sum(v - x for v, x in zip(cone.evaluate(u), c)))
-    return worst
+    c = cone.degree(c)
+    mins = [cone._cox(m) for m in _minimal_elements(cone, c)]
+    uppers = [cone._cox(u) for a, b in combinations(mins, 2)
+              for u in _minimal_upper_bounds(cone, a, b)]
+    # each of these points lies in P_c, so its 1-norm distance to c is sum L(u) - sum c
+    return max(map(sum, mins + uppers), default=sum(c)) - sum(c)
 
 
 def truncated_lift_oracle(cone: Cone, module: GradedModule, c: Sequence[int],
@@ -383,7 +382,7 @@ def truncated_lift_oracle(cone: Cone, module: GradedModule, c: Sequence[int],
     chain complex.  ``bound`` defaults to the certification bound; a
     larger one gives more truncation evidence.
     """
-    c = int_vector(c)
+    c = cone.degree(c)
     imax = nonnegative_int(imax, "imax")
     cert = certification_bound(cone, c)
     if bound is None:
@@ -451,6 +450,6 @@ def connecting_cokernel(cone: Cone, seq: CanonicalSequence, c: Sequence[int]) ->
     of the submodule at degree c; a nonzero value is a lower-bound
     witness there.
     """
-    c = int_vector(c)
+    c = cone.degree(c)
     quot = lift_component(cone, seq.quot, c)
     return quot.dim - rank(lift_morphism(cone, seq.project, c, target=quot))

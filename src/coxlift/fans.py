@@ -27,13 +27,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .cones import Cone
+from .cones import Cone, _fixed_length
 from .lattice import (
     IntMatrix,
     IntVector,
     LatticeQuotient,
     int_kernel_basis,
-    int_vector,
     plain_int,
     reduce_by_sublattice,
 )
@@ -210,9 +209,7 @@ def chart_section(fan: FanData, desc: ReflexiveDescription, cone_index: int,
     _check_description(fan, desc)
     if not 0 <= cone_index < len(fan.max_cones):
         raise ValueError("cone index out of range")
-    m = int_vector(m)
-    if len(m) != fan.lattice_rank:
-        raise ValueError("lattice point length differs from lattice rank")
+    m = _fixed_length(m, fan.lattice_rank, "lattice point", "the lattice rank")
     return intersect_ray_spaces(
         ((desc.filtrations[i][1], sum(a * b for a, b in zip(fan.rays[i], m)))
          for i in fan.max_cones[cone_index]),

@@ -87,7 +87,9 @@ def load_module(obj: dict, cone: Cone) -> GradedModule:
                 data = [(plain_int(j["level"]),
                          [[parse_fraction(x) for x in v] for v in j["basis"]])
                         for j in jumps]
-                if str(int(ray)) != ray:
+                # ASCII digits first, as the CLI reads a box: ``int`` has its own message
+                digits = isinstance(ray, str) and ray.isascii() and ray.removeprefix("-").isdigit()
+                if not digits or str(int(ray)) != ray:
                     raise ValueError(f"filtration key {ray!r} is not a ray index")
                 filts.append((int(ray), data))
         else:

@@ -33,6 +33,11 @@ merged in degree order, so output is byte-identical at any width.  The
 width is capped at the number of degrees and of usable CPUs.  A sweep
 computes only the components; its one-step restriction maps are built
 the first time they are read.
+
+Each public function reads its degrees and points once (``Cone.degree``,
+``Cone.point``); on the points it then builds, the lift calls only hooks:
+``_minimal_elements``, ``_minimal_upper_bounds`` and ``Cone._cox`` of the
+cone, ``_component``, ``_action`` and ``_matrix`` of modules and morphisms.
 """
 
 from __future__ import annotations
@@ -44,15 +49,7 @@ from functools import cached_property
 from itertools import accumulate, combinations, product
 from typing import Callable, Optional, Sequence
 
-from .cones import (
-    Cone,
-    cox_degree,
-    cox_le,
-    leq_sigma,
-    minimal_common_upper_bounds,
-    minimal_elements,
-    strict_interior_point,
-)
+from .cones import Cone, _minimal_elements, _minimal_upper_bounds, cox_le, strict_interior_point
 from .lattice import int_vector, nonnegative_int, plain_int
 from .linalg import (
     Mat,
@@ -94,11 +91,11 @@ def lift_component(cone: Cone, module: GradedModule, c: Sequence[int]) -> LiftCo
     order: reversed entrywise and listed in reverse, they are the RREF
     basis, from one elimination.
     """
-    c = cox_degree(cone, c)
+    c = cone.degree(c)
     if module.cone != cone:
         raise ValueError("the module lives on another cone")
-    mins = minimal_elements(cone, c)
-    dims = tuple(module.component(m) for m in mins)
+    mins = _minimal_elements(cone, c)
+    dims = tuple(module._component(m) for m in mins)
     total = sum(dims)
     kernel = sparse_kernel_basis(_constraint_rows(cone, module, mins, dims), total)
     return LiftComponent(c, mins, dims, tuple(v[::-1] for v in reversed(kernel)))
@@ -115,13 +112,14 @@ def _constraint_rows(cone: Cone, module: GradedModule, mins: Sequence[IntVector]
     """
     last = sum(dims) - 1
     ends = [last - offset for offset in accumulate(dims, initial=0)]
+    cox = [cone._cox(m) for m in mins]
     for i, j in combinations(range(len(mins)), 2):
         if dims[i] == 0 and dims[j] == 0:
             continue
         ei, ej = ends[i], ends[j]
-        for u in minimal_common_upper_bounds(cone, mins[i], mins[j]):
-            ai = module.action(mins[i], u)
-            aj = module.action(mins[j], u)
+        for u in _minimal_upper_bounds(cone, cox[i], cox[j]):
+            ai = module._action(mins[i], u)
+            aj = module._action(mins[j], u)
             for ri, rj in zip(ai.rows, aj.rows):
                 row = {ei - col: x for col, x in enumerate(ri) if x}
                 row.update((ej - col, -x) for col, x in enumerate(rj) if x)
@@ -168,8 +166,7 @@ def lift_action(
     ``source`` and ``target``, when given, are the lifts at c and c';
     one of another degree is rejected.
     """
-    c = int_vector(c)
-    c_prime = int_vector(c_prime)
+    c, c_prime = cone.degree(c), cone.degree(c_prime)
     if not cox_le(c, c_prime):
         raise ValueError("degrees are not componentwise comparable")
     if module.cone != cone:
@@ -178,12 +175,14 @@ def lift_action(
     tgt = _given_or_lifted(cone, module, c_prime, target)
     if not (src.dim and tgt.dim):
         return Mat.zero(tgt.dim, src.dim)
+    below = [cone._cox(mi) for mi in src.minimal_points]
     blocks = []
     for mk in tgt.minimal_points:
-        i = next((i for i, mi in enumerate(src.minimal_points) if leq_sigma(cone, mi, mk)), None)
+        top = cone._cox(mk)
+        i = next((i for i, b in enumerate(below) if cox_le(b, top)), None)
         if i is None:
             raise AssertionError("minimal point has no dominated predecessor")
-        blocks.append((i, module.action(src.minimal_points[i], mk)))
+        blocks.append((i, module._action(src.minimal_points[i], mk)))
     return _blockwise(src, tgt, blocks)
 
 
@@ -200,10 +199,10 @@ def lift_morphism(
     and ``f.target`` at c, so a caller that already holds them does not
     lift twice; a component of another degree is rejected.
     """
-    c = int_vector(c)
+    c = cone.degree(c)
     src = _given_or_lifted(cone, f.source, c, source)
     tgt = _given_or_lifted(cone, f.target, c, target)
-    return _blockwise(src, tgt, [(i, f.matrix(m)) for i, m in enumerate(src.minimal_points)])
+    return _blockwise(src, tgt, [(i, f._matrix(m)) for i, m in enumerate(src.minimal_points)])
 
 
 # --------------------------------------------------------------------------
@@ -216,8 +215,8 @@ def counit_matrix(cone: Cone, module: GradedModule, m: Sequence[int]) -> Mat:
     P_{L(m)} has m as its unique minimal point, so the lift basis
     vectors are literally vectors of E_m.
     """
-    m = int_vector(m)
-    comp = lift_component(cone, module, cone.evaluate(m))
+    m = cone.point(m)
+    comp = lift_component(cone, module, cone._cox(m))
     if comp.minimal_points != (m,):
         raise AssertionError("expected a unique minimal point at an image degree")
     return Mat(comp.dim, comp.block_dims[0], [list(v) for v in comp.basis]).transpose()
@@ -256,8 +255,9 @@ def colimit(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResul
         raise ValueError("the module lives on another cone")
     w = strict_interior_point(cone)
     points = [tuple(k * x for x in w) for k in range(nonnegative_int(horizon, "horizon") + 1)]
-    return _stabilize(tuple(module.component(p) for p in points),
-                      lambda k: module.action(points[k], points[k + 1]))
+    # L(w) >= 1 on every ray, so each point lies below the next
+    return _stabilize(tuple(module._component(p) for p in points),
+                      lambda k: module._action(points[k], points[k + 1]))
 
 
 def colimit_of_lift(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResult:
@@ -291,11 +291,12 @@ class Box:
     hi: IntVector
 
     def __post_init__(self):
-        lo = int_vector(self.lo)
-        hi = int_vector(self.hi)
+        lo, hi = int_vector(self.lo), int_vector(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if len(lo) != len(hi) or any(a > b for a, b in zip(lo, hi)):
+        if len(lo) != len(hi):
+            raise ValueError(f"box corners {lo} and {hi} have lengths {len(lo)} and {len(hi)}")
+        if any(a > b for a, b in zip(lo, hi)):
             raise ValueError("box needs lo <= hi componentwise")
 
     def __contains__(self, c: Sequence[int]) -> bool:
@@ -363,7 +364,7 @@ class LiftTable(CoxRule):
         return out
 
     def component(self, c: Sequence[int]) -> LiftComponent:
-        return self._component(int_vector(c))
+        return self._component(self._degree(c))
 
     def _component(self, c: IntVector) -> LiftComponent:
         comp = self.components.get(c)

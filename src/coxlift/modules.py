@@ -19,14 +19,14 @@ chains.  Variants:
   transports are inclusions.
 * ``ShiftModule`` / ``DirectSumModule`` - degree shifts and sums.
 
-Reading.  The public methods (``component`` and ``action`` of a module,
-``dim`` and ``act`` of a Cox rule, ``ReflexiveDescription.space`` and
-``IndicatorModule.in_support``) read each point once through
-``int_vector`` and check its length and, for a transport, its order.
-The hooks under them (``_component``, ``_action``, ``_dim``, ``_act``,
-``_space``, ``_in_support``) take points so read and check nothing
-again; a module looks up the Cox coordinates of a read point through
-``Cone._cox``, and shifts and sums call their parts' hooks.
+Reading.  The public methods and the constructors read each point or
+Cox degree once, through ``Cone.point``, ``Cone.degree`` or
+``CoxRule._degree`` (all ``cones._fixed_length``); a transport also
+checks its order.  The hooks under them (``_component``, ``_action``,
+``_dim``, ``_act``, ``_space``, ``_in_support``, ``GradedMorphism._matrix``)
+take values so read and check nothing again; a module looks up the Cox
+coordinates of a read point through ``Cone._cox``, and shifts, sums,
+the lift and ``derived`` call hooks.
 
 Everything is immutable and hashable, with structural equality, so
 evaluation is pure.
@@ -56,8 +56,8 @@ from itertools import product
 from operator import attrgetter, ge, neg
 from typing import Callable, Iterable, Sequence
 
-from .cones import Cone, cox_degree, cox_le, leq_sigma
-from .lattice import int_vector, plain_int
+from .cones import Cone, _fixed_length, _leq, cox_le
+from .lattice import plain_int
 from .linalg import (
     Mat,
     Vector,
@@ -82,16 +82,6 @@ def _sample_cube(d: int) -> list[IntVector]:
     return list(product(range(-SAMPLE_RADIUS, SAMPLE_RADIUS + 1), repeat=d))
 
 
-def _lattice_point(cone: Cone, m: Sequence[int], what: str) -> IntVector:
-    """``m`` read through ``int_vector``; a length other than the lattice
-    rank raises, naming ``what`` and the point."""
-    m = int_vector(m)
-    if len(m) != cone.lattice_rank:
-        raise ValueError(f"{what} {m} has length {len(m)}, "
-                         f"not the lattice rank {cone.lattice_rank}")
-    return m
-
-
 def _add(m: Sequence[int], by: Sequence[int]) -> IntVector:
     return tuple(a + b for a, b in zip(m, by))
 
@@ -99,7 +89,7 @@ def _add(m: Sequence[int], by: Sequence[int]) -> IntVector:
 class GradedModule:
     """Common interface; concrete variants implement the two hooks.
 
-    The public methods read each point once, through ``int_vector``, and
+    The public methods read each point once, through ``Cone.point``, and
     check it; the hooks ``_component`` and ``_action`` take points so read
     (of the lattice rank, and ``m <= m'`` for ``_action``) and check
     nothing again.
@@ -109,16 +99,12 @@ class GradedModule:
 
     def component(self, m: Sequence[int]) -> int:
         """The dimension of the component at m."""
-        m = int_vector(m)
-        if len(m) != self.cone.lattice_rank:
-            raise ValueError("degree length differs from lattice rank")
-        return self._component(m)
+        return self._component(self.cone.point(m))
 
     def action(self, m: Sequence[int], m_prime: Sequence[int]) -> Mat:
         """The transport from m to m', for m below m' in the dual-cone order."""
-        m, m_prime = int_vector(m), int_vector(m_prime)
-        cox = self.cone._cox  # checks the lengths on a memo miss
-        if not cox_le(cox(m), cox(m_prime)):
+        m, m_prime = self.cone.point(m), self.cone.point(m_prime)
+        if not _leq(self.cone, m, m_prime):
             raise ValueError(f"{m} is not below {m_prime} in the dual-cone order")
         return self._action(m, m_prime)
 
@@ -172,10 +158,10 @@ class IndicatorModule(GradedModule):
             if not 0 <= c.ray < self.cone.ray_count:
                 raise ValueError("constraint ray index out of range")
         object.__setattr__(self, "exclude", tuple(
-            _lattice_point(self.cone, p, "excluded point") for p in self.exclude))
+            self.cone.point(p, "excluded point") for p in self.exclude))
 
     def in_support(self, m: Sequence[int]) -> bool:
-        return self._in_support(int_vector(m))
+        return self._in_support(self.cone.point(m))
 
     def _in_support(self, m: IntVector) -> bool:
         values = self.cone._cox(m)
@@ -211,7 +197,7 @@ def simple_module(cone: Cone) -> IndicatorModule:
 
 def codivisorial_module(cone: Cone, c: Sequence[int], rays: Sequence[int]) -> IndicatorModule:
     """Quotient supported on {m : l_rho(m) <= -c_rho for rho in rays}."""
-    c = cox_degree(cone, c)
+    c = cone.degree(c)
     rays = tuple(plain_int(r) for r in rays)
     for r in rays:
         if not 0 <= r < cone.ray_count:
@@ -230,22 +216,21 @@ def validate_indicator_style(module: IndicatorModule) -> None:
     ``[-SAMPLE_RADIUS, SAMPLE_RADIUS]^d`` are tested, so a violation
     outside it passes.
     """
-    pts = _sample_cube(module.cone.lattice_rank)
-    inside = [p for p in pts if module.in_support(p)]
+    cone = module.cone
+    pts = _sample_cube(cone.lattice_rank)
+    inside = [p for p in pts if module._in_support(p)]
     if module.style == "submodule":
         for m in inside:
             for m2 in pts:
-                if leq_sigma(module.cone, m, m2) and not module.in_support(m2):
+                if _leq(cone, m, m2) and not module._in_support(m2):
                     raise ValueError(f"support not up-closed: {m} <= {m2}")
     else:
         for m in inside:
             for m2 in inside:
-                if not leq_sigma(module.cone, m, m2):
+                if not _leq(cone, m, m2):
                     continue
                 for mid in pts:
-                    if (leq_sigma(module.cone, m, mid)
-                            and leq_sigma(module.cone, mid, m2)
-                            and not module.in_support(mid)):
+                    if _leq(cone, m, mid) and _leq(cone, mid, m2) and not module._in_support(mid):
                         raise ValueError(
                             f"support not order-convex at {m} <= {mid} <= {m2}")
 
@@ -274,16 +259,16 @@ class FinitelyPresentedModule(GradedModule):
     relations: tuple[Relation, ...] = ()
 
     def __post_init__(self):
-        gens = tuple(_lattice_point(self.cone, g, "generator") for g in self.generators)
+        gens = tuple(self.cone.point(g, "generator") for g in self.generators)
         object.__setattr__(self, "generators", gens)
         rels = []
         for rel in self.relations:
-            deg = _lattice_point(self.cone, rel.degree, "relation degree")
+            deg = self.cone.point(rel.degree, "relation degree")
             coeffs = frac_vector(rel.coeffs)
             if len(coeffs) != len(gens):
                 raise ValueError("relation coefficient count differs from generators")
             for g, a in zip(gens, coeffs):
-                if a and not leq_sigma(self.cone, g, deg):
+                if a and not _leq(self.cone, g, deg):
                     raise ValueError(
                         f"relation at {deg} touches generator {g} outside its cone")
             rels.append(Relation(deg, coeffs))
@@ -337,13 +322,9 @@ class CoxRule:
 
     ray_count: int
 
-    def _degree(self, c: Sequence[int]) -> IntVector:
-        """``c`` read through ``int_vector``, checked to have one entry per ray."""
-        c = int_vector(c)
-        if len(c) != self.ray_count:
-            raise ValueError(f"degree {c} has length {len(c)}, "
-                             f"but the rule has {self.ray_count} rays")
-        return c
+    def _degree(self, c: Sequence[int], what: str = "degree") -> IntVector:
+        """``c`` read as a Cox degree: one plain integer per ray."""
+        return _fixed_length(c, self.ray_count, what, "the ray count")
 
     def dim(self, c: Sequence[int]) -> int:
         """The dimension of the component at Cox degree c."""
@@ -372,9 +353,7 @@ class ShiftedCoxRule(CoxRule):
     shift: IntVector
 
     def __post_init__(self):
-        object.__setattr__(self, "shift", int_vector(self.shift))
-        if len(self.shift) != self.ray_count:
-            raise ValueError("shift length differs from ray count")
+        object.__setattr__(self, "shift", self._degree(self.shift, "shift"))
 
     def _dim(self, c: IntVector) -> int:
         return 1 if all(map(ge, c, map(neg, self.shift))) else 0
@@ -388,9 +367,7 @@ class SpikeRule(CoxRule):
     degree: IntVector
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", int_vector(self.degree))
-        if len(self.degree) != self.ray_count:
-            raise ValueError("degree length differs from ray count")
+        object.__setattr__(self, "degree", self._degree(self.degree))
 
     def _dim(self, c: IntVector) -> int:
         return 1 if c == self.degree else 0
@@ -583,9 +560,7 @@ class ShiftModule(GradedModule):
     by: IntVector
 
     def __post_init__(self):
-        object.__setattr__(self, "by", int_vector(self.by))
-        if len(self.by) != self.base.cone.lattice_rank:
-            raise ValueError("shift length differs from lattice rank")
+        object.__setattr__(self, "by", self.base.cone.point(self.by, "shift"))
 
     @property
     def cone(self) -> Cone:
@@ -639,9 +614,12 @@ class GradedMorphism:
         self._rule = rule
 
     def matrix(self, m: Sequence[int]) -> Mat:
-        m = int_vector(m)
+        return self._matrix(self.source.cone.point(m))
+
+    def _matrix(self, m: IntVector) -> Mat:
+        """The matrix at a point already read, checked against the two components."""
         out = self._rule(m)
-        want = (self.target.component(m), self.source.component(m))
+        want = (self.target._component(m), self.source._component(m))
         if (out.nrows, out.ncols) != want:
             raise ValueError(f"morphism matrix at {m} has shape "
                              f"{(out.nrows, out.ncols)}, expected {want}")
@@ -659,12 +637,12 @@ def morphism(source: GradedModule, target: GradedModule,
     f = GradedMorphism(source, target, rule)
     pts = _sample_cube(source.cone.lattice_rank)
     for m in pts:
-        fm = f.matrix(m)
+        fm = f._matrix(m)
         for m2 in pts:
-            if m2 == m or not leq_sigma(source.cone, m, m2):
+            if m2 == m or not _leq(source.cone, m, m2):
                 continue
-            lhs = target.action(m, m2).mul(fm)
-            rhs = f.matrix(m2).mul(source.action(m, m2))
+            lhs = target._action(m, m2).mul(fm)
+            rhs = f._matrix(m2).mul(source._action(m, m2))
             if lhs != rhs:
                 raise ValueError(f"naturality fails on {m} <= {m2}")
     return f
@@ -672,7 +650,7 @@ def morphism(source: GradedModule, target: GradedModule,
 
 def identity_morphism(module: GradedModule) -> GradedMorphism:
     return GradedMorphism(module, module,
-                          lambda m: Mat.identity(module.component(m)))
+                          lambda m: Mat.identity(module._component(m)))
 
 
 def indicator_morphism(source: GradedModule, target: GradedModule) -> GradedMorphism:
@@ -682,7 +660,7 @@ def indicator_morphism(source: GradedModule, target: GradedModule) -> GradedMorp
     a submodule included into the structure ring or a quotient of it.
     """
     return GradedMorphism(source, target,
-                          lambda m: Mat.ones(target.component(m), source.component(m)))
+                          lambda m: Mat.ones(target._component(m), source._component(m)))
 
 
 def structure_to_simple(cone: Cone) -> GradedMorphism:

@@ -1,7 +1,18 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+# Hypothesis imports this module to report a falsifying example, and its
+# libcst import emits a DeprecationWarning that the "error" filter would
+# turn into an INTERNALERROR, losing the example; import it once here.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst missing: hypothesis skips the patch, nothing warns
+        pass
 
 settings.register_profile(
     "suite",

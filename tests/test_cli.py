@@ -433,6 +433,8 @@ def test_repeated_filtration_level_is_an_input_error(inputs, capsys):
     ("1", "01", "not a ray index"),
     ("2", " 2", "not a ray index"),
     ("3", "-1", "each given once"),
+    # read by ``int`` first, which raised its own "invalid literal" message
+    ("3", "a", "filtration key 'a' is not a ray index"),
 ])
 def test_filtration_keys_must_be_the_ray_indices(inputs, capsys, old, new, message):
     module = line_filtration(0)

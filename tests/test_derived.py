@@ -346,9 +346,13 @@ def test_truncation_and_its_order_match_brute_force(case):
     assert sorted(diagram.covers()) == sorted(covers)
 
 
+# a wrong length is named by its id, and the message names the degree
 @pytest.mark.parametrize("c, bound, message", [
-    ((0, 0, 0, 0, 0), 1, "degree length differs from ray count"),
-    ((0, 0, 0), 1, "degree length differs from ray count"),
+    pytest.param((0, 0, 0, 0, 0), 1,
+                 r"degree \(0, 0, 0, 0, 0\) has length 5, not the ray count 4",
+                 id="c0-1-degree length differs from ray count"),
+    pytest.param((0, 0, 0), 1, r"degree \(0, 0, 0\) has length 3, not the ray count 4",
+                 id="c1-1-degree length differs from ray count"),
     ((0, 0, 0, 0), -1, "bound must be nonnegative"),
     ((0, 0, 0, 0), True, "expected an integer"),
 ])
@@ -363,6 +367,8 @@ def test_imax_must_be_nonnegative(csq, imax):
         truncated_lift_oracle(csq, simple_module(csq), (0, 0, 0, 0), 2, imax=imax)
     with pytest.raises(ValueError, match="imax must be nonnegative"):
         roos_limits(FinitePosetDiagram.from_maps(["a"], [], [1], {}), imax)
+    with pytest.raises(ValueError, match="imax must be nonnegative"):
+        order_complex_cohomology(1, set(), imax)
 
 
 def test_truncation_points_need_a_full_dimensional_cone():

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,11 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from coxlift.cones import Cone, leq_sigma, minimal_elements, truncation_points
+from coxlift.cones import (
+    Cone,
+    leq_sigma,
+    minimal_common_upper_bounds,
+    minimal_elements,
+    truncation_points,
+)
 from coxlift.derived import (
     FinitePosetDiagram,
+    certification_bound,
     connecting_cokernel,
     ideal_sequence,
+    order_complex_cohomology,
     roos_limits,
     truncated_lift_oracle,
 )
@@ -194,6 +203,8 @@ NON_INTEGER_DEGREES = {
     "roos imax": lambda C: roos_limits(FinitePosetDiagram.from_maps(["a"], [], [1], {}), 0.5),
     "roos imax bool": lambda C: roos_limits(
         FinitePosetDiagram.from_maps(["a"], [], [1], {}), True),
+    "order complex imax": lambda C: order_complex_cohomology(1, set(), 1.0),
+    "order complex imax bool": lambda C: order_complex_cohomology(1, set(), True),
     "truncation points": lambda C: truncation_points(C, (0.5, 0, 0, 0), 2),
     "truncation bound": lambda C: truncation_points(C, (0, 0, 0, 0), 2.5),
     "connecting cokernel": lambda C: connecting_cokernel(C, ideal_sequence(C), (0.5, 0, 0, 0)),
@@ -286,15 +297,15 @@ WRONG_SHAPES = {
         C, [(0, 0, 0)], [Relation((0, 0, 0, 0), (0,))]),
         r"relation degree \(0, 0, 0, 0\) has length 4, not the lattice rank 3"),
     "module degree": (lambda C: structure_module(C).component((0, 0)),
-                      "degree length differs from lattice rank"),
+                      r"point \(0, 0\) has length 2, not the lattice rank 3"),
     "chart section cone index": (lambda C: chart_section(
         FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 1, (0, 0, 0)),
         "cone index out of range"),
     "chart section point length": (lambda C: chart_section(
         FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 0, (0, 0)),
-        "lattice point length differs from lattice rank"),
+        r"lattice point \(0, 0\) has length 2, not the lattice rank 3"),
     "module shift length": (lambda C: ShiftModule(simple_module(C), (0, 0)),
-                            "shift length differs from lattice rank"),
+                            r"shift \(0, 0\) has length 2, not the lattice rank 3"),
     "empty module sum": (lambda C: DirectSumModule(()), "empty direct sum"),
     "module sum over two cones": (lambda C: DirectSumModule(
         (simple_module(C), simple_module(ORTHANT2))), "parts live on different cones"),
@@ -310,7 +321,75 @@ WRONG_SHAPES = {
                          "matrix is not invertible"),
     "non-unimodular inverse": (lambda C: unimodular_inverse(((2, 0), (0, 1))),
                                "matrix is not unimodular"),
+    "box corner lengths": (lambda C: Box((0, 0), (1,)),
+                           r"box corners \(0, 0\) and \(1,\) have lengths 2 and 1"),
 }
+# every public entry that reads a lattice point or a Cox degree names a wrong
+# length through the one template, "{what} {v} has length {k}, not {unit} {n}"
+WRONG_SHAPES.update({
+    name: (call, re.escape(f"{what} {v} has length {len(v)}, not {unit}"))
+    for name, call, what, v, unit in [
+        ("ray", lambda C: Cone(3, ((0, 1), (1, 0))), "ray", (0, 1), "the lattice rank 3"),
+        ("cone evaluate", lambda C: C.evaluate((0, 0)), "point", (0, 0), "the lattice rank 3"),
+        ("leq_sigma", lambda C: leq_sigma(C, (0, 0, 0), (0, 0, 0, 0)),
+         "point", (0, 0, 0, 0), "the lattice rank 3"),
+        ("minimal elements", lambda C: minimal_elements(C, (0, 0, 0)),
+         "degree", (0, 0, 0), "the ray count 4"),
+        ("minimal upper bounds", lambda C: minimal_common_upper_bounds(C, (0, 0), (0, 0, 0)),
+         "point", (0, 0), "the lattice rank 3"),
+        ("truncation points", lambda C: truncation_points(C, (0,), 1),
+         "degree", (0,), "the ray count 4"),
+        ("module action source", lambda C: structure_module(C).action((0, 0), (0, 0, 0)),
+         "point", (0, 0), "the lattice rank 3"),
+        ("module action target", lambda C: structure_module(C).action((0, 0, 0), (0, 0)),
+         "point", (0, 0), "the lattice rank 3"),
+        ("in_support", lambda C: simple_module(C).in_support((0, 0, 0, 0)),
+         "point", (0, 0, 0, 0), "the lattice rank 3"),
+        ("excluded point", lambda C: IndicatorModule(C, "submodule", (), ((0, 0),)),
+         "excluded point", (0, 0), "the lattice rank 3"),
+        ("codivisorial degree", lambda C: codivisorial_module(C, (0, 0, 0), (1,)),
+         "degree", (0, 0, 0), "the ray count 4"),
+        ("filtration subspace", lambda C: FiltrationModule(
+            C, generic_plane_description(4)).subspace((0, 0)),
+         "point", (0, 0), "the lattice rank 3"),
+        ("morphism matrix point", lambda C: identity_morphism(simple_module(C)).matrix((0, 0)),
+         "point", (0, 0), "the lattice rank 3"),
+        ("rule dim", lambda C: ShiftedCoxRule(4, (0,) * 4).dim((0,)), "degree", (0,),
+         "the ray count 4"),
+        ("rule act", lambda C: ShiftedCoxRule(4, (0,) * 4).act((0,) * 4, (1, 1, 1)),
+         "degree", (1, 1, 1), "the ray count 4"),
+        ("spike degree", lambda C: SpikeRule(4, (0, 0)), "degree", (0, 0), "the ray count 4"),
+        ("description space", lambda C: generic_plane_description(4).space((0, 0)),
+         "degree", (0, 0), "the ray count 4"),
+        ("filtration lift", lambda C: filtration_lift_component(
+            generic_plane_description(4), (0,)), "degree", (0,), "the ray count 4"),
+        ("global reflexive lift", lambda C: global_reflexive_lift(
+            FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), (0, 0)),
+         "degree", (0, 0), "the ray count 4"),
+        ("lift component", lambda C: lift_component(C, simple_module(C), (0, 0, 0)),
+         "degree", (0, 0, 0), "the ray count 4"),
+        ("lift action source", lambda C: lift_action(C, simple_module(C), (0,), (0,) * 4),
+         "degree", (0,), "the ray count 4"),
+        ("lift action target", lambda C: lift_action(C, simple_module(C), (0,) * 4, (0,) * 5),
+         "degree", (0,) * 5, "the ray count 4"),
+        ("lift morphism", lambda C: lift_morphism(C, identity_morphism(simple_module(C)), (0,)),
+         "degree", (0,), "the ray count 4"),
+        ("counit point", lambda C: counit_matrix(C, simple_module(C), (0, 0)),
+         "point", (0, 0), "the lattice rank 3"),
+        ("unit degree", lambda C: unit_map(C, ShiftedCoxRule(4, (0,) * 4), (0, 0)),
+         "degree", (0, 0), "the ray count 4"),
+        ("certification bound", lambda C: certification_bound(C, (0, 0)),
+         "degree", (0, 0), "the ray count 4"),
+        ("truncated oracle", lambda C: truncated_lift_oracle(C, simple_module(C), (0,), 2),
+         "degree", (0,), "the ray count 4"),
+        ("connecting cokernel", lambda C: connecting_cokernel(C, ideal_sequence(C), (0, 0)),
+         "degree", (0, 0), "the ray count 4"),
+        ("table component", lambda C: lift_table(
+            C, simple_module(C), Box((0,) * 4, (0,) * 4)).component((0,)),
+         "degree", (0,), "the ray count 4"),
+        ("diagram points", lambda C: FinitePosetDiagram.from_module(
+            C, simple_module(C), [(0, 0, 0), (0, 0)]), "point", (0, 0), "the lattice rank 3"),
+    ]})
 
 
 @pytest.mark.parametrize("call, message", WRONG_SHAPES.values(), ids=WRONG_SHAPES.keys())
@@ -321,7 +400,6 @@ def test_arguments_of_a_wrong_count_or_length_are_rejected(csq, call, message):
 
 def test_a_transport_reads_each_point_once(monkeypatch):
     import coxlift.cones
-    import coxlift.modules
 
     cone = Cone(3, CONE_OVER_SQUARE.rays)  # a fresh cone: nothing memoized
     module = FiltrationModule(cone, random_reflexive_description(cone, random.Random(4)))
@@ -333,8 +411,8 @@ def test_a_transport_reads_each_point_once(monkeypatch):
         reads.append(values)
         return int_vector(values)
 
-    for namespace in (coxlift.cones, coxlift.modules):
-        monkeypatch.setattr(namespace, "int_vector", counted)
+    # the one reader of points and degrees, ``cones._fixed_length``, reads here
+    monkeypatch.setattr(coxlift.cones, "int_vector", counted)
     module.action(m, u)
     assert reads.count(m) <= 1 and reads.count(u) <= 1
     assert len(reads) == 2
@@ -464,7 +542,8 @@ WRONG_LEVEL_COUNTS = {
 
 @pytest.mark.parametrize("call", WRONG_LEVEL_COUNTS.values(), ids=WRONG_LEVEL_COUNTS.keys())
 def test_reflexive_description_rejects_a_level_per_ray_of_another_count(call):
-    with pytest.raises(ValueError, match="but the rule has 4 rays|expected an integer"):
+    with pytest.raises(ValueError, match=r"degree \([^)]*\) has length [0-9]+, not the ray count 4"
+                                         "|expected an integer"):
         call(generic_plane_description(4))
 
 
