@@ -43,6 +43,13 @@ Runs, with this checkout's ``src`` on the path:
   on an indicator module of style ``"other"``, on one with a constraint
   on ray 9 of the square's four, over ``--box=2..1``, and on a cone
   whose rays are ragged and on one with no rays;
+* ``coxlift.cli lift-table``, each exiting 2, on a finitely presented
+  module whose generator degree is the number 5, on one whose relation
+  coefficients are 5, and on an indicator module that excludes the point
+  5.  The loader hands these values to the module constructors unread,
+  so the message on stderr is the reader's ("expected a sequence, got
+  5"); a checkout whose loader read them itself prints "module JSON is
+  malformed: ..." there, the one place two checkouts may differ;
 * ``coxlift.cli roos --imax 2`` on a diagram with no ``leq`` key, which
   exits 2;
 * ``scripts/derived_evidence.py``, whose report prints the point count
@@ -128,12 +135,18 @@ REPEATED_LEVEL = {
 THREE_RAYS = {"type": "filtration", "ambient_dim": 2,
               "filtrations": {str(r): [{"level": 0, "basis": FULL}] for r in range(3)}}
 # inputs each loader rejects with its own message: an unknown indicator
-# style, a constraint on a ray the square does not have, cones with ragged
-# and with no rays, and a diagram with no order relation
+# style, a constraint on a ray the square does not have, a number where a
+# generator degree, relation coefficients or an excluded point is read, cones
+# with ragged and with no rays, and a diagram with no order relation
 BAD_MODULES = {
     "style_other": {"type": "indicator", "style": "other", "constraints": []},
     "ray_out_of_range": {"type": "indicator", "style": "quotient",
                          "constraints": [{"ray": 9, "op": "<=", "bound": 0}]},
+    "generator_number": {"type": "finitely_presented", "generators": [{"degree": 5}]},
+    "coeffs_number": {"type": "finitely_presented", "generators": [{"degree": [0, 0, 0]}],
+                      "relations": [{"degree": [0, 0, 0], "coeffs": 5}]},
+    "exclude_number": {"type": "indicator", "style": "submodule", "constraints": [],
+                       "exclude": [5]},
 }
 BAD_CONES = {"ragged": {"lattice_rank": 3, "rays": [[1, 0, 0], [0, 1]]},
              "empty": {"lattice_rank": 3, "rays": []}}

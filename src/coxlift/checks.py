@@ -50,6 +50,7 @@ from .instances import (
 )
 from .lifting import (
     Box,
+    _lifted_morphism,
     colimit,
     colimit_of_lift,
     counit_matrix,
@@ -195,8 +196,8 @@ def check_exactness() -> CheckReport:
     for c in Box((-2,) * 4, (2,) * 4).degrees():
         sub, mid, quot = (lift_component(CONE_OVER_SQUARE, module, c)
                           for module in (seq.sub, seq.mid, seq.quot))
-        g = lift_morphism(CONE_OVER_SQUARE, seq.project, c, source=mid, target=quot)
-        f = lift_morphism(CONE_OVER_SQUARE, seq.include, c, source=sub, target=mid)
+        g = _lifted_morphism(seq.project, mid, quot)
+        f = _lifted_morphism(seq.include, sub, mid)
         dim_sub = sub.dim
         if g.mul(f).rows != Mat.zero(g.nrows, f.ncols).rows:
             bad.append(("composite", c))
@@ -211,7 +212,7 @@ def check_exactness() -> CheckReport:
     rep.expect("cokernel dims at (-k,0,0,0), k=0..3",
                {0: 0, 1: 1, 2: 1, 3: 1}, cokers)
 
-    seq2 = indicator_sequence(QUOTIENT2, ray=0, threshold=1)
+    seq2 = indicator_sequence(QUOTIENT2, ray=0)
     bad2 = []
     for c in Box((-2, -2), (2, 2)).degrees():
         g = lift_morphism(QUOTIENT2, seq2.project, c)

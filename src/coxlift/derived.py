@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .cones import Cone, _minimal_elements, _minimal_upper_bounds, truncation_points
 from .lattice import int_vector, nonnegative_int, plain_int
-from .lifting import lift_component, lift_morphism
+from .lifting import _lifted_morphism, lift_component
 from .linalg import Mat, rank, sparse_rank
 from .modules import (
     GradedModule,
@@ -59,12 +59,19 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _index_pair(n: int, pair: tuple[int, int], what: str) -> tuple[int, int]:
+    """``pair`` if both its entries are plain integers in ``0..n-1``."""
+    i, j = pair
+    if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+        raise ValueError(f"{what} {(i, j)} names no element by index")
+    return i, j
+
+
 def _masks(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Per element i < n, the bitmask of the j != i with ``(i, j)`` in ``pairs``."""
     up = [0] * n
-    for i, j in pairs:
-        if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
-            raise ValueError(f"relation pair {(i, j)} names no element by index")
+    for pair in pairs:
+        i, j = _index_pair(n, pair, "relation pair")
         if i != j:
             up[i] |= 1 << j
     return up
@@ -166,10 +173,11 @@ class FinitePosetDiagram:
                     up[i] |= up[k]
         # strict pairs only; the constructor rejects a cycle as not antisymmetric
         up = [mask & ~(1 << i) for i, mask in enumerate(up)]
+        maps = {_index_pair(n, key, "map key"): mat for key, mat in maps.items()}
         filled = dict(maps)
         given: dict[int, list[int]] = {}
         for i, k in sorted(maps):
-            if not (0 <= k < n and up[i] >> k & 1):
+            if not up[i] >> k & 1:
                 raise ValueError(f"map {elements[i]}->{elements[k]} is given, but "
                                  f"{elements[i]} < {elements[k]} is not in the relation")
             given.setdefault(i, []).append(k)
@@ -424,17 +432,16 @@ def ideal_sequence(cone: Cone) -> CanonicalSequence:
     )
 
 
-def indicator_sequence(cone: Cone, ray: int, threshold: int = 1) -> CanonicalSequence:
-    """0 -> {l_ray >= threshold} -> structure ring -> quotient slab -> 0."""
+def indicator_sequence(cone: Cone, ray: int) -> CanonicalSequence:
+    """0 -> {l_ray >= 1} -> structure ring -> quotient slab {l_ray = 0} -> 0."""
     sub = IndicatorModule(
         cone, "submodule",
-        tuple(IndicatorConstraint(i, ">=", threshold if i == ray else 0)
-              for i in range(cone.ray_count)))
+        tuple(IndicatorConstraint(i, ">=", int(i == ray)) for i in range(cone.ray_count)))
     mid = structure_module(cone)
     quot = IndicatorModule(
         cone, "quotient",
         tuple(IndicatorConstraint(i, ">=", 0) for i in range(cone.ray_count))
-        + (IndicatorConstraint(ray, "<=", threshold - 1),))
+        + (IndicatorConstraint(ray, "<=", 0),))
 
     return CanonicalSequence(
         sub=sub, mid=mid, quot=quot,
@@ -451,5 +458,5 @@ def connecting_cokernel(cone: Cone, seq: CanonicalSequence, c: Sequence[int]) ->
     witness there.
     """
     c = cone.degree(c)
-    quot = lift_component(cone, seq.quot, c)
-    return quot.dim - rank(lift_morphism(cone, seq.project, c, target=quot))
+    mid, quot = lift_component(cone, seq.mid, c), lift_component(cone, seq.quot, c)
+    return quot.dim - rank(_lifted_morphism(seq.project, mid, quot))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from .cones import Cone
-from .lattice import int_matrix, int_vector, plain_int
+from .lattice import int_matrix, plain_int
 from .lifting import LiftComponent
 from .linalg import Mat, _fraction
 from .modules import (
@@ -67,18 +67,16 @@ def load_module(obj: dict, cone: Cone) -> GradedModule:
     try:
         kind = obj.get("type")
         if kind == "finitely_presented":
-            gens = tuple(int_vector(g["degree"]) for g in obj.get("generators", []))
-            rels = tuple(
-                Relation(int_vector(rel["degree"]),
-                         tuple(parse_fraction(x) for x in rel["coeffs"]))
-                for rel in obj.get("relations", [])
-            )
+            # the constructor reads the degrees and coefficients
+            gens = tuple(g["degree"] for g in obj.get("generators", []))
+            rels = tuple(Relation(rel["degree"], rel["coeffs"])
+                         for rel in obj.get("relations", []))
         elif kind == "indicator":
             cons = tuple(
                 IndicatorConstraint(plain_int(c["ray"]), str(c["op"]), plain_int(c["bound"]))
                 for c in obj.get("constraints", [])
             )
-            exclude = tuple(int_vector(p) for p in obj.get("exclude", []))
+            exclude = tuple(obj.get("exclude", []))
             style = str(obj["style"])
         elif kind == "filtration":
             ambient = plain_int(obj["ambient_dim"])

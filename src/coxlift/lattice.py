@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Optional, Sequence
 
-from .linalg import Mat, rref
+from .linalg import Mat, _sequence, rref
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -44,7 +44,7 @@ _INT = frozenset((int,))
 
 def int_vector(values: Sequence[int]) -> IntVector:
     """``values`` as a tuple of plain integers, each one checked by ``plain_int``."""
-    t = tuple(values)
+    t = tuple(_sequence(values))
     if _INT.issuperset(map(type, t)):
         return t
     return tuple(plain_int(x) for x in t)

@@ -18,10 +18,13 @@ between lift components (restriction maps along ``c <= c'`` and lifted
 morphisms) send each block of a limit vector through a module matrix
 and write the stacked image in the target's basis; the unit and counit
 of the adjunction are read off the same presentation.  All of them
-change basis through ``linalg.matrix_in_basis``.  Sheafification, the
-other direction, is ``modules.SheafifiedModule``: a Cox rule read off
-along the grading map.  Colimits along interior rays and box-relative
-generator detection also live here.
+change basis through ``linalg.matrix_in_basis``.  Each map has a public
+entry (``lift_action``, ``lift_morphism``) that reads its degrees and
+lifts both ends, and a hook (``_restriction``, ``_lifted_morphism``)
+that a caller already holding both components calls instead.
+Sheafification, the other direction, is ``modules.SheafifiedModule``: a
+Cox rule read off along the grading map.  Colimit walks along interior
+rays and box-relative generator detection also live here.
 
 Degree computations are independent and not memoized here: the cone
 memoizes its minimal points, a finitely presented module its reduced
@@ -37,7 +40,8 @@ the first time they are read.
 Each public function reads its degrees and points once (``Cone.degree``,
 ``Cone.point``); on the points it then builds, the lift calls only hooks:
 ``_minimal_elements``, ``_minimal_upper_bounds`` and ``Cone._cox`` of the
-cone, ``_component``, ``_action`` and ``_matrix`` of modules and morphisms.
+cone, ``_component``, ``_action`` and ``_matrix`` of modules and morphisms,
+and ``_restriction`` and ``_lifted_morphism`` of its own maps.
 """
 
 from __future__ import annotations
@@ -45,9 +49,10 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, combinations, product
-from typing import Callable, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cones import Cone, _minimal_elements, _minimal_upper_bounds, cox_le, strict_interior_point
 from .lattice import int_vector, nonnegative_int, plain_int
@@ -139,46 +144,33 @@ def _blockwise(src: LiftComponent, tgt: LiftComponent,
     return matrix_in_basis(tgt.basis, images)
 
 
-def _given_or_lifted(cone: Cone, module: GradedModule, c: IntVector,
-                     given: Optional[LiftComponent]) -> LiftComponent:
-    """``given``, a caller's lift of the module at c, or else that lift."""
-    if given is None:
-        return lift_component(cone, module, c)
-    if given.degree != c:
-        raise ValueError(f"the component given for degree {c} is at degree {given.degree}")
-    return given
-
-
-def lift_action(
-    cone: Cone,
-    module: GradedModule,
-    c: Sequence[int],
-    c_prime: Sequence[int],
-    source: Optional[LiftComponent] = None,
-    target: Optional[LiftComponent] = None,
-) -> Mat:
-    """Restriction matrix lift_c -> lift_{c'} for c <= c' componentwise.
-
-    Each minimal point of P_{c'} lies above a minimal point of P_c; the
-    value there is transported from any dominated one, independent of
-    the choice by the limit constraints.  When either lift is zero the
-    map is zero, returned before any predecessor is searched.
-    ``source`` and ``target``, when given, are the lifts at c and c';
-    one of another degree is rejected.
-    """
+def lift_action(cone: Cone, module: GradedModule, c: Sequence[int],
+                c_prime: Sequence[int]) -> Mat:
+    """Restriction matrix lift_c -> lift_{c'} for c <= c' componentwise."""
     c, c_prime = cone.degree(c), cone.degree(c_prime)
     if not cox_le(c, c_prime):
         raise ValueError("degrees are not componentwise comparable")
     if module.cone != cone:
         raise ValueError("the module lives on another cone")
-    src = _given_or_lifted(cone, module, c, source)
-    tgt = _given_or_lifted(cone, module, c_prime, target)
+    return _restriction(module, lift_component(cone, module, c),
+                        lift_component(cone, module, c_prime))
+
+
+def _restriction(module: GradedModule, src: LiftComponent, tgt: LiftComponent) -> Mat:
+    """Restriction matrix between two lifts of ``module`` at degrees c <= c'.
+
+    Each minimal point of P_{c'} lies above a minimal point of P_c; the
+    value there is transported from any dominated one, independent of
+    the choice by the limit constraints.  When either lift is zero the
+    map is zero, returned before any predecessor is searched.
+    """
     if not (src.dim and tgt.dim):
         return Mat.zero(tgt.dim, src.dim)
-    below = [cone._cox(mi) for mi in src.minimal_points]
+    cox = module.cone._cox
+    below = [cox(mi) for mi in src.minimal_points]
     blocks = []
     for mk in tgt.minimal_points:
-        top = cone._cox(mk)
+        top = cox(mk)
         i = next((i for i, b in enumerate(below) if cox_le(b, top)), None)
         if i is None:
             raise AssertionError("minimal point has no dominated predecessor")
@@ -186,22 +178,15 @@ def lift_action(
     return _blockwise(src, tgt, blocks)
 
 
-def lift_morphism(
-    cone: Cone,
-    f: GradedMorphism,
-    c: Sequence[int],
-    source: Optional[LiftComponent] = None,
-    target: Optional[LiftComponent] = None,
-) -> Mat:
-    """Matrix of the lifted morphism at Cox degree c.
-
-    ``source`` and ``target``, when given, are the lifts of ``f.source``
-    and ``f.target`` at c, so a caller that already holds them does not
-    lift twice; a component of another degree is rejected.
-    """
+def lift_morphism(cone: Cone, f: GradedMorphism, c: Sequence[int]) -> Mat:
+    """Matrix of the lifted morphism at Cox degree c."""
     c = cone.degree(c)
-    src = _given_or_lifted(cone, f.source, c, source)
-    tgt = _given_or_lifted(cone, f.target, c, target)
+    return _lifted_morphism(f, lift_component(cone, f.source, c),
+                            lift_component(cone, f.target, c))
+
+
+def _lifted_morphism(f: GradedMorphism, src: LiftComponent, tgt: LiftComponent) -> Mat:
+    """The lifted morphism between the lifts of ``f.source`` and ``f.target`` at one degree."""
     return _blockwise(src, tgt, [(i, f._matrix(m)) for i, m in enumerate(src.minimal_points)])
 
 
@@ -254,31 +239,30 @@ def colimit(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResul
     if module.cone != cone:
         raise ValueError("the module lives on another cone")
     w = strict_interior_point(cone)
-    points = [tuple(k * x for x in w) for k in range(nonnegative_int(horizon, "horizon") + 1)]
     # L(w) >= 1 on every ray, so each point lies below the next
-    return _stabilize(tuple(module._component(p) for p in points),
-                      lambda k: module._action(points[k], points[k + 1]))
+    points = (tuple(k * x for x in w) for k in range(nonnegative_int(horizon, "horizon") + 1))
+    return _stabilize(points, module._component, module._action)
 
 
 def colimit_of_lift(cone: Cone, module: GradedModule, horizon: int = 16) -> ColimitResult:
     """Colimit of the lifted module along the all-ones Cox direction."""
-    ones = (1,) * cone.ray_count
-    degrees = [tuple(k * x for x in ones) for k in range(nonnegative_int(horizon, "horizon") + 1)]
-    comps = [lift_component(cone, module, c) for c in degrees]
-    return _stabilize(tuple(comp.dim for comp in comps),
-                      lambda k: lift_action(cone, module, degrees[k], degrees[k + 1],
-                                            source=comps[k], target=comps[k + 1]))
+    comps = (lift_component(cone, module, (k,) * cone.ray_count)
+             for k in range(nonnegative_int(horizon, "horizon") + 1))
+    return _stabilize(comps, attrgetter("dim"), partial(_restriction, module))
 
 
-def _stabilize(dims: tuple[int, ...], step: Callable[[int], Mat]) -> ColimitResult:
-    """First k where dims k, k+1, k+2 agree and ``step(k)``, ``step(k+1)``,
-    the connecting maps, are isomorphisms; the second is built only when
-    the first is one."""
-    for k in range(len(dims) - 2):
-        if (dims[k] == dims[k + 1] == dims[k + 2]
-                and is_isomorphism(step(k)) and is_isomorphism(step(k + 1))):
-            return ColimitResult(True, dims[k], k, dims[: k + 3])
-    return ColimitResult(False, None, None, dims)
+def _stabilize(walk: Iterable, dim: Callable, step: Callable) -> ColimitResult:
+    """First k where the dims of walk entries k, k+1, k+2 agree and ``step``
+    between them, the connecting maps, are isomorphisms; the second map is
+    built only when the first is one, and each entry when the walk reaches it."""
+    seen, dims = [], []
+    for k, entry in enumerate(walk, -2):
+        seen.append(entry)
+        dims.append(dim(entry))
+        if (k >= 0 and dims[k] == dims[k + 1] == dims[k + 2]
+                and is_isomorphism(step(*seen[k:k + 2])) and is_isomorphism(step(*seen[k + 1:]))):
+            return ColimitResult(True, dims[k], k, tuple(dims))
+    return ColimitResult(False, None, None, tuple(dims))
 
 
 # --------------------------------------------------------------------------
@@ -309,6 +293,11 @@ class Box:
             yield c
 
 
+def _unit_steps(c: IntVector, by: int):
+    """c + by * e_axis for each axis in turn."""
+    return (c[:axis] + (c[axis] + by,) + c[axis + 1:] for axis in range(len(c)))
+
+
 def minimal_generators_in_box(cone: Cone, module: GradedModule, box: Box) -> tuple[IntVector, ...]:
     """Degrees in the box whose lift is not spanned from strictly below.
 
@@ -321,12 +310,8 @@ def minimal_generators_in_box(cone: Cone, module: GradedModule, box: Box) -> tup
     for c, tgt in table.components.items():
         if tgt.dim == 0:
             continue
-        incoming = []
-        for axis in range(cone.ray_count):
-            prev = tuple(x - (1 if i == axis else 0) for i, x in enumerate(c))
-            mat = table.steps.get((prev, axis))
-            if mat is not None:
-                incoming.extend(mat.col(j) for j in range(mat.ncols))
+        incoming = [col for prev in _unit_steps(c, -1) if prev in table.components
+                    for col in table._act(prev, c).transpose().rows]
         if not incoming or rank(Mat(len(incoming), tgt.dim, incoming)) < tgt.dim:
             found.append(c)
     return tuple(found)
@@ -353,15 +338,8 @@ class LiftTable(CoxRule):
     @cached_property
     def steps(self) -> dict[tuple[IntVector, int], Mat]:
         """Restriction map from c to c + e_axis for every such pair in the box."""
-        out: dict[tuple[IntVector, int], Mat] = {}
-        for c in self.box.degrees():
-            for axis in range(self.cone.ray_count):
-                nxt = tuple(x + (1 if i == axis else 0) for i, x in enumerate(c))
-                if nxt in self.box:
-                    out[(c, axis)] = lift_action(self.cone, self.module, c, nxt,
-                                                 source=self.components[c],
-                                                 target=self.components[nxt])
-        return out
+        return {(c, axis): self._act(c, nxt) for c in self.components
+                for axis, nxt in enumerate(_unit_steps(c, 1)) if nxt in self.components}
 
     def component(self, c: Sequence[int]) -> LiftComponent:
         return self._component(self._degree(c))
@@ -377,8 +355,7 @@ class LiftTable(CoxRule):
         return self._component(c).dim
 
     def _act(self, c: IntVector, c_prime: IntVector) -> Mat:
-        return lift_action(self.cone, self.module, c, c_prime,
-                           source=self._component(c), target=self._component(c_prime))
+        return _restriction(self.module, self._component(c), self._component(c_prime))
 
 
 def _lift_share(cone: Cone, module: GradedModule,

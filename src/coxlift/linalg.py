@@ -72,8 +72,16 @@ def _fraction(x) -> Fraction:
     raise ValueError(f"cannot read {x!r} as an exact rational")
 
 
+def _sequence(values: Iterable) -> Iterable:
+    """``values`` if it iterates over entries; a number or a string raises
+    ``ValueError`` naming it."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise ValueError(f"expected a sequence, got {values!r}")
+    return values
+
+
 def frac_vector(values: Iterable) -> Vector:
-    return tuple(map(_fraction, values))
+    return tuple(map(_fraction, _sequence(values)))
 
 
 class Mat:

@@ -437,10 +437,12 @@ class RayFiltration:
 
 
 def ray_filtration(jumps: Sequence[tuple[int, Sequence[Sequence]]], ambient: int) -> RayFiltration:
-    """Build a filtration from (level, spanning vectors) jump data, sorted by level."""
+    """Build a filtration from (level, spanning vectors) jump data, sorted by
+    level once each level is read."""
+    read = [(plain_int(level), vectors) for level, vectors in jumps]
     return RayFiltration(tuple(
-        FiltrationStep(plain_int(level), row_space_basis(vectors, ambient))
-        for level, vectors in sorted(jumps, key=lambda j: j[0])))
+        FiltrationStep(level, row_space_basis(vectors, ambient))
+        for level, vectors in sorted(read, key=lambda j: j[0])))
 
 
 def intersect_ray_spaces(levels: Iterable[tuple[RayFiltration, int]],

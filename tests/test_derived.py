@@ -464,7 +464,7 @@ def test_four_term_exactness(csq, rng):
 
 
 def test_indicator_sequence_left_exact(quotient2, rng):
-    seq = indicator_sequence(quotient2, ray=0, threshold=1)
+    seq = indicator_sequence(quotient2, ray=0)
     for _ in range(10):
         c = tuple(rng.randint(-2, 2) for _ in range(2))
         g = lift_morphism(quotient2, seq.project, c)

@@ -1,6 +1,7 @@
 import functools
 import gc
 import importlib
+import inspect
 import os
 import pickle
 import pkgutil
@@ -15,9 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import coxlift
-from coxlift import linalg, lifting
+from coxlift import checks, linalg, lifting
 from coxlift.cones import Cone, leq_sigma, minimal_common_upper_bounds, minimal_elements
-from coxlift.derived import FinitePosetDiagram
+from coxlift.derived import FinitePosetDiagram, indicator_sequence
 from coxlift.instances import (
     CONE_OVER_SQUARE,
     ORTHANT2,
@@ -182,10 +183,12 @@ def test_lift_morphism_values(csq):
     assert (neg.nrows, neg.ncols) == (1, 0)
     ident = lift_morphism(csq, identity_morphism(simple_module(csq)), (-2, 0, 0, 0))
     assert ident.rows == [[1]]
-    for c in [(0, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, -1, 0)]:
-        given = lift_morphism(csq, f, c, source=lift_component(csq, f.source, c),
-                              target=lift_component(csq, f.target, c))
-        assert given.rows == lift_morphism(csq, f, c).rows
+    # the hook on components a caller holds gives the public entry's matrix
+    box = Box((-1, 0, -1, 0), (0, 0, 0, 0))
+    sources, targets = (lift_table(csq, module, box) for module in (f.source, f.target))
+    for c in box.degrees():
+        hook = lifting._lifted_morphism(f, sources.component(c), targets.component(c))
+        assert hook.rows == lift_morphism(csq, f, c).rows
 
 
 def test_smooth_cone_reindexing(orthant):
@@ -320,6 +323,13 @@ def test_colimits(csq):
     assert colimit(csq, structure_module(csq)).dim == 1
     short = colimit(csq, simple_module(csq), horizon=1)
     assert not short.stabilized and short.dim is None
+    # a walk short of its certificate reports every dimension it read
+    for horizon in (0, 1):
+        for walk in (colimit, colimit_of_lift):
+            res = walk(csq, structure_module(csq), horizon)
+            assert res == lifting.ColimitResult(False, None, None, (1,) * (horizon + 1))
+    res = colimit_of_lift(csq, structure_module(csq), 2)
+    assert res == lifting.ColimitResult(True, 1, 0, (1, 1, 1))
 
 
 # integer arguments that are counts, not degrees; each is read by plain_int
@@ -349,6 +359,31 @@ def test_colimit_of_lift_matches(csq):
         assert a.dim == b.dim
 
 
+def test_colimit_walks_compute_only_the_components_they_read(monkeypatch):
+    # at the default horizon 16 each of the 15 walks of ``check colimit``
+    # would compute 17 components, 255 in all; they read 58
+    drawn, read, lifted = [], [], []
+    stabilize, lift = lifting._stabilize, lifting.lift_component
+
+    def counting_walk(walk, *rest):
+        def counted():
+            for item in walk:
+                drawn.append(item)
+                yield item
+        result = stabilize(counted(), *rest)
+        read.append(len(result.dims))
+        return result
+
+    def counting_lift(*args):
+        lifted.append(args[2])
+        return lift(*args)
+
+    monkeypatch.setattr(lifting, "_stabilize", counting_walk)
+    monkeypatch.setattr(lifting, "lift_component", counting_lift)
+    assert checks.check_colimit().ok
+    assert (len(read), sum(read), len(drawn), len(lifted)) == (15, 58, 58, 15)
+
+
 def test_minimal_generators_structure(csq):
     rr = structure_module(csq)
     got = minimal_generators_in_box(csq, rr, Box((-1,) * 4, (1,) * 4))
@@ -370,6 +405,24 @@ def test_minimal_generators_simple_box_corners(csq):
     assert set(got) == {(-3, 0, -3, 0), (0, -3, 0, -3)}
     got2 = minimal_generators_in_box(csq, K, Box((-2,) * 4, (0,) * 4))
     assert set(got2) == {(-2, 0, -2, 0), (0, -2, 0, -2)}
+
+
+def test_minimal_generators_build_only_the_maps_into_nonzero_components(csq, monkeypatch):
+    def forced(table):
+        raise AssertionError("every one-step map was built")
+
+    targets = []
+    restriction = lifting._restriction
+
+    def counting(module, src, tgt):
+        targets.append(tgt.dim)
+        return restriction(module, src, tgt)
+
+    monkeypatch.setattr(lifting.LiftTable, "steps", property(forced))
+    monkeypatch.setattr(lifting, "_restriction", counting)
+    got = minimal_generators_in_box(csq, simple_module(csq), Box((-2,) * 4, (0,) * 4))
+    assert set(got) == {(-2, 0, -2, 0), (0, -2, 0, -2)}
+    assert targets and 0 not in targets
 
 
 def test_lift_table_composition(csq):
@@ -579,7 +632,7 @@ def test_a_restriction_map_with_a_zero_side_searches_no_predecessor(csq, monkeyp
                 continue
             calls.clear()
             src, tgt = table.component(c), table.component(nxt)
-            mat = lift_action(csq, cod, c, nxt, source=src, target=tgt)
+            mat = lifting._restriction(cod, src, tgt)
             if src.dim and tgt.dim:
                 searched += bool(calls)
             else:
@@ -587,6 +640,30 @@ def test_a_restriction_map_with_a_zero_side_searches_no_predecessor(csq, monkeyp
                 assert mat == Mat.zero(tgt.dim, src.dim) and calls == []
     # each of the 216 - 168 maps with two nonzero sides searches
     assert (zero_sided, searched) == (168, 48)
+
+
+def test_building_the_steps_reads_no_degree(csq, monkeypatch):
+    # both sides of every step were read when the table lifted them
+    cod = codivisorial_module(csq, (0, 0, 0, 0), (1, 3))
+    table = lift_table(csq, cod, Box((-1,) * 4, (1,) * 4))
+    reads = []
+    int_vector = coxlift.lattice.int_vector
+
+    def read(values):
+        reads.append(values)
+        return int_vector(values)
+
+    for name, namespace in list(sys.modules.items()):
+        if name.startswith("coxlift") and getattr(namespace, "int_vector", None) is int_vector:
+            monkeypatch.setattr(namespace, "int_vector", read)
+    assert (len(table.steps), reads) == (216, [])
+
+
+def test_lift_maps_take_no_optional_parameter():
+    # a caller that holds the components calls the hooks on them
+    for entry in (lift_action, lift_morphism, indicator_sequence):
+        params = inspect.signature(entry).parameters.values()
+        assert [p.name for p in params if p.default is not p.empty] == []
 
 
 def test_memos_are_freed_with_their_cone_and_modules():
@@ -628,22 +705,6 @@ def test_no_module_holds_a_process_wide_functools_cache():
             for name, obj in vars(importlib.import_module(f"coxlift.{info.name}")).items()
             if isinstance(obj, cache_type)]
     assert held == []
-
-
-def test_lift_maps_reject_given_components_of_another_degree(csq):
-    R = structure_module(csq)
-    zero, one = (0, 0, 0, 0), (1, 0, 0, 0)
-    at_zero, at_one = lift_component(csq, R, zero), lift_component(csq, R, one)
-    with pytest.raises(ValueError, match="is at degree"):
-        lift_morphism(csq, identity_morphism(R), zero, source=at_one, target=at_one)
-    with pytest.raises(ValueError, match="is at degree"):
-        lift_morphism(csq, identity_morphism(R), zero, target=at_one)
-    with pytest.raises(ValueError, match="is at degree"):
-        lift_action(csq, R, zero, one, source=at_one)
-    with pytest.raises(ValueError, match="is at degree"):
-        lift_action(csq, R, zero, one, target=at_zero)
-    assert (lift_action(csq, R, zero, one, source=at_zero, target=at_one)
-            == lift_action(csq, R, zero, one))
 
 
 def test_lift_entry_points_reject_a_module_on_another_cone(orthant, quotient2):

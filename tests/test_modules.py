@@ -147,6 +147,8 @@ NON_INTEGERS = {
     "shift": lambda C: ShiftModule(simple_module(C), (0.5, 0, 0)),
     "box": lambda C: Box((0.5,), (1.7,)),
     "filtration level": lambda C: ray_filtration([(0.5, [[1]])], 1),
+    # each level is read before the levels are sorted
+    "filtration level, sorted": lambda C: ray_filtration([("a", [[1]]), (1, [[1]])], 1),
     "cone rank": lambda C: Cone(3.0, C.rays),
     "fan rank": lambda C: FanData(2.0, ((1, 0), (0, 1)), ((0, 1),)),
     "shifted rule": lambda C: ShiftedCoxRule(4, (0.5, 0, 0, 0)),
@@ -158,6 +160,27 @@ NON_INTEGERS = {
 @pytest.mark.parametrize("build", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
 def test_constructors_reject_non_integers(csq, build):
     with pytest.raises(ValueError):
+        build(csq)
+
+
+# a number or a string where a sequence is read
+NON_SEQUENCES = {
+    "fp generator": lambda C: FinitelyPresentedModule(C, [5]),
+    "fp relation degree": lambda C: FinitelyPresentedModule(
+        C, [(0, 0, 0)], [Relation(5, (1,))]),
+    "fp relation coefficients": lambda C: FinitelyPresentedModule(
+        C, [(0, 0, 0)], [Relation((0, 0, 0), 5)]),
+    # not read digit by digit as the coefficients (1, 2)
+    "fp relation coefficient text": lambda C: FinitelyPresentedModule(
+        C, [(0, 0, 0), (1, 0, 0)], [Relation((1, 0, 1), "12")]),
+    "indicator exclude": lambda C: IndicatorModule(C, "submodule", (), (5,)),
+    "lift degree": lambda C: lift_component(C, simple_module(C), 5),
+}
+
+
+@pytest.mark.parametrize("build", NON_SEQUENCES.values(), ids=NON_SEQUENCES.keys())
+def test_a_non_sequence_is_a_value_error_naming_it(csq, build):
+    with pytest.raises(ValueError, match=r"^expected a sequence, got (5|'12')$"):
         build(csq)
 
 
@@ -323,6 +346,13 @@ WRONG_SHAPES = {
                                "matrix is not unimodular"),
     "box corner lengths": (lambda C: Box((0, 0), (1,)),
                            r"box corners \(0, 0\) and \(1,\) have lengths 2 and 1"),
+    # a map key is read by the rule of a relation pair
+    "diagram map key index": (lambda C: FinitePosetDiagram.from_maps(
+        ["a", "b"], [(0, 1)], [1, 1], {(-1, 1): Mat.identity(1)}),
+        r"map key \(-1, 1\) names no element by index"),
+    "diagram map key float": (lambda C: FinitePosetDiagram.from_maps(
+        ["a", "b"], [(0, 1)], [1, 1], {(0.0, 1): Mat.identity(1)}),
+        r"map key \(0.0, 1\) names no element by index"),
 }
 # every public entry that reads a lattice point or a Cox degree names a wrong
 # length through the one template, "{what} {v} has length {k}, not {unit} {n}"
