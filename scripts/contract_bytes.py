@@ -52,6 +52,9 @@ Runs, with this checkout's ``src`` on the path:
   malformed: ..." there, the one place two checkouts may differ;
 * ``coxlift.cli roos --imax 2`` on a diagram with no ``leq`` key, which
   exits 2;
+* ``coxlift.cli roos --imax 1`` on a diagram whose map ``a->b`` has the
+  wrong shape and on one with a negative dimension, each of which exits
+  2 with the message of the checked door ``FinitePosetDiagram.from_maps``;
 * ``scripts/derived_evidence.py``, whose report prints the point count
   and limit dimensions of a truncation, which ``check roos`` does not.
 
@@ -151,6 +154,11 @@ BAD_MODULES = {
 BAD_CONES = {"ragged": {"lattice_rank": 3, "rays": [[1, 0, 0], [0, 1]]},
              "empty": {"lattice_rank": 3, "rays": []}}
 MISSING_LEQ = {"elements": ["a", "b"], "dims": {"a": 1, "b": 1}, "maps": {"a->b": [[1]]}}
+# a < b whose map a->b has two rows for the line at b
+WRONG_SHAPE = {"elements": ["a", "b"], "leq": [["a", "b"]], "dims": {"a": 1, "b": 1},
+               "maps": {"a->b": [[1], [1]]}}
+NEGATIVE_DIM = {"elements": ["a", "b"], "leq": [["a", "b"]], "dims": {"a": 1, "b": -1},
+                "maps": {}}
 
 
 def square_ideal_truncation(covers_only=False, c=(-1, 0, -1, 0), bound=9) -> dict:
@@ -229,6 +237,10 @@ def commands(inputs: pathlib.Path):
         yield (f"roos-{name.replace('_', '-')}-imax2",
                cli + ["roos", "--diagram", str(inputs / f"diagram_{name}.json"),
                       "--imax", "2"])
+    for name in ("wrong_shape", "negative_dim"):
+        yield (f"roos-{name.replace('_', '-')}-imax1",
+               cli + ["roos", "--diagram", str(inputs / f"diagram_{name}.json"),
+                      "--imax", "1"])
     yield "derived-evidence", [str(ROOT / "scripts" / "derived_evidence.py")]
 
 
@@ -256,6 +268,8 @@ def main() -> int:
         (inputs / "module_repeated_level.json").write_text(json.dumps(REPEATED_LEVEL))
         (inputs / "module_three_rays.json").write_text(json.dumps(THREE_RAYS))
         (inputs / "diagram_missing_leq.json").write_text(json.dumps(MISSING_LEQ))
+        (inputs / "diagram_wrong_shape.json").write_text(json.dumps(WRONG_SHAPE))
+        (inputs / "diagram_negative_dim.json").write_text(json.dumps(NEGATIVE_DIM))
         for name, module in BAD_MODULES.items():
             (inputs / f"module_{name}.json").write_text(json.dumps(module))
         for name, cone in BAD_CONES.items():

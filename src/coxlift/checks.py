@@ -298,9 +298,9 @@ def check_roos() -> CheckReport:
     rep = CheckReport("roos")
     rng = random.Random(8)
 
-    crown = FinitePosetDiagram(["a", "b", "c", "d"],
-                               {(0, 2), (0, 3), (1, 2), (1, 3)},
-                               [1, 1, 1, 1], lambda i, j: Mat.identity(1))
+    crown_pairs = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    crown = FinitePosetDiagram.from_maps(["a", "b", "c", "d"], crown_pairs, [1, 1, 1, 1],
+                                         {pair: Mat.identity(1) for pair in crown_pairs})
     rep.expect("crown constant diagram lim dims", (1, 1), roos_limits(crown, 1).limit_dims)
 
     # up-sets of a single lattice point have that point as their minimum,

@@ -9,6 +9,9 @@ arrow when the top is dropped.  H^0 is the limit.  The chains of each
 length extend those one shorter, and the differentials, tall and very
 sparse, are ranked by ``sparse_rank`` along their shorter side, sparsest
 lines first; ``RoosResult.differential_ranks`` holds those ranks.
+``FinitePosetDiagram`` is built on strict successor bitmasks, unchecked;
+``from_maps`` and ``from_module`` are its two checked doors, and every
+transport, given or composed, is kept in the diagram's one memo.
 
 For the infinite up-sets behind the lift, the module is truncated to a
 finite sub-poset by a 1-norm bound on the Cox coordinates.  The points
@@ -27,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, groupby
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cones import Cone, _minimal_elements, _minimal_upper_bounds, truncation_points
-from .lattice import int_vector, nonnegative_int, plain_int
+from .lattice import int_vector, nonnegative_int
 from .lifting import _lifted_morphism, lift_component
-from .linalg import Mat, rank, sparse_rank
+from .linalg import Mat, _sequence, rank, sparse_rank
 from .modules import (
     GradedModule,
     GradedMorphism,
@@ -67,60 +70,30 @@ def _index_pair(n: int, pair: tuple[int, int], what: str) -> tuple[int, int]:
     return i, j
 
 
-def _masks(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Per element i < n, the bitmask of the j != i with ``(i, j)`` in ``pairs``."""
-    up = [0] * n
-    for pair in pairs:
-        i, j = _index_pair(n, pair, "relation pair")
-        if i != j:
-            up[i] |= 1 << j
-    return up
-
-
 class FinitePosetDiagram:
     """A finite poset with a space per element and a transport per relation.
 
-    The order is kept as one bitmask per element, bit j of ``_up[i]`` set
-    when i < j strictly; validation, successors and covers read it.
+    The constructor is the internal one, as ``Mat``'s is: it takes the
+    strict successor bitmasks (bit j of ``up[i]`` set when i < j), the
+    dimensions and the provider as given.  Transports are memoized in
+    ``_cache``, which a provider may fill beyond what it is asked for.
     """
 
-    def __init__(self, elements: Sequence, relation: Iterable[tuple[int, int]],
-                 dims: Sequence[int],
+    def __init__(self, elements: Sequence, up: list[int], dims: Sequence[int],
                  map_provider: Callable[[int, int], Mat]):
         self.elements = tuple(elements)
-        n = len(self.elements)
-        up = _masks(n, relation)
         self._up = up
         self._succ = [_bits(mask) for mask in up]
-        if any(up[j] >> i & 1 for i in range(n) for j in self._succ[i]):
-            raise ValueError("relation is not antisymmetric")
-        for i in range(n):
-            for j in self._succ[i]:
-                missing = up[j] & ~up[i]
-                if missing:
-                    k = _bits(missing)[0]
-                    raise ValueError(f"relation is not transitive: it holds {(i, j)} and "
-                                     f"{(j, k)} but not {(i, k)}")
-        self.dims = int_vector(dims)
-        if len(self.dims) != n:
-            raise ValueError(f"{len(self.dims)} dimensions for {n} elements")
-        for e, d in zip(self.elements, self.dims):
-            if d < 0:
-                raise ValueError(f"element {e!r} has negative dimension {d}")
+        self.dims = dims
         self._provider = map_provider
         self._cache: dict[tuple[int, int], Mat] = {}
 
     def transport(self, i: int, j: int) -> Mat:
         if i == j:
             return Mat.identity(self.dims[i])
-        key = (i, j)
-        out = self._cache.get(key)
+        out = self._cache.get((i, j))
         if out is None:
-            out = self._provider(i, j)
-            if (out.nrows, out.ncols) != (self.dims[j], self.dims[i]):
-                raise ValueError(f"transport {self.elements[i]}->{self.elements[j]} "
-                                 f"has the wrong shape")
-            self._cache[key] = out
+            out = self._cache[(i, j)] = self._provider(i, j)
         return out
 
     def strict_successors(self, i: int) -> list[int]:
@@ -156,53 +129,63 @@ class FinitePosetDiagram:
     def from_maps(cls, elements: Sequence, pairs: Sequence[tuple[int, int]],
                   dims: Sequence[int],
                   maps: dict[tuple[int, int], Mat]) -> "FinitePosetDiagram":
-        """Build from explicit relation pairs and matrices.
+        """Build from explicit relation pairs and matrices, checking each once.
 
-        The relation is closed transitively on bitmasks (Warshall), and
-        every given map must lie on a strict pair of it and have the shape
-        its two dimensions fix.  A missing map i -> j is the composite
-        along given maps, leaving i by its lowest-numbered given map that
-        still lies below j, so it does not depend on the order in which
-        transports are asked for; then the compositions are validated.
+        Relation pairs and map keys share one rule (``_index_pair``).  The
+        relation is closed on bitmasks (Warshall); a cycle shows on the
+        closure's diagonal.  Every given map must lie on a strict pair of
+        the closure, with the shape its two dimensions fix, and seeds the
+        memo.  A missing map i -> j is the composite along given maps,
+        leaving i by its lowest-numbered given map still below j, so it
+        does not depend on the order transports are asked for; each
+        composite met goes into the memo.  Then compositions are validated.
         """
+        elements = tuple(_sequence(elements))
         n = len(elements)
-        up = _masks(n, ((plain_int(i), plain_int(j)) for i, j in pairs))
+        up = [0] * n
+        for pair in _sequence(pairs):
+            i, j = _index_pair(n, pair, "relation pair")
+            if i != j:
+                up[i] |= 1 << j
         for k in range(n):
             for i in range(n):
                 if up[i] >> k & 1:
                     up[i] |= up[k]
-        # strict pairs only; the constructor rejects a cycle as not antisymmetric
-        up = [mask & ~(1 << i) for i, mask in enumerate(up)]
+        if any(up[i] >> i & 1 for i in range(n)):
+            raise ValueError("relation is not antisymmetric")
+        dims = int_vector(dims)
+        if len(dims) != n:
+            raise ValueError(f"{len(dims)} dimensions for {n} elements")
+        for e, d in zip(elements, dims):
+            if d < 0:
+                raise ValueError(f"element {e!r} has negative dimension {d}")
         maps = {_index_pair(n, key, "map key"): mat for key, mat in maps.items()}
-        filled = dict(maps)
         given: dict[int, list[int]] = {}
-        for i, k in sorted(maps):
+        for (i, k), mat in sorted(maps.items()):
             if not up[i] >> k & 1:
                 raise ValueError(f"map {elements[i]}->{elements[k]} is given, but "
                                  f"{elements[i]} < {elements[k]} is not in the relation")
+            if (mat.nrows, mat.ncols) != (dims[k], dims[i]):
+                raise ValueError(f"map {elements[i]}->{elements[k]} has shape "
+                                 f"{mat.nrows}x{mat.ncols}, expected {dims[k]}x{dims[i]} "
+                                 f"(dim {elements[k]} x dim {elements[i]})")
             given.setdefault(i, []).append(k)
 
         def provider(i: int, j: int) -> Mat:
+            memo = diagram._cache
             path = [i]
-            while (path[-1], j) not in filled:
+            while (path[-1], j) not in memo:
                 step = next((k for k in given.get(path[-1], ()) if up[k] >> j & 1), None)
                 if step is None:
                     raise ValueError(f"no transport data for {elements[i]} -> {elements[j]}")
                 path.append(step)
-            out = filled[(path[-1], j)]
+            out = memo[(path[-1], j)]
             for a, k in zip(path[-2::-1], path[:0:-1]):
-                out = out.mul(filled[(a, k)])
-                filled[(a, j)] = out
+                out = memo[(a, j)] = out.mul(memo[(a, k)])
             return out
 
-        rel = [(i, j) for i in range(n) for j in _bits(up[i])]
-        diagram = cls(elements, rel, dims, provider)
-        for (i, k), mat in sorted(maps.items()):
-            want = (diagram.dims[k], diagram.dims[i])
-            if (mat.nrows, mat.ncols) != want:
-                raise ValueError(f"map {elements[i]}->{elements[k]} has shape "
-                                 f"{mat.nrows}x{mat.ncols}, expected {want[0]}x{want[1]} "
-                                 f"(dim {elements[k]} x dim {elements[i]})")
+        diagram = cls(elements, up, dims, provider)
+        diagram._cache.update(maps)
         diagram.validate_composition()
         return diagram
 
@@ -212,17 +195,18 @@ class FinitePosetDiagram:
         """The module on the given points, ordered by their Cox coordinates:
         p <= q exactly when L(p) <= L(q) componentwise.
 
-        For each ray form, the points sorted by its value give the bitmask
-        of the points at or above each value; the points above p are the
-        AND of p's masks over the forms.
+        The points must have distinct Cox coordinates, so the order is
+        antisymmetric.  For each ray form, the points sorted by its value
+        give the bitmask of the points at or above each value; the points
+        above p are the AND of p's masks over the forms, without p itself.
         """
         if module.cone != cone:
             raise ValueError("the module lives on another cone")
-        points = [cone.point(p) for p in points]
+        points = [cone.point(p) for p in _sequence(points)]
         n = len(points)
-        if len(set(points)) < n:
-            raise ValueError("the points of a diagram must be distinct")
         values = [cone._cox(p) for p in points]
+        if len(set(values)) < n:
+            raise ValueError("the points of a diagram must have distinct Cox coordinates")
         up = [(1 << n) - 1] * n
         for k in range(cone.ray_count):
             mask = 0
@@ -233,10 +217,9 @@ class FinitePosetDiagram:
                     mask |= 1 << i
                 for i in group:
                     up[i] &= mask
-        rel = [(i, j) for i in range(n) for j in _bits(up[i])]
-        dims = [module._component(p) for p in points]
-        return cls(points, rel, dims,
-                   lambda i, j: module._action(points[i], points[j]))
+        up = [mask & ~(1 << i) for i, mask in enumerate(up)]
+        dims = tuple(module._component(p) for p in points)
+        return cls(points, up, dims, lambda i, j: module._action(points[i], points[j]))
 
 
 @dataclass(frozen=True)

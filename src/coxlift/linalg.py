@@ -104,7 +104,7 @@ class Mat:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ncols: Optional[int] = None) -> "Mat":
-        rows = [[_fraction(x) for x in row] for row in rows]
+        rows = [list(frac_vector(row)) for row in _sequence(rows)]
         if ncols is None:
             if not rows:
                 raise ValueError("ncols required for a matrix with no rows")

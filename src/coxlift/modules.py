@@ -61,6 +61,7 @@ from .lattice import plain_int
 from .linalg import (
     Mat,
     Vector,
+    _sequence,
     block_diagonal,
     frac_vector,
     intersect_row_spaces,
@@ -153,12 +154,12 @@ class IndicatorModule(GradedModule):
     def __post_init__(self):
         if self.style not in ("submodule", "quotient"):
             raise ValueError("style must be 'submodule' or 'quotient'")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        object.__setattr__(self, "constraints", tuple(_sequence(self.constraints)))
         for c in self.constraints:
             if not 0 <= c.ray < self.cone.ray_count:
                 raise ValueError("constraint ray index out of range")
         object.__setattr__(self, "exclude", tuple(
-            self.cone.point(p, "excluded point") for p in self.exclude))
+            self.cone.point(p, "excluded point") for p in _sequence(self.exclude)))
 
     def in_support(self, m: Sequence[int]) -> bool:
         return self._in_support(self.cone.point(m))
@@ -259,10 +260,10 @@ class FinitelyPresentedModule(GradedModule):
     relations: tuple[Relation, ...] = ()
 
     def __post_init__(self):
-        gens = tuple(self.cone.point(g, "generator") for g in self.generators)
+        gens = tuple(self.cone.point(g, "generator") for g in _sequence(self.generators))
         object.__setattr__(self, "generators", gens)
         rels = []
-        for rel in self.relations:
+        for rel in _sequence(self.relations):
             deg = self.cone.point(rel.degree, "relation degree")
             coeffs = frac_vector(rel.coeffs)
             if len(coeffs) != len(gens):
@@ -378,7 +379,7 @@ class DirectSumRule(CoxRule):
     parts: tuple[CoxRule, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "parts", tuple(_sequence(self.parts)))
         if not self.parts:
             raise ValueError("empty direct sum")
         if len({p.ray_count for p in self.parts}) > 1:
@@ -581,7 +582,7 @@ class DirectSumModule(GradedModule):
     parts: tuple[GradedModule, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "parts", tuple(_sequence(self.parts)))
         if not self.parts:
             raise ValueError("empty direct sum")
         cone = self.parts[0].cone

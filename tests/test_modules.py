@@ -175,6 +175,17 @@ NON_SEQUENCES = {
         C, [(0, 0, 0), (1, 0, 0)], [Relation((1, 0, 1), "12")]),
     "indicator exclude": lambda C: IndicatorModule(C, "submodule", (), (5,)),
     "lift degree": lambda C: lift_component(C, simple_module(C), 5),
+    # the outer sequences, read at each checked door
+    "fp generators": lambda C: FinitelyPresentedModule(C, 5),
+    "fp relations": lambda C: FinitelyPresentedModule(C, [(0, 0, 0)], 5),
+    "indicator constraints": lambda C: IndicatorModule(C, "submodule", 5),
+    "indicator excluded points": lambda C: IndicatorModule(C, "submodule", (), 5),
+    "module sum parts": lambda C: DirectSumModule(5),
+    "matrix rows": lambda C: Mat.from_rows(5),
+    "matrix row": lambda C: Mat.from_rows([5]),
+    "diagram elements": lambda C: FinitePosetDiagram.from_maps(5, [], [], {}),
+    "diagram pairs": lambda C: FinitePosetDiagram.from_maps(["a"], 5, [1], {}),
+    "diagram points": lambda C: FinitePosetDiagram.from_module(C, simple_module(C), 5),
 }
 
 
@@ -233,8 +244,6 @@ NON_INTEGER_DEGREES = {
     "connecting cokernel": lambda C: connecting_cokernel(C, ideal_sequence(C), (0.5, 0, 0, 0)),
     "diagram points": lambda C: FinitePosetDiagram.from_module(
         C, simple_module(C), [(0.5, 0, 0)]),
-    "diagram pairs": lambda C: FinitePosetDiagram.from_maps(
-        ["a", "b"], [(0, 1.0)], [1, 1], {(0, 1): Mat.identity(1)}),
     "lattice membership": lambda C: lattice_membership(C.rays, (0.5, 0, 0, 0)),
     "sublattice generators": lambda C: reduce_by_sublattice(2, [(1.0, 0)]),
     "box oracle": lambda C: box_minimal_oracle(C, (0.5, 0, 0, 0), 1),
@@ -346,7 +355,10 @@ WRONG_SHAPES = {
                                "matrix is not unimodular"),
     "box corner lengths": (lambda C: Box((0, 0), (1,)),
                            r"box corners \(0, 0\) and \(1,\) have lengths 2 and 1"),
-    # a map key is read by the rule of a relation pair
+    # a relation pair and a map key are read by one rule
+    "diagram pair float": (lambda C: FinitePosetDiagram.from_maps(
+        ["a", "b"], [(0, 1.0)], [1, 1], {(0, 1): Mat.identity(1)}),
+        r"relation pair \(0, 1.0\) names no element by index"),
     "diagram map key index": (lambda C: FinitePosetDiagram.from_maps(
         ["a", "b"], [(0, 1)], [1, 1], {(-1, 1): Mat.identity(1)}),
         r"map key \(-1, 1\) names no element by index"),
