@@ -45,16 +45,22 @@ Runs, with this checkout's ``src`` on the path:
   whose rays are ragged and on one with no rays;
 * ``coxlift.cli lift-table``, each exiting 2, on a finitely presented
   module whose generator degree is the number 5, on one whose relation
-  coefficients are 5, and on an indicator module that excludes the point
-  5.  The loader hands these values to the module constructors unread,
-  so the message on stderr is the reader's ("expected a sequence, got
-  5"); a checkout whose loader read them itself prints "module JSON is
-  malformed: ..." there, the one place two checkouts may differ;
+  coefficients are 5, on an indicator module that excludes the point 5,
+  on a filtration module whose bases are 5, on an indicator module
+  whose constraint op is 5, on one whose constraints are the object
+  ``{}``, and on a cone whose rays are 5.  The loaders hand these values
+  to the constructors unread, so the message on stderr is the reader's
+  ("expected a sequence, got 5", "unknown op 5", "expected a sequence,
+  got {}"); a checkout whose loader read them itself prints its own
+  message there ("module JSON is malformed: ...", "unknown op '5'"), or
+  reads ``{}`` as no constraints and exits 0, the one place two
+  checkouts may differ;
 * ``coxlift.cli roos --imax 2`` on a diagram with no ``leq`` key, which
   exits 2;
 * ``coxlift.cli roos --imax 1`` on a diagram whose map ``a->b`` has the
-  wrong shape and on one with a negative dimension, each of which exits
-  2 with the message of the checked door ``FinitePosetDiagram.from_maps``;
+  wrong shape, on one with a negative dimension and on one with the
+  dimension 1.5, each of which exits 2 with the message of the checked
+  door ``FinitePosetDiagram.from_maps``;
 * ``scripts/derived_evidence.py``, whose report prints the point count
   and limit dimensions of a truncation, which ``check roos`` does not.
 
@@ -139,8 +145,10 @@ THREE_RAYS = {"type": "filtration", "ambient_dim": 2,
               "filtrations": {str(r): [{"level": 0, "basis": FULL}] for r in range(3)}}
 # inputs each loader rejects with its own message: an unknown indicator
 # style, a constraint on a ray the square does not have, a number where a
-# generator degree, relation coefficients or an excluded point is read, cones
-# with ragged and with no rays, and a diagram with no order relation
+# generator degree, relation coefficients, an excluded point, a filtration
+# basis, a constraint's op or a cone's rays are read, an object where the
+# constraints belong, cones with ragged and with no rays, and a diagram with
+# no order relation
 BAD_MODULES = {
     "style_other": {"type": "indicator", "style": "other", "constraints": []},
     "ray_out_of_range": {"type": "indicator", "style": "quotient",
@@ -150,15 +158,24 @@ BAD_MODULES = {
                       "relations": [{"degree": [0, 0, 0], "coeffs": 5}]},
     "exclude_number": {"type": "indicator", "style": "submodule", "constraints": [],
                        "exclude": [5]},
+    "basis_number": {"type": "filtration", "ambient_dim": 1,
+                     "filtrations": {str(r): [{"level": 0, "basis": 5}] for r in range(4)}},
+    "op_number": {"type": "indicator", "style": "quotient",
+                  "constraints": [{"ray": 0, "op": 5, "bound": 0}]},
+    # an object where the constraint array belongs
+    "constraints_object": {"type": "indicator", "style": "quotient", "constraints": {}},
 }
 BAD_CONES = {"ragged": {"lattice_rank": 3, "rays": [[1, 0, 0], [0, 1]]},
-             "empty": {"lattice_rank": 3, "rays": []}}
+             "empty": {"lattice_rank": 3, "rays": []},
+             "number": {"lattice_rank": 3, "rays": 5}}
 MISSING_LEQ = {"elements": ["a", "b"], "dims": {"a": 1, "b": 1}, "maps": {"a->b": [[1]]}}
 # a < b whose map a->b has two rows for the line at b
 WRONG_SHAPE = {"elements": ["a", "b"], "leq": [["a", "b"]], "dims": {"a": 1, "b": 1},
                "maps": {"a->b": [[1], [1]]}}
 NEGATIVE_DIM = {"elements": ["a", "b"], "leq": [["a", "b"]], "dims": {"a": 1, "b": -1},
                 "maps": {}}
+FRACTION_DIM = {"elements": ["a", "b"], "leq": [["a", "b"]], "dims": {"a": 1, "b": 1.5},
+                "maps": {"a->b": [[1]]}}
 
 
 def square_ideal_truncation(covers_only=False, c=(-1, 0, -1, 0), bound=9) -> dict:
@@ -237,7 +254,7 @@ def commands(inputs: pathlib.Path):
         yield (f"roos-{name.replace('_', '-')}-imax2",
                cli + ["roos", "--diagram", str(inputs / f"diagram_{name}.json"),
                       "--imax", "2"])
-    for name in ("wrong_shape", "negative_dim"):
+    for name in ("wrong_shape", "negative_dim", "fraction_dim"):
         yield (f"roos-{name.replace('_', '-')}-imax1",
                cli + ["roos", "--diagram", str(inputs / f"diagram_{name}.json"),
                       "--imax", "1"])
@@ -270,6 +287,7 @@ def main() -> int:
         (inputs / "diagram_missing_leq.json").write_text(json.dumps(MISSING_LEQ))
         (inputs / "diagram_wrong_shape.json").write_text(json.dumps(WRONG_SHAPE))
         (inputs / "diagram_negative_dim.json").write_text(json.dumps(NEGATIVE_DIM))
+        (inputs / "diagram_fraction_dim.json").write_text(json.dumps(FRACTION_DIM))
         for name, module in BAD_MODULES.items():
             (inputs / f"module_{name}.json").write_text(json.dumps(module))
         for name, cone in BAD_CONES.items():

@@ -28,12 +28,13 @@ truncated limits are reported as evidence only, never certified.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from typing import Callable, Optional, Sequence
 
 from .cones import Cone, _minimal_elements, _minimal_upper_bounds, truncation_points
-from .lattice import int_vector, nonnegative_int
+from .lattice import index_in, int_vector, nonnegative_int
 from .lifting import _lifted_morphism, lift_component
 from .linalg import Mat, _sequence, rank, sparse_rank
 from .modules import (
@@ -63,11 +64,11 @@ def _bits(mask: int) -> list[int]:
 
 
 def _index_pair(n: int, pair: tuple[int, int], what: str) -> tuple[int, int]:
-    """``pair`` if both its entries are plain integers in ``0..n-1``."""
-    i, j = pair
-    if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
-        raise ValueError(f"{what} {(i, j)} names no element by index")
-    return i, j
+    """``pair`` read as two indices, each in ``0..n-1``."""
+    pair = tuple(_sequence(pair))
+    if len(pair) != 2:
+        raise ValueError(f"{what} {pair} is not a pair")
+    return index_in(pair[0], n, what), index_in(pair[1], n, what)
 
 
 class FinitePosetDiagram:
@@ -131,14 +132,15 @@ class FinitePosetDiagram:
                   maps: dict[tuple[int, int], Mat]) -> "FinitePosetDiagram":
         """Build from explicit relation pairs and matrices, checking each once.
 
-        Relation pairs and map keys share one rule (``_index_pair``).  The
-        relation is closed on bitmasks (Warshall); a cycle shows on the
-        closure's diagonal.  Every given map must lie on a strict pair of
-        the closure, with the shape its two dimensions fix, and seeds the
-        memo.  A missing map i -> j is the composite along given maps,
-        leaving i by its lowest-numbered given map still below j, so it
-        does not depend on the order transports are asked for; each
-        composite met goes into the memo.  Then compositions are validated.
+        ``maps`` maps index pairs to ``Mat``s; its keys and the relation
+        pairs share one rule (``_index_pair``).  The relation is closed on
+        bitmasks (Warshall); a cycle shows on the closure's diagonal.
+        Every given map must lie on a strict pair of the closure, with the
+        shape its two dimensions fix, and seeds the memo.  A missing map
+        i -> j is the composite along given maps, leaving i by its
+        lowest-numbered given map still below j, so it does not depend on
+        the order transports are asked for; each composite met goes into
+        the memo.  Then compositions are validated.
         """
         elements = tuple(_sequence(elements))
         n = len(elements)
@@ -159,9 +161,13 @@ class FinitePosetDiagram:
         for e, d in zip(elements, dims):
             if d < 0:
                 raise ValueError(f"element {e!r} has negative dimension {d}")
+        if not isinstance(maps, Mapping):
+            raise ValueError(f"maps must map index pairs to matrices, got {maps!r}")
         maps = {_index_pair(n, key, "map key"): mat for key, mat in maps.items()}
         given: dict[int, list[int]] = {}
         for (i, k), mat in sorted(maps.items()):
+            if not isinstance(mat, Mat):
+                raise ValueError(f"map {elements[i]}->{elements[k]} is not a Mat: {mat!r}")
             if not up[i] >> k & 1:
                 raise ValueError(f"map {elements[i]}->{elements[k]} is given, but "
                                  f"{elements[i]} < {elements[k]} is not in the relation")

@@ -32,11 +32,11 @@ from .lattice import (
     IntMatrix,
     IntVector,
     LatticeQuotient,
+    index_in,
     int_kernel_basis,
-    plain_int,
     reduce_by_sublattice,
 )
-from .linalg import Mat, Vector, rank, solve
+from .linalg import Mat, Vector, _sequence, rank, solve
 from .modules import ReflexiveDescription, intersect_ray_spaces
 
 
@@ -49,28 +49,27 @@ class FanData:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lattice_rank", plain_int(self.lattice_rank))
-        rays = Cone(self.lattice_rank, self.rays).rays
-        object.__setattr__(self, "rays", rays)
-        cones = tuple(tuple(sorted(plain_int(i) for i in mc)) for mc in self.max_cones)
+        cone = Cone(self.lattice_rank, self.rays)
+        object.__setattr__(self, "lattice_rank", cone.lattice_rank)
+        object.__setattr__(self, "rays", cone.rays)
+        n = cone.ray_count
+        cones = tuple(tuple(sorted(index_in(i, n, "ray index") for i in _sequence(mc)))
+                      for mc in _sequence(self.max_cones))
         object.__setattr__(self, "max_cones", cones)
-        n = len(rays)
         for mc in cones:
             if not mc:
                 raise ValueError("empty maximal cone")
-            if any(i < 0 or i >= n for i in mc):
-                raise ValueError("maximal cone has an out-of-range ray index")
             if len(set(mc)) < len(mc):
                 raise ValueError(f"maximal cone {mc} repeats a ray index")
-            if not _separable(rays, mc, ()):
+            if not _separable(self.rays, mc, ()):
                 raise ValueError(f"cone {mc} is not strictly convex")
             for i in mc:
-                if not _separable(rays, mc, (i,)):
+                if not _separable(self.rays, mc, (i,)):
                     raise ValueError(f"ray {i} is not an edge of cone {mc}")
         unused = sorted(set(range(n)).difference(*cones))
         if unused:
             raise ValueError(f"rays {unused} lie in no maximal cone")
-        _check_shared_faces(rays, cones)
+        _check_shared_faces(self.rays, cones)
 
     @property
     def ray_count(self) -> int:
@@ -168,9 +167,7 @@ def affine_chart(fan: FanData, cone_index: int) -> ChartData:
     quotient of the lattice by the common kernel of the chart's forms;
     the reduced cone is full-dimensional and drives the lift machinery.
     """
-    if not 0 <= cone_index < len(fan.max_cones):
-        raise ValueError("cone index out of range")
-    idx = fan.max_cones[cone_index]
+    idx = fan.max_cones[index_in(cone_index, len(fan.max_cones), "cone index")]
     rows = tuple(fan.rays[i] for i in idx)
     cone = Cone(fan.lattice_rank, rows)
     if cone.full_dimensional:
@@ -207,10 +204,8 @@ def chart_section(fan: FanData, desc: ReflexiveDescription, cone_index: int,
                   m: Sequence[int]) -> tuple[Vector, ...]:
     """Sections over one chart at lattice point m: the sub-intersection."""
     _check_description(fan, desc)
-    if not 0 <= cone_index < len(fan.max_cones):
-        raise ValueError("cone index out of range")
+    idx = fan.max_cones[index_in(cone_index, len(fan.max_cones), "cone index")]
     m = _fixed_length(m, fan.lattice_rank, "lattice point", "the lattice rank")
     return intersect_ray_spaces(
-        ((desc.filtrations[i][1], sum(a * b for a, b in zip(fan.rays[i], m)))
-         for i in fan.max_cones[cone_index]),
+        ((desc.filtrations[i][1], sum(a * b for a, b in zip(fan.rays[i], m))) for i in idx),
         desc.ambient_dim)

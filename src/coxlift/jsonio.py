@@ -13,11 +13,15 @@ Module:  {"type": "finitely_presented", "generators": [{"degree": [...]}],
 Diagram: {"elements": [ids], "leq": [[i, j]], "dims": {id: n},
           "maps": {"i->j": [[...]]}}
 
-Integer fields accept JSON integers only; a float, boolean or string
-there is an input error, never truncated.  So is a key given twice in
-one JSON object, which would otherwise keep only its last value.
-Rationals are written as numbers when integral and as "p/q" strings
-otherwise.
+The loaders parse JSON structure only, each array they walk through
+``linalg._sequence``, and hand the values to the constructors, which
+read each once; a loader reads only ``ambient_dim``, which
+``ray_filtration`` needs first.  So integer fields take JSON integers
+only (a float, boolean or string there is an input error, never
+truncated), an object where an array belongs is an input error, and so
+is a key given twice in one JSON object, which would otherwise keep only
+its last value.  Rationals are written as numbers when integral and as
+"p/q" strings otherwise.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from .cones import Cone
-from .lattice import int_matrix, plain_int
+from .lattice import plain_int
 from .lifting import LiftComponent
-from .linalg import Mat, _fraction
+from .linalg import Mat, _sequence
 from .modules import (
     FiltrationModule,
     FinitelyPresentedModule,
@@ -45,17 +49,13 @@ if TYPE_CHECKING:
     from .derived import FinitePosetDiagram
 
 
-parse_fraction = _fraction  # a JSON rational: an integer or "p/q"; floats and booleans raise
-
-
 def fraction_out(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def load_cone(obj: dict) -> Cone:
     try:
-        rank = plain_int(obj["lattice_rank"])
-        rays = int_matrix(obj["rays"])
+        rank, rays = obj["lattice_rank"], obj["rays"]
     except KeyError as exc:
         raise ValueError(f"cone JSON is missing {exc}") from exc
     except (TypeError, AttributeError) as exc:
@@ -67,24 +67,18 @@ def load_module(obj: dict, cone: Cone) -> GradedModule:
     try:
         kind = obj.get("type")
         if kind == "finitely_presented":
-            # the constructor reads the degrees and coefficients
-            gens = tuple(g["degree"] for g in obj.get("generators", []))
+            gens = tuple(g["degree"] for g in _sequence(obj.get("generators", [])))
             rels = tuple(Relation(rel["degree"], rel["coeffs"])
-                         for rel in obj.get("relations", []))
+                         for rel in _sequence(obj.get("relations", [])))
         elif kind == "indicator":
-            cons = tuple(
-                IndicatorConstraint(plain_int(c["ray"]), str(c["op"]), plain_int(c["bound"]))
-                for c in obj.get("constraints", [])
-            )
-            exclude = tuple(obj.get("exclude", []))
-            style = str(obj["style"])
+            cons = tuple(IndicatorConstraint(c["ray"], c["op"], c["bound"])
+                         for c in _sequence(obj.get("constraints", [])))
+            exclude, style = obj.get("exclude", ()), obj["style"]
         elif kind == "filtration":
             ambient = plain_int(obj["ambient_dim"])
             filts = []
             for ray, jumps in obj["filtrations"].items():
-                data = [(plain_int(j["level"]),
-                         [[parse_fraction(x) for x in v] for v in j["basis"]])
-                        for j in jumps]
+                data = [(j["level"], j["basis"]) for j in _sequence(jumps)]
                 # ASCII digits first, as the CLI reads a box: ``int`` has its own message
                 digits = isinstance(ray, str) and ray.isascii() and ray.removeprefix("-").isdigit()
                 if not digits or str(int(ray)) != ray:
@@ -110,7 +104,7 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
     from .derived import FinitePosetDiagram
 
     try:
-        elements = [str(e) for e in obj["elements"]]
+        elements = [str(e) for e in _sequence(obj["elements"])]
         index = {e: i for i, e in enumerate(elements)}
         if len(index) < len(elements):
             dup = next(e for i, e in enumerate(elements) if index[e] != i)
@@ -122,8 +116,8 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
                 raise ValueError(f"diagram JSON {where} names the unknown element id {str(e)!r}")
             return i
 
-        pairs = [(element(i, "leq"), element(j, "leq")) for i, j in obj["leq"]]
-        dims = [plain_int(obj["dims"][e]) for e in elements]
+        pairs = [(element(i, "leq"), element(j, "leq")) for i, j in _sequence(obj["leq"])]
+        dims = [obj["dims"][e] for e in elements]
         unknown = sorted(set(obj["dims"]) - set(index))
         if unknown:
             raise ValueError(f"diagram JSON gives dims for unknown element ids {unknown}")
@@ -135,10 +129,9 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
             a, b = (element(e.strip(), f"map {key}") for e in ends)
             # the width comes from the rows, so a wrong one is reported with the ids
             try:
-                mat = Mat.from_rows(rows, ncols=None if rows else dims[a])
+                maps[(a, b)] = Mat.from_rows(rows, ncols=None if rows else dims[a])
             except ValueError as exc:
                 raise ValueError(f"map {key}: {exc}") from None
-            maps[(a, b)] = mat
     except KeyError as exc:
         raise ValueError(f"diagram JSON is missing {exc}") from exc
     except (TypeError, AttributeError) as exc:

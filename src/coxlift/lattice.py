@@ -39,6 +39,13 @@ def nonnegative_int(x, name: str) -> int:
     return x
 
 
+def index_in(x, n: int, what: str) -> int:
+    """``x`` if it is a plain integer in ``0..n-1``; ``what`` labels the error."""
+    if not 0 <= plain_int(x) < n:
+        raise ValueError(f"{what} {x} is outside 0..{n - 1}")
+    return x
+
+
 _INT = frozenset((int,))
 
 
@@ -54,7 +61,7 @@ def int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
     """Normalize and validate a rectangular integer matrix."""
     out = []
     width = None
-    for row in rows:
+    for row in _sequence(rows):
         t = int_vector(row)
         if width is None:
             width = len(t)

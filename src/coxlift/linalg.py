@@ -44,6 +44,7 @@ internal constructor ``Mat(nrows, ncols, rows)`` takes its rows as given.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
@@ -73,9 +74,10 @@ def _fraction(x) -> Fraction:
 
 
 def _sequence(values: Iterable) -> Iterable:
-    """``values`` if it iterates over entries; a number or a string raises
-    ``ValueError`` naming it."""
-    if isinstance(values, str) or not hasattr(values, "__iter__"):
+    """``values`` if it iterates over entries; a number, a string or a
+    mapping raises ``ValueError`` naming it."""
+    if type(values) not in (tuple, list) and (isinstance(values, (str, Mapping))
+                                              or not hasattr(values, "__iter__")):
         raise ValueError(f"expected a sequence, got {values!r}")
     return values
 
@@ -246,7 +248,7 @@ def solve(m: Mat, b: Sequence) -> Optional[list]:
 
 def row_space_basis(vectors: Iterable[Sequence], ambient: int) -> tuple[Vector, ...]:
     """Canonical (RREF) basis of the span of the given vectors."""
-    rows = [frac_vector(v) for v in vectors]
+    rows = [frac_vector(v) for v in _sequence(vectors)]
     if not rows:
         return ()
     red, pivots = rref(Mat(len(rows), ambient, rows))

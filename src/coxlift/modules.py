@@ -57,8 +57,10 @@ from operator import attrgetter, ge, neg
 from typing import Callable, Iterable, Sequence
 
 from .cones import Cone, _fixed_length, _leq, cox_le
-from .lattice import plain_int
+from .lattice import index_in, plain_int
 from .linalg import (
+    ONE,
+    ZERO,
     Mat,
     Vector,
     _sequence,
@@ -66,7 +68,6 @@ from .linalg import (
     frac_vector,
     intersect_row_spaces,
     matrix_in_basis,
-    reduce_by_rref,
     rref,
     row_space_basis,
     subspace_le,
@@ -156,8 +157,7 @@ class IndicatorModule(GradedModule):
             raise ValueError("style must be 'submodule' or 'quotient'")
         object.__setattr__(self, "constraints", tuple(_sequence(self.constraints)))
         for c in self.constraints:
-            if not 0 <= c.ray < self.cone.ray_count:
-                raise ValueError("constraint ray index out of range")
+            index_in(c.ray, self.cone.ray_count, "constraint ray")
         object.__setattr__(self, "exclude", tuple(
             self.cone.point(p, "excluded point") for p in _sequence(self.exclude)))
 
@@ -199,10 +199,7 @@ def simple_module(cone: Cone) -> IndicatorModule:
 def codivisorial_module(cone: Cone, c: Sequence[int], rays: Sequence[int]) -> IndicatorModule:
     """Quotient supported on {m : l_rho(m) <= -c_rho for rho in rays}."""
     c = cone.degree(c)
-    rays = tuple(plain_int(r) for r in rays)
-    for r in rays:
-        if not 0 <= r < cone.ray_count:
-            raise ValueError(f"ray index {r} is outside 0..{cone.ray_count - 1}")
+    rays = tuple(index_in(r, cone.ray_count, "ray index") for r in _sequence(rays))
     cons = tuple(IndicatorConstraint(r, "<=", -c[r]) for r in rays)
     return IndicatorModule(cone, "quotient", cons)
 
@@ -277,7 +274,7 @@ class FinitelyPresentedModule(GradedModule):
         object.__setattr__(self, "_quotients", {})
 
     def _data(self, m: IntVector):
-        """``(active generators, reduced relation rows, free columns)`` at m."""
+        """``(active generators, reduced relation row by pivot, free columns)`` at m."""
         out = self._quotients.get(m)
         if out is None:
             cox, top = self.cone._cox, self.cone._cox(m)
@@ -286,10 +283,9 @@ class FinitelyPresentedModule(GradedModule):
             rows = [[rel.coeffs[i] for i in active] for rel in self.relations
                     if cox_le(cox(rel.degree), top)]
             red, pivots = rref(Mat.from_rows(rows, ncols=len(active)))
-            red_rows = tuple(tuple(red.rows[i]) for i in range(len(pivots)))
-            pivot_set = set(pivots)
-            free = tuple(i for i in range(len(active)) if i not in pivot_set)
-            out = self._quotients[m] = active, red_rows, free
+            pivot_rows = {p: tuple(red.rows[i]) for i, p in enumerate(pivots)}
+            free = tuple(i for i in range(len(active)) if i not in pivot_rows)
+            out = self._quotients[m] = active, pivot_rows, free
         return out
 
     def _component(self, m: IntVector) -> int:
@@ -297,14 +293,15 @@ class FinitelyPresentedModule(GradedModule):
 
     def _action(self, m: IntVector, m_prime: IntVector) -> Mat:
         active_s, _, free_s = self._data(m)
-        active_t, red_t, free_t = self._data(m_prime)
+        active_t, pivot_rows, free_t = self._data(m_prime)
         pos = {g: i for i, g in enumerate(active_t)}
         cols = []
+        # in RREF a unit vector is reduced at a free column, and minus its row at a pivot
         for f in free_s:
-            vec = [Fraction(0)] * len(active_t)
-            vec[pos[active_s[f]]] = Fraction(1)
-            rest = reduce_by_rref(red_t, vec)[1]
-            cols.append([rest[g] for g in free_t])
+            p = pos[active_s[f]]
+            row = pivot_rows.get(p)
+            cols.append([ONE if g == p else ZERO for g in free_t] if row is None
+                        else [-row[g] for g in free_t])
         return Mat(len(free_s), len(free_t), cols).transpose()
 
 
@@ -440,7 +437,7 @@ class RayFiltration:
 def ray_filtration(jumps: Sequence[tuple[int, Sequence[Sequence]]], ambient: int) -> RayFiltration:
     """Build a filtration from (level, spanning vectors) jump data, sorted by
     level once each level is read."""
-    read = [(plain_int(level), vectors) for level, vectors in jumps]
+    read = [(plain_int(level), vectors) for level, vectors in _sequence(jumps)]
     return RayFiltration(tuple(
         FiltrationStep(level, row_space_basis(vectors, ambient))
         for level, vectors in sorted(read, key=lambda j: j[0])))

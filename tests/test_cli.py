@@ -13,7 +13,7 @@ import coxlift
 from coxlift import checks, cli, lifting
 from coxlift.cli import main, parse_box
 from coxlift.instances import simple_lift_law
-from coxlift.jsonio import load_cone, load_diagram, load_module, parse_fraction
+from coxlift.jsonio import load_cone, load_diagram, load_module
 from coxlift.lifting import Box
 from coxlift.modules import FiltrationModule, ReflexiveDescription, ray_filtration
 
@@ -65,13 +65,6 @@ def test_parse_box():
     for bad in ("1_0..1_0", "\u0663..\u0663", "a..b", "+1..2", "--1..2", "-2 .. 2", "1..", "..1"):
         with pytest.raises(ValueError, match=re.escape(f"range {bad!r} must look like lo..hi")):
             parse_box(f"0..0,{bad}", 2)
-
-
-def test_parse_fraction():
-    assert parse_fraction("3/2") == Fraction(3, 2)
-    assert parse_fraction(-4) == Fraction(-4)
-    with pytest.raises(ValueError):
-        parse_fraction(True)
 
 
 def test_jsonio_roundtrip():
@@ -379,7 +372,7 @@ def test_invalid_diagram_is_an_input_error(inputs, capsys, payload, message):
 @pytest.mark.parametrize("flag, payload, message", [
     ("--module", dict(SIMPLE_JSON, style="other"), "style must be 'submodule' or 'quotient'"),
     ("--module", dict(SIMPLE_JSON, constraints=[{"ray": 9, "op": "<=", "bound": 0}]),
-     "constraint ray index out of range"),
+     "constraint ray 9 is outside 0..3"),
     ("--box", "2..1", "box needs lo <= hi componentwise"),
     ("--cone", dict(CONE_JSON, rays=[[1, 0, 0], [0, 1]]), "ragged matrix"),
     ("--cone", dict(CONE_JSON, rays=[]), "matrix must be nonempty"),
@@ -524,3 +517,51 @@ def test_make_inputs_feeds_the_cli(tmp_path, capsys):
     for diagram in diagrams:
         assert main(["roos", "--diagram", str(tmp_path / diagram)]) == 0
     assert capsys.readouterr().err == ""
+
+
+# every value of the example inputs is replaced by each of these in turn
+SUBSTITUTES = (5, 1.5, True, None, "x", [5], [], {}, [[5]], -1)
+
+
+def values_inside(obj, path=()):
+    """``(path, value)`` for every value inside ``obj``, the root excluded;
+    a path lists the keys and indices that lead to its value."""
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield path + (key,), value
+            yield from values_inside(value, path + (key,))
+
+
+def replaced(obj, path, value):
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = replaced(obj[path[0]], path[1:], value)
+    return out
+
+
+def test_malformed_values_are_input_errors(tmp_path, capsys):
+    # the loaders hand every value to the constructor that reads it, so no
+    # shape of a value reaches an unguarded operation (exit 3); an object
+    # where an array belongs was read as an empty array
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_inputs.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True,
+                   capture_output=True)
+    bad = tmp_path / "bad.json"
+    for path in sorted(tmp_path.glob("*_*.json")):
+        example = json.loads(path.read_text())
+        for where, original in values_inside(example):
+            for value in SUBSTITUTES:
+                bad.write_text(json.dumps(replaced(example, where, value)))
+                if path.name.startswith("diagram_"):
+                    argv = ["roos", "--diagram", str(bad)]
+                else:
+                    files = {"cone": tmp_path / "cone_square.json",
+                             "module": tmp_path / "module_simple.json",
+                             path.name.split("_")[0]: bad}
+                    argv = ["lift-table", "--cone", str(files["cone"]),
+                            "--module", str(files["module"]), "--box=0..0"]
+                code = main(argv)
+                assert code in (0, 2), (path.name, where, value, capsys.readouterr().err)
+                if value == {} and isinstance(original, list):
+                    assert code == 2, (path.name, where)

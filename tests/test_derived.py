@@ -255,7 +255,11 @@ def test_antisymmetry_enforced():
 
 @pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (0.0, 1), (True, 0)])
 def test_relation_pairs_must_name_elements(pair):
-    with pytest.raises(ValueError, match="names no element"):
+    # the one index reader names an index outside 0..n-1 and rejects a non-integer
+    bad = next(x for x in pair if type(x) is not int or not 0 <= x < 2)
+    message = (f"relation pair {bad} is outside 0..1" if type(bad) is int
+               else f"expected an integer, got {bad!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         FinitePosetDiagram.from_maps(["a", "b"], [pair], [1, 1], {})
 
 

@@ -59,7 +59,7 @@ def test_fans_past_any_search_bound():
     (((1, 0), (0, 1), (-1, -1)), ((0, 1),), r"rays \[2\] lie in no maximal cone"),
     (((1, 0), (0, 1)), ((0, 0, 1),), "repeats a ray index"),
     (((1, 0), (0, 1)), ((0, 1), ()), "empty maximal cone"),
-    (((1, 0), (0, 1)), ((0, 2),), "out-of-range ray index"),
+    (((1, 0), (0, 1)), ((0, 2),), "ray index 2 is outside 0..1"),
 ], ids=["interior ray", "non-primitive ray", "non-primitive ray of one cone",
         "unused zero ray", "unused ray", "repeated index", "empty cone", "ray index"])
 def test_fan_validation_rejects_what_class_group_assumes(rays, cones, message):

@@ -23,6 +23,13 @@ from coxlift.linalg import (
 )
 
 
+def test_fraction_reads_a_json_rational():
+    assert linalg._fraction("3/2") == Fraction(3, 2)
+    assert linalg._fraction(-4) == Fraction(-4)
+    with pytest.raises(ValueError):
+        linalg._fraction(True)
+
+
 def dense_rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reference oracle: dense Gauss-Jordan elimination, column by column."""
     rows = [row[:] for row in m.rows]

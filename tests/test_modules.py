@@ -25,7 +25,7 @@ from coxlift.derived import (
     roos_limits,
     truncated_lift_oracle,
 )
-from coxlift.fans import FanData, chart_section, global_reflexive_lift
+from coxlift.fans import FanData, affine_chart, chart_section, global_reflexive_lift
 from coxlift.instances import (
     CONE_OVER_SQUARE,
     ORTHANT2,
@@ -186,12 +186,28 @@ NON_SEQUENCES = {
     "diagram elements": lambda C: FinitePosetDiagram.from_maps(5, [], [], {}),
     "diagram pairs": lambda C: FinitePosetDiagram.from_maps(["a"], 5, [1], {}),
     "diagram points": lambda C: FinitePosetDiagram.from_module(C, simple_module(C), 5),
+    # each outer sequence a JSON loader hands over unread
+    "cone rays": lambda C: Cone(3, 5),
+    "filtration jumps": lambda C: ray_filtration(5, 2),
+    "filtration basis": lambda C: ray_filtration([(0, 5)], 2),
+    "fan maximal cones": lambda C: FanData(3, C.rays, 5),
+    "fan maximal cone": lambda C: FanData(3, C.rays, (5,)),
+    "codivisorial rays": lambda C: codivisorial_module(C, (0, 0, 0, 0), 5),
+    "diagram pair": lambda C: FinitePosetDiagram.from_maps(["a"], [5], [1], {}),
+    # a mapping iterates over its keys, so an empty one was read as empty
+    "indicator constraints mapping": lambda C: IndicatorModule(C, "submodule", {}),
+    "indicator excluded points mapping": lambda C: IndicatorModule(C, "submodule", (), {}),
+    "fp generators mapping": lambda C: FinitelyPresentedModule(C, {}),
+    "matrix rows mapping": lambda C: Mat.from_rows({}, 2),
+    "filtration basis mapping": lambda C: ray_filtration([(0, {})], 2),
+    "diagram pairs mapping": lambda C: FinitePosetDiagram.from_maps(["a"], {}, [1], {}),
+    "point mapping": lambda C: structure_module(C).component({}),
 }
 
 
 @pytest.mark.parametrize("build", NON_SEQUENCES.values(), ids=NON_SEQUENCES.keys())
 def test_a_non_sequence_is_a_value_error_naming_it(csq, build):
-    with pytest.raises(ValueError, match=r"^expected a sequence, got (5|'12')$"):
+    with pytest.raises(ValueError, match=r"^expected a sequence, got (5|'12'|\{\})$"):
         build(csq)
 
 
@@ -316,8 +332,9 @@ def test_degree_arguments_must_have_one_entry_per_ray(csq):
         codivisorial_module(csq, (0, 0), (1,))
 
 
-# arguments of a wrong count, length, shape or cone, each rejected before it is
-# read, and integer matrices with no integer inverse
+# arguments of a wrong count, length, shape, type or cone and indices out of
+# range, each rejected before it is read, and integer matrices with no
+# integer inverse
 WRONG_SHAPES = {
     "relation coefficient count": (lambda C: FinitelyPresentedModule(
         C, [(0, 0, 0)], [Relation((0, 0, 0), (1, 1))]),
@@ -332,7 +349,7 @@ WRONG_SHAPES = {
                       r"point \(0, 0\) has length 2, not the lattice rank 3"),
     "chart section cone index": (lambda C: chart_section(
         FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 1, (0, 0, 0)),
-        "cone index out of range"),
+        "cone index 1 is outside 0..0"),
     "chart section point length": (lambda C: chart_section(
         FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 0, (0, 0)),
         r"lattice point \(0, 0\) has length 2, not the lattice rank 3"),
@@ -358,13 +375,41 @@ WRONG_SHAPES = {
     # a relation pair and a map key are read by one rule
     "diagram pair float": (lambda C: FinitePosetDiagram.from_maps(
         ["a", "b"], [(0, 1.0)], [1, 1], {(0, 1): Mat.identity(1)}),
-        r"relation pair \(0, 1.0\) names no element by index"),
+        "expected an integer, got 1.0"),
     "diagram map key index": (lambda C: FinitePosetDiagram.from_maps(
         ["a", "b"], [(0, 1)], [1, 1], {(-1, 1): Mat.identity(1)}),
-        r"map key \(-1, 1\) names no element by index"),
+        r"map key -1 is outside 0..1"),
     "diagram map key float": (lambda C: FinitePosetDiagram.from_maps(
         ["a", "b"], [(0, 1)], [1, 1], {(0.0, 1): Mat.identity(1)}),
-        r"map key \(0.0, 1\) names no element by index"),
+        "expected an integer, got 0.0"),
+    # the maps are a mapping of index pairs to matrices
+    "diagram maps number": (lambda C: FinitePosetDiagram.from_maps(["a"], [], [1], 5),
+                            "maps must map index pairs to matrices, got 5"),
+    "diagram map rows": (lambda C: FinitePosetDiagram.from_maps(
+        ["a", "b"], [(0, 1)], [1, 1], {(0, 1): [[1]]}),
+        re.escape("map a->b is not a Mat: [[1]]")),
+    # every index is read by ``lattice.index_in``: a plain integer in 0..n-1
+    "constraint ray": (lambda C: IndicatorModule(
+        C, "quotient", (IndicatorConstraint(9, "<=", 0),)), "constraint ray 9 is outside 0..3"),
+    "codivisorial ray": (lambda C: codivisorial_module(C, (0, 0, 0, 0), (True,)),
+                         "expected an integer, got True"),
+    "fan ray": (lambda C: FanData(3, C.rays, ((0, 1, 2, 4),)), "ray index 4 is outside 0..3"),
+    "fan ray float": (lambda C: FanData(3, C.rays, ((0, 1, 2, 3.0),)),
+                      "expected an integer, got 3.0"),
+    "chart index": (lambda C: affine_chart(FanData(3, C.rays, ((0, 1, 2, 3),)), -1),
+                    "cone index -1 is outside 0..0"),
+    # True was read as the index 1, and a float raised a TypeError
+    "chart index boolean": (lambda C: affine_chart(FanData(3, C.rays, ((0, 1, 2, 3),)), True),
+                            "expected an integer, got True"),
+    "chart index float": (lambda C: affine_chart(FanData(3, C.rays, ((0, 1, 2, 3),)), 0.0),
+                          "expected an integer, got 0.0"),
+    "chart section index float": (lambda C: chart_section(
+        FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 0.0, (0, 0, 0)),
+        "expected an integer, got 0.0"),
+    "diagram pair length": (lambda C: FinitePosetDiagram.from_maps(
+        ["a", "b"], [(0, 1, 1)], [1, 1], {}), r"relation pair \(0, 1, 1\) is not a pair"),
+    "diagram map key": (lambda C: FinitePosetDiagram.from_maps(
+        ["a", "b"], [(0, 1)], [1, 1], {(0, 2): Mat.identity(1)}), "map key 2 is outside 0..1"),
 }
 # every public entry that reads a lattice point or a Cox degree names a wrong
 # length through the one template, "{what} {v} has length {k}, not {unit} {n}"
