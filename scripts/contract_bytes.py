@@ -53,7 +53,7 @@ Runs, with this checkout's ``src`` on the path:
   ("expected a sequence, got 5", "unknown op 5", "expected a sequence,
   got {}"); a checkout whose loader read them itself prints its own
   message there ("module JSON is malformed: ...", "unknown op '5'"), or
-  reads ``{}`` as no constraints and exits 0, the one place two
+  reads ``{}`` as no constraints and exits 0, one of the two places two
   checkouts may differ;
 * ``coxlift.cli roos --imax 2`` on a diagram with no ``leq`` key, which
   exits 2;
@@ -61,6 +61,14 @@ Runs, with this checkout's ``src`` on the path:
   wrong shape, on one with a negative dimension and on one with the
   dimension 1.5, each of which exits 2 with the message of the checked
   door ``FinitePosetDiagram.from_maps``;
+* ``coxlift.cli roos --imax 1`` on a diagram whose ``leq`` pair is the
+  object ``{}`` and on one whose pair lists three ids, which exit 2 with
+  the sequence reader's and ``from_maps``' messages, and on one whose
+  dimension ``[5]`` sets the width of an empty map, which exits 2 naming
+  ``[5]``.  A checkout whose loader unpacked each pair, or passed the
+  dimension on unread, prints Python's message there ("not enough values
+  to unpack", "unhashable type: 'list'"), the other place two checkouts
+  may differ;
 * ``scripts/derived_evidence.py``, whose report prints the point count
   and limit dimensions of a truncation, which ``check roos`` does not.
 
@@ -176,6 +184,13 @@ NEGATIVE_DIM = {"elements": ["a", "b"], "leq": [["a", "b"]], "dims": {"a": 1, "b
                 "maps": {}}
 FRACTION_DIM = {"elements": ["a", "b"], "leq": [["a", "b"]], "dims": {"a": 1, "b": 1.5},
                 "maps": {"a->b": [[1]]}}
+# a pair that is an object, a pair of three ids, and an array dim read as
+# the width of a map with no rows
+LEQ_OBJECT = {"elements": ["a", "b"], "leq": [{}], "dims": {"a": 1, "b": 1}, "maps": {}}
+LEQ_TRIPLE = {"elements": ["a", "b", "c"], "leq": [["a", "b", "c"]],
+              "dims": {"a": 1, "b": 1, "c": 1}, "maps": {}}
+ARRAY_DIM = {"elements": ["a", "b"], "leq": [["a", "b"]], "dims": {"a": [5], "b": 0},
+             "maps": {"a->b": []}}
 
 
 def square_ideal_truncation(covers_only=False, c=(-1, 0, -1, 0), bound=9) -> dict:
@@ -254,7 +269,8 @@ def commands(inputs: pathlib.Path):
         yield (f"roos-{name.replace('_', '-')}-imax2",
                cli + ["roos", "--diagram", str(inputs / f"diagram_{name}.json"),
                       "--imax", "2"])
-    for name in ("wrong_shape", "negative_dim", "fraction_dim"):
+    for name in ("wrong_shape", "negative_dim", "fraction_dim", "leq_object", "leq_triple",
+                 "array_dim"):
         yield (f"roos-{name.replace('_', '-')}-imax1",
                cli + ["roos", "--diagram", str(inputs / f"diagram_{name}.json"),
                       "--imax", "1"])
@@ -288,6 +304,9 @@ def main() -> int:
         (inputs / "diagram_wrong_shape.json").write_text(json.dumps(WRONG_SHAPE))
         (inputs / "diagram_negative_dim.json").write_text(json.dumps(NEGATIVE_DIM))
         (inputs / "diagram_fraction_dim.json").write_text(json.dumps(FRACTION_DIM))
+        (inputs / "diagram_leq_object.json").write_text(json.dumps(LEQ_OBJECT))
+        (inputs / "diagram_leq_triple.json").write_text(json.dumps(LEQ_TRIPLE))
+        (inputs / "diagram_array_dim.json").write_text(json.dumps(ARRAY_DIM))
         for name, module in BAD_MODULES.items():
             (inputs / f"module_{name}.json").write_text(json.dumps(module))
         for name, cone in BAD_CONES.items():

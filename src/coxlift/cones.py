@@ -102,8 +102,9 @@ class Cone:
         object.__setattr__(self, "lattice_rank", plain_int(self.lattice_rank))
         rays = int_matrix(self.rays)
         object.__setattr__(self, "rays", rays)
+        # int_matrix gave every ray one width: one ray checks it
+        _fixed_length(rays[0], self.lattice_rank, "ray", "the lattice rank")
         for row in rays:
-            _fixed_length(row, self.lattice_rank, "ray", "the lattice rank")
             if all(x == 0 for x in row):
                 raise ValueError("zero ray")
             if math.gcd(*[abs(x) for x in row]) != 1:

@@ -9,6 +9,8 @@ arrow when the top is dropped.  H^0 is the limit.  The chains of each
 length extend those one shorter, and the differentials, tall and very
 sparse, are ranked by ``sparse_rank`` along their shorter side, sparsest
 lines first; ``RoosResult.differential_ranks`` holds those ranks.
+``order_complex_cohomology`` walks the same successors with chains and a
+coboundary of its own, and reads no space or transport.
 ``FinitePosetDiagram`` is built on strict successor bitmasks, unchecked;
 ``from_maps`` and ``from_module`` are its two checked doors, and every
 transport, given or composed, is kept in the diagram's one memo.
@@ -307,35 +309,24 @@ def equalizer_limit_dim(diagram: FinitePosetDiagram) -> int:
     return total - sparse_rank(rows)
 
 
-def order_complex_cohomology(n_elements: int, strict_pairs: set[tuple[int, int]],
-                             imax: int) -> tuple[int, ...]:
+def order_complex_cohomology(diagram: FinitePosetDiagram, imax: int) -> tuple[int, ...]:
     """Simplicial cohomology of the order complex with rational coefficients.
 
-    Independent cross-check for constant diagrams: simplices are the
-    strict chains, boundary signs come from vertex positions.
+    Independent cross-check for constant diagrams: simplices are the strict
+    chains over ``diagram.strict_successors``, boundary signs come from
+    vertex positions, and no space or transport is read.
     """
     imax = nonnegative_int(imax, "imax")
-    simplices: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(n_elements)]}
-    for p in range(1, imax + 2):
-        prev = simplices[p - 1]
-        cur = []
-        for s in prev:
-            for j in range(n_elements):
-                if (s[-1], j) in strict_pairs:
-                    cur.append(s + (j,))
-        simplices[p] = cur
-
-    index = {p: {s: i for i, s in enumerate(simplices[p])} for p in simplices}
-    ranks = []
+    simplices = [[(i,) for i in range(len(diagram.elements))]]
+    for _ in range(imax + 1):
+        simplices.append([s + (j,) for s in simplices[-1]
+                          for j in diagram.strict_successors(s[-1])])
+    ranks = [0]
     for p in range(imax + 1):
-        rows = [{index[p][s[:drop] + s[drop + 1:]]: -1 if drop % 2 else 1
-                 for drop in range(p + 2)} for s in simplices[p + 1]]
-        ranks.append(sparse_rank(rows))
-    out = []
-    for p in range(imax + 1):
-        below = ranks[p - 1] if p >= 1 else 0
-        out.append(len(simplices[p]) - ranks[p] - below)
-    return tuple(out)
+        index = {s: i for i, s in enumerate(simplices[p])}
+        ranks.append(sparse_rank([{index[s[:drop] + s[drop + 1:]]: -1 if drop % 2 else 1
+                                   for drop in range(p + 2)} for s in simplices[p + 1]]))
+    return tuple(len(simplices[p]) - ranks[p + 1] - ranks[p] for p in range(imax + 1))
 
 
 # --------------------------------------------------------------------------

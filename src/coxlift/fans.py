@@ -4,7 +4,8 @@ A fan is stored as a global ray matrix plus the ray index sets of its
 maximal cones.  The class group is the cokernel of the grading map
 M -> Z^rays, split via Smith normal form; the global lift of a
 reflexive description at a Cox degree is the intersection of all ray
-spaces, with per-chart sections given by the sub-intersections.
+spaces, with per-chart sections given by the sub-intersections; a
+degenerate chart is reduced in integers, off its cone's ``Cone.smith``.
 
 Validation is exact.  Every ray is primitive and listed by some maximal
 cone; each maximal cone lists distinct rays, is strictly convex and has
@@ -32,8 +33,8 @@ from .lattice import (
     IntMatrix,
     IntVector,
     LatticeQuotient,
+    imat_mul,
     index_in,
-    int_kernel_basis,
     reduce_by_sublattice,
 )
 from .linalg import Mat, Vector, _sequence, rank, solve
@@ -168,24 +169,17 @@ def affine_chart(fan: FanData, cone_index: int) -> ChartData:
     the reduced cone is full-dimensional and drives the lift machinery.
     """
     idx = fan.max_cones[index_in(cone_index, len(fan.max_cones), "cone index")]
-    rows = tuple(fan.rays[i] for i in idx)
-    cone = Cone(fan.lattice_rank, rows)
+    cone = Cone(fan.lattice_rank, tuple(fan.rays[i] for i in idx))
     if cone.full_dimensional:
         return ChartData(cone, None)
-    kernel = int_kernel_basis(rows)
-    quot = reduce_by_sublattice(fan.lattice_rank, kernel)
-    if quot.torsion:
-        raise AssertionError("kernel lattice quotient acquired torsion")
-    projection = quot.free_rows
-    proj_t = Mat.from_rows(projection).transpose()  # d x d'
-    reduced_rows = []
-    for row in rows:
-        sol = solve(proj_t, list(row))  # the unique l' with l' . projection = l
-        if sol is None:
-            raise AssertionError("ray does not factor through the reduction")
-        reduced_rows.append(tuple(int(x) for x in sol))
-    reduced = Cone(len(projection), tuple(reduced_rows))
-    return ChartData(cone, ChartReduction(tuple(kernel), projection, reduced))
+    snf, r = cone.smith, cone.smith.rank
+    # U A V = D is zero past column r: the kernel is V's last columns, row
+    # i < r of U A is d_i times row i of V^-1, and A = (A V)[:, :r] V^-1[:r]
+    kernel = tuple(zip(*snf.V))[r:]
+    projection = tuple(tuple(x // d for x in row)
+                       for row, d in zip(imat_mul(snf.U, cone.rays)[:r], snf.invariant_factors))
+    reduced = Cone(r, tuple(row[:r] for row in imat_mul(cone.rays, snf.V)))
+    return ChartData(cone, ChartReduction(kernel, projection, reduced))
 
 
 def _check_description(fan: FanData, desc: ReflexiveDescription) -> None:

@@ -116,7 +116,8 @@ def load_diagram(obj: dict) -> FinitePosetDiagram:
                 raise ValueError(f"diagram JSON {where} names the unknown element id {str(e)!r}")
             return i
 
-        pairs = [(element(i, "leq"), element(j, "leq")) for i, j in _sequence(obj["leq"])]
+        # from_maps checks that each pair has two ids
+        pairs = [[element(e, "leq") for e in _sequence(p)] for p in _sequence(obj["leq"])]
         dims = [obj["dims"][e] for e in elements]
         unknown = sorted(set(obj["dims"]) - set(index))
         if unknown:

@@ -3,9 +3,8 @@
 Smith normal form by row/column reduction with pivot-norm minimization,
 lattice membership (exact preimages), and quotient-lattice projections
 with the torsion part split off; ranks are read off the Smith form
-(``SnfResult.rank``).  All arithmetic uses Python's arbitrary-precision
-integers; rationals appear only transiently when a unimodular matrix is
-inverted.
+(``SnfResult.rank``).  All arithmetic is in Python's arbitrary-precision
+integers; the layer forms no rationals.
 
 All functions here are pure and safe to call from concurrent workers,
 and none memoizes: a caller that solves against one matrix many times
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Optional, Sequence
 
-from .linalg import Mat, _sequence, rref
+from .linalg import _sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -229,26 +228,6 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     )
 
 
-def unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a determinant-±1 integer matrix."""
-    n = len(u)
-    aug = Mat.from_rows([list(row) + [1 if i == j else 0 for j in range(n)]
-                         for i, row in enumerate(u)])
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = red.rows[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def lattice_membership(b: IntMatrix, v: Sequence[int]) -> Optional[IntVector]:
     """An integer preimage ``m`` with ``b @ m == v``, or None.
 
@@ -258,13 +237,6 @@ def lattice_membership(b: IntMatrix, v: Sequence[int]) -> Optional[IntVector]:
     if len(v) != len(b):
         raise ValueError("vector length differs from row count")
     return smith_normal_form(b).preimage(int_vector(v))
-
-
-def int_kernel_basis(a: IntMatrix) -> tuple[IntVector, ...]:
-    """Basis of the integer kernel {x : a @ x = 0}; a saturated lattice:
-    the columns of V past the rank, where the diagonal of D is zero."""
-    snf = smith_normal_form(a)
-    return tuple(tuple(row[j] for row in snf.V) for j in range(snf.rank, len(snf.V)))
 
 
 @dataclass(frozen=True)

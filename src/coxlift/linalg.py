@@ -111,6 +111,8 @@ class Mat:
             if not rows:
                 raise ValueError("ncols required for a matrix with no rows")
             ncols = len(rows[0])
+        elif isinstance(ncols, bool) or not isinstance(ncols, int) or ncols < 0:
+            raise ValueError(f"expected a nonnegative integer column count, got {ncols!r}")
         return cls(len(rows), ncols, rows)
 
     @classmethod

@@ -282,7 +282,7 @@ class FinitelyPresentedModule(GradedModule):
                            if cox_le(cox(g), top))
             rows = [[rel.coeffs[i] for i in active] for rel in self.relations
                     if cox_le(cox(rel.degree), top)]
-            red, pivots = rref(Mat.from_rows(rows, ncols=len(active)))
+            red, pivots = rref(Mat(len(rows), len(active), rows))
             pivot_rows = {p: tuple(red.rows[i]) for i, p in enumerate(pivots)}
             free = tuple(i for i in range(len(active)) if i not in pivot_rows)
             out = self._quotients[m] = active, pivot_rows, free

@@ -358,6 +358,13 @@ PAIR_AB = {"elements": ["a", "b"], "dims": {"a": 2, "b": 2}}
     ({"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"]],
       "dims": {"a": 1, "b": 1, "c": 1}, "maps": {"a->b": [[1]], "b->c": [[1]], "a->c": [[2]]}},
      "error: transports fail to compose on a <= b <= c\n"),
+    # a pair is read as a sequence of ids; its length is from_maps' to check
+    (dict(PAIR_AB, leq=[{}], maps={}), "error: expected a sequence, got {}\n"),
+    (dict(PAIR_AB, leq=[["a", "b", "a"]], maps={}),
+     "error: relation pair (0, 1, 0) is not a pair\n"),
+    # the width of a map with no rows is a dim, read before from_maps reads the dims
+    (dict(PAIR_AB, leq=[["a", "b"]], dims={"a": [5], "b": 0}, maps={"a->b": []}),
+     "error: map a->b: expected a nonnegative integer column count, got [5]\n"),
 ])
 def test_invalid_diagram_is_an_input_error(inputs, capsys, payload, message):
     bad = inputs / "bad.json"

@@ -40,7 +40,6 @@ from coxlift.lattice import (
     int_vector,
     lattice_membership,
     reduce_by_sublattice,
-    unimodular_inverse,
 )
 from coxlift.lifting import (
     Box,
@@ -253,8 +252,10 @@ NON_INTEGER_DEGREES = {
     "roos imax": lambda C: roos_limits(FinitePosetDiagram.from_maps(["a"], [], [1], {}), 0.5),
     "roos imax bool": lambda C: roos_limits(
         FinitePosetDiagram.from_maps(["a"], [], [1], {}), True),
-    "order complex imax": lambda C: order_complex_cohomology(1, set(), 1.0),
-    "order complex imax bool": lambda C: order_complex_cohomology(1, set(), True),
+    "order complex imax": lambda C: order_complex_cohomology(
+        FinitePosetDiagram.from_maps(["a"], [], [1], {}), 1.0),
+    "order complex imax bool": lambda C: order_complex_cohomology(
+        FinitePosetDiagram.from_maps(["a"], [], [1], {}), True),
     "truncation points": lambda C: truncation_points(C, (0.5, 0, 0, 0), 2),
     "truncation bound": lambda C: truncation_points(C, (0, 0, 0, 0), 2.5),
     "connecting cokernel": lambda C: connecting_cokernel(C, ideal_sequence(C), (0.5, 0, 0, 0)),
@@ -366,10 +367,6 @@ WRONG_SHAPES = {
         r"at \(0, 0, 0\) has shape \(2, 2\), expected \(1, 1\)"),
     "quotient projection length": (lambda C: reduce_by_sublattice(2, [(1, 0)]).project(
         (1, 0, 0)), "vector length differs from ambient rank"),
-    "singular inverse": (lambda C: unimodular_inverse(((1, 2), (2, 4))),
-                         "matrix is not invertible"),
-    "non-unimodular inverse": (lambda C: unimodular_inverse(((2, 0), (0, 1))),
-                               "matrix is not unimodular"),
     "box corner lengths": (lambda C: Box((0, 0), (1,)),
                            r"box corners \(0, 0\) and \(1,\) have lengths 2 and 1"),
     # a relation pair and a map key are read by one rule
