@@ -25,7 +25,7 @@ _LAYER_NAMES = {
     "derived": ("CanonicalSequence", "FinitePosetDiagram", "RoosResult",
                 "connecting_cokernel", "equalizer_limit_dim", "ideal_sequence",
                 "order_complex_cohomology", "roos_limits", "truncated_lift_oracle"),
-    "fans": ("ChartData", "FanData", "affine_chart", "class_group", "global_reflexive_lift"),
+    "fans": ("FanData", "class_group", "global_reflexive_lift"),
     "klyachko": ("filtration_lift_component", "realized_components", "verify_equivalence"),
     "lattice": ("LatticeQuotient", "SnfResult", "lattice_membership",
                 "reduce_by_sublattice", "smith_normal_form"),

@@ -304,7 +304,7 @@ def _minimal_points(cone: Cone, c: IntVector) -> tuple[IntVector, ...]:
 
 def _require_full_dimensional(cone: Cone) -> None:
     if not cone.full_dimensional:
-        raise ValueError("cone must be full-dimensional; reduce degenerate cones first")
+        raise ValueError("cone must be full-dimensional")
 
 
 def _class_shift(cone: Cone, c: IntVector) -> tuple[IntVector, IntVector]:

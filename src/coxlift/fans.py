@@ -4,8 +4,7 @@ A fan is stored as a global ray matrix plus the ray index sets of its
 maximal cones.  The class group is the cokernel of the grading map
 M -> Z^rays, split via Smith normal form; the global lift of a
 reflexive description at a Cox degree is the intersection of all ray
-spaces, with per-chart sections given by the sub-intersections; a
-degenerate chart is reduced in integers, off its cone's ``Cone.smith``.
+spaces, with per-chart sections given by the sub-intersections.
 
 Validation is exact.  Every ray is primitive and listed by some maximal
 cone; each maximal cone lists distinct rays, is strictly convex and has
@@ -26,17 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cones import Cone, _fixed_length
-from .lattice import (
-    IntMatrix,
-    IntVector,
-    LatticeQuotient,
-    imat_mul,
-    index_in,
-    reduce_by_sublattice,
-)
+from .lattice import IntMatrix, LatticeQuotient, index_in, reduce_by_sublattice
 from .linalg import Mat, Vector, _sequence, rank, solve
 from .modules import ReflexiveDescription, intersect_ray_spaces
 
@@ -143,43 +135,6 @@ def class_group(fan: FanData) -> LatticeQuotient:
         return reduce_by_sublattice(fan.ray_count, list(zip(*fan.rays)))
     except ValueError:  # the columns are dependent
         raise ValueError("rays do not span the lattice; class group undefined") from None
-
-
-@dataclass(frozen=True)
-class ChartReduction:
-    """Projection data for a chart whose cone is not full-dimensional."""
-
-    kernel_basis: tuple[IntVector, ...]
-    projection: IntMatrix  # rows of the map onto the reduced lattice
-    reduced_cone: Cone
-
-
-@dataclass(frozen=True)
-class ChartData:
-    cone: Cone
-    reduction: Optional[ChartReduction]
-
-
-def affine_chart(fan: FanData, cone_index: int) -> ChartData:
-    """Chart cone for a maximal cone, with a reduction recipe when degenerate.
-
-    Ray order inside the chart follows the sorted ray index tuple, so
-    chart Cox degrees index that order.  Degenerate charts come with the
-    quotient of the lattice by the common kernel of the chart's forms;
-    the reduced cone is full-dimensional and drives the lift machinery.
-    """
-    idx = fan.max_cones[index_in(cone_index, len(fan.max_cones), "cone index")]
-    cone = Cone(fan.lattice_rank, tuple(fan.rays[i] for i in idx))
-    if cone.full_dimensional:
-        return ChartData(cone, None)
-    snf, r = cone.smith, cone.smith.rank
-    # U A V = D is zero past column r: the kernel is V's last columns, row
-    # i < r of U A is d_i times row i of V^-1, and A = (A V)[:, :r] V^-1[:r]
-    kernel = tuple(zip(*snf.V))[r:]
-    projection = tuple(tuple(x // d for x in row)
-                       for row, d in zip(imat_mul(snf.U, cone.rays)[:r], snf.invariant_factors))
-    reduced = Cone(r, tuple(row[:r] for row in imat_mul(cone.rays, snf.V)))
-    return ChartData(cone, ChartReduction(kernel, projection, reduced))
 
 
 def _check_description(fan: FanData, desc: ReflexiveDescription) -> None:

@@ -13,7 +13,7 @@ keeps its Smith form, as a cone keeps that of its rays (``Cone.smith``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
 
@@ -76,16 +76,6 @@ def imat_vec(a: IntMatrix, v: Sequence[int]) -> IntVector:
     if len(v) != len(a[0]):
         raise ValueError("vector length differs from column count")
     return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def imat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if len(a[0]) != len(b):
-        raise ValueError("inner dimensions differ")
-    cols = len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for i in range(len(a))
-    )
 
 
 def i_identity(n: int) -> IntMatrix:
@@ -233,10 +223,10 @@ def lattice_membership(b: IntMatrix, v: Sequence[int]) -> Optional[IntVector]:
 
     Exact for arbitrary integer matrices via the Smith decomposition.
     """
-    b = int_matrix(b)
+    b, v = int_matrix(b), int_vector(v)
     if len(v) != len(b):
         raise ValueError("vector length differs from row count")
-    return smith_normal_form(b).preimage(int_vector(v))
+    return smith_normal_form(b).preimage(v)
 
 
 @dataclass(frozen=True)
@@ -249,9 +239,8 @@ class LatticeQuotient:
     """
 
     ambient_rank: int
-    sublattice: tuple[IntVector, ...]
-    free_rows: IntMatrix = field(default=())
-    torsion: tuple[tuple[IntVector, int], ...] = field(default=())
+    free_rows: IntMatrix
+    torsion: tuple[tuple[IntVector, int], ...]
 
     @property
     def free_rank(self) -> int:
@@ -262,24 +251,23 @@ class LatticeQuotient:
         return tuple(d for _, d in self.torsion)
 
     def project(self, v: Sequence[int]) -> tuple[IntVector, IntVector]:
+        v = int_vector(v)
         if len(v) != self.ambient_rank:
             raise ValueError("vector length differs from ambient rank")
         free = tuple(sum(r * x for r, x in zip(row, v)) for row in self.free_rows)
         tor = tuple(sum(r * x for r, x in zip(row, v)) % d for row, d in self.torsion)
         return free, tor
 
-    def same_class(self, v: Sequence[int], w: Sequence[int]) -> bool:
-        return self.project(v) == self.project(w)
-
 
 def reduce_by_sublattice(ambient_rank: int, generators: Sequence[Sequence[int]]) -> LatticeQuotient:
     """Quotient of Z^ambient_rank by the span of independent generators."""
-    gens = tuple(int_vector(g) for g in generators)
+    ambient_rank = nonnegative_int(ambient_rank, "ambient rank")
+    gens = tuple(int_vector(g) for g in _sequence(generators))
     for g in gens:
         if len(g) != ambient_rank:
             raise ValueError("generator length differs from ambient rank")
     if not gens:
-        return LatticeQuotient(ambient_rank, (), i_identity(ambient_rank), ())
+        return LatticeQuotient(ambient_rank, i_identity(ambient_rank), ())
     cols = int_matrix([[g[i] for g in gens] for i in range(ambient_rank)])
     k = len(gens)
     snf = smith_normal_form(cols)
@@ -289,4 +277,4 @@ def reduce_by_sublattice(ambient_rank: int, generators: Sequence[Sequence[int]])
     torsion = tuple(
         (snf.U[i], snf.D[i][i]) for i in range(k) if snf.D[i][i] != 1
     )
-    return LatticeQuotient(ambient_rank, gens, free_rows, torsion)
+    return LatticeQuotient(ambient_rank, free_rows, torsion)

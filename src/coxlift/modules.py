@@ -143,8 +143,9 @@ class IndicatorModule(GradedModule):
 
     ``style`` records the intended structure: submodule-style supports
     are up-closed, quotient-style supports are order-convex (transports
-    leaving the support are zero).  Both give the same matrices; the
-    style is validated separately by :func:`validate_indicator_style`.
+    leaving the support are zero).  Both give the same matrices.  No
+    constructor and no command checks the style: nothing in the library
+    calls :func:`validate_indicator_style`, sampled evidence on a cube.
     """
 
     cone: Cone

@@ -1,16 +1,13 @@
 import math
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from coxlift import cones, fans, lattice
-from coxlift.cones import _det
 from coxlift.fans import (
     FanData,
     _separable,
-    affine_chart,
     chart_section,
     class_group,
     global_reflexive_lift,
@@ -18,7 +15,7 @@ from coxlift.fans import (
 from coxlift.instances import CONE_OVER_SQUARE
 from coxlift.klyachko import ReflexiveDescription
 from coxlift.lifting import Box
-from coxlift.linalg import Mat, rank, subspace_le
+from coxlift.linalg import subspace_le
 from coxlift.modules import full_at, ray_filtration
 
 from cone_oracles import completion_separable, positive_relation_exists
@@ -191,7 +188,7 @@ def test_class_group_product_of_lines():
     assert cg.project((1, 0, 0, 0)) != cg.project((0, 0, 1, 0))
 
 
-def test_class_group_affine_chart():
+def test_class_group_of_one_cone():
     cg = class_group(ONE_CONE)
     assert cg.free_rank == 1 and cg.torsion_moduli == ()
 
@@ -207,91 +204,6 @@ def test_class_group_needs_spanning_rays():
     fan = FanData(2, ((1, 0),), ((0,),))
     with pytest.raises(ValueError):
         class_group(fan)
-
-
-def test_affine_chart_smooth():
-    chart = affine_chart(P2, 0)
-    assert chart.cone.rays == ((1, 0), (0, 1))
-    assert chart.reduction is None
-    with pytest.raises(ValueError):
-        affine_chart(P2, 5)
-
-
-def test_affine_chart_degenerate():
-    fan = FanData(2, ((1, 0),), ((0,),))
-    chart = affine_chart(fan, 0)
-    assert not chart.cone.full_dimensional
-    assert chart.reduction is not None
-    red = chart.reduction.reduced_cone
-    assert red.lattice_rank == 1 and red.full_dimensional
-    assert len(chart.reduction.kernel_basis) == 1
-    # the reduced forms still evaluate the original rays
-    proj = chart.reduction.projection
-    for m in [(1, 0), (0, 1), (3, -2)]:
-        reduced = tuple(sum(p * x for p, x in zip(row, m)) for row in proj)
-        assert chart.cone.evaluate(m) == red.evaluate(reduced)
-
-
-def check_chart_reduction(fan, m):
-    """The reduction of the degenerate chart of ``fan``'s first cone: the
-    reduced rays evaluate the chart rays through the projection, the kernel
-    is the rank d - r lattice every chart ray kills, and the projection is
-    onto Z^r (its r x r minors have gcd 1)."""
-    chart = affine_chart(fan, 0)
-    d, r = fan.lattice_rank, chart.cone.smith.rank
-    assert r < d and chart.reduction is not None
-    kernel, proj = chart.reduction.kernel_basis, chart.reduction.projection
-    reduced = chart.reduction.reduced_cone
-    assert reduced.lattice_rank == r and reduced.full_dimensional
-    for point in [m, *([int(i == j) for j in range(d)] for i in range(d))]:
-        image = tuple(sum(p * x for p, x in zip(row, point)) for row in proj)
-        assert chart.cone.evaluate(point) == reduced.evaluate(image)
-    assert all(sum(a * b for a, b in zip(ray, v)) == 0 for ray in chart.cone.rays for v in kernel)
-    assert len(kernel) == d - r and rank(Mat.from_rows(kernel)) == d - r
-    assert math.gcd(*(_det([[row[j] for j in cols] for row in proj])
-                      for cols in combinations(range(d), r))) == 1
-
-
-@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
-    st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=d - 1),
-    st.lists(st.integers(-5, 5), min_size=d, max_size=d))))
-def test_degenerate_charts_factor_through_the_reduction(case):
-    rows, m = case
-    assume(all(any(row) for row in rows))
-    rays = tuple(tuple(x // math.gcd(*row) for x in row) for row in rows)
-    try:
-        fan = FanData(len(m), rays, (tuple(range(len(rays))),))
-    except ValueError:  # not strictly convex, or a ray is not an edge
-        assume(False)
-    check_chart_reduction(fan, m)
-
-
-@pytest.mark.parametrize("rays, m", [
-    # the cone over a square, in rank 4: four rays of rank 3
-    (tuple(ray + (0,) for ray in CONE_OVER_SQUARE.rays), (2, -1, 3, 5)),
-    # invariant factors 1 and 2, so a projection row is divided by 2
-    (((1, 1, 0), (1, -1, 0)), (2, -1, 3)),
-])
-def test_degenerate_chart_examples(rays, m):
-    check_chart_reduction(FanData(len(m), rays, (tuple(range(len(rays))),)), m)
-
-
-def test_degenerate_chart_reads_the_cone_smith_form_once(monkeypatch):
-    fan = FanData(4, tuple(ray + (0,) for ray in CONE_OVER_SQUARE.rays), ((0, 1, 2, 3),))
-    calls = []
-
-    def counting(name, f):
-        def wrapped(*args):
-            calls.append(name)
-            return f(*args)
-        return wrapped
-
-    snf = counting("smith_normal_form", lattice.smith_normal_form)
-    monkeypatch.setattr(lattice, "smith_normal_form", snf)
-    monkeypatch.setattr(cones, "smith_normal_form", snf)
-    monkeypatch.setattr(fans, "solve", counting("solve", fans.solve))
-    assert affine_chart(fan, 0).reduction is not None
-    assert calls == ["smith_normal_form"]
 
 
 def rank1_twist(fan, shifts):

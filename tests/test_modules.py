@@ -25,7 +25,7 @@ from coxlift.derived import (
     roos_limits,
     truncated_lift_oracle,
 )
-from coxlift.fans import FanData, affine_chart, chart_section, global_reflexive_lift
+from coxlift.fans import FanData, chart_section, class_group, global_reflexive_lift
 from coxlift.instances import (
     CONE_OVER_SQUARE,
     ORTHANT2,
@@ -133,6 +133,9 @@ def test_indicator_constraint_rejects_unknown_op():
         IndicatorConstraint(0, "<", 0)
 
 
+# the projective plane, whose class group the lattice reading cases project into
+P2 = FanData(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+
 NON_INTEGERS = {
     "fp generator": lambda C: FinitelyPresentedModule(C, [(0.5, 0, 0)]),
     "fp relation degree": lambda C: FinitelyPresentedModule(
@@ -201,6 +204,9 @@ NON_SEQUENCES = {
     "filtration basis mapping": lambda C: ray_filtration([(0, {})], 2),
     "diagram pairs mapping": lambda C: FinitePosetDiagram.from_maps(["a"], {}, [1], {}),
     "point mapping": lambda C: structure_module(C).component({}),
+    "quotient projection": lambda C: class_group(P2).project(5),
+    "lattice membership vector": lambda C: lattice_membership(C.rays, 5),
+    "sublattice generators": lambda C: reduce_by_sublattice(2, 5),
 }
 
 
@@ -290,6 +296,10 @@ NON_INTEGER_DEGREES = {
     "sheafified table action, memoized": lambda C: (
         shf := SheafifiedModule(C, lift_table(C, simple_module(C), Box((0,) * 4, (0,) * 4))),
         shf.action((0, 0, 0), (0, 0, 0)), shf.action((0, 0, 0), (False, 0, 0))),
+    # the lattice entry points read every argument, ranks and vectors alike
+    "quotient projection": lambda C: class_group(P2).project((1.0, 0, 0)),
+    "sublattice ambient rank": lambda C: reduce_by_sublattice(2.0, []),
+    "sublattice ambient rank bool": lambda C: reduce_by_sublattice(True, []),
 }
 
 
@@ -393,13 +403,13 @@ WRONG_SHAPES = {
     "fan ray": (lambda C: FanData(3, C.rays, ((0, 1, 2, 4),)), "ray index 4 is outside 0..3"),
     "fan ray float": (lambda C: FanData(3, C.rays, ((0, 1, 2, 3.0),)),
                       "expected an integer, got 3.0"),
-    "chart index": (lambda C: affine_chart(FanData(3, C.rays, ((0, 1, 2, 3),)), -1),
-                    "cone index -1 is outside 0..0"),
-    # True was read as the index 1, and a float raised a TypeError
-    "chart index boolean": (lambda C: affine_chart(FanData(3, C.rays, ((0, 1, 2, 3),)), True),
-                            "expected an integer, got True"),
-    "chart index float": (lambda C: affine_chart(FanData(3, C.rays, ((0, 1, 2, 3),)), 0.0),
-                          "expected an integer, got 0.0"),
+    # the chart index is the cone index ``chart_section`` reads
+    "chart index": (lambda C: chart_section(
+        FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), -1, (0, 0, 0)),
+        "cone index -1 is outside 0..0"),
+    "chart index boolean": (lambda C: chart_section(
+        FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), True, (0, 0, 0)),
+        "expected an integer, got True"),
     "chart section index float": (lambda C: chart_section(
         FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 0.0, (0, 0, 0)),
         "expected an integer, got 0.0"),
@@ -407,6 +417,12 @@ WRONG_SHAPES = {
         ["a", "b"], [(0, 1, 1)], [1, 1], {}), r"relation pair \(0, 1, 1\) is not a pair"),
     "diagram map key": (lambda C: FinitePosetDiagram.from_maps(
         ["a", "b"], [(0, 1)], [1, 1], {(0, 2): Mat.identity(1)}), "map key 2 is outside 0..1"),
+    # a quotient of negative rank could project no vector; a string of the
+    # ambient length is still no vector
+    "sublattice ambient rank negative": (lambda C: reduce_by_sublattice(-1, []),
+                                         "ambient rank must be nonnegative, got -1"),
+    "quotient projection text": (lambda C: class_group(P2).project("abc"),
+                                 "expected a sequence, got 'abc'"),
 }
 # every public entry that reads a lattice point or a Cox degree names a wrong
 # length through the one template, "{what} {v} has length {k}, not {unit} {n}"
