@@ -39,6 +39,10 @@ Runs, with this checkout's ``src`` on the path:
 * ``coxlift.cli lift-table --box=-2..2`` on the cone over a square with a
   filtration module that gives ray 0 the level 0 twice, and with one of
   three filtrations for the four rays, each of which exits 2;
+* ``coxlift.cli lift-table --box=-2..2`` on the cone over a square with a
+  filtration module whose ray-0 basis vector ``[1, 0, 0]`` is longer than
+  its ``ambient_dim`` 2, which exits 2 naming the vector's length and the
+  ambient dimension;
 * ``coxlift.cli lift-table``, each exiting 2 with its loader's message:
   on an indicator module of style ``"other"``, on one with a constraint
   on ray 9 of the square's four, over ``--box=2..1``, and on a cone
@@ -155,8 +159,9 @@ THREE_RAYS = {"type": "filtration", "ambient_dim": 2,
 # style, a constraint on a ray the square does not have, a number where a
 # generator degree, relation coefficients, an excluded point, a filtration
 # basis, a constraint's op or a cone's rays are read, an object where the
-# constraints belong, cones with ragged and with no rays, and a diagram with
-# no order relation
+# constraints belong, a filtration basis vector longer than its ambient
+# space, cones with ragged and with no rays, and a diagram with no order
+# relation
 BAD_MODULES = {
     "style_other": {"type": "indicator", "style": "other", "constraints": []},
     "ray_out_of_range": {"type": "indicator", "style": "quotient",
@@ -172,6 +177,10 @@ BAD_MODULES = {
                   "constraints": [{"ray": 0, "op": 5, "bound": 0}]},
     # an object where the constraint array belongs
     "constraints_object": {"type": "indicator", "style": "quotient", "constraints": {}},
+    # a ray-0 basis vector of length 3 in the ambient plane
+    "basis_length": {"type": "filtration", "ambient_dim": 2, "filtrations": {
+        "0": [{"level": 0, "basis": [[1, 0, 0]]}],
+        **{str(r): [{"level": 0, "basis": FULL}] for r in (1, 2, 3)}}},
 }
 BAD_CONES = {"ragged": {"lattice_rank": 3, "rays": [[1, 0, 0], [0, 1]]},
              "empty": {"lattice_rank": 3, "rays": []},

@@ -25,10 +25,10 @@ _LAYER_NAMES = {
     "derived": ("CanonicalSequence", "FinitePosetDiagram", "RoosResult",
                 "connecting_cokernel", "equalizer_limit_dim", "ideal_sequence",
                 "order_complex_cohomology", "roos_limits", "truncated_lift_oracle"),
-    "fans": ("FanData", "class_group", "global_reflexive_lift"),
+    "fans": ("FanData", "class_group"),
     "klyachko": ("filtration_lift_component", "realized_components", "verify_equivalence"),
-    "lattice": ("LatticeQuotient", "SnfResult", "lattice_membership",
-                "reduce_by_sublattice", "smith_normal_form"),
+    "lattice": ("LatticeQuotient", "SnfResult", "reduce_by_sublattice",
+                "smith_normal_form"),
     "lifting": ("Box", "ColimitResult", "LiftComponent", "LiftTable", "colimit",
                 "colimit_of_lift", "counit_matrix", "lift_action", "lift_component",
                 "lift_morphism", "lift_table", "minimal_generators_in_box", "unit_map"),

@@ -38,18 +38,16 @@ from typing import Callable, Optional, Sequence
 from .cones import Cone, _minimal_elements, _minimal_upper_bounds, truncation_points
 from .lattice import index_in, int_vector, nonnegative_int
 from .lifting import _lifted_morphism, lift_component
-from .linalg import Mat, _sequence, rank, sparse_rank
+from .linalg import Mat, _pair, _sequence, rank, sparse_rank
 from .modules import (
     GradedModule,
     GradedMorphism,
     IndicatorConstraint,
     IndicatorModule,
-    ideal_to_structure,
     indicator_morphism,
     maximal_ideal_module,
     simple_module,
     structure_module,
-    structure_to_simple,
 )
 
 IntVector = tuple[int, ...]
@@ -67,10 +65,8 @@ def _bits(mask: int) -> list[int]:
 
 def _index_pair(n: int, pair: tuple[int, int], what: str) -> tuple[int, int]:
     """``pair`` read as two indices, each in ``0..n-1``."""
-    pair = tuple(_sequence(pair))
-    if len(pair) != 2:
-        raise ValueError(f"{what} {pair} is not a pair")
-    return index_in(pair[0], n, what), index_in(pair[1], n, what)
+    a, b = _pair(pair, what)
+    return index_in(a, n, what), index_in(b, n, what)
 
 
 class FinitePosetDiagram:
@@ -403,13 +399,9 @@ class CanonicalSequence:
 
 def ideal_sequence(cone: Cone) -> CanonicalSequence:
     """0 -> maximal ideal -> structure ring -> simple module -> 0."""
-    return CanonicalSequence(
-        sub=maximal_ideal_module(cone),
-        mid=structure_module(cone),
-        quot=simple_module(cone),
-        include=ideal_to_structure(cone),
-        project=structure_to_simple(cone),
-    )
+    sub, mid, quot = maximal_ideal_module(cone), structure_module(cone), simple_module(cone)
+    return CanonicalSequence(sub=sub, mid=mid, quot=quot, include=indicator_morphism(sub, mid),
+                             project=indicator_morphism(mid, quot))
 
 
 def indicator_sequence(cone: Cone, ray: int) -> CanonicalSequence:

@@ -1,10 +1,9 @@
-"""Fans, class groups, and global lifting of reflexive data.
+"""Fans and their class groups.
 
 A fan is stored as a global ray matrix plus the ray index sets of its
 maximal cones.  The class group is the cokernel of the grading map
-M -> Z^rays, split via Smith normal form; the global lift of a
-reflexive description at a Cox degree is the intersection of all ray
-spaces, with per-chart sections given by the sub-intersections.
+M -> Z^rays, split via Smith normal form.  A reflexive description's
+global lift at a Cox degree is its own ``ReflexiveDescription.space``.
 
 Validation is exact.  Every ray is primitive and listed by some maximal
 cone; each maximal cone lists distinct rays, is strictly convex and has
@@ -16,9 +15,6 @@ positive on some rays, negative on others and zero on the rest, and
 per subset of rank-many rows of the system.  The system has one or two rows per ray involved, so
 for n rays in rank d that is at most C(2n, d) solves; the fans here have
 a handful of rays.
-
-Global lifting is implemented only for reflexive descriptions, where the
-intersection formula makes chart gluing automatic.
 """
 
 from __future__ import annotations
@@ -27,10 +23,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .cones import Cone, _fixed_length
+from .cones import Cone
 from .lattice import IntMatrix, LatticeQuotient, index_in, reduce_by_sublattice
-from .linalg import Mat, Vector, _sequence, rank, solve
-from .modules import ReflexiveDescription, intersect_ray_spaces
+from .linalg import Mat, _sequence, rank, solve
 
 
 @dataclass(frozen=True)
@@ -136,25 +131,3 @@ def class_group(fan: FanData) -> LatticeQuotient:
     except ValueError:  # the columns are dependent
         raise ValueError("rays do not span the lattice; class group undefined") from None
 
-
-def _check_description(fan: FanData, desc: ReflexiveDescription) -> None:
-    if len(desc.filtrations) != fan.ray_count:
-        raise ValueError("description rays do not match the fan rays")
-
-
-def global_reflexive_lift(fan: FanData, desc: ReflexiveDescription,
-                          c: Sequence[int]) -> tuple[Vector, ...]:
-    """Intersection of all ray spaces at levels c_rho over the whole fan."""
-    _check_description(fan, desc)
-    return desc.space(c)
-
-
-def chart_section(fan: FanData, desc: ReflexiveDescription, cone_index: int,
-                  m: Sequence[int]) -> tuple[Vector, ...]:
-    """Sections over one chart at lattice point m: the sub-intersection."""
-    _check_description(fan, desc)
-    idx = fan.max_cones[index_in(cone_index, len(fan.max_cones), "cone index")]
-    m = _fixed_length(m, fan.lattice_rank, "lattice point", "the lattice rank")
-    return intersect_ray_spaces(
-        ((desc.filtrations[i][1], sum(a * b for a, b in zip(fan.rays[i], m))) for i in idx),
-        desc.ambient_dim)

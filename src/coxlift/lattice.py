@@ -1,10 +1,10 @@
 """Exact integer matrix algorithms.
 
 Smith normal form by row/column reduction with pivot-norm minimization,
-lattice membership (exact preimages), and quotient-lattice projections
-with the torsion part split off; ranks are read off the Smith form
-(``SnfResult.rank``).  All arithmetic is in Python's arbitrary-precision
-integers; the layer forms no rationals.
+exact preimages under a Smith form (``SnfResult.preimage``), and
+quotient-lattice projections with the torsion part split off; ranks are
+read off the Smith form (``SnfResult.rank``).  All arithmetic is in
+Python's arbitrary-precision integers; the layer forms no rationals.
 
 All functions here are pure and safe to call from concurrent workers,
 and none memoizes: a caller that solves against one matrix many times
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
 
-from .linalg import _sequence
+from .linalg import _pair, _sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -100,10 +100,13 @@ class SnfResult:
         """The rank of A over the rationals: its nonzero invariant factors."""
         return sum(1 for d in self.invariant_factors if d)
 
-    def preimage(self, v: IntVector) -> Optional[IntVector]:
-        """An integer ``x`` with ``A @ x == v``, or None; ``v`` must have one
-        integer entry per row of A."""
+    def preimage(self, v: Sequence[int]) -> Optional[IntVector]:
+        """An integer ``x`` with ``A @ x == v``, or None; ``v`` is read
+        through ``int_vector`` and must have one entry per row of A."""
+        v = int_vector(v)
         m, n = len(self.U), len(self.V)
+        if len(v) != m:
+            raise ValueError(f"vector {v} has length {len(v)}, the matrix has {m} rows")
         y = imat_vec(self.U, v)
         z = [0] * n
         for i in range(min(m, n)):
@@ -218,29 +221,33 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     )
 
 
-def lattice_membership(b: IntMatrix, v: Sequence[int]) -> Optional[IntVector]:
-    """An integer preimage ``m`` with ``b @ m == v``, or None.
-
-    Exact for arbitrary integer matrices via the Smith decomposition.
-    """
-    b, v = int_matrix(b), int_vector(v)
-    if len(v) != len(b):
-        raise ValueError("vector length differs from row count")
-    return smith_normal_form(b).preimage(v)
-
-
 @dataclass(frozen=True)
 class LatticeQuotient:
     """Projection of Z^ambient_rank onto the quotient by a sublattice.
 
     ``free_rows`` give the torsion-free coordinates; ``torsion`` pairs a
     projection row with its modulus.  ``project`` is surjective with
-    kernel exactly the sublattice.
+    kernel exactly the sublattice.  The constructor reads every field:
+    rows of the ambient length, moduli at least 2.
     """
 
     ambient_rank: int
     free_rows: IntMatrix
     torsion: tuple[tuple[IntVector, int], ...]
+
+    def __post_init__(self):
+        n = nonnegative_int(self.ambient_rank, "ambient rank")
+        free = tuple(map(int_vector, _sequence(self.free_rows)))
+        torsion = tuple((int_vector(r), plain_int(d)) for r, d in
+                        (_pair(t, "torsion entry") for t in _sequence(self.torsion)))
+        for row in free + tuple(r for r, _ in torsion):
+            if len(row) != n:
+                raise ValueError(f"row {row} has length {len(row)}, the ambient rank is {n}")
+        for _, d in torsion:
+            if d < 2:
+                raise ValueError(f"torsion modulus {d} is below 2")
+        object.__setattr__(self, "free_rows", free)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def free_rank(self) -> int:
@@ -268,6 +275,8 @@ def reduce_by_sublattice(ambient_rank: int, generators: Sequence[Sequence[int]])
             raise ValueError("generator length differs from ambient rank")
     if not gens:
         return LatticeQuotient(ambient_rank, i_identity(ambient_rank), ())
+    if len(gens) > ambient_rank:
+        raise ValueError(f"dependent generators: {len(gens)} of them in rank {ambient_rank}")
     cols = int_matrix([[g[i] for g in gens] for i in range(ambient_rank)])
     k = len(gens)
     snf = smith_normal_form(cols)

@@ -283,10 +283,6 @@ class Box:
         if any(a > b for a, b in zip(lo, hi)):
             raise ValueError("box needs lo <= hi componentwise")
 
-    def __contains__(self, c: Sequence[int]) -> bool:
-        return (len(c) == len(self.lo)
-                and all(a <= x <= b for a, x, b in zip(self.lo, c, self.hi)))
-
     def degrees(self):
         ranges = [range(a, b + 1) for a, b in zip(self.lo, self.hi)]
         for c in product(*ranges):

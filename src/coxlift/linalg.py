@@ -36,10 +36,10 @@ the column count.
 
 Every entry point reads the rationals it is given through ``_fraction``
 (``Mat.from_rows``, ``Mat.vec``, ``solve``, ``row_space_basis``,
-``reduce_by_rref``, ``matrix_in_basis`` and ``subspace_le``, basis rows
-included, once per call): an integer, a ``Fraction`` or ``"p/q"`` text is
-read exactly, and a float or a boolean raises ``ValueError``.  Only the
-internal constructor ``Mat(nrows, ncols, rows)`` takes its rows as given.
+``matrix_in_basis`` and ``subspace_le``, basis rows included, once per
+call): an integer, a ``Fraction`` or ``"p/q"`` text is read exactly, and
+a float or a boolean raises ``ValueError``.  Only the internal
+constructor ``Mat(nrows, ncols, rows)`` takes its rows as given.
 """
 
 from __future__ import annotations
@@ -80,6 +80,14 @@ def _sequence(values: Iterable) -> Iterable:
                                               or not hasattr(values, "__iter__")):
         raise ValueError(f"expected a sequence, got {values!r}")
     return values
+
+
+def _pair(values: Iterable, what: str) -> tuple:
+    """``values`` as exactly two entries, read by ``_sequence``; ``what`` labels the error."""
+    t = tuple(_sequence(values))
+    if len(t) != 2:
+        raise ValueError(f"{what} {t} is not a pair")
+    return t
 
 
 def frac_vector(values: Iterable) -> Vector:
@@ -249,8 +257,12 @@ def solve(m: Mat, b: Sequence) -> Optional[list]:
 
 
 def row_space_basis(vectors: Iterable[Sequence], ambient: int) -> tuple[Vector, ...]:
-    """Canonical (RREF) basis of the span of the given vectors."""
+    """Canonical (RREF) basis of the span of vectors, each of length ``ambient``."""
     rows = [frac_vector(v) for v in _sequence(vectors)]
+    for v in rows:
+        if len(v) != ambient:
+            raise ValueError(f"vector ({', '.join(map(str, v))}) has length {len(v)}, "
+                             f"the ambient dimension is {ambient}")
     if not rows:
         return ()
     red, pivots = rref(Mat(len(rows), ambient, rows))
@@ -258,8 +270,11 @@ def row_space_basis(vectors: Iterable[Sequence], ambient: int) -> tuple[Vector, 
 
 
 def _reducer(basis: Sequence[Sequence]) -> Callable[[Sequence], tuple[list, list]]:
-    """``reduce_by_rref`` by a fixed RREF basis, whose rows are read through
-    ``_fraction`` once, here, and kept as their nonzero entries."""
+    """Reduction by a fixed RREF basis, read through ``_fraction`` once, here,
+    and kept as its rows' nonzero entries: ``reduce(v)`` returns the multiple
+    of each row taken off (the entry of ``v`` at its pivot) and the remainder,
+    zero exactly when ``v`` lies in the span.  ``matrix_in_basis`` and
+    ``subspace_le`` are its two doors."""
     rows = [frac_vector(row) for row in basis]
     widths = set(map(len, rows))
     entries = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
@@ -282,16 +297,6 @@ def _reducer(basis: Sequence[Sequence]) -> Callable[[Sequence], tuple[list, list
     return reduce
 
 
-def reduce_by_rref(basis: Sequence[Vector], v: Sequence) -> tuple[list, list]:
-    """Reduce ``v`` by the rows of an RREF basis.
-
-    Returns the multiple of each row taken off (the entry of ``v`` at the
-    row's pivot) and the remainder, which is zero exactly when ``v`` lies
-    in the span.
-    """
-    return _reducer(basis)(v)
-
-
 def matrix_in_basis(basis: Sequence[Vector], images: Iterable[Sequence]) -> Mat:
     """The matrix whose column j holds the coordinates of ``images[j]`` in an RREF basis.
 
@@ -306,10 +311,6 @@ def matrix_in_basis(basis: Sequence[Vector], images: Iterable[Sequence]) -> Mat:
             raise AssertionError("image left the span of the target basis")
         cols.append(coeffs)
     return Mat(len(cols), len(basis), cols).transpose()
-
-
-def subspace_contains(basis: Sequence[Vector], v: Sequence) -> bool:
-    return not any(reduce_by_rref(basis, v)[1])
 
 
 def subspace_le(inner: Sequence[Vector], outer: Sequence[Vector]) -> bool:

@@ -57,12 +57,13 @@ from operator import attrgetter, ge, neg
 from typing import Callable, Iterable, Sequence
 
 from .cones import Cone, _fixed_length, _leq, cox_le
-from .lattice import index_in, plain_int
+from .lattice import index_in, nonnegative_int, plain_int
 from .linalg import (
     ONE,
     ZERO,
     Mat,
     Vector,
+    _pair,
     _sequence,
     block_diagonal,
     frac_vector,
@@ -438,7 +439,9 @@ class RayFiltration:
 def ray_filtration(jumps: Sequence[tuple[int, Sequence[Sequence]]], ambient: int) -> RayFiltration:
     """Build a filtration from (level, spanning vectors) jump data, sorted by
     level once each level is read."""
-    read = [(plain_int(level), vectors) for level, vectors in _sequence(jumps)]
+    ambient = nonnegative_int(ambient, "ambient dimension")
+    jumps = (_pair(j, "filtration jump") for j in _sequence(jumps))
+    read = [(plain_int(level), vectors) for level, vectors in jumps]
     return RayFiltration(tuple(
         FiltrationStep(level, row_space_basis(vectors, ambient))
         for level, vectors in sorted(read, key=lambda j: j[0])))
@@ -474,12 +477,14 @@ class ReflexiveDescription(CoxRule):
     filtrations: tuple[tuple[int, RayFiltration], ...]
 
     def __post_init__(self):
-        ambient = plain_int(self.ambient_dim)
-        filts = sorted(((plain_int(ray), rf) for ray, rf in self.filtrations),
-                       key=lambda pair: pair[0])
+        ambient = nonnegative_int(self.ambient_dim, "ambient dimension")
+        entries = (_pair(e, "filtration entry") for e in _sequence(self.filtrations))
+        filts = sorted(((plain_int(ray), rf) for ray, rf in entries), key=lambda pair: pair[0])
         if [ray for ray, _ in filts] != list(range(len(filts))):
             raise ValueError("filtration rays must be 0..n-1, each given once")
         for ray, rf in filts:
+            if not isinstance(rf, RayFiltration):
+                raise ValueError(f"ray {ray}: {rf!r} is not a RayFiltration")
             if not rf.steps:
                 raise ValueError(f"ray {ray}: empty filtration")
             if any(a.level >= b.level for a, b in zip(rf.steps, rf.steps[1:])):
@@ -663,12 +668,3 @@ def indicator_morphism(source: GradedModule, target: GradedModule) -> GradedMorp
     return GradedMorphism(source, target,
                           lambda m: Mat.ones(target._component(m), source._component(m)))
 
-
-def structure_to_simple(cone: Cone) -> GradedMorphism:
-    """Canonical quotient from the structure ring onto the simple module."""
-    return indicator_morphism(structure_module(cone), simple_module(cone))
-
-
-def ideal_to_structure(cone: Cone) -> GradedMorphism:
-    """Canonical inclusion of the maximal ideal into the structure ring."""
-    return indicator_morphism(maximal_ideal_module(cone), structure_module(cone))

@@ -387,6 +387,11 @@ def test_invalid_diagram_is_an_input_error(inputs, capsys, payload, message):
      "diagram JSON is missing 'leq'"),
     ("--module", {"type": "finitely_presented", "generators": [{"degree": [0, 0]}]},
      "generator (0, 0) has length 2, not the lattice rank 3"),
+    # a basis vector longer than the ambient space
+    ("--module", {"type": "filtration", "ambient_dim": 2,
+                  "filtrations": {str(r): [{"level": 0, "basis": [[1, 0, 0]] if r == 0
+                                            else [[1, 0], [0, 1]]}] for r in range(4)}},
+     "vector (1, 0, 0) has length 3, the ambient dimension is 2"),
 ])
 def test_rejected_input_exits_2_naming_the_fault(inputs, capsys, flag, payload, message):
     bad = inputs / "bad.json"

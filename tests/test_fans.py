@@ -5,18 +5,11 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from coxlift.fans import (
-    FanData,
-    _separable,
-    chart_section,
-    class_group,
-    global_reflexive_lift,
-)
+from coxlift.fans import FanData, _separable, class_group
 from coxlift.instances import CONE_OVER_SQUARE
 from coxlift.klyachko import ReflexiveDescription
 from coxlift.lifting import Box
-from coxlift.linalg import subspace_le
-from coxlift.modules import full_at, ray_filtration
+from coxlift.modules import full_at
 
 from cone_oracles import completion_separable, positive_relation_exists
 
@@ -206,48 +199,26 @@ def test_class_group_needs_spanning_rays():
         class_group(fan)
 
 
-def rank1_twist(fan, shifts):
+def rank1_twist(shifts):
     return ReflexiveDescription(
         1, tuple((i, full_at(-s, 1)) for i, s in enumerate(shifts)))
 
 
 def test_global_lift_rank1_law():
-    desc = rank1_twist(P2, (1, 0, 0))
+    desc = rank1_twist((1, 0, 0))
     for c in Box((-2, -2, -2), (2, 2, 2)).degrees():
         want = 1 if all(x + s >= 0 for x, s in zip(c, (1, 0, 0))) else 0
-        assert len(global_reflexive_lift(P2, desc, c)) == want
+        assert len(desc.space(c)) == want
 
 
 def test_global_sections_degree_one_twist():
     cg = class_group(P2)
-    desc = rank1_twist(P2, (0, 0, 0))
+    desc = rank1_twist((0, 0, 0))
     target = cg.project((1, 0, 0))
     count = sum(
         1
         for c in Box((0, 0, 0), (3, 3, 3)).degrees()
-        if cg.project(c) == target and len(global_reflexive_lift(P2, desc, c)) == 1
+        if cg.project(c) == target and len(desc.space(c)) == 1
     )
     assert count == 3
 
-
-def test_chart_sections_contain_global():
-    planes = ray_filtration([(0, [[1, 0]]), (1, [[1, 0], [0, 1]])], 2)
-    desc = ReflexiveDescription(2, tuple(
-        (i, planes if i == 0 else full_at(0, 2)) for i in range(3)))
-    for idx in range(len(P2.max_cones)):
-        for m in [(0, 0), (1, 0), (-1, 2), (1, 1)]:
-            c = tuple(sum(r * x for r, x in zip(row, m)) for row in P2.rays)
-            glob = global_reflexive_lift(P2, desc, c)
-            sect = chart_section(P2, desc, idx, m)
-            assert subspace_le(glob, sect)
-
-
-def test_chart_sections_equal_global_for_full_cone():
-    # the single maximal cone uses every ray, so sections equal the global lift
-    desc = ReflexiveDescription(2, tuple(
-        (i, full_at(1 if i == 0 else 0, 2)) for i in range(4)))
-    for m in [(0, 0, 0), (2, 1, 0), (-1, -1, 1)]:
-        c = tuple(sum(r * x for r, x in zip(row, m)) for row in ONE_CONE.rays)
-        glob = global_reflexive_lift(ONE_CONE, desc, c)
-        sect = chart_section(ONE_CONE, desc, 0, m)
-        assert subspace_le(glob, sect) and subspace_le(sect, glob)

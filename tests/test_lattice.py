@@ -11,7 +11,6 @@ from coxlift.lattice import (
     imat_vec,
     int_matrix,
     int_vector,
-    lattice_membership,
     plain_int,
     reduce_by_sublattice,
     smith_normal_form,
@@ -125,10 +124,11 @@ def test_snf_invariants(rows):
 
 
 def test_membership_examples():
-    assert lattice_membership(L_SQUARE, (1, -1, 0, 0)) is None
-    assert lattice_membership(L_SQUARE, (1, 0, 0, 1)) == (1, 0, 1)
+    snf = smith_normal_form(L_SQUARE)
+    assert snf.preimage((1, -1, 0, 0)) is None
+    assert snf.preimage((1, 0, 0, 1)) == (1, 0, 1)
     ident = ((1, 0), (0, 1))
-    assert lattice_membership(ident, (4, -7)) == (4, -7)
+    assert smith_normal_form(ident).preimage((4, -7)) == (4, -7)
 
 
 @given(int_mat, st.lists(st.integers(-4, 4), min_size=5, max_size=5))
@@ -136,14 +136,15 @@ def test_membership_roundtrip(rows, m):
     b = int_matrix(rows)
     m = tuple(m[: len(b[0])])
     v = imat_vec(b, m)
-    pre = lattice_membership(b, v)
+    pre = smith_normal_form(b).preimage(v)
     assert pre is not None
     assert imat_vec(b, pre) == v
 
 
 def test_membership_dimension_error():
-    with pytest.raises(ValueError):
-        lattice_membership(L_SQUARE, (1, 2, 3))
+    with pytest.raises(ValueError,
+                       match=r"vector \(1, 2, 3\) has length 3, the matrix has 4 rows"):
+        smith_normal_form(L_SQUARE).preimage((1, 2, 3))
 
 
 def test_reduce_trivial_sublattice():
@@ -172,6 +173,12 @@ def test_reduce_torsion():
 def test_reduce_dependent_generators():
     with pytest.raises(ValueError):
         reduce_by_sublattice(2, [(1, 1), (2, 2)])
+    # more generators than the rank, found before any matrix is built
+    with pytest.raises(ValueError, match="^dependent generators: 1 of them in rank 0$"):
+        reduce_by_sublattice(0, [()])
+    with pytest.raises(ValueError, match="^dependent generators: 3 of them in rank 2$"):
+        reduce_by_sublattice(2, [(1, 0), (0, 1), (1, 1)])
+
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
@@ -189,7 +196,8 @@ def test_quotient_classes_match_cosets(gens, v, w, coeffs):
     assert quot.project(v) == quot.project(tuple(a + b for a, b in zip(v, shift)))
     cols = int_matrix([[g[i] for g in gens] for i in range(3)])
     diff = tuple(a - b for a, b in zip(v, w))
-    assert (quot.project(v) == quot.project(w)) == (lattice_membership(cols, diff) is not None)
+    in_lattice = smith_normal_form(cols).preimage(diff) is not None
+    assert (quot.project(v) == quot.project(w)) == in_lattice
 
 
 class Sign(IntEnum):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import coxlift
 from coxlift import checks, linalg, lifting
 from coxlift.cones import Cone, leq_sigma, minimal_common_upper_bounds, minimal_elements
-from coxlift.derived import FinitePosetDiagram, indicator_sequence
+from coxlift.derived import FinitePosetDiagram, ideal_sequence, indicator_sequence
 from coxlift.instances import (
     CONE_OVER_SQUARE,
     ORTHANT2,
@@ -61,7 +61,6 @@ from coxlift.modules import (
     ray_filtration,
     simple_module,
     structure_module,
-    structure_to_simple,
 )
 
 
@@ -175,7 +174,7 @@ def test_lift_action_functoriality(csq, rng):
 
 
 def test_lift_morphism_values(csq):
-    f = structure_to_simple(csq)
+    f = ideal_sequence(csq).project
     at0 = lift_morphism(csq, f, (0, 0, 0, 0))
     assert at0.rows == [[1]]
     # source vanishes, target is one-dimensional: a zero-width matrix
@@ -221,7 +220,7 @@ def test_sheafify_of_table_matches_module(csq):
     table = lift_table(csq, K, Box((-1,) * 4, (1,) * 4))
     for m in [(0, 0, 0), (1, 0, 1), (0, 1, 0)]:
         c = csq.evaluate(m)
-        if c in table.box:
+        if c in table.components:
             assert SheafifiedModule(csq, table).component(m) == K.component(m)
 
 
@@ -457,8 +456,9 @@ def test_lift_table_builds_restriction_maps_only_when_read(csq, monkeypatch):
     box = Box((-1, 0, -1, 0), (0, 1, 0, 1))
     table = lift_table(csq, cod, box)
     assert calls == []
-    edges = {(c, axis) for c in box.degrees() for axis in range(4)
-             if tuple(x + (i == axis) for i, x in enumerate(c)) in box}
+    degrees = set(box.degrees())
+    edges = {(c, axis) for c in degrees for axis in range(4)
+             if tuple(x + (i == axis) for i, x in enumerate(c)) in degrees}
     assert set(table.steps) == edges
     for (c, axis), mat in table.steps.items():
         nxt = tuple(x + (i == axis) for i, x in enumerate(c))
@@ -628,7 +628,7 @@ def test_a_restriction_map_with_a_zero_side_searches_no_predecessor(csq, monkeyp
     for c in box.degrees():
         for axis in range(4):
             nxt = tuple(x + (i == axis) for i, x in enumerate(c))
-            if nxt not in box:
+            if nxt not in table.components:
                 continue
             calls.clear()
             src, tgt = table.component(c), table.component(nxt)

@@ -25,7 +25,7 @@ from coxlift.derived import (
     roos_limits,
     truncated_lift_oracle,
 )
-from coxlift.fans import FanData, chart_section, class_group, global_reflexive_lift
+from coxlift.fans import FanData, class_group
 from coxlift.instances import (
     CONE_OVER_SQUARE,
     ORTHANT2,
@@ -36,9 +36,9 @@ from coxlift.instances import (
 )
 from coxlift.klyachko import filtration_lift_component
 from coxlift.lattice import (
+    LatticeQuotient,
     int_matrix,
     int_vector,
-    lattice_membership,
     reduce_by_sublattice,
 )
 from coxlift.lifting import (
@@ -69,7 +69,6 @@ from coxlift.modules import (
     SpikeRule,
     codivisorial_module,
     full_at,
-    ideal_to_structure,
     identity_morphism,
     intersect_ray_spaces,
     maximal_ideal_module,
@@ -77,7 +76,6 @@ from coxlift.modules import (
     ray_filtration,
     simple_module,
     structure_module,
-    structure_to_simple,
     validate_indicator_style,
 )
 
@@ -205,8 +203,10 @@ NON_SEQUENCES = {
     "diagram pairs mapping": lambda C: FinitePosetDiagram.from_maps(["a"], {}, [1], {}),
     "point mapping": lambda C: structure_module(C).component({}),
     "quotient projection": lambda C: class_group(P2).project(5),
-    "lattice membership vector": lambda C: lattice_membership(C.rays, 5),
+    "lattice membership vector": lambda C: C.smith.preimage(5),
     "sublattice generators": lambda C: reduce_by_sublattice(2, 5),
+    "description filtrations": lambda C: ReflexiveDescription(2, 5),
+    "quotient free rows": lambda C: LatticeQuotient(2, 5, ()),
 }
 
 
@@ -241,12 +241,6 @@ NON_INTEGER_DEGREES = {
         C, random_reflexive_description(C, random.Random(1))).subspace((0.5, 0, 0)),
     "filtration lift": lambda C: filtration_lift_component(
         random_reflexive_description(C, random.Random(1)), (0.5, 0, 0, 0)),
-    "global reflexive lift": lambda C: global_reflexive_lift(
-        FanData(3, C.rays, ((0, 1, 2, 3),)),
-        random_reflexive_description(C, random.Random(1)), (0.5, 0, 0, 0)),
-    "chart section": lambda C: chart_section(
-        FanData(3, C.rays, ((0, 1, 2, 3),)),
-        random_reflexive_description(C, random.Random(1)), 0, (0.5, 0, 0)),
     "fan max cone": lambda C: FanData(2, ((1, 0), (0, 1)), ((0, 1.0),)),
     "truncated oracle": lambda C: truncated_lift_oracle(C, simple_module(C), (0.5, 0, 0, 0), 2),
     "truncated oracle bound": lambda C: truncated_lift_oracle(
@@ -267,7 +261,7 @@ NON_INTEGER_DEGREES = {
     "connecting cokernel": lambda C: connecting_cokernel(C, ideal_sequence(C), (0.5, 0, 0, 0)),
     "diagram points": lambda C: FinitePosetDiagram.from_module(
         C, simple_module(C), [(0.5, 0, 0)]),
-    "lattice membership": lambda C: lattice_membership(C.rays, (0.5, 0, 0, 0)),
+    "lattice membership": lambda C: C.smith.preimage((0.5, 0, 0, 0)),
     "sublattice generators": lambda C: reduce_by_sublattice(2, [(1.0, 0)]),
     "box oracle": lambda C: box_minimal_oracle(C, (0.5, 0, 0, 0), 1),
     "morphism matrix": lambda C: identity_morphism(simple_module(C)).matrix((0.5, 0, 0)),
@@ -300,6 +294,10 @@ NON_INTEGER_DEGREES = {
     "quotient projection": lambda C: class_group(P2).project((1.0, 0, 0)),
     "sublattice ambient rank": lambda C: reduce_by_sublattice(2.0, []),
     "sublattice ambient rank bool": lambda C: reduce_by_sublattice(True, []),
+    "filtration ambient": lambda C: ray_filtration([(0, [[1, 0]])], 2.0),
+    "quotient ambient rank": lambda C: LatticeQuotient(2.0, (), ()),
+    "quotient modulus": lambda C: LatticeQuotient(2, (), (((0, 1), 2.0),)),
+    "quotient free row": lambda C: LatticeQuotient(2, ((1, 0.5),), ()),
 }
 
 
@@ -358,12 +356,6 @@ WRONG_SHAPES = {
         r"relation degree \(0, 0, 0, 0\) has length 4, not the lattice rank 3"),
     "module degree": (lambda C: structure_module(C).component((0, 0)),
                       r"point \(0, 0\) has length 2, not the lattice rank 3"),
-    "chart section cone index": (lambda C: chart_section(
-        FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 1, (0, 0, 0)),
-        "cone index 1 is outside 0..0"),
-    "chart section point length": (lambda C: chart_section(
-        FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 0, (0, 0)),
-        r"lattice point \(0, 0\) has length 2, not the lattice rank 3"),
     "module shift length": (lambda C: ShiftModule(simple_module(C), (0, 0)),
                             r"shift \(0, 0\) has length 2, not the lattice rank 3"),
     "empty module sum": (lambda C: DirectSumModule(()), "empty direct sum"),
@@ -403,16 +395,6 @@ WRONG_SHAPES = {
     "fan ray": (lambda C: FanData(3, C.rays, ((0, 1, 2, 4),)), "ray index 4 is outside 0..3"),
     "fan ray float": (lambda C: FanData(3, C.rays, ((0, 1, 2, 3.0),)),
                       "expected an integer, got 3.0"),
-    # the chart index is the cone index ``chart_section`` reads
-    "chart index": (lambda C: chart_section(
-        FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), -1, (0, 0, 0)),
-        "cone index -1 is outside 0..0"),
-    "chart index boolean": (lambda C: chart_section(
-        FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), True, (0, 0, 0)),
-        "expected an integer, got True"),
-    "chart section index float": (lambda C: chart_section(
-        FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), 0.0, (0, 0, 0)),
-        "expected an integer, got 0.0"),
     "diagram pair length": (lambda C: FinitePosetDiagram.from_maps(
         ["a", "b"], [(0, 1, 1)], [1, 1], {}), r"relation pair \(0, 1, 1\) is not a pair"),
     "diagram map key": (lambda C: FinitePosetDiagram.from_maps(
@@ -463,9 +445,6 @@ WRONG_SHAPES.update({
          "degree", (0, 0), "the ray count 4"),
         ("filtration lift", lambda C: filtration_lift_component(
             generic_plane_description(4), (0,)), "degree", (0,), "the ray count 4"),
-        ("global reflexive lift", lambda C: global_reflexive_lift(
-            FanData(3, C.rays, ((0, 1, 2, 3),)), generic_plane_description(4), (0, 0)),
-         "degree", (0, 0), "the ray count 4"),
         ("lift component", lambda C: lift_component(C, simple_module(C), (0, 0, 0)),
          "degree", (0, 0, 0), "the ray count 4"),
         ("lift action source", lambda C: lift_action(C, simple_module(C), (0,), (0,) * 4),
@@ -490,6 +469,37 @@ WRONG_SHAPES.update({
         ("diagram points", lambda C: FinitePosetDiagram.from_module(
             C, simple_module(C), [(0, 0, 0), (0, 0)]), "point", (0, 0), "the lattice rank 3"),
     ]})
+
+
+# the filtration and quotient doors read their structure: entries are
+# pairs, a filtration is a ``RayFiltration``, vectors have the ambient
+# length, moduli are at least 2
+WRONG_SHAPES.update({
+    "description filtration": (lambda C: ReflexiveDescription(2, ((0, 5),)),
+                               "ray 0: 5 is not a RayFiltration"),
+    "description entry": (lambda C: ReflexiveDescription(2, ((0,),)),
+                          r"filtration entry \(0,\) is not a pair"),
+    "description ambient negative": (lambda C: ReflexiveDescription(-1, ()),
+                                     "ambient dimension must be nonnegative, got -1"),
+    "filtration jump": (lambda C: ray_filtration([(0,)], 2),
+                        r"filtration jump \(0,\) is not a pair"),
+    "filtration ambient negative": (lambda C: ray_filtration([(0, [[1, 0]])], -1),
+                                    "ambient dimension must be nonnegative, got -1"),
+    "filtration basis length": (lambda C: ray_filtration([(0, [[1, 0, 0]])], 2),
+                                r"vector \(1, 0, 0\) has length 3, the ambient dimension is 2"),
+    "quotient zero modulus": (lambda C: LatticeQuotient(2, ((1, 0),), (((0, 1), 0),)),
+                              "torsion modulus 0 is below 2"),
+    "quotient unit modulus": (lambda C: LatticeQuotient(2, (), (((0, 1), 1),)),
+                              "torsion modulus 1 is below 2"),
+    "quotient ambient rank negative": (lambda C: LatticeQuotient(-1, (), ()),
+                                       "ambient rank must be nonnegative, got -1"),
+    "quotient row length": (lambda C: LatticeQuotient(2, ((1, 0, 0),), ()),
+                            r"row \(1, 0, 0\) has length 3, the ambient rank is 2"),
+    "quotient torsion row length": (lambda C: LatticeQuotient(2, (), (((1,), 3),)),
+                                    r"row \(1,\) has length 1, the ambient rank is 2"),
+    "quotient torsion entry": (lambda C: LatticeQuotient(2, (), (((0, 1),),)),
+                               r"torsion entry \(\(0, 1\),\) is not a pair"),
+})
 
 
 @pytest.mark.parametrize("call, message", WRONG_SHAPES.values(), ids=WRONG_SHAPES.keys())
@@ -680,10 +690,11 @@ def test_shift_module(csq):
 def test_morphism_validation(csq):
     R = structure_module(csq)
     K = simple_module(csq)
-    f = structure_to_simple(csq)
+    seq = ideal_sequence(csq)
+    f = seq.project
     assert f.matrix((0, 0, 0)).rows == [[1]]
     assert f.matrix((1, 0, 1)).nrows == 0
-    g = ideal_to_structure(csq)
+    g = seq.include
     assert g.matrix((1, 0, 1)).rows == [[1]]
     ident = identity_morphism(R)
     assert ident.matrix((0, 0, 0)).rows == [[1]]
@@ -700,7 +711,7 @@ def test_morphism_validation(csq):
 
 def test_morphism_naturality_sampled(csq):
     f = morphism(maximal_ideal_module(csq), structure_module(csq),
-                 ideal_to_structure(csq).matrix)
+                 ideal_sequence(csq).include.matrix)
     assert f.matrix((1, 0, 1)).rows == [[1]]
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from coxlift.derived import ideal_sequence
 from coxlift.instances import CONE_OVER_SQUARE as CSQ, all_variant_modules
 from coxlift.klyachko import ReflexiveDescription, induced_morphism
 from coxlift.lifting import (
@@ -35,7 +36,6 @@ from coxlift.modules import (
     SpikeRule,
     codivisorial_module,
     ray_filtration,
-    structure_to_simple,
 )
 
 PINNED = Path(__file__).parent / "data" / "pinned_maps.json"
@@ -96,7 +96,7 @@ def _cases() -> dict[str, dict[str, Mat]]:
         },
         "lift_table_act": {f"codivisorial {c}->{d}": table.act(c, d) for c, d in COD_PAIRS},
         "lift_morphism": {
-            **{f"structure_to_simple {c}": lift_morphism(CSQ, structure_to_simple(CSQ), c)
+            **{f"structure_to_simple {c}": lift_morphism(CSQ, ideal_sequence(CSQ).project, c)
                for c in LIFT_DEGREES},
             **{f"induced {c}": lift_morphism(CSQ, induced, c)
                for c in LINE_DEGREES},
