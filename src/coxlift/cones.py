@@ -37,7 +37,8 @@ the points of P_c within a 1-norm bound of c.  There the box is exact:
 through each basis T, ``m = adj (c_T + y) / det`` with ``y >= 0`` of
 1-norm at most the bound, which bounds every coordinate of m; the scan
 runs over the intersection of these boxes, against ``c <= L(m) <= c +
-bound``, and keeps the points whose ``sum_k l_k(m)`` is in range.
+bound`` and ``sum_k l_k(m) <= sum c + bound``; the last two both cap
+the last coordinate of m once the others are chosen.
 
 The search runs once per class of ``Cl = Z^n / L(M)``, the grading
 group of the homogeneous coordinate ring.  For every ``h`` in M,
@@ -71,8 +72,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from operator import le, mul
-from typing import Sequence
+from operator import add, le, mul
+from typing import Optional, Sequence
 
 from .lattice import (
     IntMatrix,
@@ -238,9 +239,11 @@ def _search_data(cone: Cone) -> _SearchData:
 
 
 def _box_points(cone: Cone, c: IntVector, upper: IntVector,
-               low: Sequence[int], high: Sequence[int]) -> list[tuple[int, IntVector, IntVector]]:
+               low: Sequence[int], high: Sequence[int],
+               limit: Optional[int] = None) -> list[tuple[int, IntVector, IntVector]]:
     """``(sum L(m), L(m), m)`` for every m in the box ``low <= m <= high``
-    with ``c <= L(m) <= upper``, in lexicographic order of m."""
+    with ``c <= L(m) <= upper`` and, if a ``limit`` is given,
+    ``sum L(m) <= limit``, in lexicographic order of m."""
     rays, n, d = cone.rays, cone.ray_count, cone.lattice_rank
     # forms whose last nonzero coefficient sits in column j are settled once
     # the first j+1 coordinates are chosen; the rest bound the last one
@@ -258,6 +261,8 @@ def _box_points(cone: Cone, c: IntVector, upper: IntVector,
         ]
     column = [row[-1] for row in rays]
     bounding = [(k, column[k]) for k in range(n) if column[k]]
+    # the last coefficient of the sum form sum_k l_k
+    step = sum(column)
     found = []
     for head, partial in heads:
         lo, hi = low[-1], high[-1]
@@ -267,9 +272,23 @@ def _box_points(cone: Cone, c: IntVector, upper: IntVector,
                 lo, hi = max(lo, -((p - c[k]) // a)), min(hi, (upper[k] - p) // a)
             else:
                 lo, hi = max(lo, -((upper[k] - p) // -a)), min(hi, (p - c[k]) // -a)
+        total = sum(partial)
+        if limit is not None:
+            # total + step * x <= limit
+            if step > 0:
+                hi = min(hi, (limit - total) // step)
+            elif step < 0:
+                lo = max(lo, -((limit - total) // -step))
+            elif total > limit:
+                continue
+        if lo > hi:
+            continue
+        vals = tuple([p + a * lo for p, a in zip(partial, column)])
+        total += step * lo
         for x in range(lo, hi + 1):
-            vals = tuple(p + a * x for p, a in zip(partial, column))
-            found.append((sum(vals), vals, head + (x,)))
+            found.append((total, vals, head + (x,)))
+            vals = tuple(map(add, vals, column))
+            total += step
     return found
 
 
@@ -366,10 +385,8 @@ def truncation_points(cone: Cone, c: Sequence[int], bound: int) -> list[IntVecto
             highs.append((w + bound * max(0, *row)) // det)
         low.append(max(lows))
         high.append(min(highs))
-    limit = sum(c) + bound
-    return sorted(m for total, _, m in
-                  _box_points(cone, c, tuple(x + bound for x in c), low, high)
-                  if total <= limit)
+    return [m for _, _, m in _box_points(cone, c, tuple(x + bound for x in c), low, high,
+                                         sum(c) + bound)]
 
 
 def minimal_common_upper_bounds(

@@ -7,11 +7,13 @@ the subspace of the direct sum of components at the minimal points of
 constraints there propagate to all common upper bounds because the
 transports factor.  Minimal points with zero component stay in the
 presentation on purpose: their constraints can annihilate other
-coordinates.  The constraint rows are streamed, sparse and in pair
-order, into ``linalg.sparse_kernel_basis``; once they have full rank the
-lift is zero, and the pairs after that point are never visited (no
-upper-bound search, no transport).  Their columns are numbered from the
-right, so the kernel comes out in RREF from that one elimination.
+coordinates.  A zero block asks for no transport, though: its side of
+each row has no columns, so only the other block's transport is built.
+The constraint rows are streamed, sparse and in pair order, into
+``linalg.sparse_kernel_basis``; once they have full rank the lift is
+zero, and the pairs after that point are never visited (no upper-bound
+search, no transport).  Their columns are numbered from the right, so
+the kernel comes out in RREF from that one elimination.
 
 The lift is a functor, right adjoint to sheafification.  Its maps
 between lift components (restriction maps along ``c <= c'`` and lifted
@@ -112,8 +114,9 @@ def _constraint_rows(cone: Cone, module: GradedModule, mins: Sequence[IntVector]
 
     For minimal points ``i < j`` and each minimal common upper bound ``u``
     of the pair, a row of the transport of block ``i`` to ``u`` minus the
-    same row for block ``j``.  The lift's column ``k`` is the row's column
-    ``total - 1 - k``.
+    same row for block ``j``; a zero block has no columns, so only the
+    other block's transport is built.  The lift's column ``k`` is the
+    row's column ``total - 1 - k``.
     """
     last = sum(dims) - 1
     ends = [last - offset for offset in accumulate(dims, initial=0)]
@@ -123,12 +126,18 @@ def _constraint_rows(cone: Cone, module: GradedModule, mins: Sequence[IntVector]
             continue
         ei, ej = ends[i], ends[j]
         for u in _minimal_upper_bounds(cone, cox[i], cox[j]):
-            ai = module._action(mins[i], u)
-            aj = module._action(mins[j], u)
-            for ri, rj in zip(ai.rows, aj.rows):
-                row = {ei - col: x for col, x in enumerate(ri) if x}
-                row.update((ej - col, -x) for col, x in enumerate(rj) if x)
-                yield row
+            if not dims[j]:
+                for ri in module._action(mins[i], u).rows:
+                    yield {ei - col: x for col, x in enumerate(ri) if x}
+            elif not dims[i]:
+                for rj in module._action(mins[j], u).rows:
+                    yield {ej - col: -x for col, x in enumerate(rj) if x}
+            else:
+                ai, aj = module._action(mins[i], u), module._action(mins[j], u)
+                for ri, rj in zip(ai.rows, aj.rows):
+                    row = {ei - col: x for col, x in enumerate(ri) if x}
+                    row.update((ej - col, -x) for col, x in enumerate(rj) if x)
+                    yield row
 
 
 def _blockwise(src: LiftComponent, tgt: LiftComponent,
@@ -204,7 +213,8 @@ def counit_matrix(cone: Cone, module: GradedModule, m: Sequence[int]) -> Mat:
     comp = lift_component(cone, module, cone._cox(m))
     if comp.minimal_points != (m,):
         raise AssertionError("expected a unique minimal point at an image degree")
-    return Mat(comp.dim, comp.block_dims[0], [list(v) for v in comp.basis]).transpose()
+    return Mat(comp.block_dims[0], comp.dim,
+               [[v[r] for v in comp.basis] for r in range(comp.block_dims[0])])
 
 
 def unit_map(cone: Cone, rule, c: Sequence[int]) -> Mat:
@@ -213,8 +223,7 @@ def unit_map(cone: Cone, rule, c: Sequence[int]) -> Mat:
     c = tgt.degree  # read and checked by the lift, and below L(m) at each minimal point
     # the rule's maps from c to each minimal point, stacked; column j is e_j's image
     stacked = [row for m in tgt.minimal_points for row in rule._act(c, cone._cox(m)).rows]
-    images = Mat(len(stacked), rule._dim(c), stacked).transpose().rows
-    return matrix_in_basis(tgt.basis, images)
+    return matrix_in_basis(tgt.basis, ([row[j] for row in stacked] for j in range(rule._dim(c))))
 
 
 # --------------------------------------------------------------------------

@@ -134,8 +134,16 @@ class Mat:
     @classmethod
     def ones(cls, nrows: int, ncols: int) -> "Mat":
         """All entries 1: between spaces of dimension at most one, the
-        identity where both are nonzero and the zero map otherwise."""
-        return cls(nrows, ncols, [[ONE] * ncols for _ in range(nrows)])
+        identity where both are nonzero and the zero map otherwise.
+
+        One of four shared matrices (0x0, 0x1, 1x0, 1x1), built once: as
+        with a memoized inclusion, callers read it and must not mutate it.
+        A side above 1 raises ``ValueError``.
+        """
+        out = _ONES.get((nrows, ncols))
+        if out is None:
+            raise ValueError(f"Mat.ones is shared for sides 0 and 1 only, got {nrows}x{ncols}")
+        return out
 
     def mul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -152,9 +160,9 @@ class Mat:
         return Mat(self.nrows, other.ncols, out)
 
     def vec(self, v: Sequence) -> list:
+        v = frac_vector(v)
         if len(v) != self.ncols:
             raise ValueError("vector length differs from column count")
-        v = frac_vector(v)
         return [sum([a * x for a, x in zip(row, v) if a], ZERO) for row in self.rows]
 
     def col(self, j: int) -> list:
@@ -176,6 +184,9 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols}, {self.rows!r})"
+
+
+_ONES = {(r, c): Mat(r, c, [[ONE] * c for _ in range(r)]) for r in (0, 1) for c in (0, 1)}
 
 
 def block_diagonal(blocks: Sequence[Mat]) -> Mat:
@@ -304,13 +315,16 @@ def matrix_in_basis(basis: Sequence[Vector], images: Iterable[Sequence]) -> Mat:
     per call.  Raises ``AssertionError`` when an image leaves the span.
     """
     reduce = _reducer(basis)
-    cols = []
+    rows = [[] for _ in basis]
+    ncols = 0
     for v in images:
         coeffs, rest = reduce(v)
         if any(rest):
             raise AssertionError("image left the span of the target basis")
-        cols.append(coeffs)
-    return Mat(len(cols), len(basis), cols).transpose()
+        for row, x in zip(rows, coeffs):
+            row.append(x)
+        ncols += 1
+    return Mat(len(rows), ncols, rows)
 
 
 def subspace_le(inner: Sequence[Vector], outer: Sequence[Vector]) -> bool:

@@ -44,7 +44,8 @@ exactly as long as it does:
   ``klyachko.filtration_lift_component``, read these.
 
 A memoized inclusion is the very ``Mat`` that every later ``action``
-call returns: callers read it and must not mutate it.
+call returns, and every 0/1 transport (``Mat.ones``) is one of four
+shared matrices: callers read them and must not mutate them.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import attrgetter, ge, neg
+from operator import attrgetter, ge
 from typing import Callable, Iterable, Sequence
 
 from .cones import Cone, _fixed_length, _leq, cox_le
@@ -297,14 +298,14 @@ class FinitelyPresentedModule(GradedModule):
         active_s, _, free_s = self._data(m)
         active_t, pivot_rows, free_t = self._data(m_prime)
         pos = {g: i for i, g in enumerate(active_t)}
-        cols = []
+        rows = [[] for _ in free_t]
         # in RREF a unit vector is reduced at a free column, and minus its row at a pivot
         for f in free_s:
             p = pos[active_s[f]]
             row = pivot_rows.get(p)
-            cols.append([ONE if g == p else ZERO for g in free_t] if row is None
-                        else [-row[g] for g in free_t])
-        return Mat(len(free_s), len(free_t), cols).transpose()
+            for out, g in zip(rows, free_t):
+                out.append((ONE if g == p else ZERO) if row is None else -row[g])
+        return Mat(len(free_t), len(free_s), rows)
 
 
 # --------------------------------------------------------------------------
@@ -354,9 +355,11 @@ class ShiftedCoxRule(CoxRule):
 
     def __post_init__(self):
         object.__setattr__(self, "shift", self._degree(self.shift, "shift"))
+        # the least degree of dim 1, -shift, read once here
+        object.__setattr__(self, "_floor", tuple(-s for s in self.shift))
 
     def _dim(self, c: IntVector) -> int:
-        return 1 if all(map(ge, c, map(neg, self.shift))) else 0
+        return 1 if all(map(ge, c, self._floor)) else 0
 
 
 @dataclass(frozen=True)
@@ -485,20 +488,26 @@ class ReflexiveDescription(CoxRule):
         for ray, rf in filts:
             if not isinstance(rf, RayFiltration):
                 raise ValueError(f"ray {ray}: {rf!r} is not a RayFiltration")
-            if not rf.steps:
+            steps = tuple(_sequence(rf.steps))
+            if not steps:
                 raise ValueError(f"ray {ray}: empty filtration")
-            if any(a.level >= b.level for a, b in zip(rf.steps, rf.steps[1:])):
+            for st in steps:
+                if not isinstance(st, FiltrationStep):
+                    raise ValueError(f"ray {ray}: {st!r} is not a FiltrationStep")
+                plain_int(st.level)
+            if any(a.level >= b.level for a, b in zip(steps, steps[1:])):
                 raise ValueError(f"ray {ray}: filtration levels are not increasing")
             prev: tuple[Vector, ...] = ()
-            for st in rf.steps:
-                for v in st.basis:
-                    if len(v) != ambient:
-                        raise ValueError("basis vector length differs from ambient dim")
-                # reads the basis through ``_fraction``: a float or boolean raises
-                if not subspace_le(prev, st.basis):
+            for st in steps:
+                # ``subspace_le`` here and ``klyachko`` read a step's basis as RREF
+                basis = row_space_basis(st.basis, ambient)
+                if basis != tuple(map(frac_vector, st.basis)):
+                    raise ValueError(f"ray {ray}: the basis at level {st.level} is not "
+                                     f"the reduced row echelon basis of its span")
+                if not subspace_le(prev, basis):
                     raise ValueError(f"ray {ray}: filtration is not nondecreasing")
-                prev = st.basis
-            if len(rf.steps[-1].basis) != ambient:
+                prev = basis
+            if len(prev) != ambient:
                 raise ValueError(f"ray {ray}: filtration is not full")
         object.__setattr__(self, "filtrations", tuple(filts))
         object.__setattr__(self, "_levels", tuple(tuple(st.level for st in rf.steps)

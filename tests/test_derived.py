@@ -2,12 +2,13 @@ import math
 import re
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coxlift import derived, linalg
+from coxlift import cones, derived, linalg
 from coxlift.cones import Cone, minimal_elements
 from coxlift.derived import (
     FinitePosetDiagram,
@@ -336,10 +337,27 @@ HEXAGON_RAYS = ((1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1
 @example((HEXAGON_RAYS, (3, -3, 3, -3, 3, -3), 4))
 @example((((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -2, 1)), (-3, -3, -3, -3), 6))
 @example((((1, 0, 0), (0, 1, 0), (-1, 1, 1), (0, 0, 1)), (-1, 0, -1, 0), 6))
+# the sum form's last coefficient, positive in every drawn case, is 0 on the
+# first cone and negative on the other two: a scan without the sum's cap
+# would visit 16, 17 and 8 points here
+@example((((1, 0, 2), (0, -1, 0), (2, -1, -2)), (1, 0, 1), 4))
+@example((((0, -1), (2, -1), (1, 0)), (-1, 0, -1), 5))
+@example((tuple((x, y, -z) for x, y, z in HEXAGON_RAYS), (0,) * 6, 3))
 def test_truncation_and_its_order_match_brute_force(case):
     rays, c, bound = case
     cone = Cone(len(rays[0]), rays)
-    points = truncation_points(cone, c, bound)
+    scanned = []
+    box_points = cones._box_points
+
+    def recording(*args):
+        out = box_points(*args)
+        scanned.extend(out)
+        return out
+
+    with mock.patch.object(cones, "_box_points", recording):
+        points = truncation_points(cone, c, bound)
+    # the scan stops at the 1-norm bound: it yields no point over it
+    assert all(total <= sum(c) + bound for total, _, _ in scanned)
     assert points == preimage_truncation_points(cone, c, bound)
     values = [cone.evaluate(p) for p in points]
     n = len(points)

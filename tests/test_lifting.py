@@ -50,6 +50,8 @@ from coxlift.modules import (
     FiltrationModule,
     FinitelyPresentedModule,
     GradedModule,
+    IndicatorConstraint,
+    IndicatorModule,
     ReflexiveDescription,
     Relation,
     SheafifiedModule,
@@ -775,18 +777,65 @@ def presented_with_rational_relations(cone, rng):
     return FinitelyPresentedModule(cone, gens, tuple(rels))
 
 
+def indicator_with_random_constraints(cone, rng):
+    """An indicator module cut out by one to three random ray inequalities;
+    each is up- or down-closed, so the support is order-convex."""
+    cons = tuple(IndicatorConstraint(rng.randrange(cone.ray_count), rng.choice(("<=", ">=")),
+                                     rng.randint(-2, 2)) for _ in range(rng.randint(1, 3)))
+    return IndicatorModule(cone, "quotient", cons)
+
+
+RANDOM_MODULES = {
+    "filtration": lambda cone, rng: FiltrationModule(
+        cone, random_reflexive_description(cone, rng, 3)),
+    "presented": presented_with_rational_relations,
+    # components of dimension 0 and 1, whose transports are the shared ``Mat.ones``
+    "indicator": indicator_with_random_constraints,
+    "shifted": lambda cone, rng: SheafifiedModule(cone, ShiftedCoxRule(
+        cone.ray_count, tuple(rng.randint(-2, 2) for _ in range(cone.ray_count)))),
+}
+
+
 # the kernel comes out of one elimination of columns numbered from the
 # right; the oracle eliminates in the lift's own order and row-reduces
 # the kernel again, so a wrong reversal or fill-in shows as a mismatch
 @given(st.sampled_from([QUOTIENT2, CONE_OVER_SQUARE]).flatmap(lambda cone: st.tuples(
-    st.just(cone), st.sampled_from(["filtration", "presented"]), st.integers(0, 2**32),
+    st.just(cone), st.sampled_from(sorted(RANDOM_MODULES)), st.integers(0, 2**32),
     st.tuples(*[st.integers(-2, 2)] * cone.ray_count))))
 def test_reversed_elimination_matches_the_all_rows_oracle(case):
     cone, kind, seed, c = case
-    rng = random.Random(seed)
-    module = (FiltrationModule(cone, random_reflexive_description(cone, rng, 3))
-              if kind == "filtration" else presented_with_rational_relations(cone, rng))
+    module = RANDOM_MODULES[kind](cone, random.Random(seed))
     assert lift_component(cone, module, c) == all_rows_lift_component(cone, module, c)
+
+
+class TransportSources(GradedModule):
+    """``base`` as it is, recording the source point of every transport asked for."""
+
+    def __init__(self, base):
+        self.base, self.cone, self.sources = base, base.cone, []
+
+    def _component(self, m):
+        return self.base._component(m)
+
+    def _action(self, m, m_prime):
+        self.sources.append(m)
+        return self.base._action(m, m_prime)
+
+
+def test_a_zero_block_asks_for_no_transport(csq):
+    bases = [maximal_ideal_module(csq), simple_module(csq),
+             SheafifiedModule(csq, ShiftedCoxRule(4, (1, 0, -1, 0))),
+             FiltrationModule(csq, generic_plane_description(4))]
+    mixed = 0
+    for base in bases:
+        for c in Box((-1,) * 4, (1,) * 4).degrees():
+            counted = TransportSources(base)
+            comp = lift_component(csq, counted, c)
+            assert all(base._component(m) for m in counted.sources)
+            assert comp == all_rows_lift_component(csq, base, c)
+            mixed += 0 in comp.block_dims and any(comp.block_dims)
+    # some presentations pair a zero block with a nonzero one
+    assert mixed > 0
 
 
 EDGE_KERNELS = {

@@ -471,6 +471,17 @@ def test_reduce_and_vec_match_the_dense_formulas(m, data):
     assert all(type(x) is Fraction for x in out)
 
 
+def test_ones_are_four_shared_matrices():
+    for nrows in (0, 1):
+        for ncols in (0, 1):
+            ones = Mat.ones(nrows, ncols)
+            assert Mat.ones(nrows, ncols) is ones
+            assert ones == Mat(nrows, ncols, [[ONE] * ncols for _ in range(nrows)])
+    for shape in [(2, 1), (1, 2), (2, 0), (-1, 1)]:
+        with pytest.raises(ValueError, match="sides 0 and 1"):
+            Mat.ones(*shape)
+
+
 def test_reduction_rejects_a_basis_of_another_length():
     with pytest.raises(ValueError, match="basis row length"):
         matrix_in_basis([(ONE, ZERO, ZERO)], [[1, 1]])

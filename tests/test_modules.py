@@ -206,6 +206,8 @@ NON_SEQUENCES = {
     "lattice membership vector": lambda C: C.smith.preimage(5),
     "sublattice generators": lambda C: reduce_by_sublattice(2, 5),
     "description filtrations": lambda C: ReflexiveDescription(2, 5),
+    "description filtration steps": lambda C: ReflexiveDescription(1, [(0, RayFiltration(5))]),
+    "matrix vector": lambda C: Mat.identity(2).vec(5),
     "quotient free rows": lambda C: LatticeQuotient(2, 5, ()),
 }
 
@@ -256,6 +258,8 @@ NON_INTEGER_DEGREES = {
         FinitePosetDiagram.from_maps(["a"], [], [1], {}), 1.0),
     "order complex imax bool": lambda C: order_complex_cohomology(
         FinitePosetDiagram.from_maps(["a"], [], [1], {}), True),
+    "description step level": lambda C: ReflexiveDescription(
+        1, [(0, RayFiltration((FiltrationStep(0.5, ((1,),)),)))]),
     "truncation points": lambda C: truncation_points(C, (0.5, 0, 0, 0), 2),
     "truncation bound": lambda C: truncation_points(C, (0, 0, 0, 0), 2.5),
     "connecting cokernel": lambda C: connecting_cokernel(C, ideal_sequence(C), (0.5, 0, 0, 0)),
@@ -369,6 +373,8 @@ WRONG_SHAPES = {
         r"at \(0, 0, 0\) has shape \(2, 2\), expected \(1, 1\)"),
     "quotient projection length": (lambda C: reduce_by_sublattice(2, [(1, 0)]).project(
         (1, 0, 0)), "vector length differs from ambient rank"),
+    "matrix vector length": (lambda C: Mat.identity(2).vec([1]),
+                             "vector length differs from column count"),
     "box corner lengths": (lambda C: Box((0, 0), (1,)),
                            r"box corners \(0, 0\) and \(1,\) have lengths 2 and 1"),
     # a relation pair and a map key are read by one rule
@@ -611,7 +617,15 @@ REFLEXIVE_REJECTS = {
     "repeated level": (2, [(0, ray_filtration([(0, [[1, 0]]), (0, [[1, 0], [0, 1]])], 2))],
                        "levels are not increasing"),
     "not full": (2, [(0, FULL2), (1, LINE2)], "not full"),
-    "vector length": (3, [(0, FULL2)], "vector length"),
+    "vector length": (3, [(0, FULL2)],
+                      r"vector \(1, 0\) has length 2, the ambient dimension is 3"),
+    "step a number": (1, [(0, RayFiltration((5,)))], "ray 0: 5 is not a FiltrationStep"),
+    # a line counted as the plane; a spanning pair read as not nested in its plane
+    "dependent basis": (2, [(0, RayFiltration((FiltrationStep(0, ((1, 0), (2, 0))),)))],
+                        "ray 0: the basis at level 0 is not the reduced row echelon basis"),
+    "unreduced basis": (2, [(0, RayFiltration((FiltrationStep(0, ((0, 1),)),
+                                               FiltrationStep(1, ((1, 1), (1, 0))))))],
+                        "ray 0: the basis at level 1 is not the reduced row echelon basis"),
     "float ambient": (2.0, [(0, FULL2)], "expected an integer"),
     "bool ambient": (True, [(0, full_at(0, 1))], "expected an integer"),
 }
